@@ -365,16 +365,18 @@ void CornerAnalysis::update(ThreadPool* pool) {
     const Cluster& cl = clusters.cluster(ClusterId(c));
     const std::size_t np = engine_->breaks(ClusterId(c)).size();
 
-    probe_bwd_.clear();
-    for (std::uint32_t li : d.bwd) probe_bwd_.push_back(li);
-    for (const auto& [pass, li] : d.bwd_of_pass) probe_bwd_.push_back(li);
-    const std::size_t cone = pass_cone_size(cl, d.fwd, probe_bwd_, probe_ws_);
+    // Same cost model as SlackEngine::update, probe stopped at the limit.
     const std::size_t par =
         (pooled && cl.nodes.size() >= par_min)
             ? std::min<std::size_t>(static_cast<std::size_t>(pool->size()), 8)
             : 1;
+    const std::size_t limit =
+        cl.nodes.size() * kFullSweepNum * 2 / (kFullSweepDen * par);
+    probe_bwd_.clear();
+    for (std::uint32_t li : d.bwd) probe_bwd_.push_back(li);
+    for (const auto& [pass, li] : d.bwd_of_pass) probe_bwd_.push_back(li);
     const bool full =
-        cone * kFullSweepDen * par > cl.nodes.size() * kFullSweepNum * 2;
+        pass_cone_size(cl, d.fwd, probe_bwd_, probe_ws_, limit) > limit;
 
     for (std::size_t p = 0; p < np; ++p) {
       UpdateTask& task = new_task();

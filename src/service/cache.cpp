@@ -71,9 +71,17 @@ void QueryCache::insert(std::string_view key,
 
 void QueryCache::clear() {
   for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.lru.clear();
-    s.index.clear();
+    // Swap each shard's contents out under its lock and free them after it
+    // is released, so readers never wait on the entries' teardown.  The
+    // replacement index gets its buckets here, outside the lock too.
+    std::list<Entry> lru;
+    Index index;
+    index.reserve(per_shard_);
+    {
+      std::lock_guard<std::mutex> lock(s.mutex);
+      s.lru.swap(lru);
+      s.index.swap(index);
+    }
   }
 }
 

@@ -69,7 +69,8 @@ class QueryCache {
     insert(std::string_view(key), std::make_shared<const QueryResult>(result));
   }
 
-  /// Drop everything (called on snapshot publication).
+  /// Drop everything (called on snapshot publication).  The dropped
+  /// entries are destroyed on the calling thread outside the shard locks.
   void clear();
 
   std::size_t size() const;
@@ -93,11 +94,12 @@ class QueryCache {
       return a == b;
     }
   };
+  using Index =
+      std::unordered_map<std::string, std::list<Entry>::iterator, KeyHash, KeyEq>;
   struct Shard {
     mutable std::mutex mutex;
     std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator, KeyHash, KeyEq>
-        index;
+    Index index;
   };
 
   Shard& shard_of(std::string_view key);

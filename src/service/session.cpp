@@ -66,9 +66,12 @@ void Session::publish(std::shared_ptr<const AnalysisSnapshot> snap) {
   if (store_ != nullptr && store_->save(*snap).ok) {
     metrics_.record_snapshot_saved();
   }
+  // Swap under the lock; `snap`, now the previous snapshot, is destroyed
+  // after it is released, so readers fetching the pointer never wait on
+  // its teardown.
   {
     std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    snapshot_ = std::move(snap);
+    snapshot_.swap(snap);
   }
   cache_.clear();
   metrics_.record_snapshot_published();
@@ -314,50 +317,47 @@ QueryResult Session::do_commit(BudgetTimer*) {
                  " status " + status_word(status));
 }
 
-// Hold/constraint captures of a snapshot about to be published.  Runs with
-// writer_mutex_ held (construction or commit); takes pool_mutex_ for the
-// pooled sweeps — the same order do_commit uses.  Algorithm 2 mutates the
-// offsets, so it runs against the live analyser and is undone with the
-// absorbed-commit restore sequence (reset offsets, invalidate, re-run
-// Algorithm 1 — bit-identical by the reanalyze contract); deliberately no
-// per-request budget, so a deadline can never publish a half-restored
-// analyser.  The snapshot itself was copied out beforehand and is
-// unaffected by the round-trip.
+// Hold/corner/constraint captures of a snapshot about to be published.  Runs
+// with writer_mutex_ held (construction or commit); takes pool_mutex_ for
+// the pooled sweeps — the same order do_commit uses.  The hold and corner
+// sweeps read the settled Algorithm 1 schedule, so they run first;
+// Algorithm 2 runs last and leaves the analyser in its snatched state.
+// Nothing reads the live analyser between publications, and every commit
+// restarts Algorithm 1 from reset_offsets(), which does not depend on the
+// offsets it finds — so no restore is needed (docs/SERVICE.md).
 void Session::attach_captures(AnalysisSnapshot& snap) {
   if (!options_.capture_hold && !options_.capture_constraints &&
       options_.corners.empty()) {
     return;
   }
   std::lock_guard<std::mutex> pool_lock(pool_mutex_);
+  if (options_.capture_hold) {
+    capture_hold_into(snap, hb_->engine(), pool_.get());
+  }
+  if (!options_.corners.empty()) {
+    // One K-lane sweep over the settled schedule; the snapshot's corner
+    // sections serve every `corner` query without touching the analyser
+    // again.
+    CornerAnalysis ca(hb_->engine(), options_.corners);
+    ca.compute(pool_.get());
+    capture_corners_into(snap, ca, options_.max_paths, options_.capture_hold,
+                         pool_.get());
+  }
   if (options_.capture_constraints) {
-    SyncModel& sync = hb_->sync_model_mut();
-    SlackEngine& engine = hb_->engine_mut();
-    ConstraintSet cs = run_algorithm2(sync, engine, analysis_options_.alg2);
+    // Runs under the analysis options' own Algorithm 2 budget: a commit's
+    // request deadline covers Algorithm 1 only.
+    Algorithm2Options a2 = analysis_options_.alg2;
+    a2.pool = pool_.get();
+    ConstraintSet cs =
+        run_algorithm2(hb_->sync_model_mut(), hb_->engine_mut(), a2);
     if (hb_->num_quarantined() > 0 && cs.status == AnalysisStatus::kComplete) {
       cs.status = AnalysisStatus::kPartial;
     }
-    sync.reset_offsets();
-    engine.invalidate_offsets(sync.drain_changed_offsets());
-    Algorithm1Options a1 = analysis_options_.alg1;
-    a1.pool = pool_.get();
-    run_algorithm1(sync, engine, a1);
     snap.has_constraints = true;
     snap.constraints_status = cs.status;
     snap.backward_snatch_cycles = cs.backward_snatch_cycles;
     snap.forward_snatch_cycles = cs.forward_snatch_cycles;
     snap.constraint_nodes = std::move(cs.nodes);
-  }
-  if (options_.capture_hold) {
-    capture_hold_into(snap, hb_->engine(), pool_.get());
-  }
-  if (!options_.corners.empty()) {
-    // One K-lane sweep over the settled schedule (after the constraint
-    // round-trip restored it); the snapshot's corner sections serve every
-    // `corner` query without touching the analyser again.
-    CornerAnalysis ca(hb_->engine(), options_.corners);
-    ca.compute(pool_.get());
-    capture_corners_into(snap, ca, options_.max_paths, options_.capture_hold,
-                         pool_.get());
   }
 }
 

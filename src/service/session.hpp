@@ -63,8 +63,9 @@ struct SessionOptions {
   /// read.  Disabled, check_hold answers a structured rejection.
   bool capture_hold = true;
   /// Attach Algorithm 2 constraint times to each published snapshot (the
-  /// `gen_constraints` query); the analyser is restored bit-identically
-  /// afterwards via the reanalyze contract.
+  /// `gen_constraints` query).  Algorithm 2 runs after the other captures
+  /// and leaves the live analyser in its snatched state; the next commit's
+  /// Algorithm 1 starts from reset offsets, so nothing is restored.
   bool capture_constraints = true;
   /// Corners evaluated at each publication (docs/SCENARIOS.md).  Non-empty,
   /// every snapshot carries per-corner sections — one K-lane corner sweep
@@ -146,10 +147,13 @@ class Session {
   QueryResult do_set_delay(const ParsedQuery& q);
   QueryResult do_upsize(const ParsedQuery& q);
   QueryResult do_commit(BudgetTimer* timer);
-  /// Attach the hold/constraint captures enabled in options_ to a snapshot
-  /// not yet published.  Takes pool_mutex_; the analyser state is restored
-  /// bit-identically before returning.
+  /// Attach the hold/corner/constraint captures enabled in options_ to a
+  /// snapshot not yet published, Algorithm 2 last.  Takes pool_mutex_.  With
+  /// capture_constraints the analyser is left in the Algorithm 2 state, not
+  /// restored: no reader touches it, and the next commit resets the offsets.
   void attach_captures(AnalysisSnapshot& snap);
+  /// Swap `snap` in under snapshot_mutex_ and clear the cache; the previous
+  /// snapshot is destroyed after the lock is released.
   void publish(std::shared_ptr<const AnalysisSnapshot> snap);
 
   Design design_;

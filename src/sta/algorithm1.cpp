@@ -7,33 +7,32 @@ enum class Direction { kForward, kBackward };
 
 /// One transfer sweep across all synchronising elements.  Complete transfer
 /// moves min(slack, headroom); partial transfer moves min(slack/divisor,
-/// headroom).  Returns true if any offsets moved.
+/// headroom).  Returns true if any offsets moved.  Elements are read through
+/// SyncModel::at() and written through at_mut() only when they shift, so
+/// the change log — and with it the next incremental evaluation's dirty
+/// cones — holds exactly the elements that moved.
 bool transfer_sweep(SyncModel& sync, const SlackEngine& engine, Direction dir,
                     TimePs divisor) {
   bool moved = false;
   for (std::uint32_t i = 0; i < sync.num_instances(); ++i) {
-    SyncInstance& si = sync.at_mut(SyncId(i));
+    const SyncInstance& si = sync.at(SyncId(i));
     if (!si.transparent || si.is_virtual) continue;
+    TimePs amount = 0;
     if (dir == Direction::kForward) {
       // Donate spare time from paths converging on the data input to paths
       // emanating from the output: close the input (and assert the output)
       // earlier.
       const TimePs n_in = engine.capture_slack(SyncId(i));
       if (n_in == kInfinitePs) continue;
-      const TimePs amount = std::min(n_in / divisor, si.max_decrease());
-      if (amount > 0) {
-        si.shift(-amount);
-        moved = true;
-      }
+      amount = std::min(n_in / divisor, si.max_decrease());
     } else {
       const TimePs n_out = engine.launch_slack(SyncId(i));
       if (n_out == kInfinitePs) continue;
-      const TimePs amount = std::min(n_out / divisor, si.max_increase());
-      if (amount > 0) {
-        si.shift(amount);
-        moved = true;
-      }
+      amount = std::min(n_out / divisor, si.max_increase());
     }
+    if (amount <= 0) continue;
+    sync.at_mut(SyncId(i)).shift(dir == Direction::kForward ? -amount : amount);
+    moved = true;
   }
   return moved;
 }

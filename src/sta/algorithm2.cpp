@@ -5,29 +5,27 @@ namespace {
 
 /// One snatching sweep; returns true if anything moved.  Backward snatching
 /// gives time to the input side (offsets increase); forward snatching to the
-/// output side (offsets decrease).
+/// output side (offsets decrease).  As in Algorithm 1's transfer sweeps,
+/// only an element that shifts is taken through at_mut(), so the change log
+/// holds exactly the moved elements.
 bool snatch_sweep(SyncModel& sync, const SlackEngine& engine, bool backward) {
   bool moved = false;
   for (std::uint32_t i = 0; i < sync.num_instances(); ++i) {
-    SyncInstance& si = sync.at_mut(SyncId(i));
+    const SyncInstance& si = sync.at(SyncId(i));
     if (!si.transparent || si.is_virtual) continue;
+    TimePs amount = 0;
     if (backward) {
       const TimePs n_in = engine.capture_slack(SyncId(i));
       if (n_in >= 0 || n_in == kInfinitePs) continue;
-      const TimePs amount = std::min(-n_in, si.max_increase());
-      if (amount > 0) {
-        si.shift(amount);
-        moved = true;
-      }
+      amount = std::min(-n_in, si.max_increase());
     } else {
       const TimePs n_out = engine.launch_slack(SyncId(i));
       if (n_out >= 0 || n_out == kInfinitePs) continue;
-      const TimePs amount = std::min(-n_out, si.max_decrease());
-      if (amount > 0) {
-        si.shift(-amount);
-        moved = true;
-      }
+      amount = std::min(-n_out, si.max_decrease());
     }
+    if (amount <= 0) continue;
+    sync.at_mut(SyncId(i)).shift(backward ? amount : -amount);
+    moved = true;
   }
   return moved;
 }
@@ -40,16 +38,22 @@ ConstraintSet run_algorithm2(SyncModel& sync, SlackEngine& engine,
   out.nodes.resize(engine.graph().num_nodes());
   BudgetTimer timer(options.budget);
   bool timed_out = false;
-  // Checked only between sweeps (after a full engine.compute()), so on
-  // exhaustion the recorded times reflect a consistent conservative state.
+  // Checked only between sweeps (after an evaluation), so on exhaustion the
+  // recorded times reflect a consistent conservative state.
   auto out_of_budget = [&]() {
     if (!timed_out && timer.exhausted()) timed_out = true;
     return timed_out;
   };
+  // Each evaluation re-derives only the cones of the elements the previous
+  // sweep moved (the first one: whatever the change log holds on entry).
+  auto evaluate = [&]() {
+    engine.invalidate_offsets(sync.drain_changed_offsets());
+    engine.update(options.pool);
+  };
 
   // Iteration 1: backward snatching to fixpoint, then record ready times.
   for (;;) {
-    engine.compute();
+    evaluate();
     if (out_of_budget()) break;
     if (!snatch_sweep(sync, engine, /*backward=*/true)) break;
     timer.count_cycle();
@@ -65,7 +69,7 @@ ConstraintSet run_algorithm2(SyncModel& sync, SlackEngine& engine,
 
   // Iteration 2: forward snatching to fixpoint, then record required times.
   for (;;) {
-    engine.compute();
+    evaluate();
     if (out_of_budget()) break;
     if (!snatch_sweep(sync, engine, /*backward=*/false)) break;
     timer.count_cycle();

@@ -45,11 +45,23 @@ struct ConstraintSet {
 
 struct Algorithm2Options {
   int max_cycles = 10000;
+  /// Evaluate independent dirty passes on this pool when non-null; see
+  /// Algorithm1Options::pool.
+  ThreadPool* pool = nullptr;
   /// Watchdog limits; see Algorithm1Options::budget.
   AnalysisBudget budget;
 };
 
 /// Runs Algorithm 2, mutating offsets in `sync`.  Call after run_algorithm1.
+///
+/// Every slack evaluation is incremental: the change log of `sync` is
+/// drained into SlackEngine::invalidate_offsets and SlackEngine::update()
+/// re-derives the dirty cones.  Precondition: `engine` holds the results of
+/// the offsets in `sync` up to the changes still in the change log or
+/// already recorded in the engine (invalidate_*) — the state run_algorithm1,
+/// compute() and update() leave behind.  An engine with no valid cache is
+/// fine too (update() falls back to compute()).  The engine is left holding
+/// the final snatched state.
 ConstraintSet run_algorithm2(SyncModel& sync, SlackEngine& engine,
                              Algorithm2Options options = {});
 

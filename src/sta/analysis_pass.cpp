@@ -512,11 +512,12 @@ std::size_t update_analysis_pass(const TimingGraph& graph, const SyncModel& sync
 std::size_t pass_cone_size(const Cluster& cluster,
                            const std::vector<std::uint32_t>& fwd_seeds,
                            const std::vector<std::uint32_t>& bwd_seeds,
-                           PassWorkspace& ws) {
+                           PassWorkspace& ws, std::size_t limit) {
   ws.ensure(cluster.nodes.size());
   auto noop = [](std::uint32_t) {};
-  return sweep_forward(cluster, fwd_seeds, ws, noop) +
-         sweep_backward(cluster, bwd_seeds, ws, noop);
+  const std::size_t fwd = sweep_forward(cluster, fwd_seeds, ws, noop, limit);
+  if (fwd > limit) return fwd;
+  return fwd + sweep_backward(cluster, bwd_seeds, ws, noop, limit - fwd);
 }
 
 }  // namespace hb

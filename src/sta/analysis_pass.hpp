@@ -193,11 +193,14 @@ constexpr std::uint64_t bit_of(std::uint32_t li) {
 
 /// Forward cone: processes marked locals in ascending order (= topological
 /// order, every internal arc goes from a lower local index to a higher one)
-/// and marks the successors of each processed non-blocked node.
+/// and marks the successors of each processed non-blocked node.  Stops once
+/// more than `limit` nodes were visited, clearing the marks left pending,
+/// and returns limit + 1.
 template <class Visit>
 std::size_t sweep_forward(const Cluster& cluster,
                           const std::vector<std::uint32_t>& seeds,
-                          PassWorkspace& ws, Visit visit) {
+                          PassWorkspace& ws, Visit visit,
+                          std::size_t limit = SIZE_MAX) {
   if (seeds.empty()) return 0;
   std::vector<std::uint64_t>& m = ws.marks;
   std::size_t lo = SIZE_MAX, hi = 0;
@@ -217,7 +220,11 @@ std::size_t sweep_forward(const Cluster& cluster,
       done |= std::uint64_t{1} << b;
       const std::uint32_t li = static_cast<std::uint32_t>(w * 64 + b);
       visit(li);
-      ++count;
+      if (++count > limit) {
+        std::fill(m.begin() + static_cast<std::ptrdiff_t>(w),
+                  m.begin() + static_cast<std::ptrdiff_t>(hi) + 1, 0);
+        return count;
+      }
       if (!cluster.blocked[li]) {
         const std::uint32_t end = cluster.out_offsets[li + 1];
         for (std::uint32_t k = cluster.out_offsets[li]; k < end; ++k) {
@@ -234,11 +241,12 @@ std::size_t sweep_forward(const Cluster& cluster,
 
 /// Mirror sweep over the backward cone: descending local index (= reverse
 /// topological order), marking each processed node's non-blocked
-/// predecessors.
+/// predecessors.  `limit` as for sweep_forward.
 template <class Visit>
 std::size_t sweep_backward(const Cluster& cluster,
                            const std::vector<std::uint32_t>& seeds,
-                           PassWorkspace& ws, Visit visit) {
+                           PassWorkspace& ws, Visit visit,
+                           std::size_t limit = SIZE_MAX) {
   if (seeds.empty()) return 0;
   std::vector<std::uint64_t>& m = ws.marks;
   std::size_t lo = SIZE_MAX, hi = 0;
@@ -259,7 +267,11 @@ std::size_t sweep_backward(const Cluster& cluster,
       done |= std::uint64_t{1} << b;
       const std::uint32_t li = static_cast<std::uint32_t>(w * 64 + b);
       visit(li);
-      ++count;
+      if (++count > limit) {
+        std::fill(m.begin() + static_cast<std::ptrdiff_t>(lo),
+                  m.begin() + static_cast<std::ptrdiff_t>(w) + 1, 0);
+        return count;
+      }
       const std::uint32_t end = cluster.in_offsets[li + 1];
       for (std::uint32_t k = cluster.in_offsets[li]; k < end; ++k) {
         const std::uint32_t fl = cluster.in_local[k];
@@ -307,10 +319,13 @@ std::size_t update_analysis_pass(const TimingGraph& graph, const SyncModel& sync
 
 /// Number of nodes the two cone sweeps of update_analysis_pass would
 /// re-derive for these seeds, without touching any result — the probe behind
-/// SlackEngine's incremental/full cost model (docs/ALGORITHMS.md §7).
+/// SlackEngine's incremental/full cost model (docs/ALGORITHMS.md §7).  The
+/// walk stops as soon as the count exceeds `limit`, so the result is
+/// min(cone, limit + 1): a caller comparing `> limit` gets the exact answer
+/// without walking the rest of a cone it will not patch.
 std::size_t pass_cone_size(const Cluster& cluster,
                            const std::vector<std::uint32_t>& fwd_seeds,
                            const std::vector<std::uint32_t>& bwd_seeds,
-                           PassWorkspace& ws);
+                           PassWorkspace& ws, std::size_t limit = SIZE_MAX);
 
 }  // namespace hb

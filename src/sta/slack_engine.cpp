@@ -316,19 +316,21 @@ void SlackEngine::update(ThreadPool* pool) {
     // pass re-derives (at least) this cone, at the same per-node cost as
     // the full levelized sweep — so past kFullSweepNum/kFullSweepDen of the
     // cluster, re-evaluating the pass from scratch is cheaper than patching
-    // (docs/ALGORITHMS.md §7).
-    probe_bwd_.clear();
-    for (std::uint32_t li : d.bwd) probe_bwd_.push_back(li);
-    for (const auto& [pass, li] : d.bwd_of_pass) probe_bwd_.push_back(li);
-    const std::size_t cone = pass_cone_size(cl, d.fwd, probe_bwd_, probe_ws_);
-    // A level-parallel full sweep finishes ~par× sooner than the serial
-    // cone patch per node, so scale the cone side of the comparison.
+    // (docs/ALGORITHMS.md §7).  A level-parallel full sweep finishes ~par×
+    // sooner than the serial cone patch per node, so the cone side of the
+    // comparison is scaled by par.  full <=> cone * Den * par > nodes * Num
+    // * 2 <=> cone > limit, and the probe stops walking past the limit.
     const std::size_t par =
         (pooled && cl.nodes.size() >= par_min)
             ? std::min<std::size_t>(static_cast<std::size_t>(pool->size()), 8)
             : 1;
+    const std::size_t limit =
+        cl.nodes.size() * kFullSweepNum * 2 / (kFullSweepDen * par);
+    probe_bwd_.clear();
+    for (std::uint32_t li : d.bwd) probe_bwd_.push_back(li);
+    for (const auto& [pass, li] : d.bwd_of_pass) probe_bwd_.push_back(li);
     const bool full =
-        cone * kFullSweepDen * par > cl.nodes.size() * kFullSweepNum * 2;
+        pass_cone_size(cl, d.fwd, probe_bwd_, probe_ws_, limit) > limit;
 
     for (std::size_t p = 0; p < ca.breaks.size(); ++p) {
       UpdateTask& task = new_task();

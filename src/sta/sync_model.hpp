@@ -115,7 +115,9 @@ class SyncModel {
   const SyncInstance& at(SyncId id) const { return instances_.at(id.index()); }
   /// Mutable access conservatively records `id` in the changed-offsets log,
   /// so incremental re-analysis (SlackEngine::update) stays exact no matter
-  /// which offsets the caller moves.
+  /// which offsets the caller moves.  Each recorded id costs a dirty cone
+  /// at the next update(), so read through at() and take at_mut() only for
+  /// an element that changes (as Algorithms 1 and 2 do).
   SyncInstance& at_mut(SyncId id) {
     record_changed(id);
     return instances_.at(id.index());

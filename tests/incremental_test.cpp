@@ -8,6 +8,7 @@
 // no tolerance anywhere: every comparison below is exact equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -217,6 +218,103 @@ TEST(IncrementalDifferential, ResizesMatchFreshAnalyser) {
     // The point of the exercise: resizes are normally absorbed in place.
     EXPECT_LE(rebuilds, 5);
   }
+}
+
+// The invalidation footprint of one absorbed what-if edit on the service
+// benches' random_large network (1,952 cells).  Algorithm 1's sweeps log
+// only the elements they shift, so re-analysis patches cones instead of
+// re-sweeping whole clusters; Algorithm 2 evaluates through update(), never
+// through compute().  A one-thread pool keeps the cost model's parallel
+// scaling out of the counts, so they are deterministic.
+TEST(IncrementalFootprint, AbsorbedEditPatchesConesOnRandomLarge) {
+  RandomNetworkSpec spec;
+  spec.seed = 7;
+  spec.num_clocks = 2;
+  spec.banks = 8;
+  spec.bank_width = 10;
+  spec.gates_per_stage = 220;
+  RandomNetwork net = make_random_network(make_standard_library(), spec);
+  const Design& design = net.design;
+  ThreadPool pool(1);
+  HummingbirdOptions opt;
+  opt.alg1.pool = &pool;
+  opt.alg2.pool = &pool;
+  Hummingbird hb(design, net.clocks, opt);
+  hb.analyze();
+
+  // The first combinational instance: a delay edit there is absorbed.
+  InstId inst;
+  for (std::uint32_t i = 0; i < design.top().insts().size(); ++i) {
+    const Instance& x = design.top().inst(InstId(i));
+    if (x.is_cell() && !design.lib().cell(x.cell).is_sequential()) {
+      inst = InstId(i);
+      break;
+    }
+  }
+  ASSERT_TRUE(inst.valid());
+  hb.calculator_mut().adjust_instance(inst, ps(35));
+  ASSERT_TRUE(hb.update_instance_delays(inst));
+
+  const IncrementalStats before = hb.engine().incremental_stats();
+  const Algorithm1Result got = hb.reanalyze();
+  const IncrementalStats after = hb.engine().incremental_stats();
+  const std::uint64_t full = after.passes_full_swept - before.passes_full_swept;
+  const std::uint64_t touched =
+      full + (after.passes_updated - before.passes_updated);
+  EXPECT_EQ(after.full_computes, before.full_computes);
+  ASSERT_GT(touched, 0u);
+  EXPECT_LT(full * 10, touched)
+      << full << " of " << touched << " touched passes fully swept";
+
+  opt.delay_adjust = {InstDelayAdjust{inst, ps(35)}};
+  Hummingbird fresh(design, net.clocks, opt);
+  const Algorithm1Result want = fresh.analyze();
+  EXPECT_EQ(got.worst_slack, want.worst_slack);
+  EXPECT_TRUE(equal(take(fresh.engine()), take(hb.engine())));
+
+  const ConstraintSet cs = hb.generate_constraints();
+  EXPECT_GT(cs.backward_snatch_cycles + cs.forward_snatch_cycles, 0);
+  EXPECT_EQ(hb.engine().incremental_stats().full_computes, after.full_computes);
+}
+
+// The cost-model probe stops walking once its count passes the caller's
+// limit.  It must return min(cone, limit + 1), so that `> limit` decides
+// exactly as the full count would, and leave the shared workspace clean for
+// the next probe.
+TEST(IncrementalFootprint, ConeProbeStopsPastLimitWithCleanWorkspace) {
+  RandomNetwork net = make_random_network(make_standard_library(), spec_for(4));
+  Hummingbird hb(net.design, net.clocks);
+  const ClusterSet& clusters = hb.engine().clusters();
+  Rng rng(17);
+  PassWorkspace ws;
+  auto clean = [&ws] {
+    return std::all_of(ws.marks.begin(), ws.marks.end(),
+                       [](std::uint64_t w) { return w == 0; });
+  };
+  std::size_t probes = 0;
+  for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
+    const Cluster& cl = clusters.cluster(ClusterId(c));
+    if (cl.nodes.size() < 8) continue;
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<std::uint32_t> fwd, bwd;
+      for (int k = 0; k < 3; ++k) {
+        fwd.push_back(static_cast<std::uint32_t>(rng.pick(cl.nodes.size())));
+        bwd.push_back(static_cast<std::uint32_t>(rng.pick(cl.nodes.size())));
+      }
+      const std::size_t cone = pass_cone_size(cl, fwd, bwd, ws);
+      ASSERT_GT(cone, 0u);
+      for (const std::size_t limit :
+           {std::size_t{0}, std::size_t{1}, cone / 3, cone / 2, cone - 1, cone,
+            cone + 5}) {
+        EXPECT_EQ(pass_cone_size(cl, fwd, bwd, ws, limit),
+                  std::min(cone, limit + 1))
+            << "cluster " << c << " limit " << limit;
+        EXPECT_TRUE(clean()) << "cluster " << c << " limit " << limit;
+        ++probes;
+      }
+    }
+  }
+  EXPECT_GT(probes, 0u);
 }
 
 // After in-place delay updates the graph must be indistinguishable from a

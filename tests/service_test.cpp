@@ -65,7 +65,8 @@ std::vector<std::string> cell_names(const Design& d, std::size_t n,
 
 /// The service contract: the session's published analysis equals a fresh
 /// full analysis of session.design() with the session's accumulated delay
-/// history replayed.  Exact comparison of every exposed quantity.
+/// history replayed.  Exact comparison of every exposed quantity, the hold
+/// and Algorithm 2 captures included.
 ::testing::AssertionResult matches_fresh_analysis(Session& session) {
   HummingbirdOptions opt;
   opt.delay_adjust = session.delay_adjust_history();
@@ -114,6 +115,53 @@ std::vector<std::string> cell_names(const Design& d, std::size_t n,
         a.launch != fresh.sync_model().at(b.launch).label ||
         a.capture != fresh.sync_model().at(b.capture).label) {
       return ::testing::AssertionFailure() << "path " << i << " differs";
+    }
+  }
+  // Hold capture: every connected pair's worst margin, in sweep order.  Taken
+  // before generate_constraints() moves the fresh analyser's offsets.
+  if (snap->has_hold) {
+    const std::vector<HoldViolation> holds = fresh.check_hold_times(kInfinitePs);
+    if (snap->hold_pairs.size() != holds.size()) {
+      return ::testing::AssertionFailure()
+             << "hold pair count: snapshot " << snap->hold_pairs.size()
+             << " vs fresh " << holds.size();
+    }
+    for (std::size_t i = 0; i < holds.size(); ++i) {
+      const SnapshotHoldPair& a = snap->hold_pairs[i];
+      if (a.launch != holds[i].launch.value() ||
+          a.capture != holds[i].capture.value() || a.margin != holds[i].margin ||
+          a.launch_label != fresh.sync_model().at(holds[i].launch).label ||
+          a.capture_label != fresh.sync_model().at(holds[i].capture).label) {
+        return ::testing::AssertionFailure() << "hold pair " << i << " differs";
+      }
+    }
+  }
+  // Algorithm 2 capture: status, snatch cycles and every node's times.
+  if (snap->has_constraints) {
+    const ConstraintSet cs = fresh.generate_constraints();
+    if (snap->constraints_status != cs.status ||
+        snap->backward_snatch_cycles != cs.backward_snatch_cycles ||
+        snap->forward_snatch_cycles != cs.forward_snatch_cycles) {
+      return ::testing::AssertionFailure()
+             << "constraint status/cycles: snapshot "
+             << snap->backward_snatch_cycles << "/" << snap->forward_snatch_cycles
+             << " vs fresh " << cs.backward_snatch_cycles << "/"
+             << cs.forward_snatch_cycles;
+    }
+    if (snap->constraint_nodes.size() != cs.nodes.size()) {
+      return ::testing::AssertionFailure() << "constraint node count differs";
+    }
+    for (std::size_t i = 0; i < cs.nodes.size(); ++i) {
+      const ConstraintTimes& a = snap->constraint_nodes[i];
+      const ConstraintTimes& b = cs.nodes[i];
+      if (a.has_ready != b.has_ready || a.has_required != b.has_required ||
+          !(a.ready == b.ready) || !(a.required == b.required) ||
+          a.slack != b.slack) {
+        return ::testing::AssertionFailure()
+               << "constraints of node "
+               << fresh.graph().node_name(TNodeId(static_cast<std::uint32_t>(i)))
+               << " differ";
+      }
     }
   }
   return ::testing::AssertionSuccess();
