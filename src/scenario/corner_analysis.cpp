@@ -9,39 +9,6 @@
 namespace hb {
 namespace {
 
-// SplitMix64 finaliser (same fold as SlackEngine's pass checksums).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Order-sensitive checksum of a K-lane pass result: every lane of every
-/// present slot feeds the sum, so a single corrupted corner lane diverges.
-std::uint64_t corner_pass_checksum(const CornerPassResult& res) {
-  std::uint64_t h = 0x243f6a8885a308d3ULL;
-  auto feed = [&h](std::uint64_t v) { h = mix64(h ^ v); };
-  auto feed_side = [&](const PassSide& side) {
-    feed(side.size());
-    feed(side.lanes());
-    for (std::size_t i = 0; i < side.size(); ++i) {
-      if (side.has(i)) {
-        for (std::size_t lane = 0; lane < side.lanes(); ++lane) {
-          const RiseFall e = side.at(i, lane);
-          feed(static_cast<std::uint64_t>(e.rise));
-          feed(static_cast<std::uint64_t>(e.fall));
-        }
-      } else {
-        feed(0x5b5e546a6d51a0baULL);  // "absent" sentinel (lane-uniform)
-      }
-    }
-  };
-  feed_side(res.ready);
-  feed_side(res.required);
-  return h;
-}
-
 /// Corner-k mirror of the report backtrace: trace the critical chain
 /// through lane `lane`'s ready values, matching `prev + d == arrival` with
 /// the corner's derated arc delays.
@@ -173,7 +140,8 @@ void CornerAnalysis::compute(ThreadPool* pool) {
     const std::size_t np = engine_->breaks(ClusterId(c)).size();
     cc.checksums.resize(np);
     for (std::size_t p = 0; p < np; ++p) {
-      cc.checksums[p] = corner_pass_checksum(cc.cache[p]);
+      const CornerPassResult& res = cc.cache[p];
+      cc.checksums[p] = pass_checksum(res.ready, res.required);
     }
   }
 
@@ -438,7 +406,8 @@ void CornerAnalysis::update(ThreadPool* pool) {
     const UpdateTask& task = update_tasks_[i];
     istats_.nodes_retraced += task.retraced;
     ClusterCache& cc = cache_[task.cluster];
-    cc.checksums[task.pass] = corner_pass_checksum(cc.cache[task.pass]);
+    const CornerPassResult& res = cc.cache[task.pass];
+    cc.checksums[task.pass] = pass_checksum(res.ready, res.required);
   }
 
   for (std::uint32_t c : dirty_clusters_) {
@@ -460,7 +429,8 @@ bool CornerAnalysis::verify_cache() {
     const ClusterCache& cc = cache_[c];
     const std::size_t np = engine_->breaks(ClusterId(c)).size();
     for (std::size_t p = 0; p < np; ++p) {
-      if (corner_pass_checksum(cc.cache[p]) != cc.checksums[p]) {
+      const CornerPassResult& res = cc.cache[p];
+      if (pass_checksum(res.ready, res.required) != cc.checksums[p]) {
         cache_valid_ = false;
         return false;
       }

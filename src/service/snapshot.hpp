@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -21,7 +22,8 @@ namespace hb {
 
 /// Name lookup tables captured at graph-build time.  Shared by every
 /// snapshot taken from the same graph build; replaced when the analyser is
-/// rebuilt (names and node ids may then differ).
+/// rebuilt (names and node ids may then differ).  Filled by its builder
+/// before it is shared, immutable afterwards.
 struct NameIndex {
   /// Human-readable pin name per timing-graph node.
   std::vector<std::string> node_names;
@@ -31,6 +33,22 @@ struct NameIndex {
   std::unordered_map<std::string,
                      std::vector<std::pair<std::string, std::uint32_t>>>
       inst_pins;
+
+  /// This index's name-index section of the snapshot image: its payload
+  /// bytes and section checksum.
+  struct ImageSection {
+    std::string payload;
+    std::uint64_t checksum = 0;
+  };
+  /// Encoded on first use (thread-safe) and reused by every serialisation
+  /// of a snapshot sharing this index, so a commit that keeps the graph
+  /// does not re-encode its names.  The bytes live and die with the index.
+  /// Defined beside the image format in snapshot_store.cpp.
+  const ImageSection& image_section() const;
+
+ private:
+  mutable std::once_flag image_once_;
+  mutable ImageSection image_;
 };
 
 std::shared_ptr<const NameIndex> build_name_index(const TimingGraph& graph);

@@ -1,5 +1,8 @@
 // Shared little-endian codec primitives of the snapshot image format and
 // the binary query protocol (snapshot_store, snapshot_view, proto2).
+// Writers store whole values (memcpy-sized stores, never byte loops on
+// little-endian hosts); the image serialiser stores through a cursor into
+// one pre-sized buffer, protocol frames append.
 //
 // The Reader is a bounds-checked cursor over untrusted bytes: every
 // accessor checks the remaining length first and latches `fail`, so no
@@ -7,7 +10,9 @@
 // contract the fixed-seed fuzz jobs rely on.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -30,26 +35,44 @@ inline std::uint16_t codec_read_le16(const unsigned char* p) {
                                     (std::uint16_t{p[1]} << 8));
 }
 
+/// Sized little-endian stores: one unaligned store on little-endian hosts.
+inline void codec_store_le64(char* p, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, 8);
+  } else {
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+}
+
+inline void codec_store_le32(char* p, std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, 4);
+  } else {
+    for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+}
+
+// Appending encoders (protocol v2 frames): each value is one bulk append.
+
 inline void put_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
 }
 
 inline void put_u16(std::string& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  const char b[2] = {static_cast<char>(v & 0xFF), static_cast<char>(v >> 8)};
+  out.append(b, 2);
 }
 
 inline void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  char b[4];
+  codec_store_le32(b, v);
+  out.append(b, 4);
 }
 
 inline void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  char b[8];
+  codec_store_le64(b, v);
+  out.append(b, 8);
 }
 
 inline void put_i64(std::string& out, std::int64_t v) {

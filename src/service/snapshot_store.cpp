@@ -14,85 +14,15 @@
 #include "service/snapshot_view.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
+#include "util/xxhash.hpp"
 
 namespace fs = std::filesystem;
 
 namespace hb {
-namespace {
-
-// ---------------------------------------------------------------------------
-// xxhash64 (one-shot, standard constants).
-
-constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
-constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
-constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ull;
-constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ull;
-constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ull;
-
-std::uint64_t rotl64(std::uint64_t v, int r) {
-  return (v << r) | (v >> (64 - r));
-}
-
-std::uint64_t read_le64(const unsigned char* p) { return codec_read_le64(p); }
-
-std::uint32_t read_le32(const unsigned char* p) { return codec_read_le32(p); }
-
-std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t input) {
-  return rotl64(acc + input * kPrime2, 31) * kPrime1;
-}
-
-std::uint64_t xxh_merge(std::uint64_t acc, std::uint64_t val) {
-  return (acc ^ xxh_round(0, val)) * kPrime1 + kPrime4;
-}
-
-}  // namespace
 
 std::uint64_t snapshot_checksum(const void* data, std::size_t len,
                                 std::uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  const unsigned char* const end = p + len;
-  std::uint64_t h;
-  if (len >= 32) {
-    std::uint64_t v1 = seed + kPrime1 + kPrime2;
-    std::uint64_t v2 = seed + kPrime2;
-    std::uint64_t v3 = seed;
-    std::uint64_t v4 = seed - kPrime1;
-    const unsigned char* const limit = end - 32;
-    do {
-      v1 = xxh_round(v1, read_le64(p));
-      v2 = xxh_round(v2, read_le64(p + 8));
-      v3 = xxh_round(v3, read_le64(p + 16));
-      v4 = xxh_round(v4, read_le64(p + 24));
-      p += 32;
-    } while (p <= limit);
-    h = rotl64(v1, 1) + rotl64(v2, 7) + rotl64(v3, 12) + rotl64(v4, 18);
-    h = xxh_merge(h, v1);
-    h = xxh_merge(h, v2);
-    h = xxh_merge(h, v3);
-    h = xxh_merge(h, v4);
-  } else {
-    h = seed + kPrime5;
-  }
-  h += static_cast<std::uint64_t>(len);
-  while (p + 8 <= end) {
-    h = rotl64(h ^ xxh_round(0, read_le64(p)), 27) * kPrime1 + kPrime4;
-    p += 8;
-  }
-  if (p + 4 <= end) {
-    h = rotl64(h ^ (std::uint64_t{read_le32(p)} * kPrime1), 23) * kPrime2 +
-        kPrime3;
-    p += 4;
-  }
-  while (p < end) {
-    h = rotl64(h ^ (std::uint64_t{*p} * kPrime5), 11) * kPrime1;
-    ++p;
-  }
-  h ^= h >> 33;
-  h *= kPrime2;
-  h ^= h >> 29;
-  h *= kPrime3;
-  h ^= h >> 32;
-  return h;
+  return xxhash64(data, len, seed);
 }
 
 const char* snapshot_section_name(SnapshotSection s) {
@@ -123,23 +53,61 @@ const char* section_name_of(std::uint32_t kind) {
 bool valid_status(std::uint8_t v) { return v <= 2; }
 
 // ---------------------------------------------------------------------------
-// Per-section payloads.
+// Per-section payloads.  Each encoder is a template over its output and
+// runs twice: with ByteCount to size the payload, then with ByteWriter to
+// store it through a cursor into a buffer allocated once.  One encoder per
+// section keeps the two passes from disagreeing on the format.
 
-std::string encode_meta(const AnalysisSnapshot& s) {
-  std::string p;
-  put_str(p, s.design_name);
-  put_u64(p, s.id);
-  put_u8(p, static_cast<std::uint8_t>(s.status));
-  put_u8(p, s.works_as_intended ? 1 : 0);
-  put_i64(p, s.worst_slack);
-  put_u64(p, s.num_terminals);
-  put_u64(p, s.num_violations);
-  put_u8(p, s.has_hold ? 1 : 0);
-  put_u8(p, s.has_constraints ? 1 : 0);
-  put_u8(p, static_cast<std::uint8_t>(s.constraints_status));
-  put_u32(p, static_cast<std::uint32_t>(s.backward_snatch_cycles));
-  put_u32(p, static_cast<std::uint32_t>(s.forward_snatch_cycles));
-  return p;
+/// Sizing pass.
+struct ByteCount {
+  std::size_t n = 0;
+  void u8(std::uint8_t) { n += 1; }
+  void u32(std::uint32_t) { n += 4; }
+  void u64(std::uint64_t) { n += 8; }
+  void i64(std::int64_t) { n += 8; }
+  void bytes(std::string_view b) { n += b.size(); }
+  void str(std::string_view b) { n += 4 + b.size(); }
+};
+
+/// Writing pass: sized little-endian stores into memory the sizing pass
+/// reserved.
+struct ByteWriter {
+  char* p;
+  void u8(std::uint8_t v) { *p++ = static_cast<char>(v); }
+  void u32(std::uint32_t v) {
+    codec_store_le32(p, v);
+    p += 4;
+  }
+  void u64(std::uint64_t v) {
+    codec_store_le64(p, v);
+    p += 8;
+  }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void bytes(std::string_view b) {
+    if (b.empty()) return;
+    std::memcpy(p, b.data(), b.size());
+    p += b.size();
+  }
+  void str(std::string_view b) {
+    u32(static_cast<std::uint32_t>(b.size()));
+    bytes(b);
+  }
+};
+
+template <class Out>
+void encode_meta(Out& o, const AnalysisSnapshot& s) {
+  o.str(s.design_name);
+  o.u64(s.id);
+  o.u8(static_cast<std::uint8_t>(s.status));
+  o.u8(s.works_as_intended ? 1 : 0);
+  o.i64(s.worst_slack);
+  o.u64(s.num_terminals);
+  o.u64(s.num_violations);
+  o.u8(s.has_hold ? 1 : 0);
+  o.u8(s.has_constraints ? 1 : 0);
+  o.u8(static_cast<std::uint8_t>(s.constraints_status));
+  o.u32(static_cast<std::uint32_t>(s.backward_snatch_cycles));
+  o.u32(static_cast<std::uint32_t>(s.forward_snatch_cycles));
 }
 
 bool decode_meta(std::string_view payload, AnalysisSnapshot& s) {
@@ -163,20 +131,19 @@ bool decode_meta(std::string_view payload, AnalysisSnapshot& s) {
   return true;
 }
 
-std::string encode_node_timings(const AnalysisSnapshot& s) {
-  std::string p;
-  put_u64(p, s.nodes.size());
+template <class Out>
+void encode_node_timings(Out& o, const AnalysisSnapshot& s) {
+  o.u64(s.nodes.size());
   for (const NodeTiming& nt : s.nodes) {
-    put_i64(p, nt.slack);
-    put_i64(p, nt.ready.rise);
-    put_i64(p, nt.ready.fall);
-    put_i64(p, nt.required.rise);
-    put_i64(p, nt.required.fall);
-    put_u8(p, nt.has_ready ? 1 : 0);
-    put_u8(p, nt.has_constraint ? 1 : 0);
-    put_u32(p, static_cast<std::uint32_t>(nt.settling_count));
+    o.i64(nt.slack);
+    o.i64(nt.ready.rise);
+    o.i64(nt.ready.fall);
+    o.i64(nt.required.rise);
+    o.i64(nt.required.fall);
+    o.u8(nt.has_ready ? 1 : 0);
+    o.u8(nt.has_constraint ? 1 : 0);
+    o.u32(static_cast<std::uint32_t>(nt.settling_count));
   }
-  return p;
 }
 
 bool decode_node_timings(std::string_view payload, AnalysisSnapshot& s) {
@@ -199,18 +166,17 @@ bool decode_node_timings(std::string_view payload, AnalysisSnapshot& s) {
   return !r.fail && s.nodes.size() == count && r.remaining() == 0;
 }
 
-std::string encode_paths(const AnalysisSnapshot& s) {
-  std::string p;
-  put_u64(p, s.paths.size());
-  for (const SnapshotPath& sp : s.paths) {
-    put_i64(p, sp.slack);
-    put_str(p, sp.launch);
-    put_str(p, sp.capture);
-    put_str(p, sp.from);
-    put_str(p, sp.to);
-    put_u64(p, sp.steps);
+template <class Out>
+void encode_path_list(Out& o, const std::vector<SnapshotPath>& paths) {
+  o.u64(paths.size());
+  for (const SnapshotPath& sp : paths) {
+    o.i64(sp.slack);
+    o.str(sp.launch);
+    o.str(sp.capture);
+    o.str(sp.from);
+    o.str(sp.to);
+    o.u64(sp.steps);
   }
-  return p;
 }
 
 bool decode_paths(std::string_view payload, AnalysisSnapshot& s) {
@@ -231,18 +197,18 @@ bool decode_paths(std::string_view payload, AnalysisSnapshot& s) {
   return !r.fail && s.paths.size() == count && r.remaining() == 0;
 }
 
-std::string encode_capture_slacks(const AnalysisSnapshot& s) {
-  std::string p;
-  put_u64(p, s.capture_slacks.size());
-  for (const TimePs t : s.capture_slacks) put_i64(p, t);
-  return p;
+template <class Out>
+void encode_slack_list(Out& o, const std::vector<TimePs>& slacks) {
+  o.u64(slacks.size());
+  for (const TimePs t : slacks) o.i64(t);
 }
 
 bool decode_capture_slacks(std::string_view payload, AnalysisSnapshot& s) {
   Reader r = reader_of(payload);
   const std::uint64_t count = r.u64();
   s.capture_slacks.clear();
-  if (count * 8 == r.remaining()) {
+  // count * 8 could wrap: compare through the division, as the view does.
+  if (count <= r.remaining() / 8 && count * 8 == r.remaining()) {
     s.capture_slacks.reserve(static_cast<std::size_t>(count));
   }
   for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
@@ -252,29 +218,24 @@ bool decode_capture_slacks(std::string_view payload, AnalysisSnapshot& s) {
   return !r.fail && s.capture_slacks.size() == count && r.remaining() == 0;
 }
 
-std::string encode_name_index(const AnalysisSnapshot& s) {
-  std::string p;
-  const NameIndex& idx = *s.names;
-  put_u64(p, idx.node_names.size());
-  for (const std::string& n : idx.node_names) put_str(p, n);
-  // Instance pin tables in sorted-name order: the unordered_map's iteration
-  // order must never leak into the image (byte-stability).
-  std::vector<const std::string*> keys;
-  keys.reserve(idx.inst_pins.size());
-  for (const auto& [name, pins] : idx.inst_pins) keys.push_back(&name);
-  std::sort(keys.begin(), keys.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  put_u64(p, keys.size());
+/// `keys`: the instance names of idx.inst_pins in sorted order — the
+/// unordered_map's iteration order must never leak into the image
+/// (byte-stability).
+template <class Out>
+void encode_name_index(Out& o, const NameIndex& idx,
+                       const std::vector<const std::string*>& keys) {
+  o.u64(idx.node_names.size());
+  for (const std::string& n : idx.node_names) o.str(n);
+  o.u64(keys.size());
   for (const std::string* key : keys) {
-    put_str(p, *key);
+    o.str(*key);
     const auto& pins = idx.inst_pins.at(*key);
-    put_u64(p, pins.size());
+    o.u64(pins.size());
     for (const auto& [pin, node] : pins) {
-      put_str(p, pin);
-      put_u32(p, node);
+      o.str(pin);
+      o.u32(node);
     }
   }
-  return p;
 }
 
 bool decode_name_index(std::string_view payload, AnalysisSnapshot& s) {
@@ -317,17 +278,16 @@ bool decode_name_index(std::string_view payload, AnalysisSnapshot& s) {
   return true;
 }
 
-std::string encode_hold_pairs(const AnalysisSnapshot& s) {
-  std::string p;
-  put_u64(p, s.hold_pairs.size());
-  for (const SnapshotHoldPair& hp : s.hold_pairs) {
-    put_u32(p, hp.launch);
-    put_u32(p, hp.capture);
-    put_i64(p, hp.margin);
-    put_str(p, hp.launch_label);
-    put_str(p, hp.capture_label);
+template <class Out>
+void encode_hold_list(Out& o, const std::vector<SnapshotHoldPair>& pairs) {
+  o.u64(pairs.size());
+  for (const SnapshotHoldPair& hp : pairs) {
+    o.u32(hp.launch);
+    o.u32(hp.capture);
+    o.i64(hp.margin);
+    o.str(hp.launch_label);
+    o.str(hp.capture_label);
   }
-  return p;
 }
 
 bool decode_hold_pairs(std::string_view payload, AnalysisSnapshot& s) {
@@ -349,19 +309,18 @@ bool decode_hold_pairs(std::string_view payload, AnalysisSnapshot& s) {
   return !r.fail && s.hold_pairs.size() == count && r.remaining() == 0;
 }
 
-std::string encode_constraints(const AnalysisSnapshot& s) {
-  std::string p;
-  put_u64(p, s.constraint_nodes.size());
+template <class Out>
+void encode_constraints(Out& o, const AnalysisSnapshot& s) {
+  o.u64(s.constraint_nodes.size());
   for (const ConstraintTimes& ct : s.constraint_nodes) {
-    put_u8(p, ct.has_ready ? 1 : 0);
-    put_u8(p, ct.has_required ? 1 : 0);
-    put_i64(p, ct.ready.rise);
-    put_i64(p, ct.ready.fall);
-    put_i64(p, ct.required.rise);
-    put_i64(p, ct.required.fall);
-    put_i64(p, ct.slack);
+    o.u8(ct.has_ready ? 1 : 0);
+    o.u8(ct.has_required ? 1 : 0);
+    o.i64(ct.ready.rise);
+    o.i64(ct.ready.fall);
+    o.i64(ct.required.rise);
+    o.i64(ct.required.fall);
+    o.i64(ct.slack);
   }
-  return p;
 }
 
 bool decode_constraints(std::string_view payload, AnalysisSnapshot& s) {
@@ -385,41 +344,40 @@ bool decode_constraints(std::string_view payload, AnalysisSnapshot& s) {
   return !r.fail && s.constraint_nodes.size() == count && r.remaining() == 0;
 }
 
-std::string encode_corners(const AnalysisSnapshot& s) {
-  std::string p;
-  put_u8(p, s.has_corners ? 1 : 0);
-  put_u32(p, s.worst_corner);
-  put_u64(p, s.corners.size());
+template <class Out>
+void encode_corners(Out& o, const AnalysisSnapshot& s) {
+  o.u8(s.has_corners ? 1 : 0);
+  o.u32(s.worst_corner);
+  o.u64(s.corners.size());
   for (const SnapshotCorner& c : s.corners) {
-    put_str(p, c.name);
-    put_u32(p, c.derate_pm);
-    put_u32(p, c.wire_pm);
-    put_i64(p, c.worst_slack);
-    put_u64(p, c.num_violations);
-    put_u64(p, c.node_slacks.size());
-    for (const TimePs t : c.node_slacks) put_i64(p, t);
-    put_u64(p, c.capture_slacks.size());
-    for (const TimePs t : c.capture_slacks) put_i64(p, t);
-    put_u64(p, c.paths.size());
-    for (const SnapshotPath& sp : c.paths) {
-      put_i64(p, sp.slack);
-      put_str(p, sp.launch);
-      put_str(p, sp.capture);
-      put_str(p, sp.from);
-      put_str(p, sp.to);
-      put_u64(p, sp.steps);
-    }
-    put_u8(p, c.has_hold ? 1 : 0);
-    put_u64(p, c.hold_pairs.size());
-    for (const SnapshotHoldPair& hp : c.hold_pairs) {
-      put_u32(p, hp.launch);
-      put_u32(p, hp.capture);
-      put_i64(p, hp.margin);
-      put_str(p, hp.launch_label);
-      put_str(p, hp.capture_label);
-    }
+    o.str(c.name);
+    o.u32(c.derate_pm);
+    o.u32(c.wire_pm);
+    o.i64(c.worst_slack);
+    o.u64(c.num_violations);
+    encode_slack_list(o, c.node_slacks);
+    encode_slack_list(o, c.capture_slacks);
+    encode_path_list(o, c.paths);
+    o.u8(c.has_hold ? 1 : 0);
+    encode_hold_list(o, c.hold_pairs);
   }
-  return p;
+}
+
+/// The payload of section `kind`; the name index is already encoded.
+template <class Out>
+void encode_section(Out& o, std::uint32_t kind, const AnalysisSnapshot& s) {
+  switch (static_cast<SnapshotSection>(kind)) {
+    case SnapshotSection::kMeta: return encode_meta(o, s);
+    case SnapshotSection::kNodeTimings: return encode_node_timings(o, s);
+    case SnapshotSection::kWorstPaths: return encode_path_list(o, s.paths);
+    case SnapshotSection::kCaptureSlacks:
+      return encode_slack_list(o, s.capture_slacks);
+    case SnapshotSection::kNameIndex:
+      return o.bytes(s.names->image_section().payload);
+    case SnapshotSection::kHoldPairs: return encode_hold_list(o, s.hold_pairs);
+    case SnapshotSection::kConstraints: return encode_constraints(o, s);
+    case SnapshotSection::kCorners: return encode_corners(o, s);
+  }
 }
 
 bool decode_corners(std::string_view payload, AnalysisSnapshot& s) {
@@ -499,42 +457,66 @@ bool decode_corners(std::string_view payload, AnalysisSnapshot& s) {
 // ---------------------------------------------------------------------------
 // Image assembly / parsing.
 
+const NameIndex::ImageSection& NameIndex::image_section() const {
+  std::call_once(image_once_, [this] {
+    std::vector<const std::string*> keys;
+    keys.reserve(inst_pins.size());
+    for (const auto& [name, pins] : inst_pins) keys.push_back(&name);
+    std::sort(keys.begin(), keys.end(), [](const std::string* a,
+                                           const std::string* b) {
+      return *a < *b;
+    });
+    ByteCount count;
+    encode_name_index(count, *this, keys);
+    image_.payload.assign(count.n, '\0');
+    ByteWriter w{image_.payload.data()};
+    encode_name_index(w, *this, keys);
+    image_.checksum = snapshot_checksum(
+        image_.payload.data(), image_.payload.size(),
+        static_cast<std::uint64_t>(SnapshotSection::kNameIndex));
+  });
+  return image_;
+}
+
 std::string serialize_snapshot(const AnalysisSnapshot& snap) {
   return serialize_snapshot(snap, nullptr);
 }
 
 std::string serialize_snapshot(const AnalysisSnapshot& snap,
                                std::vector<SnapshotSectionInfo>* sections_out) {
-  std::string payloads[kNumSnapshotSections];
-  payloads[0] = encode_meta(snap);
-  payloads[1] = encode_node_timings(snap);
-  payloads[2] = encode_paths(snap);
-  payloads[3] = encode_capture_slacks(snap);
-  payloads[4] = encode_name_index(snap);
-  payloads[5] = encode_hold_pairs(snap);
-  payloads[6] = encode_constraints(snap);
-  payloads[7] = encode_corners(snap);
-
-  if (sections_out != nullptr) sections_out->clear();
-  std::string image;
+  // Size every section, allocate the image once, then store each section
+  // in place: 20-byte frame (kind, length, checksum), then the payload.
+  std::size_t sizes[kNumSnapshotSections];
   std::size_t total = 12;
-  for (const std::string& p : payloads) total += 20 + p.size();
-  image.reserve(total);
-  put_u32(image, kSnapshotMagic);
-  put_u32(image, kSnapshotFormatVersion);
-  put_u32(image, kNumSnapshotSections);
   for (std::uint32_t kind = 0; kind < kNumSnapshotSections; ++kind) {
-    const std::string& p = payloads[kind];
+    ByteCount count;
+    encode_section(count, kind, snap);
+    sizes[kind] = count.n;
+    total += 20 + count.n;
+  }
+  std::string image(total, '\0');
+  ByteWriter w{image.data()};
+  w.u32(kSnapshotMagic);
+  w.u32(kSnapshotFormatVersion);
+  w.u32(kNumSnapshotSections);
+  if (sections_out != nullptr) sections_out->clear();
+  for (std::uint32_t kind = 0; kind < kNumSnapshotSections; ++kind) {
     SnapshotSectionInfo info;
     info.kind = kind;
-    info.header_offset = image.size();
-    info.checksum = snapshot_checksum(p.data(), p.size(), kind);
-    put_u32(image, kind);
-    put_u64(image, p.size());
-    put_u64(image, info.checksum);
-    info.payload_offset = image.size();
-    info.payload_size = p.size();
-    image.append(p);
+    info.header_offset = static_cast<std::size_t>(w.p - image.data());
+    w.u32(kind);
+    w.u64(sizes[kind]);
+    char* const checksum_at = w.p;
+    w.p += 8;
+    info.payload_offset = static_cast<std::size_t>(w.p - image.data());
+    info.payload_size = sizes[kind];
+    encode_section(w, kind, snap);
+    info.checksum =
+        kind == static_cast<std::uint32_t>(SnapshotSection::kNameIndex)
+            ? snap.names->image_section().checksum
+            : snapshot_checksum(image.data() + info.payload_offset,
+                                info.payload_size, kind);
+    codec_store_le64(checksum_at, info.checksum);
     if (sections_out != nullptr) sections_out->push_back(info);
   }
   return image;

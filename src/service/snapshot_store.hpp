@@ -3,7 +3,7 @@
 //
 // An AnalysisSnapshot is serialised to a versioned binary image: a fixed
 // header (magic, format version, section count) followed by framed
-// sections, each carrying its own length and xxhash-style 64-bit checksum
+// sections, each carrying its own length and XXH64 checksum (util/xxhash)
 // seeded by the section kind.  The parser is bounds-checked end to end and
 // never trusts a length field, so arbitrary bytes — truncated files, bit
 // flips, fuzzer output — produce a structured DiagCode instead of a crash
@@ -70,13 +70,15 @@ inline constexpr std::uint32_t kNumSnapshotSections = 8;
 
 const char* snapshot_section_name(SnapshotSection s);
 
-/// xxhash64-style checksum of `len` bytes (XXH64 constants, one-shot).
+/// XXH64 of `len` bytes (util/xxhash), seeded by the section kind.
 std::uint64_t snapshot_checksum(const void* data, std::size_t len,
                                 std::uint64_t seed);
 
 /// Serialise a snapshot to its canonical image.  Byte-stable: the same
 /// analysis state always produces the same bytes (maps are emitted in
 /// sorted order; derived tables such as node_by_name are not serialised).
+/// The image is sized first and written in place into one buffer; the
+/// name-index section is copied from NameIndex::image_section().
 std::string serialize_snapshot(const AnalysisSnapshot& snap);
 
 struct SnapshotSectionInfo;

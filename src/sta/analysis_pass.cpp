@@ -512,12 +512,15 @@ std::size_t update_analysis_pass(const TimingGraph& graph, const SyncModel& sync
 std::size_t pass_cone_size(const Cluster& cluster,
                            const std::vector<std::uint32_t>& fwd_seeds,
                            const std::vector<std::uint32_t>& bwd_seeds,
-                           PassWorkspace& ws, std::size_t limit) {
+                           PassWorkspace& ws, std::size_t limit,
+                           std::vector<std::uint32_t>* visited) {
   ws.ensure(cluster.nodes.size());
-  auto noop = [](std::uint32_t) {};
-  const std::size_t fwd = sweep_forward(cluster, fwd_seeds, ws, noop, limit);
+  auto record = [visited](std::uint32_t li) {
+    if (visited != nullptr) visited->push_back(li);
+  };
+  const std::size_t fwd = sweep_forward(cluster, fwd_seeds, ws, record, limit);
   if (fwd > limit) return fwd;
-  return fwd + sweep_backward(cluster, bwd_seeds, ws, noop, limit - fwd);
+  return fwd + sweep_backward(cluster, bwd_seeds, ws, record, limit - fwd);
 }
 
 }  // namespace hb

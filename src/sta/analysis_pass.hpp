@@ -322,10 +322,14 @@ std::size_t update_analysis_pass(const TimingGraph& graph, const SyncModel& sync
 /// SlackEngine's incremental/full cost model (docs/ALGORITHMS.md §7).  The
 /// walk stops as soon as the count exceeds `limit`, so the result is
 /// min(cone, limit + 1): a caller comparing `> limit` gets the exact answer
-/// without walking the rest of a cone it will not patch.
+/// without walking the rest of a cone it will not patch.  With `visited`,
+/// every local the walk reaches is appended to it (forward cone, then
+/// backward cone; a node in both appears twice), so a caller that patches
+/// knows which nodes can change.
 std::size_t pass_cone_size(const Cluster& cluster,
                            const std::vector<std::uint32_t>& fwd_seeds,
                            const std::vector<std::uint32_t>& bwd_seeds,
-                           PassWorkspace& ws, std::size_t limit = SIZE_MAX);
+                           PassWorkspace& ws, std::size_t limit = SIZE_MAX,
+                           std::vector<std::uint32_t>* visited = nullptr);
 
 }  // namespace hb

@@ -5,41 +5,19 @@
 
 #include "util/faultinject.hpp"
 #include "util/thread_pool.hpp"
+#include "util/xxhash.hpp"
 
 namespace hb {
-namespace {
 
-// SplitMix64 finaliser, used to fold pass results into a checksum.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Order-sensitive checksum of a cached pass result.  Any bit flip in any
-/// ready/required entry (value or presence) changes the sum.
-std::uint64_t pass_checksum(const PassResult& res) {
-  std::uint64_t h = 0x243f6a8885a308d3ULL;
-  auto feed = [&h](std::uint64_t v) { h = mix64(h ^ v); };
-  auto feed_side = [&](const PassSide& side) {
-    feed(side.size());
-    for (std::size_t i = 0; i < side.size(); ++i) {
-      if (side.has(i)) {
-        const RiseFall e = side.at(i);
-        feed(static_cast<std::uint64_t>(e.rise));
-        feed(static_cast<std::uint64_t>(e.fall));
-      } else {
-        feed(0x5b5e546a6d51a0baULL);  // "absent" sentinel
-      }
-    }
+std::uint64_t pass_checksum(const PassSide& ready, const PassSide& required) {
+  static_assert(sizeof(RiseFall) == 2 * sizeof(TimePs),
+                "slot arrays hash as packed (rise, fall) pairs");
+  auto side = [](const PassSide& s, std::uint64_t seed) {
+    return xxhash64(s.data(), s.flat_size() * sizeof(RiseFall),
+                    seed ^ (std::uint64_t{s.size()} << 8) ^ s.lanes());
   };
-  feed_side(res.ready);
-  feed_side(res.required);
-  return h;
+  return side(required, side(ready, 0));
 }
-
-}  // namespace
 
 SlackEngine::SlackEngine(const TimingGraph& graph, const ClusterSet& clusters,
                          const SyncModel& sync)
@@ -70,6 +48,9 @@ void SlackEngine::prepare_cluster(ClusterId c) {
   for (TNodeId n : cl.sink_nodes) {
     for (SyncId id : sync_->captures_at(n)) ca.capture_insts.push_back(id);
   }
+  ca.terminal.assign(cl.nodes.size(), 0);
+  for (TNodeId n : cl.source_nodes) ca.terminal[local_of_node_[n.index()]] = 1;
+  for (TNodeId n : cl.sink_nodes) ca.terminal[local_of_node_[n.index()]] = 1;
 
   if (cl.source_nodes.empty() || ca.capture_insts.empty()) {
     // Pure control cones or unconstrained logic: nothing to analyse.
@@ -131,7 +112,6 @@ void SlackEngine::prepare_cluster(ClusterId c) {
 
   // Assign each capture instance to the pass where its ideal closure time
   // appears closest to the end of the broken-open period.
-  ca.assigned.resize(ca.capture_insts.size());
   ca.assigned_mask.assign(ca.breaks.size(),
                           std::vector<bool>(ca.capture_insts.size(), false));
   for (std::uint32_t k = 0; k < ca.capture_insts.size(); ++k) {
@@ -145,7 +125,6 @@ void SlackEngine::prepare_cluster(ClusterId c) {
         best = p;
       }
     }
-    ca.assigned[k] = static_cast<std::uint32_t>(best);
     ca.assigned_mask[best][k] = true;
     assigned_pass_of_capture_[ca.capture_insts[k].index()] =
         static_cast<std::uint32_t>(best);
@@ -194,26 +173,17 @@ void SlackEngine::compute(ThreadPool* pool) {
     ClusterAnalysis& ca = analyses_[c];
     ca.checksums.resize(ca.breaks.size());
     for (std::size_t p = 0; p < ca.breaks.size(); ++p) {
-      ca.checksums[p] = pass_checksum(ca.cache[p]);
+      const PassResult& res = ca.cache[p];
+      ca.checksums[p] = pass_checksum(res.ready, res.required);
     }
   }
 
-  accumulate_all();
+  // Every node, launch and capture belongs to exactly one cluster, and a
+  // fold overwrites them; the rest keep their constructed defaults.
+  for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) fold_cluster(c);
   cache_valid_ = true;
   for (ClusterDirty& d : dirty_) d.clear();
   maybe_corrupt_cache();
-}
-
-void SlackEngine::accumulate_all() {
-  std::fill(launch_slack_.begin(), launch_slack_.end(), kInfinitePs);
-  std::fill(capture_slack_.begin(), capture_slack_.end(), kInfinitePs);
-  node_.assign(graph_->num_nodes(), NodeTiming{});
-  for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
-    const ClusterAnalysis& ca = analyses_[c];
-    for (std::size_t p = 0; p < ca.breaks.size(); ++p) {
-      accumulate(ClusterId(c), p, ca.cache[p]);
-    }
-  }
 }
 
 void SlackEngine::invalidate_offsets(SyncId id) {
@@ -326,11 +296,14 @@ void SlackEngine::update(ThreadPool* pool) {
             : 1;
     const std::size_t limit =
         cl.nodes.size() * kFullSweepNum * 2 / (kFullSweepDen * par);
+    // The walk records the cone: every pass's patch stays inside it, so it
+    // is all a patched cluster has to re-fold.
     probe_bwd_.clear();
     for (std::uint32_t li : d.bwd) probe_bwd_.push_back(li);
     for (const auto& [pass, li] : d.bwd_of_pass) probe_bwd_.push_back(li);
-    const bool full =
-        pass_cone_size(cl, d.fwd, probe_bwd_, probe_ws_, limit) > limit;
+    d.cone.clear();
+    d.full = pass_cone_size(cl, d.fwd, probe_bwd_, probe_ws_, limit,
+                            &d.cone) > limit;
 
     for (std::size_t p = 0; p < ca.breaks.size(); ++p) {
       UpdateTask& task = new_task();
@@ -344,8 +317,8 @@ void SlackEngine::update(ThreadPool* pool) {
         --num_update_tasks_;  // pass untouched by this change set
         continue;
       }
-      task.full = full;
-      if (full) {
+      task.full = d.full;
+      if (d.full) {
         ++istats_.passes_full_swept;
       } else {
         ++istats_.passes_updated;
@@ -394,19 +367,37 @@ void SlackEngine::update(ThreadPool* pool) {
     const UpdateTask& task = update_tasks_[i];
     istats_.nodes_retraced += task.retraced;
     ClusterAnalysis& ca = analyses_[task.cluster];
-    ca.checksums[task.pass] = pass_checksum(ca.cache[task.pass]);
+    const PassResult& res = ca.cache[task.pass];
+    ca.checksums[task.pass] = pass_checksum(res.ready, res.required);
   }
 
-  // Accumulation is cluster-local (every terminal and node belongs to
-  // exactly one cluster), so only dirty clusters need re-accumulating; the
-  // ascending cluster/pass order keeps tie-breaking identical to compute().
+  // Re-fold what can have changed.  A node's per-pass ready and required
+  // values change only inside the cones of the seeds, and a terminal's slack
+  // depends only on its node's values and its own offsets (an offset change
+  // seeds that node) — so a patched cluster re-folds its probe cone, each
+  // node once (the probe workspace's clean bitmap dedupes the two cones).
+  // A fully swept cluster re-folds whole.
+  std::vector<std::uint64_t>& once = probe_ws_.marks;
   for (std::uint32_t c : dirty_clusters_) {
-    reset_accumulation(ClusterId(c));
-    const ClusterAnalysis& ca = analyses_[c];
-    for (std::size_t p = 0; p < ca.breaks.size(); ++p) {
-      accumulate(ClusterId(c), p, ca.cache[p]);
+    ClusterDirty& d = dirty_[c];
+    const std::size_t cluster_nodes =
+        clusters_->cluster(ClusterId(c)).nodes.size();
+    istats_.dirty_cluster_nodes += cluster_nodes;
+    if (d.full) {
+      fold_cluster(c);
+      istats_.nodes_refolded += cluster_nodes;
+    } else {
+      for (std::uint32_t li : d.cone) {
+        std::uint64_t& word = once[li >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (li & 63);
+        if (word & bit) continue;
+        word |= bit;
+        fold_node(c, li);
+        ++istats_.nodes_refolded;
+      }
+      for (std::uint32_t li : d.cone) once[li >> 6] = 0;
     }
-    dirty_[c].clear();
+    d.clear();
   }
   maybe_corrupt_cache();
 }
@@ -417,7 +408,8 @@ bool SlackEngine::verify_cache() {
   for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
     const ClusterAnalysis& ca = analyses_[c];
     for (std::size_t p = 0; p < ca.breaks.size(); ++p) {
-      if (pass_checksum(ca.cache[p]) != ca.checksums[p]) {
+      const PassResult& res = ca.cache[p];
+      if (pass_checksum(res.ready, res.required) != ca.checksums[p]) {
         cache_valid_ = false;
         return false;
       }
@@ -455,21 +447,6 @@ void SlackEngine::maybe_corrupt_cache() {
   }
 }
 
-void SlackEngine::reset_accumulation(ClusterId c) {
-  const Cluster& cl = clusters_->cluster(c);
-  for (TNodeId n : cl.source_nodes) {
-    for (SyncId id : sync_->launches_at(n)) {
-      launch_slack_[id.index()] = kInfinitePs;
-    }
-  }
-  for (TNodeId n : cl.sink_nodes) {
-    for (SyncId id : sync_->captures_at(n)) {
-      capture_slack_[id.index()] = kInfinitePs;
-    }
-  }
-  for (TNodeId n : cl.nodes) node_[n.index()] = NodeTiming{};
-}
-
 PassResult SlackEngine::run_pass(ClusterId c, std::size_t pass) const {
   PassResult res;
   run_pass_into(c, pass, res);
@@ -484,43 +461,18 @@ void SlackEngine::run_pass_into(ClusterId c, std::size_t pass, PassResult& out,
                          ca.assigned_mask.at(pass), out, pool);
 }
 
-void SlackEngine::accumulate(ClusterId c, std::size_t pass, const PassResult& res) {
-  const Cluster& cl = clusters_->cluster(c);
-  const ClusterAnalysis& ca = analyses_[c.index()];
+void SlackEngine::fold_node(std::uint32_t c, std::uint32_t li) {
+  const ClusterAnalysis& ca = analyses_[c];
+  const TNodeId n = clusters_->cluster(ClusterId(c)).nodes[li];
+  const std::size_t np = ca.breaks.size();
 
-  // Capture terminal slacks (only in the assigned pass).
-  for (std::uint32_t k = 0; k < ca.capture_insts.size(); ++k) {
-    if (ca.assigned[k] != pass) continue;
-    const SyncId id = ca.capture_insts[k];
-    const SyncInstance& si = sync_->at(id);
-    const std::uint32_t li = local_of_node_[si.data_in.index()];
-    if (!res.ready.has(li)) continue;  // no data cone reaches this input
+  // Node timing: worst slack over the passes, with the critical pass's
+  // ready/required window (eq. 1/2 results, block-oriented merge).
+  NodeTiming nt;
+  for (std::size_t p = 0; p < np; ++p) {
+    const PassResult& res = ca.cache[p];
+    if (!res.ready.has(li)) continue;
     const RiseFall rdy = res.ready.at(li);
-    const TimePs close = ca.edges->linear_close(si.ideal_close, ca.breaks[pass]) +
-                         si.close_offset();
-    capture_slack_[id.index()] =
-        std::min(capture_slack_[id.index()], close - rdy.max());
-  }
-
-  // Launch terminal slacks: min over passes of required - assertion.
-  for (TNodeId n : cl.source_nodes) {
-    const std::uint32_t li = local_of_node_[n.index()];
-    if (!res.required.has(li)) continue;
-    const RiseFall req = res.required.at(li);
-    for (SyncId id : sync_->launches_at(n)) {
-      const SyncInstance& si = sync_->at(id);
-      const TimePs a = ca.edges->linear_assert(si.ideal_assert, ca.breaks[pass]) +
-                       si.assert_offset();
-      launch_slack_[id.index()] =
-          std::min(launch_slack_[id.index()], req.min() - a);
-    }
-  }
-
-  // Node timings.
-  for (std::uint32_t i = 0; i < cl.nodes.size(); ++i) {
-    if (!res.ready.has(i)) continue;
-    const RiseFall rdy = res.ready.at(i);
-    NodeTiming& nt = node_[cl.nodes[i].index()];
     ++nt.settling_count;
     if (!nt.has_ready) {
       nt.has_ready = true;
@@ -528,8 +480,8 @@ void SlackEngine::accumulate(ClusterId c, std::size_t pass, const PassResult& re
     } else if (!nt.has_constraint) {
       nt.ready = rf_max(nt.ready, rdy);
     }
-    if (!res.required.has(i)) continue;
-    const RiseFall req = res.required.at(i);
+    if (!res.required.has(li)) continue;
+    const RiseFall req = res.required.at(li);
     const TimePs pass_slack =
         std::min(req.rise - rdy.rise, req.fall - rdy.fall);
     if (pass_slack < nt.slack) {
@@ -539,6 +491,41 @@ void SlackEngine::accumulate(ClusterId c, std::size_t pass, const PassResult& re
       nt.has_constraint = true;
     }
   }
+  node_[n.index()] = nt;
+  if (!ca.terminal[li]) return;
+
+  // Launch terminals: min over passes of required - assertion.
+  for (SyncId id : sync_->launches_at(n)) {
+    const SyncInstance& si = sync_->at(id);
+    TimePs slack = kInfinitePs;
+    for (std::size_t p = 0; p < np; ++p) {
+      const PassSide& required = ca.cache[p].required;
+      if (!required.has(li)) continue;
+      const TimePs a = ca.edges->linear_assert(si.ideal_assert, ca.breaks[p]) +
+                       si.assert_offset();
+      slack = std::min(slack, required.at(li).min() - a);
+    }
+    launch_slack_[id.index()] = slack;
+  }
+
+  // Capture terminals: closure - ready, in the assigned pass only.
+  for (SyncId id : sync_->captures_at(n)) {
+    TimePs slack = kInfinitePs;
+    const std::size_t p = assigned_pass_of_capture_[id.index()];
+    if (p < np && ca.cache[p].ready.has(li)) {
+      const SyncInstance& si = sync_->at(id);
+      const TimePs close =
+          ca.edges->linear_close(si.ideal_close, ca.breaks[p]) +
+          si.close_offset();
+      slack = std::min(slack, close - ca.cache[p].ready.at(li).max());
+    }
+    capture_slack_[id.index()] = slack;
+  }
+}
+
+void SlackEngine::fold_cluster(std::uint32_t c) {
+  const std::size_t n = clusters_->cluster(ClusterId(c)).nodes.size();
+  for (std::uint32_t li = 0; li < n; ++li) fold_node(c, li);
 }
 
 TimePs SlackEngine::worst_terminal_slack() const {

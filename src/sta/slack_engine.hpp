@@ -19,8 +19,8 @@
 // Incremental re-analysis: the engine caches every pass result and accepts
 // invalidations (invalidate_offsets / invalidate_node / invalidate_instance)
 // describing local changes.  update() then re-propagates only the affected
-// reachability cone of each affected pass and re-accumulates only the
-// affected clusters, reproducing compute() bit for bit — see
+// reachability cone of each affected pass and re-folds only the nodes of
+// those cones, reproducing compute() bit for bit — see
 // docs/ALGORITHMS.md §7 and tests/incremental_test.cpp.  Independent dirty
 // passes are evaluated in parallel when a ThreadPool is supplied; the
 // schedule never affects results because every pass owns its result slot
@@ -61,9 +61,19 @@ struct IncrementalStats {
                                        // sweep instead of a cone patch
   std::uint64_t passes_reused = 0;     // cached passes an update left untouched
   std::uint64_t nodes_retraced = 0;    // nodes re-derived by cone updates
+  std::uint64_t nodes_refolded = 0;    // nodes update() re-folded into node
+                                       // and terminal slacks
+  std::uint64_t dirty_cluster_nodes = 0;  // nodes of the clusters update()
+                                          // touched (a whole-cluster fold)
   std::uint64_t self_checks = 0;       // cache verifications performed
   std::uint64_t self_heals = 0;        // divergences healed by full recompute
 };
+
+/// Write-time checksum of a cached pass result, single- or multi-corner:
+/// XXH64 over each side's raw slot array (flat_size() packed rise/fall
+/// pairs), seeded with the side's size and lane count.  Any changed byte in
+/// any slot changes it, absent slots included (docs/ROBUSTNESS.md §4).
+std::uint64_t pass_checksum(const PassSide& ready, const PassSide& required);
 
 class SlackEngine {
  public:
@@ -104,9 +114,10 @@ class SlackEngine {
   bool has_pending_invalidations() const;
 
   /// Bring all results up to date with the recorded invalidations.  With a
-  /// valid cache this re-propagates only the dirty cones and re-accumulates
-  /// only the dirty clusters; otherwise it falls back to compute().  The
-  /// result state is bit-identical to a fresh compute() either way.
+  /// valid cache this re-propagates only the dirty cones and re-folds only
+  /// the nodes in them (whole clusters the cost model fully swept);
+  /// otherwise it falls back to compute().  The result state is
+  /// bit-identical to a fresh compute() either way.
   void update(ThreadPool* pool = nullptr);
 
   const IncrementalStats& incremental_stats() const { return istats_; }
@@ -185,10 +196,11 @@ class SlackEngine {
     std::unique_ptr<ClockEdgeGraph> edges;
     std::vector<std::size_t> breaks;
     std::vector<SyncId> capture_insts;            // all captures in cluster
-    std::vector<std::uint32_t> assigned;          // pass index per capture
     std::vector<std::vector<bool>> assigned_mask; // [pass][capture]
     std::vector<PassResult> cache;                // [pass], valid iff cache_valid_
     std::vector<std::uint64_t> checksums;         // [pass], taken at write time
+    std::vector<char> terminal;                   // [local], a launch or
+                                                  // capture sits on it
   };
 
   /// Pending invalidations of one cluster, in local node indices.
@@ -197,11 +209,18 @@ class SlackEngine {
     std::vector<std::uint32_t> bwd;  // required cones, every pass
     /// required cones of a single pass (capture offset changes).
     std::vector<std::pair<std::uint32_t, std::uint32_t>> bwd_of_pass;
+    // Set by update()'s cost probe: the strategy, and for a patched cluster
+    // the locals of the union cone (forward, then backward; a node in both
+    // appears twice) — the only nodes whose folded values can change.
+    bool full = false;
+    std::vector<std::uint32_t> cone;
     bool any() const { return !fwd.empty() || !bwd.empty() || !bwd_of_pass.empty(); }
     void clear() {
       fwd.clear();
       bwd.clear();
       bwd_of_pass.clear();
+      full = false;
+      cone.clear();
     }
   };
 
@@ -220,9 +239,12 @@ class SlackEngine {
   static constexpr std::size_t kFullSweepDen = 2;
 
   void prepare_cluster(ClusterId c);
-  void accumulate(ClusterId c, std::size_t pass, const PassResult& res);
-  void reset_accumulation(ClusterId c);
-  void accumulate_all();
+  /// Fold local `li` of cluster `c` over all of the cluster's passes, in
+  /// ascending pass order (the tie-break order): its NodeTiming, and the
+  /// launch and capture terminal slacks on it.  Overwrites, never merges,
+  /// so folding a node twice is harmless.
+  void fold_node(std::uint32_t c, std::uint32_t li);
+  void fold_cluster(std::uint32_t c);
   /// Fault-injection hook: deterministically perturb one cached entry
   /// *after* its checksum was taken (no-op unless the injector is armed).
   void maybe_corrupt_cache();

@@ -223,9 +223,10 @@ TEST(IncrementalDifferential, ResizesMatchFreshAnalyser) {
 // The invalidation footprint of one absorbed what-if edit on the service
 // benches' random_large network (1,952 cells).  Algorithm 1's sweeps log
 // only the elements they shift, so re-analysis patches cones instead of
-// re-sweeping whole clusters; Algorithm 2 evaluates through update(), never
-// through compute().  A one-thread pool keeps the cost model's parallel
-// scaling out of the counts, so they are deterministic.
+// re-sweeping whole clusters, and re-folds only those cones into node and
+// terminal slacks; Algorithm 2 evaluates through update(), never through
+// compute().  A one-thread pool keeps the cost model's parallel scaling out
+// of the counts, so they are deterministic.
 TEST(IncrementalFootprint, AbsorbedEditPatchesConesOnRandomLarge) {
   RandomNetworkSpec spec;
   spec.seed = 7;
@@ -266,6 +267,15 @@ TEST(IncrementalFootprint, AbsorbedEditPatchesConesOnRandomLarge) {
   EXPECT_LT(full * 10, touched)
       << full << " of " << touched << " touched passes fully swept";
 
+  // A patched cluster re-folds only its cone: fewer than half the nodes of
+  // the clusters the edit dirtied.
+  const std::uint64_t refolded = after.nodes_refolded - before.nodes_refolded;
+  const std::uint64_t held =
+      after.dirty_cluster_nodes - before.dirty_cluster_nodes;
+  ASSERT_GT(refolded, 0u);
+  EXPECT_LT(refolded * 2, held)
+      << refolded << " of " << held << " dirty-cluster nodes re-folded";
+
   opt.delay_adjust = {InstDelayAdjust{inst, ps(35)}};
   Hummingbird fresh(design, net.clocks, opt);
   const Algorithm1Result want = fresh.analyze();
@@ -273,8 +283,17 @@ TEST(IncrementalFootprint, AbsorbedEditPatchesConesOnRandomLarge) {
   EXPECT_TRUE(equal(take(fresh.engine()), take(hb.engine())));
 
   const ConstraintSet cs = hb.generate_constraints();
+  const IncrementalStats alg2 = hb.engine().incremental_stats();
   EXPECT_GT(cs.backward_snatch_cycles + cs.forward_snatch_cycles, 0);
-  EXPECT_EQ(hb.engine().incremental_stats().full_computes, after.full_computes);
+  EXPECT_EQ(alg2.full_computes, after.full_computes);
+  const std::uint64_t alg2_refolded =
+      alg2.nodes_refolded - after.nodes_refolded;
+  const std::uint64_t alg2_held =
+      alg2.dirty_cluster_nodes - after.dirty_cluster_nodes;
+  ASSERT_GT(alg2_refolded, 0u);
+  EXPECT_LT(alg2_refolded, alg2_held)
+      << alg2_refolded << " of " << alg2_held
+      << " dirty-cluster nodes re-folded";
 }
 
 // The cost-model probe stops walking once its count passes the caller's

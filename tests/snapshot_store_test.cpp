@@ -27,6 +27,7 @@
 #include "netlist/stdcells.hpp"
 #include "service/protocol.hpp"
 #include "service/session.hpp"
+#include "service/snapshot_codec.hpp"
 #include "service/snapshot_store.hpp"
 #include "sta/hummingbird.hpp"
 #include "test_util.hpp"
@@ -318,6 +319,114 @@ TEST(SnapshotStoreTest, QuarantinesCorruptNewestAndFallsBackToOlder) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.rejected, 0u);
   EXPECT_EQ(store.self_heals(), 1u);
+}
+
+// A count whose byte size wraps: 2^61 capture slacks in an 8-byte payload,
+// under a recomputed (valid) section checksum.  The decoder must reject the
+// image instead of reserving 2^61 slots, and both loaders must quarantine it
+// and serve the older generation.
+TEST(SnapshotStoreTest, QuarantinesWrappingCaptureCountAndFallsBack) {
+  RandomNetwork net = make_random_network(make_standard_library(), small_spec());
+  Hummingbird hum(net.design, net.clocks);
+  const auto snap = snapshot_of(hum);
+  const std::string image = serialize_snapshot(*snap);
+  const SnapshotParse whole = parse_snapshot(image);
+  ASSERT_TRUE(whole.ok());
+
+  std::string crafted = image.substr(0, 12);
+  for (const SnapshotSectionInfo& s : whole.sections) {
+    std::string payload = image.substr(s.payload_offset, s.payload_size);
+    if (s.kind == static_cast<std::uint32_t>(SnapshotSection::kCaptureSlacks)) {
+      payload.clear();
+      put_u64(payload, std::uint64_t{1} << 61);
+    }
+    put_u32(crafted, s.kind);
+    put_u64(crafted, payload.size());
+    put_u64(crafted, snapshot_checksum(payload.data(), payload.size(), s.kind));
+    crafted += payload;
+  }
+  const SnapshotParse p = parse_snapshot(crafted);
+  EXPECT_FALSE(p.ok());
+  EXPECT_EQ(p.code, DiagCode::kSnapshotCorrupt);
+
+  for (const bool as_source : {false, true}) {
+    SCOPED_TRACE(as_source ? "load_newest_source" : "load_newest");
+    TempDir dir;
+    SnapshotStore store({dir.path, 4});
+    ASSERT_TRUE(store.save(*snap).ok);
+    const SnapshotStore::SaveResult newest = store.save(*snap);
+    ASSERT_TRUE(newest.ok);
+    write_file(newest.path, crafted);
+
+    std::uint64_t generation = 0;
+    std::size_t rejected = 0;
+    if (as_source) {
+      const SnapshotStore::SourceResult loaded = store.load_newest_source();
+      ASSERT_TRUE(loaded.ok()) << loaded.error;
+      generation = loaded.generation;
+      rejected = loaded.rejected;
+    } else {
+      const SnapshotStore::LoadResult loaded = store.load_newest();
+      ASSERT_TRUE(loaded.ok()) << loaded.error;
+      generation = loaded.generation;
+      rejected = loaded.rejected;
+    }
+    EXPECT_EQ(generation, 1u);
+    EXPECT_EQ(rejected, 1u);
+    EXPECT_EQ(store.snapshots_rejected(), 1u);
+    EXPECT_TRUE(fs::exists(newest.path + ".quarantined"));
+  }
+}
+
+// Saves from two sessions over different networks, interleaved into one
+// store.  A name-index section is encoded once per NameIndex and reused by
+// every later save, so each image must still carry the index of the session
+// that saved it.
+TEST(SnapshotStoreTest, InterleavedSessionsEachSaveTheirOwnNameIndex) {
+  std::vector<std::shared_ptr<Session>> sessions;
+  std::vector<std::vector<std::string>> comb;
+  for (Workload& w : all_generator_networks()) {
+    if (w.name != "alu" && w.name != "pipeline") continue;
+    std::vector<std::string> names;
+    const Design& d = w.design;
+    for (std::uint32_t i = 0; i < d.top().insts().size(); ++i) {
+      const Instance& x = d.top().inst(InstId(i));
+      if (x.is_cell() && !d.lib().cell(x.cell).is_sequential()) {
+        names.push_back(x.name);
+      }
+    }
+    comb.push_back(std::move(names));
+    sessions.push_back(std::make_shared<Session>(std::move(w.design),
+                                                 std::move(w.clocks)));
+  }
+  ASSERT_EQ(sessions.size(), 2u);
+  ASSERT_NE(sessions[0]->snapshot()->design_name,
+            sessions[1]->snapshot()->design_name);
+
+  TempDir dir;
+  SnapshotStore store({dir.path, 16});
+  std::vector<std::pair<std::string, std::size_t>> saved;  // path, session
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t k = 0; k < sessions.size(); ++k) {
+      Session& session = *sessions[k];
+      const std::string& inst = comb[k][static_cast<std::size_t>(round) %
+                                        comb[k].size()];
+      ASSERT_TRUE(session.execute("set_delay " + inst + " 25ps").ok);
+      ASSERT_TRUE(session.execute("commit").ok);
+      const SnapshotStore::SaveResult r = store.save(*session.snapshot());
+      ASSERT_TRUE(r.ok) << r.error;
+      saved.emplace_back(r.path, k);
+    }
+  }
+  for (const auto& [path, k] : saved) {
+    SCOPED_TRACE(path);
+    const SnapshotParse p = parse_snapshot(read_file(path));
+    ASSERT_TRUE(p.ok()) << p.error;
+    const NameIndex& want = *sessions[k]->snapshot()->names;
+    EXPECT_EQ(p.snapshot->design_name, sessions[k]->snapshot()->design_name);
+    EXPECT_EQ(p.snapshot->names->node_names, want.node_names);
+    EXPECT_EQ(p.snapshot->names->inst_pins, want.inst_pins);
+  }
 }
 
 TEST(SnapshotStoreTest, DegradesToColdStartWhenEveryGenerationIsCorrupt) {
