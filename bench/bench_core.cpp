@@ -9,8 +9,10 @@
 // timing is taken, so the speedup is a pure data-layout/scheduling delta.
 //
 // Also counts heap allocations (global operator new hook, this binary only)
-// around steady-state compute() and update() loops: warm caches and
-// workspaces are reused in place, so both loops must allocate nothing.
+// around steady-state compute() and update() loops, serial and pooled: warm
+// caches, workspaces and task lists are reused in place, so every loop must
+// allocate nothing.  And times compute() with every pass a pool task at 1,
+// 2, 4 and 8 threads — the thread-scaling curve.
 //
 // Writes BENCH_core.json; `--quick` restricts to the small networks with few
 // reps (the CI perf-smoke job runs this mode and schema-checks the JSON).
@@ -238,10 +240,8 @@ struct CoreReport {
   double node_evals_per_sec = 0;
   double allocs_per_pass = 0;        // steady-state compute()
   double update_allocs = 0;          // steady-state update(), per update
-  double parallel_allocs = 0;        // steady-state pooled sweeps, per pass
-  double pass_eval_scalar_us = 0;    // 1-thread kForceScalar CSR sweep
-  std::string kernel;                // auto-dispatched variant ("avx2"/"scalar")
-  std::vector<std::pair<int, double>> scaling;  // (threads, pass_eval_us)
+  double parallel_allocs = 0;        // steady-state pooled compute(), per pass
+  std::vector<std::pair<int, double>> scaling;  // (threads, compute() us)
   bool bit_identical = false;
 };
 
@@ -348,56 +348,32 @@ CoreReport measure(Workload& w, int reps, const std::vector<int>& thread_counts)
     }
   }
 
-  // Kernel variant and thread-scaling curve.  The 1-thread forced-scalar
-  // sweep is the baseline; each curve entry then times the auto-dispatched
-  // kernels with a pool of `t` workers.  The size gate is lowered so every
-  // cluster takes the level-parallel path -- the curve measures kernel
-  // scaling, not the cost model.  Chunk boundaries are a pure function of
-  // (level size, grain), so every entry computes bit-identical results.
-  rep.kernel = active_kernel_name();
+  // Thread-scaling curve of compute(), every pass one pool task.  The
+  // 1-thread entry is a one-worker pool, which runs the passes inline.
+  for (int t : thread_counts) {
+    ThreadPool pool(t);
+    engine.compute(&pool);  // warm
+    rep.scaling.emplace_back(t, time_us(reps, [&] { engine.compute(&pool); }));
+  }
+
+  // Pooled compute() must be allocation-free in steady state too, in both
+  // engines: the pass-task closures fit std::function's inline buffer and
+  // the task lists are reused.
   {
-    std::vector<std::vector<PassResult>> out(clusters.num_clusters());
-    for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
-      out[c].resize(engine.num_passes(ClusterId(c)));
+    ThreadPool pool(thread_counts.back());
+    CornerAnalysis corners(engine, CornerSet::identity());
+    engine.compute(&pool);
+    corners.compute(&pool);  // warm the task lists and K-lane caches
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    for (int r = 0; r < 10; ++r) {
+      engine.compute(&pool);
+      corners.compute(&pool);
     }
-    const auto sweep_all = [&](ThreadPool* pool) {
-      for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
-        for (std::size_t p = 0; p < engine.num_passes(ClusterId(c)); ++p) {
-          engine.run_pass_into(ClusterId(c), p, out[c][p], pool);
-        }
-      }
-    };
-    set_kernel_mode(KernelMode::kForceScalar);
-    rep.pass_eval_scalar_us = time_us(reps, [&] { sweep_all(nullptr); });
-    set_kernel_mode(KernelMode::kAuto);
-
-    const SweepTuning saved = sweep_tuning();
-    set_sweep_tuning({1, 64});
-    for (int t : thread_counts) {
-      if (t <= 1) {
-        rep.scaling.emplace_back(1, time_us(reps, [&] { sweep_all(nullptr); }));
-      } else {
-        ThreadPool pool(t);
-        rep.scaling.emplace_back(t, time_us(reps, [&] { sweep_all(&pool); }));
-      }
-    }
-
-    // Pooled sweeps must be allocation-free in steady state too: chunk
-    // dispatch erases the level callable to a function pointer and the
-    // per-worker workspace slots are reused after first touch.
-    {
-      ThreadPool pool(thread_counts.back());
-      sweep_all(&pool);
-      sweep_all(&pool);  // warm workspace slots and chunk state
-      const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-      for (int r = 0; r < 10; ++r) sweep_all(&pool);
-      const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
-      rep.parallel_allocs = rep.passes == 0
-                                ? 0.0
-                                : static_cast<double>(after - before) /
-                                      (10.0 * static_cast<double>(rep.passes));
-    }
-    set_sweep_tuning(saved);
+    const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+    rep.parallel_allocs = rep.passes == 0
+                              ? 0.0
+                              : static_cast<double>(after - before) /
+                                    (20.0 * static_cast<double>(rep.passes));
   }
 
   // Full analysis (compute + checksums + accumulation), warm.
@@ -540,11 +516,11 @@ int main(int argc, char** argv) {
                 w.name.c_str(), rep.nodes, rep.arcs, rep.passes, rep.levels,
                 rep.reference_pass_eval_us, rep.pass_eval_us, speedup,
                 rep.node_evals_per_sec, rep.allocs_per_pass, rep.update_allocs);
-    std::printf("  kernel=%s scalar-1t %.1fus | scaling:", rep.kernel.c_str(),
-                rep.pass_eval_scalar_us);
+    const double one_thread_us = rep.scaling.front().second;
+    std::printf("  compute() scaling:");
     for (const auto& [t, us] : rep.scaling) {
       std::printf("  %dt %.1fus (%.2fx)", t, us,
-                  us > 0 ? rep.pass_eval_scalar_us / us : 0.0);
+                  us > 0 ? one_thread_us / us : 0.0);
     }
     std::printf("  | par allocs/p %.2f\n", rep.parallel_allocs);
     if (!rep.bit_identical) {
@@ -562,22 +538,20 @@ int main(int argc, char** argv) {
                  "     \"node_evals_per_sec\": %.0f, "
                  "\"steady_state_allocs_per_pass\": %.2f, "
                  "\"steady_state_allocs_per_update\": %.2f,\n"
-                 "     \"kernel\": \"%s\", \"pass_eval_scalar_1t_us\": %.2f, "
-                 "\"parallel_allocs_per_pass\": %.2f,\n"
+                 "     \"parallel_allocs_per_pass\": %.2f,\n"
                  "     \"scaling\": [",
                  w.name.c_str(), rep.cells, rep.nodes, rep.arcs, rep.passes,
                  rep.levels,
                  rep.bit_identical ? "true" : "false", rep.full_analysis_us,
                  rep.pass_eval_us, rep.reference_pass_eval_us, speedup,
                  rep.node_evals_per_sec, rep.allocs_per_pass, rep.update_allocs,
-                 rep.kernel.c_str(), rep.pass_eval_scalar_us,
                  rep.parallel_allocs);
     for (std::size_t k = 0; k < rep.scaling.size(); ++k) {
       const auto& [t, us] = rep.scaling[k];
       std::fprintf(json,
-                   "{\"threads\": %d, \"pass_eval_us\": %.2f, "
-                   "\"speedup_vs_1t_scalar\": %.2f}%s",
-                   t, us, us > 0 ? rep.pass_eval_scalar_us / us : 0.0,
+                   "{\"threads\": %d, \"compute_us\": %.2f, "
+                   "\"speedup_vs_1t\": %.2f}%s",
+                   t, us, us > 0 ? one_thread_us / us : 0.0,
                    k + 1 < rep.scaling.size() ? ", " : "");
     }
     std::fprintf(json, "]}%s\n", i + 1 < workloads.size() ? "," : "");

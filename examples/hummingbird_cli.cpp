@@ -158,8 +158,8 @@ int run(const std::string& netlist_path, const std::string& spec_path,
   options.sync.input_arrivals = spec.input_arrivals;
   options.sync.output_requireds = spec.output_requireds;
 
-  // --threads: one pool drives pass-level fan-out, level-parallel sweeps
-  // and the hold check; results are identical at every thread count.
+  // --threads: one pool drives pass-level fan-out (one task per analysis
+  // pass) and the hold check; results are identical at every thread count.
   std::unique_ptr<ThreadPool> pool;
   if (flags.threads != 1) {
     pool = std::make_unique<ThreadPool>(flags.threads);

@@ -94,15 +94,14 @@ CornerAnalysis::CornerAnalysis(const SlackEngine& engine, CornerSet corners)
   node_.assign(K, std::vector<NodeTiming>(graph.num_nodes()));
 }
 
-void CornerAnalysis::run_pass_into_cache(std::uint32_t c, std::size_t pass,
-                                         ThreadPool* pool) {
+void CornerAnalysis::run_pass_into_cache(std::uint32_t c, std::size_t pass) {
   const ClusterId cid(c);
   run_corner_pass_into(engine_->graph(), engine_->sync(),
                        engine_->clusters().cluster(cid), local_of_node_,
                        engine_->edge_graph(cid), engine_->breaks(cid)[pass],
                        engine_->capture_insts(cid),
                        engine_->assigned_mask(cid, pass), delays_,
-                       cache_[c].cache[pass], pool);
+                       cache_[c].cache[pass]);
 }
 
 void CornerAnalysis::compute(ThreadPool* pool) {
@@ -111,29 +110,27 @@ void CornerAnalysis::compute(ThreadPool* pool) {
   const ClusterSet& clusters = engine_->clusters();
   const std::size_t K = corners_.size();
 
-  const bool pooled = pool != nullptr && pool->size() > 1;
-  const std::size_t par_min = sweep_tuning().min_parallel_nodes;
-  task_fns_.clear();
-  big_passes_.clear();
+  // One pool task per pass, dispatched like SlackEngine::compute: the
+  // closures capture two pointers, so a warm recompute allocates nothing.
   for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
     ClusterCache& cc = cache_[c];
     const std::size_t np = engine_->breaks(ClusterId(c)).size();
     while (cc.cache.size() < np) cc.cache.emplace_back(K);
-    const bool big =
-        pooled && clusters.cluster(ClusterId(c)).nodes.size() >= par_min;
-    for (std::size_t p = 0; p < np; ++p) {
-      ++istats_.passes_evaluated;
-      if (big) {
-        big_passes_.emplace_back(c, static_cast<std::uint32_t>(p));
-      } else if (pooled) {
-        task_fns_.push_back([this, c, p] { run_pass_into_cache(c, p, nullptr); });
-      } else {
-        run_pass_into_cache(c, p, nullptr);
-      }
-    }
   }
-  if (!task_fns_.empty()) pool->run_batch(task_fns_);
-  for (const auto& [c, p] : big_passes_) run_pass_into_cache(c, p, pool);
+  const std::vector<SlackEngine::PassRef>& passes = engine_->all_passes();
+  istats_.passes_evaluated += passes.size();
+  auto eval = [this](const SlackEngine::PassRef& r) {
+    run_pass_into_cache(r.cluster, r.pass);
+  };
+  if (pool != nullptr && pool->size() > 1) {
+    task_fns_.clear();
+    for (const SlackEngine::PassRef& r : passes) {
+      task_fns_.push_back([&eval, &r] { eval(r); });
+    }
+    pool->run_batch(task_fns_);
+  } else {
+    for (const SlackEngine::PassRef& r : passes) eval(r);
+  }
 
   for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
     ClusterCache& cc = cache_[c];
@@ -315,8 +312,6 @@ void CornerAnalysis::update(ThreadPool* pool) {
 
   const ClusterSet& clusters = engine_->clusters();
   num_update_tasks_ = 0;
-  const bool pooled = pool != nullptr && pool->size() > 1;
-  const std::size_t par_min = sweep_tuning().min_parallel_nodes;
   auto new_task = [this]() -> UpdateTask& {
     if (num_update_tasks_ == update_tasks_.size()) update_tasks_.emplace_back();
     UpdateTask& t = update_tasks_[num_update_tasks_++];
@@ -334,12 +329,8 @@ void CornerAnalysis::update(ThreadPool* pool) {
     const std::size_t np = engine_->breaks(ClusterId(c)).size();
 
     // Same cost model as SlackEngine::update, probe stopped at the limit.
-    const std::size_t par =
-        (pooled && cl.nodes.size() >= par_min)
-            ? std::min<std::size_t>(static_cast<std::size_t>(pool->size()), 8)
-            : 1;
     const std::size_t limit =
-        cl.nodes.size() * kFullSweepNum * 2 / (kFullSweepDen * par);
+        cl.nodes.size() * kFullSweepNum * 2 / kFullSweepDen;
     probe_bwd_.clear();
     for (std::uint32_t li : d.bwd) probe_bwd_.push_back(li);
     for (const auto& [pass, li] : d.bwd_of_pass) probe_bwd_.push_back(li);
@@ -368,12 +359,12 @@ void CornerAnalysis::update(ThreadPool* pool) {
   }
   istats_.passes_reused += engine_->num_passes_total() - num_update_tasks_;
 
-  auto run_task = [this](UpdateTask& task, ThreadPool* sweep_pool) {
+  auto run_task = [this](UpdateTask& task) {
     const ClusterId cid(task.cluster);
     const Cluster& cl = engine_->clusters().cluster(cid);
     ClusterCache& cc = cache_[task.cluster];
     if (task.full) {
-      run_pass_into_cache(task.cluster, task.pass, sweep_pool);
+      run_pass_into_cache(task.cluster, task.pass);
       task.retraced = 2 * cl.nodes.size();
     } else {
       task.retraced = update_corner_pass(
@@ -383,23 +374,16 @@ void CornerAnalysis::update(ThreadPool* pool) {
           dirty_[task.cluster].fwd, task.bwd, cc.cache[task.pass], task.ws);
     }
   };
-  if (pooled && num_update_tasks_ > 1) {
+  if (pool != nullptr && pool->size() > 1 && num_update_tasks_ > 1) {
     task_fns_.clear();
-    big_task_ids_.clear();
     for (std::size_t i = 0; i < num_update_tasks_; ++i) {
       UpdateTask* task = &update_tasks_[i];
-      const Cluster& cl = clusters.cluster(ClusterId(task->cluster));
-      if (task->full && cl.nodes.size() >= par_min) {
-        big_task_ids_.push_back(i);
-      } else {
-        task_fns_.push_back([&run_task, task] { run_task(*task, nullptr); });
-      }
+      task_fns_.push_back([&run_task, task] { run_task(*task); });
     }
-    if (!task_fns_.empty()) pool->run_batch(task_fns_);
-    for (std::size_t i : big_task_ids_) run_task(update_tasks_[i], pool);
+    pool->run_batch(task_fns_);
   } else {
     for (std::size_t i = 0; i < num_update_tasks_; ++i) {
-      run_task(update_tasks_[i], pool);
+      run_task(update_tasks_[i]);
     }
   }
   for (std::size_t i = 0; i < num_update_tasks_; ++i) {
@@ -443,31 +427,22 @@ void CornerAnalysis::maybe_corrupt_lanes() {
   FaultInjector& injector = FaultInjector::instance();
   if (!injector.armed()) return;
   if (!injector.should_fire(FaultSite::kCornerLaneCorrupt)) return;
-  const std::size_t total = engine_->num_passes_total();
-  if (total == 0) return;
+  const std::vector<SlackEngine::PassRef>& passes = engine_->all_passes();
+  if (passes.empty()) return;
   const std::uint64_t r = injector.draw(FaultSite::kCornerLaneCorrupt);
-  std::size_t target = r % total;
-  const std::size_t lane = static_cast<std::size_t>(r / total) % corners_.size();
-  const ClusterSet& clusters = engine_->clusters();
-  for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
-    ClusterCache& cc = cache_[c];
-    const std::size_t np = engine_->breaks(ClusterId(c)).size();
-    if (target >= np) {
-      target -= np;
-      continue;
+  const SlackEngine::PassRef& target = passes[r % passes.size()];
+  const std::size_t lane =
+      static_cast<std::size_t>(r / passes.size()) % corners_.size();
+  CornerPassResult& res = cache_[target.cluster].cache[target.pass];
+  for (std::size_t i = 0; i < res.ready.size(); ++i) {
+    if (res.ready.has(i)) {
+      RiseFall e = res.ready.at(i, lane);
+      e.rise += 1000;  // 1ns of silent error in one corner lane
+      res.ready.set(i, lane, e);
+      return;
     }
-    CornerPassResult& res = cc.cache[target];
-    for (std::size_t i = 0; i < res.ready.size(); ++i) {
-      if (res.ready.has(i)) {
-        RiseFall e = res.ready.at(i, lane);
-        e.rise += 1000;  // 1ns of silent error in one corner lane
-        res.ready.set(i, lane, e);
-        return;
-      }
-    }
-    if (res.ready.size() > 0) res.ready.set(0, lane, RiseFall{0, 0});
-    return;
   }
+  if (res.ready.size() > 0) res.ready.set(0, lane, RiseFall{0, 0});
 }
 
 TimePs CornerAnalysis::worst_terminal_slack(std::size_t k) const {

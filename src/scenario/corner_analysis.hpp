@@ -54,8 +54,8 @@ class CornerAnalysis {
   const CornerDelays& delays() const { return delays_; }
 
   /// Evaluate every pass under all corners in K-lane sweeps.  Pooling
-  /// mirrors SlackEngine::compute: independent passes fan out, big clusters
-  /// run level-parallel; results are byte-identical at every thread count.
+  /// mirrors SlackEngine::compute: each pass is one pool task; results are
+  /// byte-identical at every thread count.
   void compute(ThreadPool* pool = nullptr);
 
   // -- Dirty-set API (mirrors SlackEngine's; see slack_engine.hpp) --------
@@ -151,8 +151,7 @@ class CornerAnalysis {
   static constexpr std::size_t kFullSweepNum = 1;
   static constexpr std::size_t kFullSweepDen = 2;
 
-  void run_pass_into_cache(std::uint32_t c, std::size_t pass,
-                           ThreadPool* pool);
+  void run_pass_into_cache(std::uint32_t c, std::size_t pass);
   void accumulate(ClusterId c, std::size_t pass, const CornerPassResult& res);
   void reset_accumulation(ClusterId c);
   void accumulate_all();
@@ -171,7 +170,7 @@ class CornerAnalysis {
   bool self_check_ = false;
   IncrementalStats istats_;
 
-  // Persistent update() machinery, mirroring SlackEngine's task slots.
+  // Persistent compute()/update() machinery, mirroring SlackEngine's.
   struct UpdateTask {
     std::uint32_t cluster = 0;
     std::uint32_t pass = 0;
@@ -183,8 +182,6 @@ class CornerAnalysis {
   std::vector<UpdateTask> update_tasks_;
   std::size_t num_update_tasks_ = 0;
   std::vector<std::function<void()>> task_fns_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> big_passes_;
-  std::vector<std::size_t> big_task_ids_;
   std::vector<std::uint32_t> dirty_clusters_;
   std::vector<std::uint32_t> probe_bwd_;
   PassWorkspace probe_ws_;

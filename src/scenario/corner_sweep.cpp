@@ -1,22 +1,11 @@
 #include "scenario/corner_sweep.hpp"
 
-#include "util/thread_pool.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define HB_X86_KERNELS 1
-#include <immintrin.h>
-#endif
-
 namespace hb {
 namespace {
 
 /// Ready-side presence threshold — same constant the single-corner kernels
 /// and PassSide::has test against (see sta/analysis_pass.cpp).
 constexpr TimePs kFwdAbsentHalf = -(kInfinitePs / 2);
-
-bool use_simd_kernels() {
-  return kernel_mode() == KernelMode::kAuto && simd_kernels_available();
-}
 
 RiseFall derate_rf(RiseFall d, std::uint32_t pm) {
   return {derate_time(d.rise, pm), derate_time(d.fall, pm)};
@@ -37,19 +26,16 @@ std::uint32_t arc_factor(const TimingGraph& graph, const TArcRec& arc,
   return corner.cell_factor(graph.design().lib().cell(inst.cell).name());
 }
 
-// ---------------------------------------------------------------------------
-// Scalar K-lane sweep kernels
-//
-// Loop shapes mirror the single-corner kernels in sta/analysis_pass.cpp,
-// with an inner lane loop folding each corner against its derated delay.
-// Presence tests read lane 0 — presence is structural and lane-uniform —
-// and every lane is folded with the same integer arithmetic as the
-// single-corner kernels, so K=1 with identity derates is byte-identical.
-// ---------------------------------------------------------------------------
+// K-lane sweep kernels.  Loop shapes mirror the single-corner kernels in
+// sta/analysis_pass.cpp, with an inner lane loop folding each corner
+// against its derated delay.  Presence tests read lane 0 — presence is
+// structural and lane-uniform — and every lane is folded with the same
+// integer arithmetic as the single-corner kernels, so K=1 with identity
+// derates is byte-identical.
 
-void corner_forward_scatter_scalar(const Cluster& cl, const TArcRec* arcs,
-                                   const RiseFall* dl, std::size_t K,
-                                   RiseFall* ready) {
+void corner_forward_scatter(const Cluster& cl, const TArcRec* arcs,
+                            const RiseFall* dl, std::size_t K,
+                            RiseFall* ready) {
   const std::size_t n = cl.nodes.size();
   for (std::uint32_t li = 0; li < n; ++li) {
     if (ready[li * K].rise <= kFwdAbsentHalf || cl.blocked[li]) continue;
@@ -67,40 +53,11 @@ void corner_forward_scatter_scalar(const Cluster& cl, const TArcRec* arcs,
   }
 }
 
-void corner_forward_gather_scalar(const Cluster& cl, const TArcRec* arcs,
-                                  const RiseFall* dl, std::size_t K,
-                                  RiseFall* ready, std::uint32_t begin,
-                                  std::uint32_t end) {
-  for (std::uint32_t li = begin; li < end; ++li) {
-    RiseFall* row = &ready[li * K];
-    const std::uint32_t ke = cl.in_offsets[li + 1];
-    for (std::uint32_t k = cl.in_offsets[li]; k < ke; ++k) {
-      const std::uint32_t fl = cl.in_local[k];
-      const std::uint32_t ai = cl.in_arc[k];
-      const TArcRec& arc = arcs[ai];
-      const RiseFall* d = &dl[ai * K];
-      const RiseFall* in = &ready[fl * K];
-      const bool blk = cl.blocked[fl] != 0;
-      for (std::size_t c = 0; c < K; ++c) {
-        RiseFall cc = propagate_forward(in[c], arc, d[c]);
-        cc.rise = blk ? -kInfinitePs : cc.rise;
-        cc.fall = blk ? -kInfinitePs : cc.fall;
-        row[c] = rf_max(row[c], cc);
-      }
-    }
-    for (std::size_t c = 0; c < K; ++c) {
-      const bool absent = row[c].rise <= kFwdAbsentHalf;
-      row[c].rise = absent ? -kInfinitePs : row[c].rise;
-      row[c].fall = absent ? -kInfinitePs : row[c].fall;
-    }
-  }
-}
-
-void corner_backward_gather_scalar(const Cluster& cl, const TArcRec* arcs,
-                                   const RiseFall* dl, std::size_t K,
-                                   RiseFall* required, std::uint32_t begin,
-                                   std::uint32_t end) {
-  for (std::uint32_t li = end; li-- > begin;) {
+void corner_backward_gather(const Cluster& cl, const TArcRec* arcs,
+                            const RiseFall* dl, std::size_t K,
+                            RiseFall* required) {
+  const auto n = static_cast<std::uint32_t>(cl.nodes.size());
+  for (std::uint32_t li = n; li-- > 0;) {
     if (cl.blocked[li]) continue;
     RiseFall* row = &required[li * K];
     const std::uint32_t ke = cl.out_offsets[li + 1];
@@ -114,254 +71,6 @@ void corner_backward_gather_scalar(const Cluster& cl, const TArcRec* arcs,
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Vectorised K-lane kernels (AVX2): two corner lanes per 256-bit op — each
-// __m256i holds two [rise | fall] pairs of adjacent lanes of one node — with
-// a 128-bit remainder lane when K is odd.  Same fold sets, same integer
-// arithmetic as the scalar K-lane kernels: byte-identical results.
-// ---------------------------------------------------------------------------
-
-#ifdef HB_X86_KERNELS
-
-__attribute__((target("avx2"), always_inline)) inline __m128i
-load_rf(const RiseFall* p) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-}
-
-__attribute__((target("avx2"), always_inline)) inline void store_rf(
-    RiseFall* p, __m128i v) {
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-}
-
-__attribute__((target("avx2"), always_inline)) inline __m128i max64(
-    __m128i a, __m128i b) {
-  return _mm_blendv_epi8(b, a, _mm_cmpgt_epi64(a, b));
-}
-
-__attribute__((target("avx2"), always_inline)) inline __m128i min64(
-    __m128i a, __m128i b) {
-  return _mm_blendv_epi8(a, b, _mm_cmpgt_epi64(a, b));
-}
-
-__attribute__((target("avx2"), always_inline)) inline __m128i swap_rf(
-    __m128i v) {
-  return _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2));
-}
-
-__attribute__((target("avx2"), always_inline)) inline __m128i unate_select(
-    __m128i in, __m128i swapped, __m128i worst, Unate unate) {
-  const __m128i mpos =
-      _mm_set1_epi64x(-static_cast<std::int64_t>(unate == Unate::kPositive));
-  const __m128i mneg =
-      _mm_set1_epi64x(-static_cast<std::int64_t>(unate == Unate::kNegative));
-  const __m128i picked =
-      _mm_or_si128(_mm_and_si128(in, mpos), _mm_and_si128(swapped, mneg));
-  return _mm_or_si128(picked,
-                      _mm_andnot_si128(_mm_or_si128(mpos, mneg), worst));
-}
-
-__attribute__((target("avx2"), always_inline)) inline __m256i
-load_rf2(const RiseFall* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-
-__attribute__((target("avx2"), always_inline)) inline void store_rf2(
-    RiseFall* p, __m256i v) {
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-}
-
-__attribute__((target("avx2"), always_inline)) inline __m256i max64x2(
-    __m256i a, __m256i b) {
-  return _mm256_blendv_epi8(b, a, _mm256_cmpgt_epi64(a, b));
-}
-
-__attribute__((target("avx2"), always_inline)) inline __m256i min64x2(
-    __m256i a, __m256i b) {
-  return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
-}
-
-/// Per 128-bit half: [rise | fall] -> [fall | rise].
-__attribute__((target("avx2"), always_inline)) inline __m256i swap_rf2(
-    __m256i v) {
-  return _mm256_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2));
-}
-
-__attribute__((target("avx2"), always_inline)) inline __m256i unate_select2(
-    __m256i in, __m256i swapped, __m256i worst, Unate unate) {
-  const __m256i mpos = _mm256_set1_epi64x(
-      -static_cast<std::int64_t>(unate == Unate::kPositive));
-  const __m256i mneg = _mm256_set1_epi64x(
-      -static_cast<std::int64_t>(unate == Unate::kNegative));
-  const __m256i picked = _mm256_or_si256(_mm256_and_si256(in, mpos),
-                                         _mm256_and_si256(swapped, mneg));
-  return _mm256_or_si256(
-      picked, _mm256_andnot_si256(_mm256_or_si256(mpos, mneg), worst));
-}
-
-__attribute__((target("avx2"))) void corner_forward_scatter_avx2(
-    const Cluster& cl, const TArcRec* arcs, const RiseFall* dl, std::size_t K,
-    RiseFall* ready) {
-  const std::size_t n = cl.nodes.size();
-  for (std::uint32_t li = 0; li < n; ++li) {
-    if (ready[li * K].rise <= kFwdAbsentHalf || cl.blocked[li]) continue;
-    const RiseFall* in = &ready[li * K];
-    const std::uint32_t end = cl.out_offsets[li + 1];
-    for (std::uint32_t k = cl.out_offsets[li]; k < end; ++k) {
-      const std::uint32_t ai = cl.out_arc[k];
-      const TArcRec& arc = arcs[ai];
-      const RiseFall* d = &dl[ai * K];
-      RiseFall* dst = &ready[cl.out_local[k] * K];
-      std::size_t c = 0;
-      for (; c + 2 <= K; c += 2) {
-        const __m256i in2 = load_rf2(&in[c]);
-        const __m256i sw = swap_rf2(in2);
-        const __m256i sel =
-            unate_select2(in2, sw, max64x2(in2, sw), arc.unate);
-        const __m256i out = _mm256_add_epi64(sel, load_rf2(&d[c]));
-        store_rf2(&dst[c], max64x2(load_rf2(&dst[c]), out));
-      }
-      for (; c < K; ++c) {
-        const __m128i in1 = load_rf(&in[c]);
-        const __m128i sw = swap_rf(in1);
-        const __m128i sel = unate_select(in1, sw, max64(in1, sw), arc.unate);
-        const __m128i out = _mm_add_epi64(sel, load_rf(&d[c]));
-        store_rf(&dst[c], max64(load_rf(&dst[c]), out));
-      }
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void corner_forward_gather_avx2(
-    const Cluster& cl, const TArcRec* arcs, const RiseFall* dl, std::size_t K,
-    RiseFall* ready, std::uint32_t begin, std::uint32_t end) {
-  const __m256i absent2 = _mm256_set1_epi64x(-kInfinitePs);
-  const __m256i half2 = _mm256_set1_epi64x(kFwdAbsentHalf);
-  const __m128i absent1 = _mm_set1_epi64x(-kInfinitePs);
-  const __m128i half1 = _mm_set1_epi64x(kFwdAbsentHalf);
-  for (std::uint32_t li = begin; li < end; ++li) {
-    RiseFall* row = &ready[li * K];
-    const std::uint32_t kb = cl.in_offsets[li];
-    const std::uint32_t ke = cl.in_offsets[li + 1];
-    std::size_t c = 0;
-    for (; c + 2 <= K; c += 2) {
-      __m256i v = load_rf2(&row[c]);
-      for (std::uint32_t k = kb; k < ke; ++k) {
-        const std::uint32_t fl = cl.in_local[k];
-        const std::uint32_t ai = cl.in_arc[k];
-        const TArcRec& arc = arcs[ai];
-        const __m256i in2 = load_rf2(&ready[fl * K + c]);
-        const __m256i sw = swap_rf2(in2);
-        const __m256i sel =
-            unate_select2(in2, sw, max64x2(in2, sw), arc.unate);
-        __m256i cc = _mm256_add_epi64(sel, load_rf2(&dl[ai * K + c]));
-        const __m256i mblk = _mm256_set1_epi64x(
-            -static_cast<std::int64_t>(cl.blocked[fl] != 0));
-        cc = _mm256_blendv_epi8(cc, absent2, mblk);
-        v = max64x2(v, cc);
-      }
-      const __m256i rise2 = _mm256_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 1, 0));
-      const __m256i is_absent = _mm256_cmpgt_epi64(half2, rise2);
-      v = _mm256_blendv_epi8(v, absent2, is_absent);
-      store_rf2(&row[c], v);
-    }
-    for (; c < K; ++c) {
-      __m128i v = load_rf(&row[c]);
-      for (std::uint32_t k = kb; k < ke; ++k) {
-        const std::uint32_t fl = cl.in_local[k];
-        const std::uint32_t ai = cl.in_arc[k];
-        const TArcRec& arc = arcs[ai];
-        const __m128i in1 = load_rf(&ready[fl * K + c]);
-        const __m128i sw = swap_rf(in1);
-        const __m128i sel = unate_select(in1, sw, max64(in1, sw), arc.unate);
-        __m128i cc = _mm_add_epi64(sel, load_rf(&dl[ai * K + c]));
-        const __m128i mblk =
-            _mm_set1_epi64x(-static_cast<std::int64_t>(cl.blocked[fl] != 0));
-        cc = _mm_blendv_epi8(cc, absent1, mblk);
-        v = max64(v, cc);
-      }
-      const __m128i rise2 = _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 1, 0));
-      const __m128i is_absent = _mm_cmpgt_epi64(half1, rise2);
-      v = _mm_blendv_epi8(v, absent1, is_absent);
-      store_rf(&row[c], v);
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void corner_backward_gather_avx2(
-    const Cluster& cl, const TArcRec* arcs, const RiseFall* dl, std::size_t K,
-    RiseFall* required, std::uint32_t begin, std::uint32_t end) {
-  for (std::uint32_t li = end; li-- > begin;) {
-    if (cl.blocked[li]) continue;
-    RiseFall* row = &required[li * K];
-    const std::uint32_t kb = cl.out_offsets[li];
-    const std::uint32_t ke = cl.out_offsets[li + 1];
-    std::size_t c = 0;
-    for (; c + 2 <= K; c += 2) {
-      __m256i acc = load_rf2(&row[c]);
-      for (std::uint32_t k = kb; k < ke; ++k) {
-        const std::uint32_t ai = cl.out_arc[k];
-        const TArcRec& arc = arcs[ai];
-        const __m256i p =
-            _mm256_sub_epi64(load_rf2(&required[cl.out_local[k] * K + c]),
-                             load_rf2(&dl[ai * K + c]));
-        const __m256i sw = swap_rf2(p);
-        acc = min64x2(acc, unate_select2(p, sw, min64x2(p, sw), arc.unate));
-      }
-      store_rf2(&row[c], acc);
-    }
-    for (; c < K; ++c) {
-      __m128i acc = load_rf(&row[c]);
-      for (std::uint32_t k = kb; k < ke; ++k) {
-        const std::uint32_t ai = cl.out_arc[k];
-        const TArcRec& arc = arcs[ai];
-        const __m128i p =
-            _mm_sub_epi64(load_rf(&required[cl.out_local[k] * K + c]),
-                          load_rf(&dl[ai * K + c]));
-        const __m128i sw = swap_rf(p);
-        acc = min64(acc, unate_select(p, sw, min64(p, sw), arc.unate));
-      }
-      store_rf(&row[c], acc);
-    }
-  }
-}
-
-#endif  // HB_X86_KERNELS
-
-// ---------------------------------------------------------------------------
-
-using CForwardFullFn = void (*)(const Cluster&, const TArcRec*,
-                                const RiseFall*, std::size_t, RiseFall*);
-using CRangeFn = void (*)(const Cluster&, const TArcRec*, const RiseFall*,
-                          std::size_t, RiseFall*, std::uint32_t,
-                          std::uint32_t);
-
-CForwardFullFn select_forward_scatter() {
-#ifdef HB_X86_KERNELS
-  if (use_simd_kernels()) return corner_forward_scatter_avx2;
-#endif
-  return corner_forward_scatter_scalar;
-}
-
-CRangeFn select_forward_gather() {
-#ifdef HB_X86_KERNELS
-  if (use_simd_kernels()) return corner_forward_gather_avx2;
-#endif
-  return corner_forward_gather_scalar;
-}
-
-CRangeFn select_backward_gather() {
-#ifdef HB_X86_KERNELS
-  if (use_simd_kernels()) return corner_backward_gather_avx2;
-#endif
-  return corner_backward_gather_scalar;
-}
-
-/// Same chunk-grain rule as the single-corner sweeps; the per-node work is
-/// K× heavier but the boundaries stay a pure function of the level size.
-std::size_t level_grain(std::size_t level_size, const SweepTuning& tuning) {
-  return std::max(tuning.min_grain, level_size / 64);
 }
 
 /// Latest actual assertion at `node` in linear coordinates (same rule as
@@ -416,8 +125,7 @@ void run_corner_pass_into(const TimingGraph& graph, const SyncModel& sync,
                           const ClockEdgeGraph& edges, std::size_t break_node,
                           const std::vector<SyncId>& capture_insts,
                           const std::vector<bool>& assigned,
-                          const CornerDelays& delays, CornerPassResult& res,
-                          ThreadPool* pool) {
+                          const CornerDelays& delays, CornerPassResult& res) {
   const std::size_t n = cluster.nodes.size();
   const std::size_t K = delays.lanes();
   const TArcRec* arcs = graph.arcs_data();
@@ -426,11 +134,6 @@ void run_corner_pass_into(const TimingGraph& graph, const SyncModel& sync,
   res.required.reset(n);
   RiseFall* ready = res.ready.data();
   RiseFall* required = res.required.data();
-
-  const SweepTuning tuning = sweep_tuning();
-  const bool parallel = pool != nullptr && pool->size() > 1 &&
-                        n >= tuning.min_parallel_nodes;
-  const std::vector<std::uint32_t>& levels = cluster.level_offsets;
 
   // Seed launch terminals; the schedule time is corner-independent, so the
   // seed broadcasts across all K lanes.
@@ -441,22 +144,7 @@ void run_corner_pass_into(const TimingGraph& graph, const SyncModel& sync,
       for (std::size_t c = 0; c < K; ++c) row[c] = seed;
     }
   }
-
-  if (!parallel) {
-    select_forward_scatter()(cluster, arcs, dl, K, ready);
-  } else {
-    const CRangeFn fwd = select_forward_gather();
-    for (std::size_t l = 0; l + 1 < levels.size(); ++l) {
-      const std::uint32_t base = levels[l];
-      const std::size_t count = levels[l + 1] - base;
-      pool->parallel_for(count, level_grain(count, tuning),
-                         [&](std::size_t b, std::size_t e, int) {
-                           fwd(cluster, arcs, dl, K, ready,
-                               base + static_cast<std::uint32_t>(b),
-                               base + static_cast<std::uint32_t>(e));
-                         });
-    }
-  }
+  corner_forward_scatter(cluster, arcs, dl, K, ready);
 
   for (std::size_t k = 0; k < capture_insts.size(); ++k) {
     if (!assigned[k]) continue;
@@ -468,23 +156,7 @@ void run_corner_pass_into(const TimingGraph& graph, const SyncModel& sync,
       row[lane] = rf_min(row[lane], RiseFall{c, c});
     }
   }
-
-  if (!parallel) {
-    select_backward_gather()(cluster, arcs, dl, K, required, 0,
-                             static_cast<std::uint32_t>(n));
-  } else {
-    const CRangeFn bwd = select_backward_gather();
-    for (std::size_t l = levels.size() - 1; l-- > 0;) {
-      const std::uint32_t base = levels[l];
-      const std::size_t count = levels[l + 1] - base;
-      pool->parallel_for(count, level_grain(count, tuning),
-                         [&](std::size_t b, std::size_t e, int) {
-                           bwd(cluster, arcs, dl, K, required,
-                               base + static_cast<std::uint32_t>(b),
-                               base + static_cast<std::uint32_t>(e));
-                         });
-    }
-  }
+  corner_backward_gather(cluster, arcs, dl, K, required);
 }
 
 std::size_t update_corner_pass(const TimingGraph& graph, const SyncModel& sync,

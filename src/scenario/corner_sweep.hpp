@@ -4,24 +4,22 @@
 // the PassSide arrays are widened to K lanes per node (lane-major — the
 // corner vector of a node is one contiguous run), and every fold kernel
 // iteration processes that run against the arc's per-corner derated delays.
-// Graph traversal — the CSR walks, the presence/blocked tests, the level
-// chunking — is paid once and amortised across all corners, which is the
-// whole point of the lane layout (bench_core's corner section measures the
-// K-vs-1 amortisation).
+// Graph traversal — the CSR walks and the presence/blocked tests — is paid
+// once and amortised across all corners, which is the whole point of the
+// lane layout (bench_core's corner section measures the K-vs-1
+// amortisation).
 //
 // Presence is structural (which launches reach a node, which captures are
 // assigned), so it is identical across lanes: a slot is absent in every
 // lane or in none, and the kernels test lane 0 exactly like the K=1
 // kernels test the single slot.  Each lane keeps the full sentinel-absence
 // semantics of PassSide — folds through absent values stay on the absent
-// side of the threshold and gather kernels canonicalise per lane.
+// side of the threshold.
 //
-// Kernels come in scalar and AVX2 variants behind the same KernelMode
-// dispatch as sta/analysis_pass; the AVX2 forms fold two corner lanes per
-// 256-bit op with a 128-bit remainder lane.  All variants use the same
-// fold sets and integer arithmetic, so results are byte-identical across
-// kernels and thread counts, and with K=1 identity derates they are
-// byte-identical to the single-corner kernels (tests/corner_test.cpp).
+// One kernel pair, the K-lane forms of the single-corner forward scatter
+// and backward gather, with the same fold sets and integer arithmetic: with
+// K=1 identity derates the results are byte-identical to the single-corner
+// kernels (tests/corner_test.cpp).
 #pragma once
 
 #include <vector>
@@ -30,8 +28,6 @@
 #include "sta/analysis_pass.hpp"
 
 namespace hb {
-
-class ThreadPool;
 
 /// Per-corner derated delays of every arc, lane-major: the K delays of arc
 /// `a` live at data()[a * lanes() + 0 .. K-1], mirroring the PassSide lane
@@ -69,21 +65,17 @@ struct CornerPassResult {
       : ready(-kInfinitePs, lanes), required(kInfinitePs, lanes) {}
 };
 
-/// K-lane mirror of run_analysis_pass_into: one forward and one backward
-/// levelized sweep settle all K corners of every node.  Launch/capture
+/// K-lane mirror of run_analysis_pass_into: one serial forward and one
+/// serial backward sweep settle all K corners of every node.  Launch/capture
 /// seeds are schedule times (corner-independent — see docs/SCENARIOS.md on
 /// "schedule once, sign off across corners"), broadcast to every lane.
-/// With a pool and a large enough cluster the level wavefronts are chunked
-/// exactly like the single-corner path; results are byte-identical at every
-/// thread count and kernel variant.
 void run_corner_pass_into(const TimingGraph& graph, const SyncModel& sync,
                           const Cluster& cluster,
                           const std::vector<std::uint32_t>& local_index,
                           const ClockEdgeGraph& edges, std::size_t break_node,
                           const std::vector<SyncId>& capture_insts,
                           const std::vector<bool>& assigned,
-                          const CornerDelays& delays, CornerPassResult& res,
-                          ThreadPool* pool = nullptr);
+                          const CornerDelays& delays, CornerPassResult& res);
 
 /// K-lane mirror of update_analysis_pass: re-derives exactly the forward/
 /// backward cones of the seed sets in every lane at once, using the shared

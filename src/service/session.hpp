@@ -22,9 +22,8 @@
 //     users, batch read fan-out and commit's pass evaluation.  Lock order:
 //     batch fan-out holds only pool_mutex_; commit takes writer_mutex_ then
 //     pool_mutex_ — no cycle.  The pool is one thread budget shared by both
-//     uses: commit's SlackEngine spends it first on pass-level fan-out and
-//     then on level-parallel wavefront sweeps of large clusters (the two
-//     never nest), so SessionOptions::pool_threads bounds the session's
+//     uses: commit's SlackEngine spends it on pass-level fan-out, one pool
+//     task per pass, so SessionOptions::pool_threads bounds the session's
 //     total analysis concurrency regardless of the mix.
 //
 // A query-result cache keyed on (snapshot id, canonical query) fronts the

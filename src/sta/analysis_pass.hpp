@@ -29,36 +29,8 @@
 
 namespace hb {
 
-class ThreadPool;
-
-/// Kernel-variant selection for the sweep kernels.  kAuto picks the
-/// vectorised (AVX2) variants when the CPU supports them; kForceScalar pins
-/// the portable scalar variants (used by the determinism sweep tests to
-/// compare the two).  Both produce byte-identical results.
-enum class KernelMode { kAuto, kForceScalar };
-void set_kernel_mode(KernelMode mode);
-KernelMode kernel_mode();
-/// True when this build+CPU can run the vectorised kernels.
-bool simd_kernels_available();
-/// Variant kAuto currently selects: "avx2" or "scalar".
+/// Name of the sweep kernels, as benchmarks report it: always "scalar".
 const char* active_kernel_name();
-
-/// Tuning knobs of the level-parallel sweep path (see docs/PERFORMANCE.md
-/// §8).  Chunk boundaries are a pure function of (level size, grain) — never
-/// of the worker count — so results are invariant under any tuning; the
-/// knobs trade dispatch overhead against parallelism.  Process-wide;
-/// initialised from the HB_PAR_MIN_NODES / HB_PAR_GRAIN environment
-/// variables when set (CI uses this to force the parallel path through
-/// small test networks).
-struct SweepTuning {
-  /// Clusters smaller than this run the serial kernels even with a pool.
-  std::size_t min_parallel_nodes = 2048;
-  /// Lower bound on the per-chunk node count (grain); levels smaller than
-  /// two grains run as a single inline chunk.
-  std::size_t min_grain = 256;
-};
-void set_sweep_tuning(const SweepTuning& tuning);
-SweepTuning sweep_tuning();
 
 /// One side (ready or required) of a pass result: a packed array of rise/
 /// fall value pairs indexed like Cluster::nodes.  Absence is encoded in the
@@ -139,22 +111,15 @@ struct PassResult {
 /// slack from this pass; `capture_insts` lists all capture instances on the
 /// cluster's sink nodes in a fixed order chosen by the caller.
 ///
-/// With a pool (and a cluster at least SweepTuning::min_parallel_nodes
-/// large), each level wavefront is chunked across the pool's workers: the
-/// forward sweep switches from the serial scatter kernel to a per-node
-/// gather over fanin — every node is written exactly once, by the chunk
-/// that owns it — and the backward sweep is chunked as-is (it is already a
-/// gather).  Results are byte-identical to the serial kernels at every
-/// thread count: integer min/max folds are commutative and associative,
-/// chunk boundaries are fixed, and gather-forward canonicalises untouched
-/// slots back to the exact absence sentinel the scatter kernel leaves.
+/// One serial sweep per direction: a forward scatter over fanout in
+/// ascending local index, then a backward gather over fanout in descending
+/// local index.  Callers parallelise across passes, never within one.
 void run_analysis_pass_into(const TimingGraph& graph, const SyncModel& sync,
                             const Cluster& cluster,
                             const std::vector<std::uint32_t>& local_index,
                             const ClockEdgeGraph& edges, std::size_t break_node,
                             const std::vector<SyncId>& capture_insts,
-                            const std::vector<bool>& assigned, PassResult& res,
-                            ThreadPool* pool = nullptr);
+                            const std::vector<bool>& assigned, PassResult& res);
 
 /// Convenience wrapper returning a fresh PassResult (allocates; use the
 /// _into form on hot paths).

@@ -86,15 +86,6 @@ ClusterSet::ClusterSet(const TimingGraph& graph, const SyncModel& sync) {
       cl.blocked[i] =
           role == NodeRole::kSyncDataIn || role == NodeRole::kSyncControl;
     }
-    // Runs of equal graph level over the (level-monotone) node list.
-    cl.level_offsets.clear();
-    cl.level_offsets.push_back(0);
-    for (std::uint32_t i = 1; i < n; ++i) {
-      if (graph.level(cl.nodes[i]) != graph.level(cl.nodes[i - 1])) {
-        cl.level_offsets.push_back(i);
-      }
-    }
-    cl.level_offsets.push_back(static_cast<std::uint32_t>(n));
     cl.out_arc.resize(cl.out_offsets[n]);
     cl.out_local.resize(cl.out_offsets[n]);
     cl.in_arc.resize(cl.in_offsets[n]);

@@ -45,14 +45,6 @@ struct Cluster {
   /// Per local index: the node's role blocks combinational propagation
   /// (kSyncDataIn / kSyncControl).
   std::vector<char> blocked;
-  /// CSR boundaries of the graph-level runs inside `nodes`: run L spans
-  /// local indices [level_offsets[L], level_offsets[L+1]).  `nodes` is
-  /// level-monotone (it subsequences topo_order), every internal arc crosses
-  /// strictly forward across a run boundary, so each run is a data-parallel
-  /// wavefront for the level-parallel sweep kernels.  Runs are per-cluster
-  /// (only levels the cluster touches appear), so their count is at most
-  /// TimingGraph::num_levels().
-  std::vector<std::uint32_t> level_offsets;
 };
 
 class ClusterSet {

@@ -33,6 +33,9 @@ SlackEngine::SlackEngine(const TimingGraph& graph, const ClusterSet& clusters,
   assigned_pass_of_capture_.assign(sync.num_instances(), 0);
   for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
     prepare_cluster(ClusterId(c));
+    for (std::uint32_t p = 0; p < analyses_[c].breaks.size(); ++p) {
+      passes_.push_back(PassRef{c, p});
+    }
   }
   dirty_.resize(clusters.num_clusters());
   launch_slack_.assign(sync.num_instances(), kInfinitePs);
@@ -135,38 +138,25 @@ void SlackEngine::compute(ThreadPool* pool) {
   if (pool == nullptr) pool = env_analysis_pool();
   ++istats_.full_computes;
 
-  // Evaluate every pass into the cache; passes are independent, so a pool
-  // may run them concurrently (each task owns its result slot).  Cached
-  // PassResult buffers are reused in place, so recomputes over a warm cache
-  // allocate nothing.  Passes over clusters large enough for level-parallel
-  // sweeps instead run on this thread, one at a time, with the pool
-  // chunking their wavefronts — after the batch, because pool jobs must not
-  // nest.
-  const bool pooled = pool != nullptr && pool->size() > 1;
-  const std::size_t par_min = sweep_tuning().min_parallel_nodes;
-  task_fns_.clear();
-  big_passes_.clear();
-  for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
-    ClusterAnalysis& ca = analyses_[c];
-    ca.cache.resize(ca.breaks.size());
-    const bool big =
-        pooled && clusters_->cluster(ClusterId(c)).nodes.size() >= par_min;
-    for (std::size_t p = 0; p < ca.breaks.size(); ++p) {
-      ++istats_.passes_evaluated;
-      if (big) {
-        big_passes_.emplace_back(c, static_cast<std::uint32_t>(p));
-      } else if (pooled) {
-        task_fns_.push_back([this, c, p] {
-          run_pass_into(ClusterId(c), p, analyses_[c].cache[p]);
-        });
-      } else {
-        run_pass_into(ClusterId(c), p, ca.cache[p]);
-      }
+  // Evaluate every pass into the cache; passes are independent, so with a
+  // pool each one is a task that owns its result slot.  Cached PassResult
+  // buffers are reused in place, and each closure captures two pointers
+  // (libstdc++'s std::function keeps 16 bytes inline), so recomputes over a
+  // warm cache allocate nothing.
+  for (ClusterAnalysis& ca : analyses_) ca.cache.resize(ca.breaks.size());
+  istats_.passes_evaluated += passes_.size();
+  auto eval = [this](const PassRef& r) {
+    run_pass_into(ClusterId(r.cluster), r.pass,
+                  analyses_[r.cluster].cache[r.pass]);
+  };
+  if (pool != nullptr && pool->size() > 1) {
+    task_fns_.clear();
+    for (const PassRef& r : passes_) {
+      task_fns_.push_back([&eval, &r] { eval(r); });
     }
-  }
-  if (!task_fns_.empty()) pool->run_batch(task_fns_);
-  for (const auto& [c, p] : big_passes_) {
-    run_pass_into(ClusterId(c), p, analyses_[c].cache[p], pool);
+    pool->run_batch(task_fns_);
+  } else {
+    for (const PassRef& r : passes_) eval(r);
   }
 
   for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
@@ -264,8 +254,6 @@ void SlackEngine::update(ThreadPool* pool) {
   // workspace, so the pool schedule cannot affect the outcome.  Task slots
   // and seed buffers are persistent members, reused across updates.
   num_update_tasks_ = 0;
-  const bool pooled = pool != nullptr && pool->size() > 1;
-  const std::size_t par_min = sweep_tuning().min_parallel_nodes;
   auto new_task = [this]() -> UpdateTask& {
     if (num_update_tasks_ == update_tasks_.size()) update_tasks_.emplace_back();
     UpdateTask& t = update_tasks_[num_update_tasks_++];
@@ -286,16 +274,10 @@ void SlackEngine::update(ThreadPool* pool) {
     // pass re-derives (at least) this cone, at the same per-node cost as
     // the full levelized sweep — so past kFullSweepNum/kFullSweepDen of the
     // cluster, re-evaluating the pass from scratch is cheaper than patching
-    // (docs/ALGORITHMS.md §7).  A level-parallel full sweep finishes ~par×
-    // sooner than the serial cone patch per node, so the cone side of the
-    // comparison is scaled by par.  full <=> cone * Den * par > nodes * Num
-    // * 2 <=> cone > limit, and the probe stops walking past the limit.
-    const std::size_t par =
-        (pooled && cl.nodes.size() >= par_min)
-            ? std::min<std::size_t>(static_cast<std::size_t>(pool->size()), 8)
-            : 1;
+    // (docs/ALGORITHMS.md §7).  full <=> cone * Den > nodes * Num * 2 <=>
+    // cone > limit, and the probe stops walking past the limit.
     const std::size_t limit =
-        cl.nodes.size() * kFullSweepNum * 2 / (kFullSweepDen * par);
+        cl.nodes.size() * kFullSweepNum * 2 / kFullSweepDen;
     // The walk records the cone: every pass's patch stays inside it, so it
     // is all a patched cluster has to re-fold.
     probe_bwd_.clear();
@@ -327,12 +309,11 @@ void SlackEngine::update(ThreadPool* pool) {
   }
   istats_.passes_reused += num_passes_total() - num_update_tasks_;
 
-  auto run_task = [this](UpdateTask& task, ThreadPool* sweep_pool) {
+  auto run_task = [this](UpdateTask& task) {
     const Cluster& cl = clusters_->cluster(ClusterId(task.cluster));
     ClusterAnalysis& ca = analyses_[task.cluster];
     if (task.full) {
-      run_pass_into(ClusterId(task.cluster), task.pass, ca.cache[task.pass],
-                    sweep_pool);
+      run_pass_into(ClusterId(task.cluster), task.pass, ca.cache[task.pass]);
       task.retraced = 2 * cl.nodes.size();  // both sides, every node
     } else {
       task.retraced = update_analysis_pass(
@@ -341,26 +322,16 @@ void SlackEngine::update(ThreadPool* pool) {
           dirty_[task.cluster].fwd, task.bwd, ca.cache[task.pass], task.ws);
     }
   };
-  if (pooled && num_update_tasks_ > 1) {
-    // Full sweeps over level-parallel-sized clusters run after the batch,
-    // one at a time with the pool chunking their wavefronts (pool jobs must
-    // not nest); everything else fans out as one task per dirty pass.
+  if (pool != nullptr && pool->size() > 1 && num_update_tasks_ > 1) {
     task_fns_.clear();
-    big_task_ids_.clear();
     for (std::size_t i = 0; i < num_update_tasks_; ++i) {
       UpdateTask* task = &update_tasks_[i];
-      const Cluster& cl = clusters_->cluster(ClusterId(task->cluster));
-      if (task->full && cl.nodes.size() >= par_min) {
-        big_task_ids_.push_back(i);
-      } else {
-        task_fns_.push_back([&run_task, task] { run_task(*task, nullptr); });
-      }
+      task_fns_.push_back([&run_task, task] { run_task(*task); });
     }
-    if (!task_fns_.empty()) pool->run_batch(task_fns_);
-    for (std::size_t i : big_task_ids_) run_task(update_tasks_[i], pool);
+    pool->run_batch(task_fns_);
   } else {
     for (std::size_t i = 0; i < num_update_tasks_; ++i) {
-      run_task(update_tasks_[i], pool);
+      run_task(update_tasks_[i]);
     }
   }
   for (std::size_t i = 0; i < num_update_tasks_; ++i) {
@@ -424,27 +395,19 @@ void SlackEngine::maybe_corrupt_cache() {
   if (!injector.should_fire(FaultSite::kCacheCorrupt)) return;
   // Pick a deterministic cached entry and flip it *after* its checksum was
   // taken, modelling silent corruption of the incremental state.
-  const std::size_t total = num_passes_total();
-  if (total == 0) return;
-  std::size_t target = injector.draw(FaultSite::kCacheCorrupt) % total;
-  for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
-    ClusterAnalysis& ca = analyses_[c];
-    if (target >= ca.breaks.size()) {
-      target -= ca.breaks.size();
-      continue;
+  if (passes_.empty()) return;
+  const PassRef& r =
+      passes_[injector.draw(FaultSite::kCacheCorrupt) % passes_.size()];
+  PassResult& res = analyses_[r.cluster].cache[r.pass];
+  for (std::size_t i = 0; i < res.ready.size(); ++i) {
+    if (res.ready.has(i)) {
+      RiseFall e = res.ready.at(i);
+      e.rise += 1000;  // 1ns of silent error
+      res.ready.set(i, e);
+      return;
     }
-    PassResult& res = ca.cache[target];
-    for (std::size_t i = 0; i < res.ready.size(); ++i) {
-      if (res.ready.has(i)) {
-        RiseFall e = res.ready.at(i);
-        e.rise += 1000;  // 1ns of silent error
-        res.ready.set(i, e);
-        return;
-      }
-    }
-    if (res.ready.size() > 0) res.ready.set(0, RiseFall{0, 0});
-    return;
   }
+  if (res.ready.size() > 0) res.ready.set(0, RiseFall{0, 0});
 }
 
 PassResult SlackEngine::run_pass(ClusterId c, std::size_t pass) const {
@@ -453,12 +416,12 @@ PassResult SlackEngine::run_pass(ClusterId c, std::size_t pass) const {
   return res;
 }
 
-void SlackEngine::run_pass_into(ClusterId c, std::size_t pass, PassResult& out,
-                                ThreadPool* pool) const {
+void SlackEngine::run_pass_into(ClusterId c, std::size_t pass,
+                                PassResult& out) const {
   const ClusterAnalysis& ca = analyses_.at(c.index());
   run_analysis_pass_into(*graph_, *sync_, clusters_->cluster(c), local_of_node_,
                          *ca.edges, ca.breaks.at(pass), ca.capture_insts,
-                         ca.assigned_mask.at(pass), out, pool);
+                         ca.assigned_mask.at(pass), out);
 }
 
 void SlackEngine::fold_node(std::uint32_t c, std::uint32_t li) {
@@ -533,12 +496,6 @@ TimePs SlackEngine::worst_terminal_slack() const {
   for (TimePs s : launch_slack_) worst = std::min(worst, s);
   for (TimePs s : capture_slack_) worst = std::min(worst, s);
   return worst;
-}
-
-std::size_t SlackEngine::num_passes_total() const {
-  std::size_t n = 0;
-  for (const ClusterAnalysis& ca : analyses_) n += ca.breaks.size();
-  return n;
 }
 
 std::size_t SlackEngine::num_requirements(ClusterId c) const {

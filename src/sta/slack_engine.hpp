@@ -21,10 +21,10 @@
 // describing local changes.  update() then re-propagates only the affected
 // reachability cone of each affected pass and re-folds only the nodes of
 // those cones, reproducing compute() bit for bit — see
-// docs/ALGORITHMS.md §7 and tests/incremental_test.cpp.  Independent dirty
-// passes are evaluated in parallel when a ThreadPool is supplied; the
-// schedule never affects results because every pass owns its result slot
-// and accumulation stays in cluster/pass order.
+// docs/ALGORITHMS.md §7 and tests/incremental_test.cpp.  With a ThreadPool,
+// every pass (compute) or dirty pass (update) is one pool task running the
+// serial sweep kernels; the schedule never affects results because every
+// pass owns its result slot and accumulation stays in cluster/pass order.
 #pragma once
 
 #include <functional>
@@ -80,11 +80,9 @@ class SlackEngine {
   SlackEngine(const TimingGraph& graph, const ClusterSet& clusters,
               const SyncModel& sync);
 
-  /// Re-evaluate every pass with the current offsets.  With a pool,
-  /// independent passes are evaluated concurrently, and passes over large
-  /// clusters additionally chunk each level wavefront across the pool
-  /// (results byte-identical either way; the two uses of the pool never
-  /// nest — batch fan-out first, then the level-parallel passes).  When no
+  /// Re-evaluate every pass with the current offsets.  With a pool, each
+  /// pass is one pool task (results byte-identical at every thread count;
+  /// the dispatch allocates nothing once the task list has grown).  When no
   /// pool is given, falls back to env_analysis_pool() (HB_THREADS).
   /// Also primes the incremental cache and clears pending invalidations.
   void compute(ThreadPool* pool = nullptr);
@@ -151,7 +149,7 @@ class SlackEngine {
   const std::vector<NodeTiming>& node_timings() const { return node_; }
 
   /// Pre-processing facts.
-  std::size_t num_passes_total() const;
+  std::size_t num_passes_total() const { return passes_.size(); }
   std::size_t num_passes(ClusterId c) const { return analyses_.at(c.index()).breaks.size(); }
   std::size_t num_requirements(ClusterId c) const;
   const std::vector<std::size_t>& breaks(ClusterId c) const {
@@ -163,16 +161,22 @@ class SlackEngine {
   /// Pass index (into breaks(cluster)) a capture instance is assigned to.
   std::size_t assigned_pass(SyncId capture) const;
 
+  /// One analysis pass: a cluster and an index into breaks(cluster).
+  struct PassRef {
+    std::uint32_t cluster;
+    std::uint32_t pass;
+  };
+  /// Every pass, in (cluster, pass) order — the unit of parallel
+  /// evaluation.  Fixed by pre-processing.
+  const std::vector<PassRef>& all_passes() const { return passes_; }
+
   /// Re-run a single pass (for path tracing / debugging).
   PassResult run_pass(ClusterId c, std::size_t pass) const;
   /// Same, writing into caller-owned buffers (no steady-state allocation).
-  /// With a pool, the sweeps run level-parallel when the cluster is large
-  /// enough (see SweepTuning); results are byte-identical either way.
-  void run_pass_into(ClusterId c, std::size_t pass, PassResult& out,
-                     ThreadPool* pool = nullptr) const;
+  void run_pass_into(ClusterId c, std::size_t pass, PassResult& out) const;
   /// Cached result of one pass (valid after compute()/update(); exposed for
-  /// the determinism sweep tests, which compare caches across thread counts
-  /// and kernel variants).
+  /// the determinism sweep tests, which compare caches across thread
+  /// counts).
   const PassResult& cached_pass(ClusterId c, std::size_t pass) const {
     return analyses_.at(c.index()).cache.at(pass);
   }
@@ -229,12 +233,8 @@ class SlackEngine {
   /// re-evaluated with full levelized sweeps instead of per-pass cone
   /// patches (docs/ALGORITHMS.md §7).  Calibrated with bench_incremental:
   /// a cone re-derivation touches the same per-node work as the full sweep,
-  /// so past ~half the cluster the sweep's linear access pattern wins.
-  /// When a pool can level-parallelise the full sweep (cluster at least
-  /// SweepTuning::min_parallel_nodes), the sweep's wall-clock cost drops by
-  /// roughly the worker count while the (serial) cone patch does not, so
-  /// the comparison scales the cone side by that factor — the choice only
-  /// moves the patch/sweep crossover; both strategies are bit-identical.
+  /// so past ~half the cluster the sweep's linear access pattern wins.  Both
+  /// strategies are bit-identical; the choice only trades constant factors.
   static constexpr std::size_t kFullSweepNum = 1;
   static constexpr std::size_t kFullSweepDen = 2;
 
@@ -255,6 +255,7 @@ class SlackEngine {
 
   std::vector<std::uint32_t> local_of_node_;
   std::vector<ClusterAnalysis> analyses_;
+  std::vector<PassRef> passes_;
   std::vector<std::uint32_t> assigned_pass_of_capture_;  // by SyncId
 
   std::vector<ClusterDirty> dirty_;  // by cluster
@@ -264,7 +265,8 @@ class SlackEngine {
 
   // -- Persistent update()/compute() machinery ----------------------------
   // Task slots, closures and seed buffers are reused across calls (grown,
-  // never shrunk), so steady-state updates perform no heap allocation.
+  // never shrunk), so steady-state computes and updates perform no heap
+  // allocation.
   struct UpdateTask {
     std::uint32_t cluster = 0;
     std::uint32_t pass = 0;
@@ -275,13 +277,10 @@ class SlackEngine {
   };
   std::vector<UpdateTask> update_tasks_;
   std::size_t num_update_tasks_ = 0;
+  /// Pool tasks of compute()/update(); each closure captures two pointers,
+  /// which libstdc++'s std::function stores inline, so refilling allocates
+  /// nothing.
   std::vector<std::function<void()>> task_fns_;
-  /// (cluster, pass) pairs big enough for level-parallel sweeps; these run
-  /// on the calling thread with the pool chunking their wavefronts, after
-  /// the batch of small passes (the pool is not re-entrant, so the two
-  /// parallelism modes never nest).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> big_passes_;
-  std::vector<std::size_t> big_task_ids_;  // update(): tasks run pool-swept
   std::vector<std::uint32_t> dirty_clusters_;
   std::vector<std::uint32_t> probe_bwd_;  // union backward seeds (cost probe)
   PassWorkspace probe_ws_;

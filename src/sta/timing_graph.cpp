@@ -317,8 +317,6 @@ void TimingGraph::compute_topo() {
     if (indeg[i] == 0) frontier.push_back(TNodeId(i));
   }
   num_levels_ = 0;
-  level_offsets_.clear();
-  level_offsets_.push_back(0);
   while (!frontier.empty()) {
     for (TNodeId u : frontier) {
       topo_.push_back(u);
@@ -330,7 +328,6 @@ void TimingGraph::compute_topo() {
       }
     }
     ++num_levels_;
-    level_offsets_.push_back(static_cast<std::uint32_t>(topo_.size()));
     std::sort(next.begin(), next.end(),
               [](TNodeId a, TNodeId b) { return a.value() < b.value(); });
     frontier.swap(next);

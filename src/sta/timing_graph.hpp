@@ -138,14 +138,6 @@ class TimingGraph {
   /// 1 + max level over all nodes (0 for an empty graph).
   std::uint32_t num_levels() const { return num_levels_; }
 
-  /// CSR boundaries of the level wavefronts inside topo_order(): the nodes
-  /// of level L are topo_order()[level_offsets()[L], level_offsets()[L+1]).
-  /// Size num_levels() + 1; every arc crosses strictly forward across these
-  /// boundaries, so the slice of one level is a data-parallel wavefront.
-  const std::vector<std::uint32_t>& level_offsets() const {
-    return level_offsets_;
-  }
-
   /// Footprint of re-evaluating one instance's delays in place.
   struct DelayUpdate {
     /// Arcs whose delay actually changed (seed the analysis dirty cones).
@@ -191,7 +183,6 @@ class TimingGraph {
   std::vector<TNodeId> top_port_node_;
   std::vector<TNodeId> topo_;
   std::vector<std::uint32_t> level_;          // by node index
-  std::vector<std::uint32_t> level_offsets_;  // [num_levels + 1], into topo_
   std::uint32_t num_levels_ = 0;
   // Component arc ids of each instance, in the creation order of
   // DelayCalculator::arcs_of (CSR over instances; ids follow the sweep-order

@@ -1,13 +1,13 @@
 // Small fixed-size worker pool for evaluating independent analysis passes
-// and for chunked data-parallel sweeps.
+// and for chunked data-parallel loops.
 //
 // The pool runs *jobs*: run_batch() hands every worker (plus the calling
 // thread) tasks from a shared atomic counter and returns when all tasks have
 // finished; parallel_for() does the same over fixed-size index chunks of a
 // range.  Tasks and chunks must be independent — the slack engine guarantees
 // this by giving every (cluster, pass) task its own result slot, and the
-// level-parallel sweep kernels by writing only the nodes of their own chunk
-// — so the schedule never affects results, only wall-clock time.
+// hold checker by giving every chunk its own per-worker scratch — so the
+// schedule never affects results, only wall-clock time.
 //
 // Chunk boundaries in parallel_for are a pure function of (n, grain), never
 // of the worker count or the schedule: determinism across thread counts is
@@ -98,7 +98,7 @@ class ThreadPool {
 
   /// Reusable per-worker scratch of type T: one instance per (pool, worker,
   /// T), default-constructed on first use and reused across tasks, chunks
-  /// and jobs ever after — parallel sweeps keep their zero-steady-state-
+  /// and jobs ever after — parallel loops keep their zero-steady-state-
   /// allocation guarantee by parking grow-only buffers here.  Only the
   /// worker executing under index `worker` may touch its slot during a job
   /// (slots of distinct workers are independent).
@@ -165,10 +165,11 @@ class ThreadPool {
 };
 
 /// Process-wide pool configured by the HB_THREADS environment variable, or
-/// nullptr when unset / not greater than 1.  SlackEngine::compute()/update()
-/// fall back to it when given no explicit pool, which lets CI force the
-/// parallel sweep machinery through every tier-1 test without touching test
-/// code (the pool serialises concurrent submitters internally).
+/// nullptr when unset / not greater than 1.  SlackEngine and CornerAnalysis
+/// compute()/update() fall back to it when given no explicit pool, which
+/// lets CI push the pass-task fan-out through every analysis in the tier-1
+/// suite without touching test code (the pool serialises concurrent
+/// submitters internally).
 ThreadPool* env_analysis_pool();
 
 }  // namespace hb

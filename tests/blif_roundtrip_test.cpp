@@ -3,7 +3,7 @@
 // Contract: emitting any generator network as BLIF and re-reading it yields
 // a design whose analysis is indistinguishable from the in-memory original
 // — byte-identical worst-K reports, timing summaries and cached PassResult
-// arrays — across thread counts and kernel variants.  The writer/reader
+// arrays — across thread counts.  The writer/reader
 // pair is also a fixpoint: serialising the re-read design reproduces the
 // BLIF text exactly.
 #include <gtest/gtest.h>
@@ -46,45 +46,37 @@ TEST(BlifRoundTripTest, ByteIdenticalReportsOnEveryGeneratorNetwork) {
   }
 }
 
-// The re-read design must stay inside the determinism envelope the parallel
-// sweeps guarantee: every {1,8}-thread x {scalar, simd} combination on the
-// round-tripped design reproduces the original's serial scalar results to
-// the byte (reusing the parallel_sweep byte-comparison helpers).
-TEST(BlifRoundTripTest, ByteIdenticalAcrossThreadCountsAndKernels) {
-  KernelConfigGuard guard;
+// The re-read design must stay inside the determinism envelope of parallel
+// pass evaluation: at {1,8} threads the round-tripped design reproduces the
+// original's serial results to the byte (reusing the parallel_sweep
+// byte-comparison helpers).
+TEST(BlifRoundTripTest, ByteIdenticalAcrossThreadCounts) {
   for (Workload& w : all_generator_networks()) {
     SCOPED_TRACE(w.name);
     const std::string text = blif_to_string(w.design);
     const Design rt = blif_design_from_string(text, w.design.lib_ptr());
 
-    set_kernel_mode(KernelMode::kForceScalar);
-    set_sweep_tuning(SweepTuning{});
     Hummingbird baseline(w.design, w.clocks);
     baseline.analyze();
     const std::vector<std::uint8_t> want = pass_bytes(baseline.engine());
     const std::string want_report = baseline.report(8);
     ASSERT_FALSE(want.empty());
 
-    set_sweep_tuning(SweepTuning{1, 4});
-    for (const KernelMode mode : {KernelMode::kForceScalar, KernelMode::kAuto}) {
-      for (const int threads : {1, 8}) {
-        SCOPED_TRACE(std::string(mode == KernelMode::kAuto ? "auto" : "scalar") +
-                     "/" + std::to_string(threads) + "t");
-        set_kernel_mode(mode);
-        std::unique_ptr<ThreadPool> pool;
-        HummingbirdOptions opt;
-        if (threads > 1) {
-          pool = std::make_unique<ThreadPool>(threads);
-          opt.alg1.pool = pool.get();
-        }
-        Hummingbird analyser(rt, w.clocks, opt);
-        analyser.analyze();
-        const std::vector<std::uint8_t> got = pass_bytes(analyser.engine());
-        ASSERT_EQ(got.size(), want.size());
-        EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
-            << "round-tripped PassResult arrays diverged from the original";
-        EXPECT_EQ(analyser.report(8), want_report);
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(std::to_string(threads) + "t");
+      std::unique_ptr<ThreadPool> pool;
+      HummingbirdOptions opt;
+      if (threads > 1) {
+        pool = std::make_unique<ThreadPool>(threads);
+        opt.alg1.pool = pool.get();
       }
+      Hummingbird analyser(rt, w.clocks, opt);
+      analyser.analyze();
+      const std::vector<std::uint8_t> got = pass_bytes(analyser.engine());
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
+          << "round-tripped PassResult arrays diverged from the original";
+      EXPECT_EQ(analyser.report(8), want_report);
     }
   }
 }

@@ -3,7 +3,7 @@
 // The load-bearing contract: a K=1 identity CornerSet run through
 // CornerAnalysis is byte-identical — cached PassResult buffers, report
 // text, slacks and hold pairs — to the legacy single-corner engine, on
-// every generator network, at every thread count and kernel variant.  On
+// every generator network, at every thread count.  On
 // top of that the suite pins the cross-corner merge tie-break (equal worst
 // slack resolves to the lowest corner index), holds incremental update()
 // bit-exact against a fresh compute() per corner, exercises the
@@ -54,15 +54,12 @@ CornerSet three_corners() {
 }
 
 // Satellite 1: the K=1 identity run reproduces the legacy engine byte for
-// byte — PassResult buffers and the report string — across {1,8} threads ×
-// {forced-scalar, auto/AVX2}, on every generator network.
+// byte — PassResult buffers and the report string — across {1,8} threads,
+// on every generator network.
 TEST(CornerTest, IdentityKOneMatchesLegacyByteForByte) {
-  KernelConfigGuard guard;
   for (Workload& w : all_generator_networks()) {
     SCOPED_TRACE(w.name);
 
-    set_kernel_mode(KernelMode::kForceScalar);
-    set_sweep_tuning(SweepTuning{});
     Hummingbird baseline(w.design, w.clocks);
     baseline.analyze();
     const std::vector<std::uint8_t> want = pass_bytes(baseline.engine());
@@ -70,38 +67,33 @@ TEST(CornerTest, IdentityKOneMatchesLegacyByteForByte) {
     const auto want_hold = baseline.check_hold_times(0);
     ASSERT_FALSE(want.empty());
 
-    set_sweep_tuning(SweepTuning{1, 4});  // force the level-parallel path
-    for (const KernelMode mode : {KernelMode::kForceScalar, KernelMode::kAuto}) {
-      for (const int threads : {1, 8}) {
-        SCOPED_TRACE(std::string(mode == KernelMode::kAuto ? "auto" : "scalar") +
-                     "/" + std::to_string(threads) + "t");
-        set_kernel_mode(mode);
-        std::unique_ptr<ThreadPool> pool;
-        HummingbirdOptions opt;
-        if (threads > 1) {
-          pool = std::make_unique<ThreadPool>(threads);
-          opt.alg1.pool = pool.get();
-        }
-        Hummingbird analyser(w.design, w.clocks, opt);
-        analyser.analyze();
-        CornerAnalysis ca(analyser.engine(), CornerSet::identity());
-        ca.compute(pool.get());
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(std::to_string(threads) + "t");
+      std::unique_ptr<ThreadPool> pool;
+      HummingbirdOptions opt;
+      if (threads > 1) {
+        pool = std::make_unique<ThreadPool>(threads);
+        opt.alg1.pool = pool.get();
+      }
+      Hummingbird analyser(w.design, w.clocks, opt);
+      analyser.analyze();
+      CornerAnalysis ca(analyser.engine(), CornerSet::identity());
+      ca.compute(pool.get());
 
-        const std::vector<std::uint8_t> got = corner_pass_bytes(ca);
-        ASSERT_EQ(got.size(), want.size());
-        EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
-            << "K=1 identity lane diverged from the legacy PassResult bytes";
-        EXPECT_EQ(ca.report(0, 8), want_report);
-        EXPECT_EQ(ca.worst_terminal_slack(0),
-                  baseline.engine().worst_terminal_slack());
+      const std::vector<std::uint8_t> got = corner_pass_bytes(ca);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
+          << "K=1 identity lane diverged from the legacy PassResult bytes";
+      EXPECT_EQ(ca.report(0, 8), want_report);
+      EXPECT_EQ(ca.worst_terminal_slack(0),
+                baseline.engine().worst_terminal_slack());
 
-        const auto hold = ca.check_hold_times(0, 0, pool.get());
-        ASSERT_EQ(hold.size(), want_hold.size());
-        for (std::size_t i = 0; i < hold.size(); ++i) {
-          EXPECT_EQ(hold[i].launch, want_hold[i].launch);
-          EXPECT_EQ(hold[i].capture, want_hold[i].capture);
-          EXPECT_EQ(hold[i].margin, want_hold[i].margin);
-        }
+      const auto hold = ca.check_hold_times(0, 0, pool.get());
+      ASSERT_EQ(hold.size(), want_hold.size());
+      for (std::size_t i = 0; i < hold.size(); ++i) {
+        EXPECT_EQ(hold[i].launch, want_hold[i].launch);
+        EXPECT_EQ(hold[i].capture, want_hold[i].capture);
+        EXPECT_EQ(hold[i].margin, want_hold[i].margin);
       }
     }
   }
@@ -175,10 +167,6 @@ TEST(CornerTest, CrossCornerTieBreakPrefersLowestIndex) {
 // reproduces a from-scratch compute() bit for bit in every corner, serial
 // and pooled.
 TEST(CornerTest, IncrementalUpdateMatchesFreshCompute) {
-  KernelConfigGuard guard;
-  set_kernel_mode(KernelMode::kAuto);
-  set_sweep_tuning(SweepTuning{1, 4});
-
   for (Workload& w : all_generator_networks()) {
     SCOPED_TRACE(w.name);
     ThreadPool pool(8);

@@ -1,12 +1,11 @@
-// Determinism of the level-parallel + SIMD wavefront kernels.
+// Determinism of parallel pass evaluation.
 //
-// The contract (docs/PERFORMANCE.md §8): run_analysis_pass_into produces
-// byte-identical PassResult arrays — not just semantically equal slots —
-// for every combination of kernel variant (forced scalar vs auto-dispatched
-// SIMD) and thread count (serial, 2, 8), on every generator network.  Worst-
-// path reports, which read the cached passes through the accumulation layer,
-// must therefore also be byte-identical strings.  The sweep tuning is forced
-// down so even the small networks take the level-parallel path.
+// The contract (docs/PERFORMANCE.md §8): an analysis whose passes fan out
+// as pool tasks produces byte-identical cached PassResult arrays — not just
+// semantically equal slots — at every thread count (serial, 2, 8), on every
+// generator network.  Worst-path reports, which read the cached passes
+// through the accumulation layer, must therefore also be byte-identical
+// strings.
 //
 // Also proves the pool survives faults mid-sweep: a kPoolTask fault injected
 // into a parallel compute() surfaces as FaultInjectedError after the sweep
@@ -30,44 +29,35 @@
 namespace hb {
 namespace {
 
-TEST(ParallelSweepTest, ByteIdenticalAcrossThreadCountsAndKernels) {
-  KernelConfigGuard guard;
+TEST(ParallelSweepTest, ByteIdenticalAcrossThreadCounts) {
   for (Workload& w : all_generator_networks()) {
     SCOPED_TRACE(w.name);
 
-    // Baseline: serial forced-scalar analysis at default tuning.
-    set_kernel_mode(KernelMode::kForceScalar);
-    set_sweep_tuning(SweepTuning{});
+    // Baseline: serial analysis.
     Hummingbird baseline(w.design, w.clocks);
     baseline.analyze();
     const std::vector<std::uint8_t> want = pass_bytes(baseline.engine());
     const std::string want_report = baseline.report(8);
     ASSERT_FALSE(want.empty());
 
-    // Force the level-parallel path through every cluster and chunk even
-    // tiny levels: results must not move by a single byte.
-    set_sweep_tuning(SweepTuning{1, 4});
-    for (const KernelMode mode : {KernelMode::kForceScalar, KernelMode::kAuto}) {
-      for (const int threads : {1, 2, 8}) {
-        SCOPED_TRACE(std::string(mode == KernelMode::kAuto ? "auto" : "scalar") +
-                     "/" + std::to_string(threads) + "t");
-        set_kernel_mode(mode);
-        std::unique_ptr<ThreadPool> pool;
-        HummingbirdOptions opt;
-        if (threads > 1) {
-          pool = std::make_unique<ThreadPool>(threads);
-          opt.alg1.pool = pool.get();
-        }
-        Hummingbird analyser(w.design, w.clocks, opt);
-        analyser.analyze();
-        const std::vector<std::uint8_t> got = pass_bytes(analyser.engine());
-        ASSERT_EQ(got.size(), want.size());
-        EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
-            << "cached PassResult arrays diverged from serial scalar";
-        EXPECT_EQ(analyser.report(8), want_report);
-        EXPECT_EQ(analyser.check_hold_times(0, pool.get()).size(),
-                  baseline.check_hold_times(0).size());
+    // Every pass a pool task: results must not move by a single byte.
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE(std::to_string(threads) + "t");
+      std::unique_ptr<ThreadPool> pool;
+      HummingbirdOptions opt;
+      if (threads > 1) {
+        pool = std::make_unique<ThreadPool>(threads);
+        opt.alg1.pool = pool.get();
       }
+      Hummingbird analyser(w.design, w.clocks, opt);
+      analyser.analyze();
+      const std::vector<std::uint8_t> got = pass_bytes(analyser.engine());
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
+          << "cached PassResult arrays diverged from serial";
+      EXPECT_EQ(analyser.report(8), want_report);
+      EXPECT_EQ(analyser.check_hold_times(0, pool.get()).size(),
+                baseline.check_hold_times(0).size());
     }
   }
 }
@@ -75,10 +65,6 @@ TEST(ParallelSweepTest, ByteIdenticalAcrossThreadCountsAndKernels) {
 // The incremental layer must stay byte-identical too: a parallel update()
 // over a dirty offset reproduces the parallel (and serial) full compute().
 TEST(ParallelSweepTest, ParallelUpdateMatchesParallelCompute) {
-  KernelConfigGuard guard;
-  set_kernel_mode(KernelMode::kAuto);
-  set_sweep_tuning(SweepTuning{1, 4});
-
   auto lib = make_standard_library();
   RandomNetworkSpec spec;
   spec.seed = 11;
@@ -119,10 +105,6 @@ TEST(ParallelSweepTest, ParallelUpdateMatchesParallelCompute) {
 // the whole sweep drains, and must not poison the pool or the engine: the
 // next compute() on the same objects is bit-identical to a fresh serial run.
 TEST(ParallelSweepTest, PoolTaskFaultDrainsWithoutPoisoning) {
-  KernelConfigGuard guard;
-  set_kernel_mode(KernelMode::kAuto);
-  set_sweep_tuning(SweepTuning{1, 4});
-
   auto lib = make_standard_library();
   const Design des = make_des(lib);
   const ClockSet clocks = make_single_clock(ns(6), ps(2400));

@@ -22,17 +22,6 @@
 
 namespace hb {
 
-// Restore process-wide kernel mode and sweep tuning on scope exit so a
-// failing assertion cannot leak a forced configuration into other tests.
-struct KernelConfigGuard {
-  KernelMode mode = kernel_mode();
-  SweepTuning tuning = sweep_tuning();
-  ~KernelConfigGuard() {
-    set_kernel_mode(mode);
-    set_sweep_tuning(tuning);
-  }
-};
-
 struct Workload {
   std::string name;
   Design design;
