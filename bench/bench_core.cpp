@@ -239,7 +239,8 @@ struct CoreReport {
   double reference_pass_eval_us = 0; // pre-CSR kernels, all passes
   double node_evals_per_sec = 0;
   double allocs_per_pass = 0;        // steady-state compute()
-  double update_allocs = 0;          // steady-state update(), per update
+  double update_allocs = 0;          // steady-state update_terminals() +
+                                     // update(), per round
   double parallel_allocs = 0;        // steady-state pooled compute(), per pass
   std::vector<std::pair<int, double>> scaling;  // (threads, compute() us)
   bool bit_identical = false;
@@ -380,8 +381,9 @@ CoreReport measure(Workload& w, int reps, const std::vector<int>& thread_counts)
   engine.compute();
   rep.full_analysis_us = time_us(reps, [&] { engine.compute(); });
 
-  // Steady-state allocation counts.  compute() over a warm cache and
-  // update() over warm workspaces must both be allocation-free.
+  // Steady-state allocation counts.  compute() over a warm cache, and
+  // update_terminals() and update() over warm workspaces, must all be
+  // allocation-free.
   {
     engine.compute();  // warm
     const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
@@ -398,15 +400,18 @@ CoreReport measure(Workload& w, int reps, const std::vector<int>& thread_counts)
     const TNodeId probe = clusters.num_clusters() > 0
                               ? clusters.cluster(ClusterId(0)).nodes.front()
                               : TNodeId(0);
-    engine.invalidate_node(probe);
-    engine.update();
-    engine.invalidate_node(probe);
-    engine.update();  // warm twice: first update grows task slots
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    for (int r = 0; r < 10; ++r) {
+    // Each round is a commit in miniature: a delay edit, a terminal-only
+    // step (row re-sweep plus table evaluation), then the node-level update.
+    auto round = [&] {
       engine.invalidate_node(probe);
+      if (sync.num_instances() > 0) engine.invalidate_offsets(SyncId(0));
+      engine.update_terminals();
       engine.update();
-    }
+    };
+    round();
+    round();  // warm twice: first update grows task slots
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    for (int r = 0; r < 10; ++r) round();
     const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
     rep.update_allocs = static_cast<double>(after - before) / 10.0;
   }

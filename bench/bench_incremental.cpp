@@ -8,6 +8,13 @@
 // thread pool.  All three produce bit-identical results (asserted here and
 // in tests/incremental_test.cpp); only the work differs.
 //
+// A third scenario is a whole commit as the service runs it: one absorbed
+// delay edit, then reanalyze() + generate_constraints().  Algorithm 1's and
+// 2's steps refresh terminal slacks from the terminal delay table; node
+// results are derived only at Algorithm 1's exit and Algorithm 2's two
+// recording points.  The entry counts that work and checks the final state
+// bit for bit against a fresh analyser with the same edit history.
+//
 // Writes BENCH_incremental.json with per-network timings; the headline
 // figure is the incremental speedup for single-instance offset
 // perturbations on the largest generated network.
@@ -24,6 +31,7 @@
 #include "gen/random_network.hpp"
 #include "netlist/stdcells.hpp"
 #include "sta/cluster.hpp"
+#include "sta/hummingbird.hpp"
 #include "sta/slack_engine.hpp"
 #include "util/thread_pool.hpp"
 #include "util/time.hpp"
@@ -69,9 +77,22 @@ void perturb_offset(SyncModel& sync, const std::vector<SyncId>& latches, int k) 
   si.shift(delta);
 }
 
+// One absorbed edit's commit: reanalyze() + generate_constraints().  Counts
+// are per commit: node_updates is the most node-level update() calls any
+// one commit made, the rest are means.
+struct CommitReport {
+  double us = 0;
+  std::uint64_t node_updates = 0;
+  double terminal_updates = 0;
+  double nodes_retraced = 0;
+  double rows_reswept = 0;
+  bool bit_identical = false;
+};
+
 struct Report {
   Timings offset;
   Timings delay;
+  CommitReport commit;
   std::size_t nodes = 0;
   std::size_t arcs = 0;
   std::size_t passes = 0;
@@ -187,6 +208,95 @@ Report measure(Workload& w, ThreadPool& pool, int reps) {
   return rep;
 }
 
+bool same_results(const Hummingbird& a, const Hummingbird& b,
+                  const ConstraintSet& ca, const ConstraintSet& cb) {
+  const SlackEngine& x = a.engine();
+  const SlackEngine& y = b.engine();
+  for (std::uint32_t i = 0; i < x.sync().num_instances(); ++i) {
+    if (x.launch_slack(SyncId(i)) != y.launch_slack(SyncId(i)) ||
+        x.capture_slack(SyncId(i)) != y.capture_slack(SyncId(i))) {
+      return false;
+    }
+  }
+  for (std::uint32_t n = 0; n < x.graph().num_nodes(); ++n) {
+    const NodeTiming& p = x.node_timing(TNodeId(n));
+    const NodeTiming& q = y.node_timing(TNodeId(n));
+    if (p.slack != q.slack || !(p.ready == q.ready) ||
+        !(p.required == q.required) || p.has_ready != q.has_ready ||
+        p.has_constraint != q.has_constraint ||
+        p.settling_count != q.settling_count) {
+      return false;
+    }
+    const ConstraintTimes& s = ca.nodes[n];
+    const ConstraintTimes& t = cb.nodes[n];
+    if (s.has_ready != t.has_ready || !(s.ready == t.ready) ||
+        s.has_required != t.has_required || !(s.required == t.required) ||
+        s.slack != t.slack) {
+      return false;
+    }
+  }
+  return ca.backward_snatch_cycles == cb.backward_snatch_cycles &&
+         ca.forward_snatch_cycles == cb.forward_snatch_cycles;
+}
+
+CommitReport measure_commit(const Workload& w, int commits) {
+  CommitReport rep;
+  Hummingbird hb(w.design, w.clocks);
+  hb.analyze();
+  hb.generate_constraints();
+  std::vector<InstId> comb;
+  for (std::uint32_t i = 0; i < w.design.top().insts().size(); ++i) {
+    const Instance& inst = w.design.top().inst(InstId(i));
+    if (inst.is_cell() && !w.design.lib().cell(inst.cell).is_sequential()) {
+      comb.push_back(InstId(i));
+    }
+  }
+  std::vector<InstDelayAdjust> history;
+  ConstraintSet cs;
+  double total_us = 0;
+  int done = 0;
+  for (int k = 0; done < commits && k < 4 * commits; ++k) {
+    const InstId inst = comb[static_cast<std::size_t>(k * 37) % comb.size()];
+    const TimePs delta = (k % 2 == 0) ? 9 : -4;
+    hb.calculator_mut().adjust_instance(inst, delta);
+    history.push_back({inst, delta});
+    if (!hb.update_instance_delays(inst)) {
+      // Not absorbable (reaches a control pin): undo and pick another.
+      hb.calculator_mut().adjust_instance(inst, -delta);
+      history.pop_back();
+      hb.update_instance_delays(inst);
+      continue;
+    }
+    const IncrementalStats before = hb.engine().incremental_stats();
+    const auto start = std::chrono::steady_clock::now();
+    hb.reanalyze();
+    cs = hb.generate_constraints();
+    total_us += 1e6 * seconds_since(start);
+    const IncrementalStats after = hb.engine().incremental_stats();
+    rep.node_updates =
+        std::max<std::uint64_t>(rep.node_updates, after.updates - before.updates);
+    rep.terminal_updates +=
+        static_cast<double>(after.terminal_updates - before.terminal_updates);
+    rep.nodes_retraced +=
+        static_cast<double>(after.nodes_retraced - before.nodes_retraced);
+    rep.rows_reswept += static_cast<double>(after.rows_swept - before.rows_swept);
+    ++done;
+  }
+  if (done == 0) return rep;
+  rep.us = total_us / done;
+  rep.terminal_updates /= done;
+  rep.nodes_retraced /= done;
+  rep.rows_reswept /= done;
+
+  HummingbirdOptions opt;
+  opt.delay_adjust = history;
+  Hummingbird fresh(w.design, w.clocks, opt);
+  fresh.analyze();
+  const ConstraintSet want = fresh.generate_constraints();
+  rep.bit_identical = same_results(hb, fresh, cs, want);
+  return rep;
+}
+
 }  // namespace
 }  // namespace hb
 
@@ -244,9 +354,11 @@ int main(int argc, char** argv) {
                static_cast<int>(std::thread::hardware_concurrency()));
 
   double largest_speedup = 0;
+  bool all_identical = true;
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     Workload& w = workloads[i];
-    const Report rep = measure(w, pool, 200);
+    Report rep = measure(w, pool, 200);
+    rep.commit = measure_commit(w, 20);
     largest_speedup = rep.offset.speedup();  // workloads are ordered by size
     std::printf("%-16s %8zu %8zu %7zu | %10.1f %10.1f %10.1f %7.1fx %7.1fx\n",
                 w.name.c_str(), rep.nodes, rep.arcs, rep.passes,
@@ -257,6 +369,14 @@ int main(int argc, char** argv) {
                 "", "", "", "", rep.delay.full_us, rep.delay.incremental_us,
                 rep.delay.parallel_us, rep.delay.speedup(),
                 rep.delay.parallel_speedup(), rep.retraced_per_update);
+    std::printf("%-16s commit %.1f us: %llu node updates, %.1f terminal "
+                "updates, %.0f nodes retraced, %.1f rows reswept, %s\n",
+                "", rep.commit.us,
+                static_cast<unsigned long long>(rep.commit.node_updates),
+                rep.commit.terminal_updates, rep.commit.nodes_retraced,
+                rep.commit.rows_reswept,
+                rep.commit.bit_identical ? "bit-identical" : "DIFFERS");
+    all_identical = all_identical && rep.commit.bit_identical;
     std::fprintf(json,
                  "    {\"name\": \"%s\", \"nodes\": %zu, \"arcs\": %zu, "
                  "\"passes\": %zu,\n"
@@ -268,6 +388,9 @@ int main(int argc, char** argv) {
                  "\"speedup\": %.2f, \"parallel_speedup\": %.2f},\n"
                  "     \"strategy\": {\"cone_updates\": %llu, "
                  "\"full_sweeps\": %llu},\n"
+                 "     \"commit\": {\"us\": %.1f, \"node_updates\": %llu, "
+                 "\"terminal_updates\": %.1f, \"nodes_retraced\": %.1f, "
+                 "\"rows_reswept\": %.1f, \"bit_identical\": %s},\n"
                  "     \"retraced_nodes_per_update\": %.1f}%s\n",
                  w.name.c_str(), rep.nodes, rep.arcs, rep.passes,
                  rep.offset.full_us, rep.offset.incremental_us,
@@ -277,14 +400,20 @@ int main(int argc, char** argv) {
                  rep.delay.speedup(), rep.delay.parallel_speedup(),
                  static_cast<unsigned long long>(rep.cone_updates),
                  static_cast<unsigned long long>(rep.full_sweeps),
+                 rep.commit.us,
+                 static_cast<unsigned long long>(rep.commit.node_updates),
+                 rep.commit.terminal_updates, rep.commit.nodes_retraced,
+                 rep.commit.rows_reswept,
+                 rep.commit.bit_identical ? "true" : "false",
                  rep.retraced_per_update,
                  i + 1 < workloads.size() ? "," : "");
   }
   std::fprintf(json,
-               "  ],\n  \"largest_network_offset_speedup\": %.2f\n}\n",
-               largest_speedup);
+               "  ],\n  \"largest_network_offset_speedup\": %.2f,\n"
+               "  \"commit_bit_identical\": %s\n}\n",
+               largest_speedup, all_identical ? "true" : "false");
   std::fclose(json);
   std::printf("\nwrote BENCH_incremental.json (largest-network offset speedup: %.1fx)\n",
               largest_speedup);
-  return 0;
+  return all_identical ? 0 : 1;
 }

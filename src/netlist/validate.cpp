@@ -152,8 +152,11 @@ class FlatChecker {
   // polarity must be unique (the paper's "monotonic combinational logic
   // function of exactly one clock signal").  Cones may also include
   // synchronising element outputs (enable paths) — those do not carry clock
-  // polarity.
+  // polarity.  A cone's verdict depends only on its control net, so each
+  // net is walked once however many elements share it (a design's latches
+  // mostly hang off a few clock nets).
   void check_control_cones() {
+    cone_of_net_.assign(top_.num_nets(), -1);
     for (std::uint32_t i = 0; i < top_.insts().size(); ++i) {
       const Instance& inst = top_.inst(InstId(i));
       if (!inst.is_cell()) continue;
@@ -172,11 +175,16 @@ class FlatChecker {
   };
 
   void trace_control(InstId elem, const std::string& elem_name, NetId net) {
-    // Polarity of each net w.r.t. the clock: 0 unvisited, +1 positive,
-    // -1 negative, 2 conflict/non-unate.
-    std::unordered_map<std::uint32_t, int> polarity;
-    ConeResult res;
-    walk_cone(net, +1, polarity, res);
+    int& memo = cone_of_net_[net.value()];
+    if (memo < 0) {
+      // Polarity of each net w.r.t. the clock: +1 positive, -1 negative.
+      std::unordered_map<std::uint32_t, int> polarity;
+      ConeResult walked;
+      walk_cone(net, +1, polarity, walked);
+      memo = static_cast<int>(cones_.size());
+      cones_.push_back(std::move(walked));
+    }
+    const ConeResult& res = cones_[static_cast<std::size_t>(memo)];
     if (!res.monotonic) {
       finding(DiagCode::kDesignControlCone,
               "control input of '" + elem_name +
@@ -216,6 +224,7 @@ class FlatChecker {
       }
     }
     // Walk through combinational drivers.
+    report_.control_cone_pins_visited += net.pins.size();
     for (const PinRef& pin : net.pins) {
       const Instance& inst = top_.inst(pin.inst);
       if (d_.target_port_dir(inst, pin.port) != PortDirection::kOutput) continue;
@@ -244,6 +253,8 @@ class FlatChecker {
   const Design& d_;
   const Module& top_;
   ValidationReport& report_;
+  std::vector<int> cone_of_net_;  // [net] index into cones_, or -1
+  std::vector<ConeResult> cones_;
 };
 
 }  // namespace

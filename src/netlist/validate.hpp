@@ -34,6 +34,9 @@ struct ValidationReport {
   std::vector<std::string> errors;
   /// Structured findings, parallel to `errors`.
   std::vector<ValidationFinding> findings;
+  /// Work counter: net pins the control-cone check scanned (each distinct
+  /// control net's cone is walked once).
+  std::size_t control_cone_pins_visited = 0;
   bool ok() const { return errors.empty(); }
   /// All errors joined with newlines (empty when ok()).
   std::string to_string() const;

@@ -512,17 +512,12 @@ std::vector<SlowPath> CornerAnalysis::slow_paths(std::size_t k,
   if (violators.size() > max_paths) violators.resize(max_paths);
 
   std::vector<SlowPath> out;
-  CornerPassResult res(corners_.size());
   for (SyncId cap : violators) {
     const SyncInstance& si = sync.at(cap);
     const ClusterId c = engine_->clusters().cluster_of(si.data_in);
     if (!c.valid()) continue;
-    const std::size_t pass = engine_->assigned_pass(cap);
-    run_corner_pass_into(engine_->graph(), sync,
-                         engine_->clusters().cluster(c), local_of_node_,
-                         engine_->edge_graph(c), engine_->breaks(c)[pass],
-                         engine_->capture_insts(c),
-                         engine_->assigned_mask(c, pass), delays_, res);
+    // The slacks above come from the cached K-lane passes: trace the same.
+    const CornerPassResult& res = cached_pass(c, engine_->assigned_pass(cap));
 
     SlowPath path;
     path.slack = capture_slack(k, cap);
@@ -569,17 +564,12 @@ std::vector<CornerPath> CornerAnalysis::merged_slow_paths(
   if (entries.size() > max_paths) entries.resize(max_paths);
 
   std::vector<CornerPath> out;
-  CornerPassResult res(corners_.size());
   for (const Entry& e : entries) {
     const SyncInstance& si = sync.at(e.capture);
     const ClusterId c = engine_->clusters().cluster_of(si.data_in);
     if (!c.valid()) continue;
-    const std::size_t pass = engine_->assigned_pass(e.capture);
-    run_corner_pass_into(engine_->graph(), sync,
-                         engine_->clusters().cluster(c), local_of_node_,
-                         engine_->edge_graph(c), engine_->breaks(c)[pass],
-                         engine_->capture_insts(c),
-                         engine_->assigned_mask(c, pass), delays_, res);
+    const CornerPassResult& res =
+        cached_pass(c, engine_->assigned_pass(e.capture));
     CornerPath cp;
     cp.corner = e.corner;
     cp.path.slack = e.slack;

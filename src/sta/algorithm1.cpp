@@ -55,10 +55,12 @@ Algorithm1Result run_algorithm1(SyncModel& sync, SlackEngine& engine,
     return timed_out;
   };
 
+  // The transfer sweeps read only terminal slacks, so an incremental step
+  // refreshes terminals only; node slacks are derived once, at the exit.
   auto evaluate = [&]() {
     if (options.incremental) {
       engine.invalidate_offsets(sync.drain_changed_offsets());
-      engine.update(options.pool);
+      engine.update_terminals();
     } else {
       sync.drain_changed_offsets();
       engine.compute(options.pool);
@@ -67,7 +69,12 @@ Algorithm1Result run_algorithm1(SyncModel& sync, SlackEngine& engine,
     return engine.worst_terminal_slack();
   };
 
+  // Every exit — the final step, the early "works as intended" return and
+  // budget exhaustion — leaves the engine's node results at the exit offsets
+  // (the paper's "find all node slacks"), in one update() seeded by the net
+  // offset change since the previous node-level refresh.
   auto finish = [&](TimePs worst) {
+    if (options.incremental) engine.update(options.pool);
     res.status = timed_out ? AnalysisStatus::kTimedOut : AnalysisStatus::kComplete;
     res.worst_slack = worst;
     res.works_as_intended = worst > 0;

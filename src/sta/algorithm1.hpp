@@ -14,6 +14,13 @@
 // as intended").  Afterwards, every terminal on a too-slow path has a
 // non-positive slack; because of the simplified element model, marginally
 // fast paths may conservatively be flagged too (paper Section 6).
+//
+// The transfer sweeps read only the slacks at synchronising-element
+// terminals, so every intermediate evaluation is a
+// SlackEngine::update_terminals() over the terminal delay table.  Node
+// slacks are needed only by the final step ("find all node slacks"): every
+// exit of run_algorithm1 brings them to the exit offsets with one
+// SlackEngine::update().
 #pragma once
 
 #include "sta/slack_engine.hpp"
@@ -30,8 +37,10 @@ struct Algorithm1Options {
   int max_cycles = 10000;
   /// Re-evaluate slacks incrementally between sweeps: each sweep's offset
   /// edits are drained from the SyncModel change log into SlackEngine
-  /// invalidations and only the affected cones are re-propagated.  Results
-  /// are bit-identical to full recomputation (tests/incremental_test.cpp).
+  /// invalidations, intermediate steps refresh terminal slacks only, and the
+  /// exit's update() re-propagates only the cones of the net change.  When
+  /// false, every evaluation is a full compute() — the reference path.
+  /// Results are bit-identical either way (tests/incremental_test.cpp).
   bool incremental = true;
   /// Evaluate independent dirty passes on this pool when non-null.
   ThreadPool* pool = nullptr;
@@ -56,7 +65,7 @@ struct Algorithm1Result {
 };
 
 /// Runs Algorithm 1, mutating the adjustable offsets in `sync` and leaving
-/// `engine` holding the final slack state.
+/// `engine` holding the final slack state, node results included.
 Algorithm1Result run_algorithm1(SyncModel& sync, SlackEngine& engine,
                                 Algorithm1Options options = {});
 

@@ -44,9 +44,17 @@ ConstraintSet run_algorithm2(SyncModel& sync, SlackEngine& engine,
     if (!timed_out && timer.exhausted()) timed_out = true;
     return timed_out;
   };
-  // Each evaluation re-derives only the cones of the elements the previous
-  // sweep moved (the first one: whatever the change log holds on entry).
+  // The snatching sweeps read only terminal slacks: each evaluation
+  // refreshes the terminals of the clusters the previous sweep moved (the
+  // first one: whatever the change log holds on entry).
   auto evaluate = [&]() {
+    engine.invalidate_offsets(sync.drain_changed_offsets());
+    engine.update_terminals();
+  };
+  // A recording point reads node results: bring them to the current offsets
+  // in one update(), seeded by the net change since the last node-level
+  // refresh.
+  auto settle = [&]() {
     engine.invalidate_offsets(sync.drain_changed_offsets());
     engine.update(options.pool);
   };
@@ -61,6 +69,7 @@ ConstraintSet run_algorithm2(SyncModel& sync, SlackEngine& engine,
       raise("Algorithm 2 exceeded the backward-snatch cycle limit");
     }
   }
+  settle();
   for (std::uint32_t n = 0; n < engine.graph().num_nodes(); ++n) {
     const NodeTiming& nt = engine.node_timing(TNodeId(n));
     out.nodes[n].has_ready = nt.has_ready;
@@ -77,6 +86,7 @@ ConstraintSet run_algorithm2(SyncModel& sync, SlackEngine& engine,
       raise("Algorithm 2 exceeded the forward-snatch cycle limit");
     }
   }
+  settle();
   for (std::uint32_t n = 0; n < engine.graph().num_nodes(); ++n) {
     const NodeTiming& nt = engine.node_timing(TNodeId(n));
     out.nodes[n].has_required = nt.has_constraint;

@@ -55,8 +55,12 @@ struct Algorithm2Options {
 /// Runs Algorithm 2, mutating offsets in `sync`.  Call after run_algorithm1.
 ///
 /// Every slack evaluation is incremental: the change log of `sync` is
-/// drained into SlackEngine::invalidate_offsets and SlackEngine::update()
-/// re-derives the dirty cones.  Precondition: `engine` holds the results of
+/// drained into SlackEngine::invalidate_offsets, and the snatching steps
+/// refresh terminal slacks only (SlackEngine::update_terminals()).  Node
+/// results are derived only at the two recording points, each by one
+/// SlackEngine::update() seeded by the net offset change since the previous
+/// node-level refresh — also when the budget cut a phase short.
+/// Precondition: `engine` holds the results of
 /// the offsets in `sync` up to the changes still in the change log or
 /// already recorded in the engine (invalidate_*) — the state run_algorithm1,
 /// compute() and update() leave behind.  An engine with no valid cache is

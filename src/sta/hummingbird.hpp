@@ -93,9 +93,10 @@ class Hummingbird {
   /// Run Algorithm 1 from freshly initialised offsets.
   Algorithm1Result analyze();
 
-  /// Re-run Algorithm 1 keeping the engine's incremental cache: offsets are
-  /// re-initialised and the resulting invalidations drive update() instead
-  /// of a from-scratch compute().  Results match analyze() bit for bit.
+  /// Re-run Algorithm 1 keeping the engine's incremental caches: offsets are
+  /// re-initialised and the resulting invalidations drive terminal-only
+  /// steps and one node-level update() at the exit instead of a
+  /// from-scratch compute().  Results match analyze() bit for bit.
   Algorithm1Result reanalyze();
 
   /// Absorb an in-place delay change of top-level instance `inst` (e.g. a

@@ -94,7 +94,9 @@ std::vector<SlowPath> enumerate_slow_paths(const SlackEngine& engine,
     const SyncInstance& si = sync.at(cap);
     const ClusterId c = engine.clusters().cluster_of(si.data_in);
     if (!c.valid()) continue;
-    const PassResult res = engine.run_pass(c, engine.assigned_pass(cap));
+    // The cached pass is the pass run_pass() would re-evaluate: present
+    // slots are exact, and a patched absent one stays absent under has().
+    const PassResult& res = engine.cached_pass(c, engine.assigned_pass(cap));
 
     SlowPath path;
     path.slack = engine.capture_slack(cap);

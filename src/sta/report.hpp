@@ -27,7 +27,9 @@ struct SlowPath {
 };
 
 /// All capture terminals with slack below `slack_limit`, worst first,
-/// at most `max_paths` of them, each with its critical path.
+/// at most `max_paths` of them, each with its critical path, traced through
+/// the engine's cached passes (valid after compute()/update(), which every
+/// exit of Algorithms 1 and 2 performs).
 std::vector<SlowPath> enumerate_slow_paths(const SlackEngine& engine,
                                            std::size_t max_paths,
                                            TimePs slack_limit = 0);

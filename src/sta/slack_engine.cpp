@@ -1,6 +1,7 @@
 #include "sta/slack_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 
 #include "util/faultinject.hpp"
@@ -41,19 +42,29 @@ SlackEngine::SlackEngine(const TimingGraph& graph, const ClusterSet& clusters,
   launch_slack_.assign(sync.num_instances(), kInfinitePs);
   capture_slack_.assign(sync.num_instances(), kInfinitePs);
   node_.assign(graph.num_nodes(), NodeTiming{});
+
+  pass_assert_offset_.assign(sync.num_instances(), 0);
+  pass_close_offset_.assign(sync.num_instances(), 0);
+  offset_touched_flag_.assign(sync.num_instances(), 0);
+  std::size_t largest = 0;
+  for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
+    if (analyses_[c].breaks.empty()) continue;
+    prepare_table(c);
+    largest = std::max(largest, clusters.cluster(ClusterId(c)).nodes.size());
+  }
+  row_val_.assign(largest, RiseFall{-kInfinitePs, -kInfinitePs});
+  table_ws_.ensure(largest);
+  row_summary_.assign((largest + 4095) / 4096, 0);
 }
 
 void SlackEngine::prepare_cluster(ClusterId c) {
   const Cluster& cl = clusters_->cluster(c);
   ClusterAnalysis& ca = analyses_[c.index()];
 
-  // Capture instances in a fixed order.
+  // Capture instances in a fixed order: by sink node, then captures_at().
   for (TNodeId n : cl.sink_nodes) {
     for (SyncId id : sync_->captures_at(n)) ca.capture_insts.push_back(id);
   }
-  ca.terminal.assign(cl.nodes.size(), 0);
-  for (TNodeId n : cl.source_nodes) ca.terminal[local_of_node_[n.index()]] = 1;
-  for (TNodeId n : cl.sink_nodes) ca.terminal[local_of_node_[n.index()]] = 1;
 
   if (cl.source_nodes.empty() || ca.capture_insts.empty()) {
     // Pure control cones or unconstrained logic: nothing to analyse.
@@ -168,28 +179,42 @@ void SlackEngine::compute(ThreadPool* pool) {
     }
   }
 
-  // Every node, launch and capture belongs to exactly one cluster, and a
-  // fold overwrites them; the rest keep their constructed defaults.
+  // Every node belongs to exactly one cluster, and a fold overwrites it;
+  // the rest keep their constructed defaults.  Likewise every terminal of an
+  // analysed cluster is re-evaluated from the table.
   for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) fold_cluster(c);
   cache_valid_ = true;
   for (ClusterDirty& d : dirty_) d.clear();
+  record_pass_offsets();
+  if (tables_epoch_ != graph_->delay_epoch()) tables_valid_ = false;
+  for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
+    if (!analyses_[c].breaks.empty()) mark_terminals_dirty(c);
+  }
+  refresh_terminals();
   maybe_corrupt_cache();
 }
 
-void SlackEngine::invalidate_offsets(SyncId id) {
-  const SyncInstance& si = sync_->at(id);
-  if (si.data_out.valid()) {
-    const ClusterId c = clusters_->cluster_of(si.data_out);
-    if (c.valid()) {
-      dirty_[c.index()].fwd.push_back(local_of_node_[si.data_out.index()]);
-    }
+void SlackEngine::record_pass_offsets() {
+  for (std::uint32_t i = 0; i < sync_->num_instances(); ++i) {
+    const SyncInstance& si = sync_->at(SyncId(i));
+    pass_assert_offset_[i] = si.assert_offset();
+    pass_close_offset_[i] = si.close_offset();
   }
-  if (si.data_in.valid()) {
-    const ClusterId c = clusters_->cluster_of(si.data_in);
-    if (c.valid()) {
-      dirty_[c.index()].bwd_of_pass.emplace_back(
-          assigned_pass_of_capture_[id.index()],
-          local_of_node_[si.data_in.index()]);
+  for (SyncId id : offsets_touched_) offset_touched_flag_[id.index()] = 0;
+  offsets_touched_.clear();
+}
+
+void SlackEngine::invalidate_offsets(SyncId id) {
+  if (!offset_touched_flag_[id.index()]) {
+    offset_touched_flag_[id.index()] = 1;
+    offsets_touched_.push_back(id);
+  }
+  const SyncInstance& si = sync_->at(id);
+  for (TNodeId n : {si.data_out, si.data_in}) {
+    if (!n.valid()) continue;
+    const ClusterId c = clusters_->cluster_of(n);
+    if (c.valid() && !analyses_[c.index()].breaks.empty()) {
+      mark_terminals_dirty(c.index());
     }
   }
 }
@@ -205,6 +230,10 @@ void SlackEngine::invalidate_node(TNodeId node) {
   const std::uint32_t li = local_of_node_[node.index()];
   d.fwd.push_back(li);
   d.bwd.push_back(li);
+  ClusterAnalysis& ca = analyses_[c.index()];
+  if (ca.breaks.empty()) return;
+  ca.table.seeds.push_back(li);
+  mark_terminals_dirty(c.index());
 }
 
 void SlackEngine::invalidate_instance(InstId inst) {
@@ -226,10 +255,14 @@ void SlackEngine::invalidate_instance(InstId inst) {
   }
 }
 
-void SlackEngine::invalidate_all() { cache_valid_ = false; }
+void SlackEngine::invalidate_all() {
+  cache_valid_ = false;
+  tables_valid_ = false;
+}
 
 bool SlackEngine::has_pending_invalidations() const {
-  if (!cache_valid_) return true;
+  if (!cache_valid_ || !tables_valid_) return true;
+  if (!offsets_touched_.empty() || !terminal_dirty_.empty()) return true;
   for (const ClusterDirty& d : dirty_) {
     if (d.any()) return true;
   }
@@ -238,10 +271,11 @@ bool SlackEngine::has_pending_invalidations() const {
 
 void SlackEngine::update(ThreadPool* pool) {
   if (pool == nullptr) pool = env_analysis_pool();
-  if (cache_valid_ && self_check_) {
-    // Paranoid mode: re-verify every cached pass against its write-time
-    // checksum before trusting it.  A divergence drops the cache, and the
-    // update below degenerates into a (bit-identical) full compute.
+  if (self_check_) {
+    // Paranoid mode: re-verify every cached pass and table row against its
+    // write-time checksum before trusting it.  A divergence drops both
+    // caches, and the update below degenerates into a (bit-identical) full
+    // compute.
     if (!verify_cache()) ++istats_.self_heals;
   }
   if (!cache_valid_) {
@@ -249,6 +283,35 @@ void SlackEngine::update(ThreadPool* pool) {
     return;
   }
   ++istats_.updates;
+
+  // The net offset change since the cached passes were computed: a touched
+  // terminal seeds a cone only when its effective offset differs, so offsets
+  // that terminal-only steps moved and moved back cost nothing.
+  for (SyncId id : offsets_touched_) {
+    offset_touched_flag_[id.index()] = 0;
+    const SyncInstance& si = sync_->at(id);
+    const TimePs a = si.assert_offset();
+    if (a != pass_assert_offset_[id.index()]) {
+      pass_assert_offset_[id.index()] = a;
+      const ClusterId c = si.data_out.valid() ? clusters_->cluster_of(si.data_out)
+                                              : ClusterId::invalid();
+      if (c.valid()) {
+        dirty_[c.index()].fwd.push_back(local_of_node_[si.data_out.index()]);
+      }
+    }
+    const TimePs z = si.close_offset();
+    if (z != pass_close_offset_[id.index()]) {
+      pass_close_offset_[id.index()] = z;
+      const ClusterId c = si.data_in.valid() ? clusters_->cluster_of(si.data_in)
+                                             : ClusterId::invalid();
+      if (c.valid()) {
+        dirty_[c.index()].bwd_of_pass.emplace_back(
+            assigned_pass_of_capture_[id.index()],
+            local_of_node_[si.data_in.index()]);
+      }
+    }
+  }
+  offsets_touched_.clear();
 
   // One task per dirty (cluster, pass); each owns its cached result and its
   // workspace, so the pool schedule cannot affect the outcome.  Task slots
@@ -343,11 +406,9 @@ void SlackEngine::update(ThreadPool* pool) {
   }
 
   // Re-fold what can have changed.  A node's per-pass ready and required
-  // values change only inside the cones of the seeds, and a terminal's slack
-  // depends only on its node's values and its own offsets (an offset change
-  // seeds that node) — so a patched cluster re-folds its probe cone, each
-  // node once (the probe workspace's clean bitmap dedupes the two cones).
-  // A fully swept cluster re-folds whole.
+  // values change only inside the cones of the seeds, so a patched cluster
+  // re-folds its probe cone, each node once (the probe workspace's clean
+  // bitmap dedupes the two cones).  A fully swept cluster re-folds whole.
   std::vector<std::uint64_t>& once = probe_ws_.marks;
   for (std::uint32_t c : dirty_clusters_) {
     ClusterDirty& d = dirty_[c];
@@ -370,23 +431,37 @@ void SlackEngine::update(ThreadPool* pool) {
     }
     d.clear();
   }
+  refresh_terminals();
   maybe_corrupt_cache();
 }
 
+void SlackEngine::update_terminals() {
+  if (self_check_ && !verify_cache()) ++istats_.self_heals;
+  ++istats_.terminal_updates;
+  refresh_terminals();
+  maybe_corrupt_table();
+}
+
 bool SlackEngine::verify_cache() {
-  if (!cache_valid_) return true;
+  if (!cache_valid_ && !tables_valid_) return true;
   ++istats_.self_checks;
-  for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
+  bool ok = true;
+  for (std::uint32_t c = 0; ok && c < clusters_->num_clusters(); ++c) {
     const ClusterAnalysis& ca = analyses_[c];
-    for (std::size_t p = 0; p < ca.breaks.size(); ++p) {
+    for (std::size_t p = 0; cache_valid_ && p < ca.breaks.size(); ++p) {
       const PassResult& res = ca.cache[p];
-      if (pass_checksum(res.ready, res.required) != ca.checksums[p]) {
-        cache_valid_ = false;
-        return false;
-      }
+      if (pass_checksum(res.ready, res.required) != ca.checksums[p]) ok = false;
+    }
+    const TerminalTable& t = ca.table;
+    for (std::uint32_t r = 0; tables_valid_ && r < t.row_checksum.size(); ++r) {
+      if (hash_row(t, r) != t.row_checksum[r]) ok = false;
     }
   }
-  return true;
+  if (!ok) {
+    cache_valid_ = false;
+    tables_valid_ = false;
+  }
+  return ok;
 }
 
 void SlackEngine::maybe_corrupt_cache() {
@@ -408,6 +483,21 @@ void SlackEngine::maybe_corrupt_cache() {
     }
   }
   if (res.ready.size() > 0) res.ready.set(0, RiseFall{0, 0});
+}
+
+void SlackEngine::maybe_corrupt_table() {
+  FaultInjector& injector = FaultInjector::instance();
+  if (!injector.armed() || !tables_valid_) return;
+  if (!injector.should_fire(FaultSite::kCacheCorrupt)) return;
+  // The table's counterpart of maybe_corrupt_cache: one pair's delay, after
+  // its row's checksum was taken.
+  const std::uint64_t draw = injector.draw(FaultSite::kCacheCorrupt);
+  for (std::size_t i = 0; i < analyses_.size(); ++i) {
+    TerminalTable& t = analyses_[(draw + i) % analyses_.size()].table;
+    if (t.pair_delay.empty()) continue;
+    t.pair_delay[draw % t.pair_delay.size()] += 1000;  // 1ns of silent error
+    return;
+  }
 }
 
 PassResult SlackEngine::run_pass(ClusterId c, std::size_t pass) const {
@@ -455,40 +545,249 @@ void SlackEngine::fold_node(std::uint32_t c, std::uint32_t li) {
     }
   }
   node_[n.index()] = nt;
-  if (!ca.terminal[li]) return;
-
-  // Launch terminals: min over passes of required - assertion.
-  for (SyncId id : sync_->launches_at(n)) {
-    const SyncInstance& si = sync_->at(id);
-    TimePs slack = kInfinitePs;
-    for (std::size_t p = 0; p < np; ++p) {
-      const PassSide& required = ca.cache[p].required;
-      if (!required.has(li)) continue;
-      const TimePs a = ca.edges->linear_assert(si.ideal_assert, ca.breaks[p]) +
-                       si.assert_offset();
-      slack = std::min(slack, required.at(li).min() - a);
-    }
-    launch_slack_[id.index()] = slack;
-  }
-
-  // Capture terminals: closure - ready, in the assigned pass only.
-  for (SyncId id : sync_->captures_at(n)) {
-    TimePs slack = kInfinitePs;
-    const std::size_t p = assigned_pass_of_capture_[id.index()];
-    if (p < np && ca.cache[p].ready.has(li)) {
-      const SyncInstance& si = sync_->at(id);
-      const TimePs close =
-          ca.edges->linear_close(si.ideal_close, ca.breaks[p]) +
-          si.close_offset();
-      slack = std::min(slack, close - ca.cache[p].ready.at(li).max());
-    }
-    capture_slack_[id.index()] = slack;
-  }
 }
 
 void SlackEngine::fold_cluster(std::uint32_t c) {
   const std::size_t n = clusters_->cluster(ClusterId(c)).nodes.size();
   for (std::uint32_t li = 0; li < n; ++li) fold_node(c, li);
+}
+
+// -- Terminal delay table ----------------------------------------------------
+
+void SlackEngine::prepare_table(std::uint32_t c) {
+  const Cluster& cl = clusters_->cluster(ClusterId(c));
+  ClusterAnalysis& ca = analyses_[c];
+  TerminalTable& t = ca.table;
+  const std::size_t np = ca.breaks.size();
+  t.row_of_local.assign(cl.nodes.size(), TerminalTable::kNone);
+  t.sink_of_local.assign(cl.nodes.size(), TerminalTable::kNone);
+  // Linearised ideal times are fixed by pre-processing: a step adds only the
+  // current assert_offset() / close_offset().
+  t.row_launch_begin.assign(1, 0);
+  for (std::uint32_t r = 0; r < cl.source_nodes.size(); ++r) {
+    const TNodeId n = cl.source_nodes[r];
+    t.row_of_local[local_of_node_[n.index()]] = r;
+    for (SyncId id : sync_->launches_at(n)) {
+      for (std::size_t p = 0; p < np; ++p) {
+        t.launch_assert.push_back(
+            ca.edges->linear_assert(sync_->at(id).ideal_assert, ca.breaks[p]));
+      }
+    }
+    t.row_launch_begin.push_back(
+        t.row_launch_begin.back() +
+        static_cast<std::uint32_t>(sync_->launches_at(n).size()));
+  }
+  t.sink_cap_begin.assign(1, 0);
+  for (std::uint32_t k = 0; k < cl.sink_nodes.size(); ++k) {
+    const TNodeId n = cl.sink_nodes[k];
+    t.sink_of_local[local_of_node_[n.index()]] = k;
+    t.sink_cap_begin.push_back(
+        t.sink_cap_begin.back() +
+        static_cast<std::uint32_t>(sync_->captures_at(n).size()));
+  }
+  for (SyncId id : ca.capture_insts) {
+    const std::uint32_t p = assigned_pass_of_capture_[id.index()];
+    t.cap_pass.push_back(p);
+    t.cap_close.push_back(
+        ca.edges->linear_close(sync_->at(id).ideal_close, ca.breaks[p]));
+  }
+}
+
+void SlackEngine::sweep_row(std::uint32_t c, std::uint32_t r, bool append) {
+  const Cluster& cl = clusters_->cluster(ClusterId(c));
+  TerminalTable& t = analyses_[c].table;
+  const TArcRec* arcs = graph_->arcs_data();
+  RiseFall* val = row_val_.data();
+  std::uint64_t* marks = table_ws_.marks.data();
+  std::uint64_t* summary = row_summary_.data();
+  // forward_scatter's rules from a (0, 0) seed, over the source's cone only:
+  // ascending local index settles each node before it scatters (every arc
+  // climbs, so a node's marks land above it), and nothing leaves a blocked
+  // node.  Pending nodes are marked in a two-level bitmap — a bit per local,
+  // and a summary bit per word of marks — so a row's cost follows its cone,
+  // not the cluster's width.  Each slot and mark is read once and cleared,
+  // so the scratch is clean for the next row.
+  const std::uint32_t src = local_of_node_[cl.source_nodes[r].index()];
+  val[src] = RiseFall{0, 0};
+  marks[src >> 6] |= passdetail::bit_of(src);
+  summary[src >> 12] |= passdetail::bit_of(src >> 6);
+  std::size_t hi = src >> 12;
+  std::size_t visited = 0;
+  std::uint32_t q = t.row_begin[r];
+  for (std::size_t sw = src >> 12; sw <= hi; ++sw) {
+    while (const std::uint64_t words = summary[sw]) {
+      const std::size_t w =
+          sw * 64 + static_cast<unsigned>(std::countr_zero(words));
+      while (const std::uint64_t pend = marks[w]) {
+        marks[w] = pend & (pend - 1);
+        const auto li = static_cast<std::uint32_t>(
+            w * 64 + static_cast<unsigned>(std::countr_zero(pend)));
+        const RiseFall v = val[li];
+        val[li] = RiseFall{-kInfinitePs, -kInfinitePs};
+        ++visited;
+        const std::uint32_t k = t.sink_of_local[li];
+        if (k != TerminalTable::kNone) {
+          if (append) {
+            t.pair_sink.push_back(k);
+            t.pair_delay.push_back(v.max());
+          } else {
+            HB_ASSERT(t.pair_sink[q] == k);
+            t.pair_delay[q++] = v.max();
+          }
+        }
+        if (cl.blocked[li]) continue;
+        const std::uint32_t end = cl.out_offsets[li + 1];
+        for (std::uint32_t e = cl.out_offsets[li]; e < end; ++e) {
+          const TArcRec& arc = arcs[cl.out_arc[e]];
+          const std::uint32_t to = cl.out_local[e];
+          val[to] = rf_max(val[to], propagate_forward(v, arc, arc.delay));
+          marks[to >> 6] |= passdetail::bit_of(to);
+          summary[to >> 12] |= passdetail::bit_of(to >> 6);
+          hi = std::max(hi, static_cast<std::size_t>(to >> 12));
+        }
+      }
+      summary[sw] &= ~passdetail::bit_of(static_cast<std::uint32_t>(w));
+    }
+  }
+  if (!append) HB_ASSERT(q == t.row_begin[r + 1]);
+  ++istats_.rows_swept;
+  istats_.row_nodes_swept += visited;
+}
+
+std::uint64_t SlackEngine::hash_row(const TerminalTable& t, std::uint32_t r) {
+  const std::size_t b = t.row_begin[r];
+  const std::size_t n = t.row_begin[r + 1] - b;
+  return xxhash64(t.pair_delay.data() + b, n * sizeof(TimePs),
+                  xxhash64(t.pair_sink.data() + b, n * sizeof(std::uint32_t), r));
+}
+
+void SlackEngine::mark_terminals_dirty(std::uint32_t c) {
+  TerminalTable& t = analyses_[c].table;
+  if (t.dirty) return;
+  t.dirty = true;
+  terminal_dirty_.push_back(c);
+}
+
+void SlackEngine::refresh_terminals() {
+  if (!tables_valid_) {
+    // Built on first use (and after a drop): every row of every analysed
+    // cluster, each over its own reachable cone.
+    for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
+      if (analyses_[c].breaks.empty()) continue;
+      TerminalTable& t = analyses_[c].table;
+      const auto rows = static_cast<std::uint32_t>(t.row_launch_begin.size() - 1);
+      t.row_begin.assign(1, 0);
+      t.pair_sink.clear();
+      t.pair_delay.clear();
+      t.row_checksum.clear();
+      for (std::uint32_t r = 0; r < rows; ++r) {
+        sweep_row(c, r, /*append=*/true);
+        t.row_begin.push_back(static_cast<std::uint32_t>(t.pair_sink.size()));
+        t.row_checksum.push_back(hash_row(t, r));
+      }
+      t.seeds.clear();
+      mark_terminals_dirty(c);
+    }
+    tables_valid_ = true;
+    tables_epoch_ = graph_->delay_epoch();
+  }
+  for (std::uint32_t c : terminal_dirty_) {
+    TerminalTable& t = analyses_[c].table;
+    if (!t.seeds.empty()) {
+      // A delay change moves D only for the sources that reach it: the
+      // backward cone of the invalidated nodes, under sweep_backward's
+      // blocked rule (a blocked node scatters nothing).
+      stale_rows_.clear();
+      passdetail::sweep_backward(clusters_->cluster(ClusterId(c)), t.seeds,
+                                 table_ws_, [this, &t](std::uint32_t li) {
+                                   const std::uint32_t r = t.row_of_local[li];
+                                   if (r != TerminalTable::kNone) {
+                                     stale_rows_.push_back(r);
+                                   }
+                                 });
+      for (std::uint32_t r : stale_rows_) {
+        sweep_row(c, r, /*append=*/false);
+        t.row_checksum[r] = hash_row(t, r);
+      }
+      t.seeds.clear();
+    }
+    evaluate_terminals(c);
+    t.dirty = false;
+  }
+  terminal_dirty_.clear();
+}
+
+void SlackEngine::evaluate_terminals(std::uint32_t c) {
+  const ClusterAnalysis& ca = analyses_[c];
+  const TerminalTable& t = ca.table;
+  const std::size_t np = ca.breaks.size();
+  const std::size_t rows = t.row_launch_begin.size() - 1;
+  const std::size_t caps = ca.capture_insts.size();
+  const std::vector<TNodeId>& sources =
+      clusters_->cluster(ClusterId(c)).source_nodes;
+
+  // seed(s, p): the latest linearised assertion over the launches at s, as
+  // the pass seeds it.
+  row_seed_time_.resize(rows * np);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::vector<SyncId>& launches = sync_->launches_at(sources[r]);
+    for (std::size_t p = 0; p < np; ++p) {
+      TimePs latest = -kInfinitePs;
+      for (std::size_t i = 0; i < launches.size(); ++i) {
+        const TimePs a = t.launch_assert[(t.row_launch_begin[r] + i) * np + p] +
+                         sync_->at(launches[i]).assert_offset();
+        latest = std::max(latest, a);
+      }
+      row_seed_time_[r * np + p] = latest;
+    }
+  }
+  cap_close_now_.resize(caps);
+  cap_ready_.resize(caps);
+  for (std::size_t j = 0; j < caps; ++j) {
+    cap_close_now_[j] =
+        t.cap_close[j] + sync_->at(ca.capture_insts[j]).close_offset();
+    cap_ready_[j] = -kInfinitePs;
+  }
+
+  // One pass over the pairs serves both sides.  A capture's ready time in
+  // its pass is max over sources of (seed + D): eq. 1 is max-plus linear in
+  // the seeds.  A source's required time in pass p is min over p's
+  // captures it reaches of (closure - D): eq. 2 is the min-plus dual.
+  row_required_.resize(np);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::fill(row_required_.begin(), row_required_.end(), kInfinitePs);
+    const TimePs* seed = row_seed_time_.data() + r * np;
+    for (std::uint32_t q = t.row_begin[r]; q < t.row_begin[r + 1]; ++q) {
+      const std::uint32_t k = t.pair_sink[q];
+      const TimePs d = t.pair_delay[q];
+      for (std::uint32_t j = t.sink_cap_begin[k]; j < t.sink_cap_begin[k + 1]; ++j) {
+        const std::uint32_t p = t.cap_pass[j];
+        cap_ready_[j] = std::max(cap_ready_[j], seed[p] + d);
+        row_required_[p] = std::min(row_required_[p], cap_close_now_[j] - d);
+      }
+    }
+    // Launch slack: min over passes of required - assertion; +inf when the
+    // source reaches no capture.
+    const std::vector<SyncId>& launches = sync_->launches_at(sources[r]);
+    for (std::size_t i = 0; i < launches.size(); ++i) {
+      const TimePs offset = sync_->at(launches[i]).assert_offset();
+      TimePs slack = kInfinitePs;
+      for (std::size_t p = 0; p < np; ++p) {
+        if (row_required_[p] == kInfinitePs) continue;
+        const TimePs a =
+            t.launch_assert[(t.row_launch_begin[r] + i) * np + p] + offset;
+        slack = std::min(slack, row_required_[p] - a);
+      }
+      launch_slack_[launches[i].index()] = slack;
+    }
+  }
+  // Capture slack: closure - ready in the assigned pass; +inf when no
+  // source reaches the capture.
+  for (std::size_t j = 0; j < caps; ++j) {
+    capture_slack_[ca.capture_insts[j].index()] =
+        cap_ready_[j] == -kInfinitePs ? kInfinitePs
+                                      : cap_close_now_[j] - cap_ready_[j];
+  }
 }
 
 TimePs SlackEngine::worst_terminal_slack() const {

@@ -9,22 +9,34 @@
 //   * assign every capture instance to the pass in which its ideal closure
 //     time appears closest to the end of the broken-open period.
 //
-// compute() then evaluates every pass with the *current* synchronising
-// element offsets and produces:
-//   * per-instance terminal slacks (inputs of Algorithms 1 and 2);
+// The engine keeps two results, each with its own refresh:
+//   * per-instance terminal slacks (inputs of Algorithms 1 and 2), derived
+//     from a per-cluster *terminal delay table*: for every launch node, the
+//     longest combinational delay max(rise, fall) to every capture node it
+//     reaches.  Eqs. 1/2 are max-plus linear in the launch seeds, so a
+//     capture's slack is its closure minus max over sources of (seed + D),
+//     and a launch's the min over its reachable captures of (closure - D)
+//     minus its assertion — exactly what the passes give (docs/ALGORITHMS.md
+//     §4).  update_terminals() refreshes only these: the table's rows follow
+//     delays, the evaluation adds the current offsets;
 //   * per-node slack / ready / required times (from the node's critical
 //     pass) and settling-time counts — the paper's headline "minimum number
-//     of settling times ... evaluated for the nodes".
+//     of settling times ... evaluated for the nodes".  compute() evaluates
+//     every pass; update() patches the cached passes.
 //
 // Incremental re-analysis: the engine caches every pass result and accepts
 // invalidations (invalidate_offsets / invalidate_node / invalidate_instance)
-// describing local changes.  update() then re-propagates only the affected
-// reachability cone of each affected pass and re-folds only the nodes of
-// those cones, reproducing compute() bit for bit — see
-// docs/ALGORITHMS.md §7 and tests/incremental_test.cpp.  With a ThreadPool,
-// every pass (compute) or dirty pass (update) is one pool task running the
-// serial sweep kernels; the schedule never affects results because every
-// pass owns its result slot and accumulation stays in cluster/pass order.
+// describing local changes.  update() seeds the node-level patch with the
+// recorded node invalidations plus the terminals whose offsets differ from
+// the ones the cached passes were computed at — the *net* change since the
+// last node-level refresh, however many terminal-only steps came between —
+// then re-propagates only the affected reachability cone of each affected
+// pass and re-folds only the nodes of those cones, reproducing compute() bit
+// for bit — see docs/ALGORITHMS.md §7 and tests/incremental_test.cpp.  With
+// a ThreadPool, every pass (compute) or dirty pass (update) is one pool task
+// running the serial sweep kernels; the schedule never affects results
+// because every pass owns its result slot and accumulation stays in
+// cluster/pass order.
 #pragma once
 
 #include <functional>
@@ -54,6 +66,8 @@ struct NodeTiming {
 struct IncrementalStats {
   std::uint64_t full_computes = 0;     // compute() calls, fallbacks included
   std::uint64_t updates = 0;           // update() calls served incrementally
+                                       // (node-level refreshes)
+  std::uint64_t terminal_updates = 0;  // update_terminals() calls
   std::uint64_t passes_evaluated = 0;  // passes propagated from scratch
   std::uint64_t passes_updated = 0;    // passes patched over a dirty cone
   std::uint64_t passes_full_swept = 0; // dirty passes the cost model chose to
@@ -62,11 +76,13 @@ struct IncrementalStats {
   std::uint64_t passes_reused = 0;     // cached passes an update left untouched
   std::uint64_t nodes_retraced = 0;    // nodes re-derived by cone updates
   std::uint64_t nodes_refolded = 0;    // nodes update() re-folded into node
-                                       // and terminal slacks
+                                       // timings
   std::uint64_t dirty_cluster_nodes = 0;  // nodes of the clusters update()
                                           // touched (a whole-cluster fold)
   std::uint64_t self_checks = 0;       // cache verifications performed
   std::uint64_t self_heals = 0;        // divergences healed by full recompute
+  std::uint64_t rows_swept = 0;        // terminal-table rows built or re-swept
+  std::uint64_t row_nodes_swept = 0;   // nodes those row sweeps visited
 };
 
 /// Write-time checksum of a cached pass result, single- or multi-corner:
@@ -92,13 +108,16 @@ class SlackEngine {
   // the recorded cones.  All three may be mixed freely before one update().
 
   /// The adjustable/virtual offsets of `id` changed (SyncInstance::shift,
-  /// a port-spec edit, a refreshed D_cz/D_dz).  Launch side dirties the
-  /// ready cone of every pass of its cluster; capture side dirties the
-  /// required cone of its assigned pass.
+  /// a port-spec edit, a refreshed D_cz/D_dz).  The terminals of its
+  /// clusters are re-evaluated at the next refresh; update() compares its
+  /// effective offsets with the ones the cached passes were computed at, and
+  /// only a difference dirties the ready cone (launch side, every pass of
+  /// its cluster) or the required cone (capture side, its assigned pass).
   void invalidate_offsets(SyncId id);
   void invalidate_offsets(const std::vector<SyncId>& ids);
   /// Delays of arcs incident to `node` changed: dirties the forward and
-  /// backward cones from the node in every pass of its cluster.
+  /// backward cones from the node in every pass of its cluster, and the
+  /// terminal-table rows of the sources in its backward cone.
   void invalidate_node(TNodeId node);
   /// Delays of `inst`'s own component arcs changed (e.g. after
   /// DelayCalculator::adjust_instance).  Covers the instance's pins and the
@@ -107,7 +126,8 @@ class SlackEngine {
   /// after a cell swap, prefer TimingGraph::update_instance_delays and
   /// invalidate_node on the endpoints of the arcs it reports changed.
   void invalidate_instance(InstId inst);
-  /// Drop the cache entirely: the next update() is a full compute().
+  /// Drop both caches entirely: the next update() is a full compute(), the
+  /// next update_terminals() rebuilds the terminal delay table.
   void invalidate_all();
   bool has_pending_invalidations() const;
 
@@ -118,32 +138,45 @@ class SlackEngine {
   /// bit-identical to a fresh compute() either way.
   void update(ThreadPool* pool = nullptr);
 
+  /// Bring the terminal slacks (launch_slack, capture_slack,
+  /// worst_terminal_slack) up to date with the recorded invalidations, and
+  /// nothing else: re-sweeps the table rows the node invalidations reach
+  /// and re-evaluates the clusters with a moved terminal or a re-swept row.
+  /// Node timings and cached passes stay as of the last compute()/update(),
+  /// and the invalidations stay pending for the next update().  Bit-identical
+  /// to the terminal slacks of a fresh compute(); allocates nothing in
+  /// steady state.
+  void update_terminals();
+
   const IncrementalStats& incremental_stats() const { return istats_; }
 
   // -- Self-check / self-heal --------------------------------------------
-  // Every cached pass result carries a checksum taken when it was written.
-  // In self-check (paranoid) mode, update() re-verifies all cached
-  // checksums before trusting the cache; on any divergence — memory
-  // corruption, a faulty cone patch, or an injected fault — the cache is
-  // dropped and the update is served by a full compute(), which is
-  // bit-identical by construction.  The event is counted in
+  // Every cached pass result, and every cluster's terminal delay table,
+  // carries a checksum taken when it was written.  In self-check (paranoid)
+  // mode, update() and update_terminals() re-verify all cached checksums
+  // before trusting the caches; on any divergence — memory corruption, a
+  // faulty cone patch, or an injected fault — both caches are dropped and
+  // rebuilt by the refresh itself (a full compute() for the passes), which
+  // is bit-identical by construction.  The event is counted in
   // IncrementalStats::self_heals; analysis results are unaffected.
 
   void set_self_check(bool on) { self_check_ = on; }
   bool self_check() const { return self_check_; }
 
-  /// Verify all cached pass results against their write-time checksums.
-  /// Returns true when consistent (or when there is no cache to verify);
-  /// on divergence drops the cache and returns false.
+  /// Verify all cached pass results and terminal tables against their
+  /// write-time checksums.  Returns true when consistent (or when there is
+  /// no cache to verify); on divergence drops both caches and returns false.
   bool verify_cache();
 
   /// Terminal slacks (min over passes); +inf when unconstrained.  Valid
-  /// after compute().
+  /// after compute(), update() or update_terminals().
   TimePs launch_slack(SyncId id) const { return launch_slack_.at(id.index()); }
   TimePs capture_slack(SyncId id) const { return capture_slack_.at(id.index()); }
   /// Worst slack over every synchronising-element terminal.
   TimePs worst_terminal_slack() const;
 
+  /// Node results, as of the last compute()/update() (update_terminals()
+  /// leaves them alone).
   const NodeTiming& node_timing(TNodeId id) const { return node_.at(id.index()); }
   /// All node timings, indexed by TNodeId (bulk accessor for snapshots).
   const std::vector<NodeTiming>& node_timings() const { return node_; }
@@ -174,9 +207,10 @@ class SlackEngine {
   PassResult run_pass(ClusterId c, std::size_t pass) const;
   /// Same, writing into caller-owned buffers (no steady-state allocation).
   void run_pass_into(ClusterId c, std::size_t pass, PassResult& out) const;
-  /// Cached result of one pass (valid after compute()/update(); exposed for
-  /// the determinism sweep tests, which compare caches across thread
-  /// counts).
+  /// Cached result of one pass (valid after compute()/update(); read by the
+  /// path reports and by the determinism sweep tests, which compare caches
+  /// across thread counts).  A patched absent slot may hold a value near
+  /// -kInfinitePs rather than the exact sentinel: test with has().
   const PassResult& cached_pass(ClusterId c, std::size_t pass) const {
     return analyses_.at(c.index()).cache.at(pass);
   }
@@ -196,6 +230,32 @@ class SlackEngine {
   std::uint32_t local_index(TNodeId n) const { return local_of_node_.at(n.index()); }
 
  private:
+  /// Terminal delay table of one analysed cluster (docs/ALGORITHMS.md §4).
+  /// Rows follow the cluster's source nodes, sinks its sink nodes; a row
+  /// holds one (sink, D) pair per sink its source reaches, in ascending
+  /// local order, where D is max(rise, fall) of the sink's ready time
+  /// propagated from a (0, 0) seed at the source.  Which sinks a source
+  /// reaches depends only on the graph, so rows keep their length for the
+  /// engine's lifetime and a re-sweep rewrites D in place.
+  struct TerminalTable {
+    static constexpr std::uint32_t kNone = UINT32_MAX;
+    std::vector<std::uint32_t> row_of_local;      // [local] row, or kNone
+    std::vector<std::uint32_t> sink_of_local;     // [local] sink, or kNone
+    std::vector<std::uint32_t> sink_cap_begin;    // [sink + 1] capture_insts
+    std::vector<std::uint32_t> cap_pass;          // [capture] assigned pass
+    std::vector<TimePs> cap_close;                // [capture] linear close
+    std::vector<std::uint32_t> row_launch_begin;  // [row + 1] launches_at()
+    std::vector<TimePs> launch_assert;            // [launch * passes + pass]
+    std::vector<std::uint32_t> row_begin;         // [row + 1] pair slices
+    std::vector<std::uint32_t> pair_sink;
+    std::vector<TimePs> pair_delay;
+    std::vector<std::uint64_t> row_checksum;      // [row], taken at write time
+    /// Locals invalidated since the last refresh: the rows of the sources
+    /// in their backward cone are re-swept.
+    std::vector<std::uint32_t> seeds;
+    bool dirty = false;  // queued in terminal_dirty_
+  };
+
   struct ClusterAnalysis {
     std::unique_ptr<ClockEdgeGraph> edges;
     std::vector<std::size_t> breaks;
@@ -203,8 +263,7 @@ class SlackEngine {
     std::vector<std::vector<bool>> assigned_mask; // [pass][capture]
     std::vector<PassResult> cache;                // [pass], valid iff cache_valid_
     std::vector<std::uint64_t> checksums;         // [pass], taken at write time
-    std::vector<char> terminal;                   // [local], a launch or
-                                                  // capture sits on it
+    TerminalTable table;                          // built iff tables_valid_
   };
 
   /// Pending invalidations of one cluster, in local node indices.
@@ -240,14 +299,33 @@ class SlackEngine {
 
   void prepare_cluster(ClusterId c);
   /// Fold local `li` of cluster `c` over all of the cluster's passes, in
-  /// ascending pass order (the tie-break order): its NodeTiming, and the
-  /// launch and capture terminal slacks on it.  Overwrites, never merges,
-  /// so folding a node twice is harmless.
+  /// ascending pass order (the tie-break order) into its NodeTiming.
+  /// Overwrites, never merges, so folding a node twice is harmless.
   void fold_node(std::uint32_t c, std::uint32_t li);
   void fold_cluster(std::uint32_t c);
+
+  // -- Terminal delay table -------------------------------------------------
+  /// Lay out cluster `c`'s table index (everything but the pairs) once.
+  void prepare_table(std::uint32_t c);
+  /// Sweep row `r` of cluster `c` over its source's forward cone: append its
+  /// pairs (`append`) or rewrite their delays in place.
+  void sweep_row(std::uint32_t c, std::uint32_t r, bool append);
+  /// Write-time checksum of one row: XXH64 over its pairs' sinks and delays.
+  static std::uint64_t hash_row(const TerminalTable& t, std::uint32_t r);
+  void mark_terminals_dirty(std::uint32_t c);
+  /// Build missing tables, re-sweep the rows invalidated nodes reach, and
+  /// re-evaluate the terminals of every queued cluster.
+  void refresh_terminals();
+  /// Launch and capture slacks of cluster `c` from its table and the current
+  /// offsets.
+  void evaluate_terminals(std::uint32_t c);
+  /// Record the effective offsets the cached passes now reflect.
+  void record_pass_offsets();
   /// Fault-injection hook: deterministically perturb one cached entry
   /// *after* its checksum was taken (no-op unless the injector is armed).
   void maybe_corrupt_cache();
+  /// The same for one terminal-table delay, after update_terminals().
+  void maybe_corrupt_table();
 
   const TimingGraph* graph_;
   const ClusterSet* clusters_;
@@ -260,6 +338,19 @@ class SlackEngine {
 
   std::vector<ClusterDirty> dirty_;  // by cluster
   bool cache_valid_ = false;
+  bool tables_valid_ = false;
+  /// TimingGraph::delay_epoch() when the tables were last built: compute(),
+  /// which takes no invalidations, rebuilds them when delays moved since.
+  std::uint64_t tables_epoch_ = 0;
+  /// Analysed clusters whose terminals the next refresh re-evaluates.
+  std::vector<std::uint32_t> terminal_dirty_;
+  /// Effective offsets (assert_offset(), close_offset()) by SyncId, as the
+  /// cached passes reflect them; update() seeds only the terminals touched
+  /// since that differ from them.
+  std::vector<TimePs> pass_assert_offset_;
+  std::vector<TimePs> pass_close_offset_;
+  std::vector<SyncId> offsets_touched_;
+  std::vector<char> offset_touched_flag_;  // by SyncId
   bool self_check_ = false;
   IncrementalStats istats_;
 
@@ -284,6 +375,16 @@ class SlackEngine {
   std::vector<std::uint32_t> dirty_clusters_;
   std::vector<std::uint32_t> probe_bwd_;  // union backward seeds (cost probe)
   PassWorkspace probe_ws_;
+
+  // Terminal-table scratch, grown to the largest cluster and reused.
+  PassWorkspace table_ws_;
+  std::vector<std::uint32_t> stale_rows_;   // rows a refresh re-sweeps
+  std::vector<RiseFall> row_val_;           // by local; absent outside a sweep
+  std::vector<std::uint64_t> row_summary_;  // a bit per word of table_ws_
+  std::vector<TimePs> row_seed_time_;       // [row * passes + pass]
+  std::vector<TimePs> cap_close_now_;       // [capture]
+  std::vector<TimePs> cap_ready_;           // [capture]
+  std::vector<TimePs> row_required_;        // [pass]
 
   std::vector<TimePs> launch_slack_;
   std::vector<TimePs> capture_slack_;

@@ -271,6 +271,7 @@ TimingGraph::DelayUpdate TimingGraph::update_instance_delays(
     }
     HB_ASSERT(cursor == inst_arc_offsets_.at(a.index() + 1));
   }
+  if (!upd.changed_arcs.empty()) ++delay_epoch_;
   return upd;
 }
 

@@ -155,6 +155,9 @@ class TimingGraph {
   /// the CSR arrays and levels stay valid: they index arcs, whose delays
   /// mutate in place.
   DelayUpdate update_instance_delays(InstId inst, const DelayCalculator& calc);
+  /// Bumped by every update_instance_delays() that changed an arc delay, so
+  /// a cache derived from delays can tell whether it is current.
+  std::uint64_t delay_epoch() const { return delay_epoch_; }
 
   /// True when any node in `from` reaches a synchronising-element control
   /// pin through combinational arcs — i.e. a delay change at these nodes
@@ -192,6 +195,7 @@ class TimingGraph {
   // Degraded mode: excluded instances by InstId (empty = none).
   std::vector<bool> quarantined_;
   std::size_t num_quarantined_ = 0;
+  std::uint64_t delay_epoch_ = 0;
 };
 
 }  // namespace hb

@@ -12,8 +12,10 @@
 //                     running a task (exception-propagation paths);
 //   kSpuriousCancel — CancelToken::cancelled() returns true spuriously
 //                     (watchdog / timed_out paths);
-//   kCacheCorrupt   — SlackEngine perturbs one cached pass result before an
-//                     incremental update (self-check / self-heal paths);
+//   kCacheCorrupt   — SlackEngine perturbs one cached pass result (after
+//                     compute()/update()) or one terminal-table delay (after
+//                     update_terminals()) before the next refresh
+//                     (self-check / self-heal paths);
 //   kSnapshotShortWrite  — SnapshotStore::save truncates the serialized
 //                     image at a deterministic offset before it hits disk
 //                     (torn-write / crash-mid-write recovery paths);

@@ -204,6 +204,16 @@ TEST(CornerTest, IncrementalUpdateMatchesFreshCompute) {
     EXPECT_EQ(corner_pass_bytes(serial), incremental);
     for (std::size_t k = 0; k < 3; ++k) {
       EXPECT_EQ(ca.worst_terminal_slack(k), serial.worst_terminal_slack(k));
+      // Paths trace the cached K-lane passes: patched and fresh agree.
+      EXPECT_TRUE(same_paths(ca.slow_paths(k, 32), serial.slow_paths(k, 32)))
+          << "corner " << k;
+    }
+    const std::vector<CornerPath> merged = ca.merged_slow_paths(32);
+    const std::vector<CornerPath> want = serial.merged_slow_paths(32);
+    ASSERT_EQ(merged.size(), want.size());
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      EXPECT_EQ(merged[i].corner, want[i].corner);
+      EXPECT_TRUE(same_paths({merged[i].path}, {want[i].path})) << "path " << i;
     }
   }
 }

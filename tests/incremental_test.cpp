@@ -17,11 +17,14 @@
 #include "gen/alu.hpp"
 #include "gen/des.hpp"
 #include "gen/random_network.hpp"
+#include "netlist/builder.hpp"
 #include "netlist/stdcells.hpp"
 #include "sta/cluster.hpp"
 #include "sta/hummingbird.hpp"
+#include "sta/report.hpp"
 #include "synth/redesign_loop.hpp"
 #include "synth/resize.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -179,6 +182,258 @@ TEST(IncrementalDifferential, RandomPerturbationsMatchFullCompute) {
   EXPECT_GT(total_updates, 0u);
 }
 
+// The terminal-slack oracle: the fold SlackEngine ran over its passes before
+// terminal slacks moved to the terminal delay table.  A launch's slack is
+// the min over passes of required - assertion at its node; a capture's is
+// closure - ready in its assigned pass.  Run over a fresh compute()'s
+// cached passes, it is independent of the table.
+struct Terminals {
+  std::vector<TimePs> launch;
+  std::vector<TimePs> capture;
+};
+
+Terminals fold_terminals(const SlackEngine& e) {
+  const SyncModel& sync = e.sync();
+  Terminals t;
+  t.launch.assign(sync.num_instances(), kInfinitePs);
+  t.capture.assign(sync.num_instances(), kInfinitePs);
+  for (std::uint32_t i = 0; i < sync.num_instances(); ++i) {
+    const SyncInstance& si = sync.at(SyncId(i));
+    if (si.data_out.valid() && e.clusters().cluster_of(si.data_out).valid()) {
+      const ClusterId c = e.clusters().cluster_of(si.data_out);
+      const std::uint32_t li = e.local_index(si.data_out);
+      for (std::size_t p = 0; p < e.num_passes(c); ++p) {
+        const PassSide& required = e.cached_pass(c, p).required;
+        if (!required.has(li)) continue;
+        const TimePs a =
+            e.edge_graph(c).linear_assert(si.ideal_assert, e.breaks(c)[p]) +
+            si.assert_offset();
+        t.launch[i] = std::min(t.launch[i], required.at(li).min() - a);
+      }
+    }
+    if (si.data_in.valid() && e.clusters().cluster_of(si.data_in).valid()) {
+      const ClusterId c = e.clusters().cluster_of(si.data_in);
+      const std::uint32_t li = e.local_index(si.data_in);
+      const std::size_t p = e.assigned_pass(SyncId(i));
+      if (p < e.num_passes(c) && e.cached_pass(c, p).ready.has(li)) {
+        const TimePs close =
+            e.edge_graph(c).linear_close(si.ideal_close, e.breaks(c)[p]) +
+            si.close_offset();
+        t.capture[i] = close - e.cached_pass(c, p).ready.at(li).max();
+      }
+    }
+  }
+  return t;
+}
+
+::testing::AssertionResult terminals_match(const SlackEngine& got,
+                                           const Terminals& want) {
+  for (std::uint32_t i = 0; i < want.launch.size(); ++i) {
+    if (got.launch_slack(SyncId(i)) != want.launch[i]) {
+      return ::testing::AssertionFailure()
+             << "launch slack of " << got.sync().at(SyncId(i)).label << ": "
+             << got.launch_slack(SyncId(i)) << " vs " << want.launch[i];
+    }
+    if (got.capture_slack(SyncId(i)) != want.capture[i]) {
+      return ::testing::AssertionFailure()
+             << "capture slack of " << got.sync().at(SyncId(i)).label << ": "
+             << got.capture_slack(SyncId(i)) << " vs " << want.capture[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Networks with the terminal kinds the table must get right: every
+// generator network (multi-frequency filter included), multi-clock random
+// networks, a tristate bus and an enable-path endpoint.
+std::vector<Workload> terminal_networks() {
+  auto lib = make_standard_library();
+  std::vector<Workload> out = all_generator_networks();
+  for (int i : {0, 5, 10}) {
+    RandomNetwork net = make_random_network(lib, spec_for(i));
+    out.push_back({"random_" + std::to_string(i), std::move(net.design),
+                   std::move(net.clocks)});
+  }
+  {
+    TopBuilder b("bus", lib);
+    const NetId phi1 = b.port_in("phi1", true);
+    const NetId phi2 = b.port_in("phi2", true);
+    const NetId bus = b.net("bus");
+    const CellId tb = lib->require("TRIBUF");
+    const SyncSpec& tb_sync = lib->cell(tb).sync();
+    NetId da = b.port_in("da");
+    NetId db = b.port_in("db");
+    for (int k = 0; k < 3; ++k) {
+      da = b.gate("INVX1", {da});
+      db = b.gate("NAND2X1", {db, da});
+    }
+    for (int i = 0; i < 2; ++i) {
+      const InstId inst =
+          b.module().add_cell_inst(i == 0 ? "bufA" : "bufB", tb, 3);
+      b.module().connect(inst, tb_sync.data_in, i == 0 ? da : db);
+      b.module().connect(inst, tb_sync.control, i == 0 ? phi1 : phi2);
+      b.module().connect(inst, tb_sync.data_out, bus);
+    }
+    const NetId q = b.latch("TLATCH", b.gate("BUFX1", {bus}), phi1, "cap");
+    b.port_out_net("q", b.latch("TLATCH", b.gate("INVX1", {q}), phi2, "cap2"));
+    out.push_back({"tristate", b.finish(), make_two_phase_clocks(ns(10))});
+  }
+  {
+    TopBuilder b("enable", lib);
+    const NetId clk = b.port_in("clk", true);
+    NetId en = b.latch("TLATCH", b.port_in("e"), clk, "en_lat");
+    for (int i = 0; i < 6; ++i) en = b.gate("BUFX1", {en});
+    const NetId gated = b.gate("AND2X1", {clk, en});
+    const NetId q = b.latch("TLATCH", b.port_in("d"), gated, "lat");
+    b.port_out_net("q", b.latch("TLATCH", b.gate("INVX1", {q}), clk, "lat2"));
+    ClockSet clocks;
+    clocks.add_simple_clock("clk", ns(10), ns(6), ns(9));
+    out.push_back({"enable", b.finish(), std::move(clocks)});
+  }
+  return out;
+}
+
+// Terminal differential: update_terminals() after every random perturbation
+// — offset shifts, virtual moves, resets, delay edits — against the fold
+// oracle over a fresh compute().  Between node-level updates the engine's
+// node results must stay as of the last update(), and each update() must
+// then match the fresh compute() exactly, whatever terminal-only steps came
+// between (it is seeded by the net offset change).
+TEST(TerminalTable, UpdateTerminalsMatchesPassFoldOnEveryNetwork) {
+  std::vector<Workload> nets = terminal_networks();
+  std::uint64_t rows_swept = 0;
+  for (std::size_t w = 0; w < nets.size(); ++w) {
+    Workload& net = nets[w];
+    SCOPED_TRACE(net.name);
+    DelayCalculator calc(net.design);
+    TimingGraph graph(net.design, calc);
+    SyncModel sync(graph, net.clocks, calc);
+    ClusterSet clusters(graph, sync);
+    SlackEngine eng(graph, clusters, sync);
+    SlackEngine fresh(graph, clusters, sync);
+
+    eng.update_terminals();  // builds the table; no pass is evaluated
+    fresh.compute();
+    EXPECT_EQ(eng.incremental_stats().passes_evaluated, 0u);
+    ASSERT_TRUE(terminals_match(eng, fold_terminals(fresh)));
+    ASSERT_TRUE(terminals_match(fresh, fold_terminals(fresh)));
+    eng.update();
+    ASSERT_TRUE(equal(take(fresh), take(eng)));
+
+    std::vector<InstId> comb;
+    for (std::uint32_t i = 0; i < net.design.top().insts().size(); ++i) {
+      const Instance& inst = net.design.top().inst(InstId(i));
+      if (inst.is_cell() && !net.design.lib().cell(inst.cell).is_sequential()) {
+        comb.push_back(InstId(i));
+      }
+    }
+    Snapshot nodes_at_update = take(eng);
+    Rng rng(4100 + w);
+    for (int step = 0; step < 40; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      for (int k = rng.uniform(1, 3); k > 0; --k) {
+        switch (rng.uniform(0, 3)) {
+          case 0: {  // shift a transparent element within its legal range
+            const SyncId id(
+                static_cast<std::uint32_t>(rng.pick(sync.num_instances())));
+            const SyncInstance& si = sync.at(id);
+            if (!si.transparent || si.is_virtual) break;
+            const TimePs delta =
+                rng.uniform(-si.max_decrease(), si.max_increase());
+            if (delta != 0) sync.at_mut(id).shift(delta);
+            break;
+          }
+          case 1: {  // move a virtual terminal
+            const SyncId id(
+                static_cast<std::uint32_t>(rng.pick(sync.num_instances())));
+            if (!sync.at(id).is_virtual) break;
+            sync.at_mut(id).v_offset += rng.uniform(-200, 200);
+            break;
+          }
+          case 2:
+            sync.reset_offsets();
+            break;
+          default: {  // a delay edit, absorbed through node invalidations
+            if (comb.empty()) break;
+            const InstId inst = comb[rng.pick(comb.size())];
+            calc.adjust_instance(inst, rng.uniform(-30, 60));
+            const TimingGraph::DelayUpdate upd =
+                graph.update_instance_delays(inst, calc);
+            for (InstId s : upd.affected_sequential) {
+              sync.refresh_element_delays(s, calc);
+            }
+            for (std::uint32_t ai : upd.changed_arcs) {
+              eng.invalidate_node(graph.arc(ai).from);
+              eng.invalidate_node(graph.arc(ai).to);
+            }
+            break;
+          }
+        }
+      }
+      eng.invalidate_offsets(sync.drain_changed_offsets());
+      eng.update_terminals();
+      fresh.compute();
+      const Terminals want = fold_terminals(fresh);
+      ASSERT_TRUE(terminals_match(eng, want));
+      ASSERT_TRUE(terminals_match(fresh, want));
+      // Node results stay as of the last node-level refresh.
+      Snapshot now = take(eng);
+      now.launch.clear();
+      now.capture.clear();
+      ASSERT_TRUE(equal(now, nodes_at_update));
+      if (step % 5 == 4) {
+        eng.update();
+        ASSERT_TRUE(equal(take(fresh), take(eng)));
+        nodes_at_update = take(eng);
+      }
+    }
+    EXPECT_EQ(eng.incremental_stats().full_computes, 1u);
+    rows_swept += eng.incremental_stats().rows_swept;
+  }
+  EXPECT_GT(rows_swept, 0u);
+}
+
+// Algorithm 1 on terminal-only steps with node results derived at its exit
+// against the reference path that calls compute() at every evaluation:
+// identical results, reports and (after Algorithm 2) constraint sets on
+// every generator network and the tristate / enable-path designs.
+TEST(TerminalTable, AlgorithmsMatchComputeReferencePath) {
+  for (Workload& net : terminal_networks()) {
+    SCOPED_TRACE(net.name);
+    Hummingbird inc(net.design, net.clocks);
+    HummingbirdOptions ref_opt;
+    ref_opt.alg1.incremental = false;
+    Hummingbird ref(net.design, net.clocks, ref_opt);
+    const Algorithm1Result a = inc.analyze();
+    const Algorithm1Result b = ref.analyze();
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.works_as_intended, b.works_as_intended);
+    EXPECT_EQ(a.worst_slack, b.worst_slack);
+    EXPECT_EQ(a.forward_cycles, b.forward_cycles);
+    EXPECT_EQ(a.backward_cycles, b.backward_cycles);
+    EXPECT_EQ(a.partial_forward_cycles, b.partial_forward_cycles);
+    EXPECT_EQ(a.partial_backward_cycles, b.partial_backward_cycles);
+    EXPECT_EQ(a.slack_evaluations, b.slack_evaluations);
+    EXPECT_EQ(inc.report(32), ref.report(32));
+    ASSERT_TRUE(equal(take(ref.engine()), take(inc.engine())));
+    EXPECT_EQ(ref.engine().incremental_stats().updates, 0u);
+
+    const ConstraintSet ca = inc.generate_constraints();
+    const ConstraintSet cb = ref.generate_constraints();
+    EXPECT_EQ(ca.backward_snatch_cycles, cb.backward_snatch_cycles);
+    EXPECT_EQ(ca.forward_snatch_cycles, cb.forward_snatch_cycles);
+    for (std::size_t n = 0; n < ca.nodes.size(); ++n) {
+      const ConstraintTimes& x = ca.nodes[n];
+      const ConstraintTimes& y = cb.nodes[n];
+      ASSERT_TRUE(x.has_ready == y.has_ready && x.ready == y.ready &&
+                  x.has_required == y.has_required &&
+                  x.required == y.required && x.slack == y.slack)
+          << "constraint times of node " << n;
+    }
+    EXPECT_EQ(inc.report(32), ref.report(32));
+  }
+}
+
 // Hummingbird-level differential: absorb random cell resizes through
 // update_instance_delays (rebuilding when it reports the change cannot be
 // absorbed) and compare every re-analysis against a freshly constructed
@@ -294,6 +549,132 @@ TEST(IncrementalFootprint, AbsorbedEditPatchesConesOnRandomLarge) {
   EXPECT_LT(alg2_refolded, alg2_held)
       << alg2_refolded << " of " << alg2_held
       << " dirty-cluster nodes re-folded";
+}
+
+// A commit derives node results only where they are read.  Algorithm 1's
+// and 2's steps read terminal slacks only, which the terminal delay table
+// serves; node results are brought to the current offsets once at
+// Algorithm 1's exit and once at each of Algorithm 2's two recording
+// points, each update() seeded by the net offset change since the last.
+// Measured before the table on this commit (same network, edit and pool):
+// 20 node-level update() calls re-tracing 126,960 nodes.
+TEST(IncrementalFootprint, CommitDerivesNodeSlacksOnlyWhereRead) {
+  RandomNetworkSpec spec;
+  spec.seed = 7;
+  spec.num_clocks = 2;
+  spec.banks = 8;
+  spec.bank_width = 10;
+  spec.gates_per_stage = 220;
+  RandomNetwork net = make_random_network(make_standard_library(), spec);
+  const Design& design = net.design;
+  ThreadPool pool(1);
+  HummingbirdOptions opt;
+  opt.alg1.pool = &pool;
+  opt.alg2.pool = &pool;
+  Hummingbird hb(design, net.clocks, opt);
+  hb.analyze();
+  hb.generate_constraints();
+  const std::uint64_t table_rows = hb.engine().incremental_stats().rows_swept;
+
+  InstId inst;
+  for (std::uint32_t i = 0; i < design.top().insts().size(); ++i) {
+    const Instance& x = design.top().inst(InstId(i));
+    if (x.is_cell() && !design.lib().cell(x.cell).is_sequential()) {
+      inst = InstId(i);
+      break;
+    }
+  }
+  ASSERT_TRUE(inst.valid());
+  hb.calculator_mut().adjust_instance(inst, ps(35));
+  ASSERT_TRUE(hb.update_instance_delays(inst));
+
+  const IncrementalStats before = hb.engine().incremental_stats();
+  const Algorithm1Result got = hb.reanalyze();
+  const ConstraintSet got_cs = hb.generate_constraints();
+  const IncrementalStats after = hb.engine().incremental_stats();
+  EXPECT_LE(after.updates - before.updates, 3u);
+  EXPECT_EQ(after.full_computes, before.full_computes);
+  EXPECT_GT(after.terminal_updates - before.terminal_updates, 0u);
+  const std::uint64_t retraced = after.nodes_retraced - before.nodes_retraced;
+  EXPECT_LE(retraced * 2, 126960u) << retraced << " nodes re-traced";
+  // The edit's own rows were re-swept, not the whole table (the first
+  // analysis built every row once).
+  EXPECT_GT(after.rows_swept, before.rows_swept);
+  EXPECT_LT((after.rows_swept - before.rows_swept) * 4, table_rows)
+      << after.rows_swept - before.rows_swept << " of " << table_rows
+      << " rows re-swept";
+
+  opt.delay_adjust = {InstDelayAdjust{inst, ps(35)}};
+  Hummingbird fresh(design, net.clocks, opt);
+  const Algorithm1Result want = fresh.analyze();
+  EXPECT_EQ(got.worst_slack, want.worst_slack);
+  EXPECT_EQ(got.slack_evaluations, want.slack_evaluations);
+  const ConstraintSet want_cs = fresh.generate_constraints();
+  EXPECT_EQ(got_cs.backward_snatch_cycles, want_cs.backward_snatch_cycles);
+  EXPECT_EQ(got_cs.forward_snatch_cycles, want_cs.forward_snatch_cycles);
+  for (std::size_t n = 0; n < want_cs.nodes.size(); ++n) {
+    const ConstraintTimes& a = got_cs.nodes[n];
+    const ConstraintTimes& b = want_cs.nodes[n];
+    ASSERT_TRUE(a.has_ready == b.has_ready && a.ready == b.ready &&
+                a.has_required == b.has_required && a.required == b.required &&
+                a.slack == b.slack)
+        << "constraint times of node " << n;
+  }
+  EXPECT_TRUE(equal(take(fresh.engine()), take(hb.engine())));
+}
+
+// Path enumeration traces the engine's cached passes instead of re-running
+// each reported path's pass.  A patched absent slot may hold -kInfinitePs
+// plus a delay rather than the exact sentinel (has() is a threshold
+// compare), so the paths read from incrementally patched caches — after
+// Algorithm 1 and after Algorithm 2 — must equal those after a fresh
+// compute() of the same state.
+TEST(IncrementalDifferential, SlowPathsFromPatchedCachesMatchFreshCompute) {
+  auto lib = make_standard_library();
+  std::size_t compared = 0;
+  for (int net_i = 0; net_i < 8; ++net_i) {
+    SCOPED_TRACE("network " + std::to_string(net_i));
+    RandomNetwork net = make_random_network(lib, spec_for(net_i * 3));
+    const Design& design = net.design;
+    auto hb = std::make_unique<Hummingbird>(design, net.clocks);
+    hb->analyze();
+    std::vector<InstId> comb;
+    for (std::uint32_t i = 0; i < design.top().insts().size(); ++i) {
+      const Instance& x = design.top().inst(InstId(i));
+      if (x.is_cell() && !design.lib().cell(x.cell).is_sequential()) {
+        comb.push_back(InstId(i));
+      }
+    }
+    Rng rng(60 + static_cast<std::uint64_t>(net_i));
+    std::vector<InstDelayAdjust> history;
+    for (int step = 0; step < 6; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const InstId inst = comb[rng.pick(comb.size())];
+      const TimePs delta = rng.uniform(-30, 80);
+      hb->calculator_mut().adjust_instance(inst, delta);
+      history.push_back({inst, delta});
+      if (!hb->update_instance_delays(inst)) {
+        HummingbirdOptions opt;
+        opt.delay_adjust = history;
+        hb = std::make_unique<Hummingbird>(design, net.clocks, opt);
+      }
+      for (int phase = 0; phase < 2; ++phase) {
+        if (phase == 0) {
+          hb->reanalyze();
+        } else {
+          hb->generate_constraints();
+        }
+        const std::vector<SlowPath> patched =
+            enumerate_slow_paths(hb->engine(), 64, kInfinitePs);
+        hb->engine_mut().compute();
+        const std::vector<SlowPath> fresh =
+            enumerate_slow_paths(hb->engine(), 64, kInfinitePs);
+        ASSERT_TRUE(same_paths(patched, fresh)) << "phase " << phase;
+        compared += fresh.size();
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 // The cost-model probe stops walking once its count passes the caller's

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "gen/des.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/flatten.hpp"
 #include "netlist/netlist_io.hpp"
@@ -230,6 +231,51 @@ TEST_F(NetlistTest, ValidateCatchesLatchWithoutClock) {
   const auto report = validate(b.finish());
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.to_string().find("clock"), std::string::npos);
+}
+
+TEST_F(NetlistTest, ValidateReportsEveryElementOnASharedBadControlNet) {
+  // Both latches hang off one non-monotonic control net: its cone is walked
+  // once, and each latch still gets its own finding, in instance order.
+  TopBuilder b("sharedctl", lib_);
+  const NetId clk = b.port_in("clk", true);
+  const NetId d = b.port_in("d");
+  const NetId ctl = b.gate("XOR2X1", {clk, clk});
+  const NetId q1 = b.latch("TLATCH", d, ctl, "lat1");
+  const NetId q2 = b.latch("TLATCH", q1, ctl, "lat2");
+  b.port_out_net("q", q2);
+  const auto report = validate(b.finish());
+  ASSERT_EQ(report.findings.size(), 2u);
+  EXPECT_EQ(report.errors[0],
+            "control input of 'lat1' is not a monotonic function of one clock "
+            "signal");
+  EXPECT_EQ(report.errors[1],
+            "control input of 'lat2' is not a monotonic function of one clock "
+            "signal");
+  for (const ValidationFinding& f : report.findings) {
+    EXPECT_EQ(f.diag.code, DiagCode::kDesignControlCone);
+    ASSERT_EQ(f.insts.size(), 1u);
+  }
+  EXPECT_NE(report.findings[0].insts[0], report.findings[1].insts[0]);
+}
+
+// Counted work, not time: every latch of the DES datapath sits on one clock
+// net, so a walk per latch scanned that net once per latch (quadratic in the
+// design).  Walking each control net once keeps the check linear.
+TEST_F(NetlistTest, ValidateControlConeWorkIsLinearOnDes) {
+  DesSpec spec;
+  spec.rounds = 56;
+  spec.half_width = 128;  // 51.6k cells
+  const Design des = make_des(lib_, spec);
+  ASSERT_GT(des.total_cell_count(), 50000u);
+  std::size_t pins = 0;
+  for (std::uint32_t n = 0; n < des.top().num_nets(); ++n) {
+    pins += des.top().net(NetId(n)).pins.size();
+  }
+  const auto report = validate(des);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_GT(report.control_cone_pins_visited, 0u);
+  EXPECT_LE(report.control_cone_pins_visited, 4 * pins)
+      << report.control_cone_pins_visited << " pins visited of " << pins;
 }
 
 TEST_F(NetlistTest, ValidateRejectsSequentialSubmodule) {

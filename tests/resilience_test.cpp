@@ -364,6 +364,43 @@ TEST(SelfHealTest, VerifyCacheDetectsInjectedCorruption) {
   EXPECT_EQ(engine.worst_terminal_slack(), clean_slack);
 }
 
+TEST(SelfHealTest, VerifyCacheDetectsTableCorruption) {
+  auto lib = make_standard_library();
+  DesSpec spec;
+  spec.rounds = 2;
+  const Design des = make_des(lib, spec);
+  const ClockSet clocks = make_single_clock(ns(6), ps(2400));
+
+  Hummingbird analyser(des, clocks);
+  SlackEngine& engine = analyser.engine_mut();
+  engine.compute();
+  std::vector<TimePs> clean;
+  for (std::uint32_t i = 0; i < analyser.sync_model().num_instances(); ++i) {
+    clean.push_back(engine.launch_slack(SyncId(i)));
+    clean.push_back(engine.capture_slack(SyncId(i)));
+  }
+  {
+    FaultInjector::Config cfg;
+    cfg.seed = 7;
+    cfg.probability[static_cast<int>(FaultSite::kCacheCorrupt)] = 1.0;
+    FaultInjector::Scope scope(cfg);
+    engine.update_terminals();  // one table delay perturbed after its checksum
+    EXPECT_FALSE(engine.verify_cache());
+  }
+  // Both caches were dropped: the next terminal refresh rebuilds the table,
+  // the next update() recomputes the passes, and nothing differs.
+  engine.update_terminals();
+  EXPECT_TRUE(engine.verify_cache());
+  engine.update();
+  EXPECT_TRUE(engine.verify_cache());
+  std::vector<TimePs> healed;
+  for (std::uint32_t i = 0; i < analyser.sync_model().num_instances(); ++i) {
+    healed.push_back(engine.launch_slack(SyncId(i)));
+    healed.push_back(engine.capture_slack(SyncId(i)));
+  }
+  EXPECT_EQ(healed, clean);
+}
+
 TEST(SelfHealTest, ParanoidAnalysisHealsUnderContinuousCorruption) {
   auto lib = make_standard_library();
   // The latch chain's analysis makes several incremental updates, so the

@@ -22,12 +22,15 @@
 
 #include "gen/random_network.hpp"
 #include "netlist/stdcells.hpp"
+#include "scenario/corner_set.hpp"
 #include "service/protocol.hpp"
 #include "service/session.hpp"
+#include "service/snapshot_store.hpp"
 #include "service/tcp_server.hpp"
 #include "sta/hummingbird.hpp"
 #include "sta/report.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace hb {
 namespace {
@@ -398,6 +401,86 @@ TEST(ServiceTest, TimedOutCommitRetainsEditsAndSnapshot) {
   EXPECT_EQ(session->snapshot()->id, 2u);
   EXPECT_EQ(session->pending_edits(), 0u);
   EXPECT_TRUE(matches_fresh_analysis(*session));
+}
+
+// The commit-sequence differential: 300 seeded commits on random_large, the
+// interactive workload's network (1,952 cells), mixing absorbed and
+// deferred edits, one timed-out commit and a 3-corner set.  A commit's
+// Algorithm 1 and 2 steps refresh terminal slacks only and derive node
+// results at their read points from the net offset change, so every commit
+// starts from whatever state the previous one left.  Every published image
+// must be byte-identical to the one a fresh session publishes for the same
+// design and edit history (its snapshot id aside).
+TEST(ServiceTest, CommitSequenceImagesMatchFreshSessions) {
+  RandomNetworkSpec spec;
+  spec.seed = 7;
+  spec.num_clocks = 2;
+  spec.banks = 8;
+  spec.bank_width = 10;
+  spec.gates_per_stage = 220;
+  SessionOptions opt;
+  opt.pool_threads = 2;
+  opt.corners = parse_corner_spec_or_throw(
+      "corner typical 1000\n"
+      "corner slow 1250\nwire slow 1300\n"
+      "corner fast 800\nwire fast 780\n");
+  auto session = make_session(opt, spec);
+  const std::vector<std::string> comb =
+      cell_names(session->design(), SIZE_MAX, false);
+  const std::vector<std::string> seq = cell_names(session->design(), 64, true);
+  ASSERT_FALSE(comb.empty());
+  ASSERT_FALSE(seq.empty());
+
+  auto fresh_image = [&](std::uint64_t id) {
+    HummingbirdOptions analysis;
+    analysis.delay_adjust = session->delay_adjust_history();
+    Session fresh(Design(session->design()), ClockSet(session->clocks()),
+                  analysis, opt);
+    AnalysisSnapshot snap = *fresh.snapshot();
+    snap.id = id;
+    return serialize_snapshot(snap);
+  };
+
+  Rng rng(2121);
+  int absorbed = 0, deferred = 0, timed_out = 0;
+  for (int k = 0; k < 300; ++k) {
+    SCOPED_TRACE("commit " + std::to_string(k));
+    const std::int64_t kind = rng.uniform(0, 19);
+    std::string edit;
+    if (kind == 0) {  // an element delay: deferred to a rebuild
+      edit = "set_delay " + seq[rng.pick(seq.size())] + " " +
+             std::to_string(rng.uniform(-20, 90)) + "ps";
+    } else if (kind == 1) {
+      edit = "upsize " + comb[rng.pick(comb.size())];
+    } else {
+      edit = "set_delay " + comb[rng.pick(comb.size())] + " " +
+             std::to_string(rng.uniform(-60, 120)) + "ps";
+    }
+    const QueryResult applied = session->execute(edit);
+    if (!applied.ok) continue;  // e.g. already the strongest variant
+    const std::string reply = to_wire(applied);
+    if (reply.find(" deferred ") != std::string::npos) {
+      ++deferred;
+    } else {
+      ++absorbed;
+    }
+    if (k == 150) {
+      ASSERT_TRUE(session->execute("deadline 0.000001").ok);
+      const QueryResult failed = session->execute("commit");
+      ASSERT_FALSE(failed.ok);
+      ASSERT_TRUE(failed.timed_out());
+      ++timed_out;
+      ASSERT_TRUE(session->execute("deadline 0").ok);
+    }
+    const QueryResult commit = session->execute("commit");
+    ASSERT_TRUE(commit.ok) << to_wire(commit);
+    const std::shared_ptr<const AnalysisSnapshot> snap = session->snapshot();
+    ASSERT_TRUE(serialize_snapshot(*snap) == fresh_image(snap->id))
+        << "published image differs from a fresh session's (" << edit << ")";
+  }
+  EXPECT_GT(absorbed, 200);
+  EXPECT_GT(deferred, 0);
+  EXPECT_EQ(timed_out, 1);
 }
 
 TEST(ServiceTest, CacheHitsOnRepeatAndInvalidatesOnPublication) {

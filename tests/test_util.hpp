@@ -1,7 +1,7 @@
 // Shared test fixtures: the generator-network workload list and the
 // byte-level comparison helpers used by the determinism sweeps
-// (parallel_sweep_test) and the BLIF round-trip differential suite
-// (blif_roundtrip_test).
+// (parallel_sweep_test), the BLIF round-trip differential suite
+// (blif_roundtrip_test) and the incremental and corner differentials.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +18,7 @@
 #include "netlist/stdcells.hpp"
 #include "sta/analysis_pass.hpp"
 #include "sta/cluster.hpp"
+#include "sta/report.hpp"
 #include "sta/slack_engine.hpp"
 
 namespace hb {
@@ -65,6 +66,26 @@ inline std::vector<Workload> all_generator_networks() {
     out.push_back({"random", std::move(net.design), std::move(net.clocks)});
   }
   return out;
+}
+
+/// Two path lists agree exactly: slack, terminals and every step.
+inline bool same_paths(const std::vector<SlowPath>& a,
+                       const std::vector<SlowPath>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].slack != b[i].slack || a[i].capture != b[i].capture ||
+        a[i].launch != b[i].launch || a[i].steps.size() != b[i].steps.size()) {
+      return false;
+    }
+    for (std::size_t k = 0; k < a[i].steps.size(); ++k) {
+      const PathStep& x = a[i].steps[k];
+      const PathStep& y = b[i].steps[k];
+      if (x.node != y.node || x.arrival != y.arrival || x.rising != y.rising) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 /// Raw bytes of every cached pass of every cluster, in a fixed order.
