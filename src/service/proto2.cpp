@@ -1,8 +1,6 @@
 #include "service/proto2.hpp"
 
-#include <algorithm>
-#include <vector>
-
+#include "service/read_eval.hpp"
 #include "service/snapshot_codec.hpp"
 
 namespace hb {
@@ -30,127 +28,234 @@ class FrameWriter {
   std::size_t base_;
 };
 
-std::string deadline_message(const SnapshotSource& src) {
-  return "read deadline exceeded; snapshot " + std::to_string(src.id()) +
-         " unaffected";
-}
+/// Writes one typed reply frame into the arena.  An error drops whatever
+/// was written of the frame and writes an error frame in its place.
+class FrameSink {
+ public:
+  explicit FrameSink(std::string& out)
+      : out_(out), base_(out.size()), frame_(out) {}
 
-/// Drop a half-written frame and answer with a structured error instead.
-Proto2Eval error_frame_at(std::string& out, std::size_t base, DiagCode code,
-                          const std::string& message) {
-  out.resize(base);
-  proto2_error_frame(code, message, out);
-  Proto2Eval e;
-  e.ok = false;
-  e.timed_out = code == DiagCode::kAnalysisBudget;
-  return e;
-}
+  Proto2Eval finish() {
+    if (result_.ok) frame_.finish();
+    return result_;
+  }
 
-/// resolve_corner of the text evaluator, over a string_view selector: a
-/// corner name first, then a decimal index of at most 9 digits.
-std::size_t resolve_corner_sv(const SnapshotSource& src,
-                              std::string_view sel) {
-  for (std::size_t k = 0; k < src.num_corners(); ++k) {
-    if (src.corner_meta(k).name == sel) return k;
+  void error(DiagCode code, const std::string& message) {
+    out_.resize(base_);
+    proto2_error_frame(code, message, out_);
+    result_.ok = false;
+    result_.timed_out = code == DiagCode::kAnalysisBudget;
   }
-  if (!sel.empty() && sel.size() <= 9 &&
-      sel.find_first_not_of("0123456789") == std::string_view::npos) {
-    std::size_t k = 0;
-    for (const char c : sel) k = k * 10 + static_cast<std::size_t>(c - '0');
-    if (k < src.num_corners()) return k;
+  void scope(std::string_view name) {
+    scoped_ = true;
+    corner_ = name;
   }
-  return SnapshotSource::npos;
-}
+  void pong() { head(Proto2Op::kPing); }
+  void summary(std::uint64_t id, AnalysisStatus status, bool works,
+               TimePs worst, std::uint64_t terminals,
+               std::uint64_t violations, std::uint64_t paths) {
+    head(Proto2Op::kSummary);
+    put_u64(out_, id);
+    put_u8(out_, static_cast<std::uint8_t>(status));
+    put_u8(out_, works ? 1 : 0);
+    put_i64(out_, worst);
+    put_u64(out_, terminals);
+    put_u64(out_, violations);
+    put_u64(out_, paths);
+  }
+  void corner_summary(std::uint64_t id, std::uint32_t derate_pm,
+                      std::uint32_t wire_pm, TimePs worst,
+                      std::uint64_t violations, std::uint64_t paths) {
+    head(Proto2Op::kSummary);
+    put_u64(out_, id);
+    put_u32(out_, derate_pm);
+    put_u32(out_, wire_pm);
+    put_i64(out_, worst);
+    put_u64(out_, violations);
+    put_u64(out_, paths);
+  }
+  void slack(std::string_view node, TimePs slack) {
+    head(Proto2Op::kSlack);
+    put_str(out_, node);
+    put_i64(out_, slack);
+  }
+  void worst_paths(std::uint64_t served, std::uint64_t of) {
+    head(Proto2Op::kWorstPaths);
+    put_u64(out_, served);
+    put_u64(out_, of);
+  }
+  void path(std::uint64_t, const SourcePath& p) {
+    put_i64(out_, p.slack);
+    put_str(out_, p.launch);
+    put_str(out_, p.capture);
+    put_str(out_, p.from);
+    put_str(out_, p.to);
+    put_u64(out_, p.steps);
+  }
+  // The renderer recomputes the bin edges from bins, min and max.
+  void histogram(std::uint64_t bins, std::uint64_t n, TimePs mn, TimePs mx) {
+    head(Proto2Op::kHistogram);
+    put_u64(out_, bins);
+    put_u64(out_, n);
+    put_i64(out_, mn);
+    put_i64(out_, mx);
+  }
+  void bin(std::uint64_t, std::uint64_t count) { put_u64(out_, count); }
+  void constraints(std::string_view inst, std::uint64_t pins) {
+    head(Proto2Op::kConstraints);
+    put_str(out_, inst);
+    put_u64(out_, pins);
+  }
+  void pin(std::string_view name, const NodeTiming& t) {
+    put_str(out_, name);
+    put_i64(out_, t.slack);
+    put_i64(out_, t.ready.rise);
+    put_i64(out_, t.ready.fall);
+    put_i64(out_, t.required.rise);
+    put_i64(out_, t.required.fall);
+  }
+  void check_hold(TimePs margin, std::uint64_t violations) {
+    head(Proto2Op::kCheckHold);
+    put_i64(out_, margin);
+    put_u64(out_, violations);
+  }
+  void hold(const SourceHoldPair& p) {
+    put_i64(out_, p.margin);
+    put_str(out_, p.launch_label);
+    put_str(out_, p.capture_label);
+  }
+  void gen_constraints(AnalysisStatus status, std::int32_t backward,
+                       std::int32_t forward, std::uint64_t endpoints) {
+    head(Proto2Op::kGenConstraints);
+    put_u8(out_, static_cast<std::uint8_t>(status));
+    put_u32(out_, static_cast<std::uint32_t>(backward));
+    put_u32(out_, static_cast<std::uint32_t>(forward));
+    put_u64(out_, endpoints);
+  }
+  void endpoint(std::string_view node, TimePs ready, TimePs required,
+                TimePs slack) {
+    put_str(out_, node);
+    put_i64(out_, ready);
+    put_i64(out_, required);
+    put_i64(out_, slack);
+  }
+  void corner_list(std::uint64_t n, std::string_view worst) {
+    head(Proto2Op::kCorner);
+    put_u8(out_, kProto2CornerList);
+    put_u64(out_, n);
+    put_str(out_, worst);
+  }
+  void corner_entry(std::uint64_t, const SourceCorner& c, TimePs worst,
+                    std::uint64_t violations) {
+    put_str(out_, c.name);
+    put_u32(out_, c.derate_pm);
+    put_u32(out_, c.wire_pm);
+    put_i64(out_, worst);
+    put_u64(out_, violations);
+  }
 
-void put_path_body(std::string& out, const SourcePath& p) {
-  put_i64(out, p.slack);
-  put_str(out, p.launch);
-  put_str(out, p.capture);
-  put_str(out, p.from);
-  put_str(out, p.to);
-  put_u64(out, p.steps);
-}
+ private:
+  /// Status byte and opcode echo; a corner-scoped reply is wrapped as
+  /// kCorner, the scoped opcode and the corner's name.
+  void head(Proto2Op op) {
+    put_u8(out_, static_cast<std::uint8_t>(Proto2Status::kTyped));
+    if (!scoped_) {
+      put_u8(out_, static_cast<std::uint8_t>(op));
+      return;
+    }
+    put_u8(out_, static_cast<std::uint8_t>(Proto2Op::kCorner));
+    put_u8(out_, static_cast<std::uint8_t>(op));
+    put_str(out_, corner_);
+  }
 
-/// Encode a worst_paths body; false on deadline (mirrors the per-path
-/// count_cycle of the text evaluator).
-template <typename PathAt>
-bool put_paths_body(std::string& out, std::size_t served, std::size_t of,
-                    PathAt at, BudgetTimer& timer) {
-  put_u64(out, served);
-  put_u64(out, of);
-  for (std::size_t i = 0; i < served; ++i) {
-    timer.count_cycle();
-    if (timer.exhausted()) return false;
-    put_path_body(out, at(i));
-  }
-  return true;
-}
+  std::string& out_;
+  std::size_t base_;
+  FrameWriter frame_;
+  Proto2Eval result_;
+  bool scoped_ = false;
+  std::string_view corner_;
+};
 
-/// Encode a histogram body: bins, count, min, max, then per-bin counts.
-/// The renderer recomputes width = (max - min) / bins + 1, exactly as the
-/// text evaluator does.  False on deadline.
-template <typename SlackAt>
-bool put_histogram_body(std::string& out, std::int64_t bins, std::size_t n,
-                        SlackAt at, BudgetTimer& timer) {
-  if (n == 0) {
-    put_u64(out, 0);
-    put_u64(out, 0);
-    put_i64(out, 0);
-    put_i64(out, 0);
-    return true;
-  }
-  TimePs mn = at(0), mx = mn;
-  for (std::size_t i = 1; i < n; ++i) {
-    const TimePs s = at(i);
-    mn = std::min(mn, s);
-    mx = std::max(mx, s);
-  }
-  const TimePs width = (mx - mn) / bins + 1;
-  static thread_local std::vector<std::uint64_t> count;
-  count.assign(static_cast<std::size_t>(bins), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    ++count[static_cast<std::size_t>((at(i) - mn) / width)];
-  }
-  put_u64(out, static_cast<std::uint64_t>(bins));
-  put_u64(out, n);
-  put_i64(out, mn);
-  put_i64(out, mx);
-  for (std::int64_t i = 0; i < bins; ++i) {
-    timer.count_cycle();
-    if (timer.exhausted()) return false;
-    put_u64(out, count[static_cast<std::size_t>(i)]);
-  }
-  return true;
-}
-
-/// Encode a check_hold body: margin, violation count, violating pairs.
-/// False on deadline.
-template <typename PairAt>
-bool put_check_hold_body(std::string& out, TimePs margin, std::size_t pairs,
-                         PairAt at, BudgetTimer& timer) {
-  std::size_t violations = 0;
-  for (std::size_t i = 0; i < pairs; ++i) {
-    if (at(i).margin < margin) ++violations;
-  }
-  put_i64(out, margin);
-  put_u64(out, violations);
-  for (std::size_t i = 0; i < pairs; ++i) {
-    const SourceHoldPair p = at(i);
-    if (p.margin >= margin) continue;
-    timer.count_cycle();
-    if (timer.exhausted()) return false;
-    put_i64(out, p.margin);
-    put_str(out, p.launch_label);
-    put_str(out, p.capture_label);
-  }
-  return true;
-}
-
-Proto2Request malformed(Proto2Request req, DiagCode code, std::string msg) {
+bool malformed(Proto2Request& req, DiagCode code, std::string msg) {
   req.ok = false;
   req.code = code;
   req.error = std::move(msg);
-  return req;
+  return false;
+}
+
+/// Decode the body of typed verb `op` into `req`: a top-level request's
+/// body, or the sub body of a corner-scoped one.
+bool decode_body(Proto2Op op, std::string_view body, Proto2Request& req) {
+  Reader r = reader_of(body);
+  switch (op) {
+    case Proto2Op::kText:
+      req.text = body;
+      return true;
+    case Proto2Op::kSlack:
+    case Proto2Op::kConstraints:
+      req.name = body;
+      return true;
+    case Proto2Op::kCorner: {
+      const std::uint8_t sub = r.u8();
+      req.selector = r.str_view();
+      req.corner_list = sub == kProto2CornerList;
+      if (r.fail || req.corner_list) {
+        if (!r.fail && r.remaining() != 0) {
+          return malformed(req, DiagCode::kParseSyntax,
+                           "'corner list' takes no further arguments");
+        }
+        break;
+      }
+      req.sub = static_cast<Proto2Op>(sub);
+      if (!corner_scopable(req.sub)) {
+        return malformed(req, DiagCode::kParseSyntax,
+                         "'corner' scopes slack, worst_paths, histogram, "
+                         "summary or check_hold");
+      }
+      return decode_body(req.sub, body.substr(r.pos), req);
+    }
+    case Proto2Op::kWorstPaths:
+    case Proto2Op::kHistogram:
+      req.count = r.u32();
+      break;
+    case Proto2Op::kCheckHold:
+      req.margin = r.i64();
+      break;
+    case Proto2Op::kPing:
+    case Proto2Op::kSummary:
+    case Proto2Op::kGenConstraints:
+      break;
+  }
+  // Fixed-width bodies (a corner list's included): exactly the fields, then
+  // the value's range.
+  if (r.fail || r.remaining() != 0) {
+    return malformed(req, DiagCode::kParseSyntax, "malformed proto2 request");
+  }
+  if (op == Proto2Op::kWorstPaths || op == Proto2Op::kHistogram) {
+    const ArgRange range =
+        op == Proto2Op::kHistogram ? kHistogramBins : kWorstPathsCount;
+    if (req.count < range.lo || req.count > range.hi) {
+      return malformed(req, DiagCode::kParseBadNumber,
+                       range_error(std::to_string(req.count), range));
+    }
+  }
+  return true;
+}
+
+/// The typed opcode of a text verb; kText when it has none.
+Proto2Op op_of(QueryVerb verb) {
+  switch (verb) {
+    case QueryVerb::kPing: return Proto2Op::kPing;
+    case QueryVerb::kSummary: return Proto2Op::kSummary;
+    case QueryVerb::kSlack: return Proto2Op::kSlack;
+    case QueryVerb::kWorstPaths: return Proto2Op::kWorstPaths;
+    case QueryVerb::kHistogram: return Proto2Op::kHistogram;
+    case QueryVerb::kConstraints: return Proto2Op::kConstraints;
+    case QueryVerb::kCheckHold: return Proto2Op::kCheckHold;
+    case QueryVerb::kGenConstraints: return Proto2Op::kGenConstraints;
+    case QueryVerb::kCorner: return Proto2Op::kCorner;
+    default: return Proto2Op::kText;
+  }
 }
 
 }  // namespace
@@ -158,371 +263,54 @@ Proto2Request malformed(Proto2Request req, DiagCode code, std::string msg) {
 Proto2Request proto2_decode_request(std::string_view payload) {
   Proto2Request req;
   if (payload.empty()) {
-    return malformed(std::move(req), DiagCode::kParseSyntax,
-                     "empty request frame");
+    malformed(req, DiagCode::kParseSyntax, "empty request frame");
+    return req;
   }
   const std::uint8_t op = static_cast<std::uint8_t>(payload[0]);
   if (op > static_cast<std::uint8_t>(Proto2Op::kCorner)) {
-    return malformed(std::move(req), DiagCode::kParseUnknownKeyword,
-                     "unknown proto2 opcode " + std::to_string(op));
+    malformed(req, DiagCode::kParseUnknownKeyword,
+              "unknown proto2 opcode " + std::to_string(op));
+    return req;
   }
   req.op = static_cast<Proto2Op>(op);
-  const std::string_view body = payload.substr(1);
-  Reader r = reader_of(body);
-  switch (req.op) {
-    case Proto2Op::kText:
-      req.text = body;
-      break;
-    case Proto2Op::kPing:
-    case Proto2Op::kSummary:
-    case Proto2Op::kGenConstraints:
-      if (!body.empty()) {
-        return malformed(std::move(req), DiagCode::kParseSyntax,
-                         "malformed proto2 request");
-      }
-      break;
+  req.ok = decode_body(req.op, payload.substr(1), req);
+  return req;
+}
+
+Proto2Request proto2_request_of(const ParsedQuery& q) {
+  Proto2Request req;
+  if (!q.ok) return req;
+  req.ok = true;
+  req.op = op_of(q.verb);
+  const bool scoped = req.op == Proto2Op::kCorner;
+  if (scoped) {
+    req.selector = q.args[0];
+    req.corner_list = q.corner_sub == QueryVerb::kUnknown;
+    req.sub = op_of(q.corner_sub);
+  }
+  switch (scoped ? req.sub : req.op) {
     case Proto2Op::kSlack:
     case Proto2Op::kConstraints:
-      req.name = body;
+      req.name = q.args[scoped ? 1 : 0];
       break;
     case Proto2Op::kWorstPaths:
-    case Proto2Op::kHistogram: {
-      const std::uint32_t v = r.u32();
-      if (r.fail || r.remaining() != 0) {
-        return malformed(std::move(req), DiagCode::kParseSyntax,
-                         "malformed proto2 request");
-      }
-      const std::uint32_t lo = req.op == Proto2Op::kWorstPaths ? 0 : 1;
-      const std::uint32_t hi =
-          req.op == Proto2Op::kHistogram ? 1000 : 100000;
-      if (v < lo || v > hi) {
-        return malformed(std::move(req), DiagCode::kParseBadNumber,
-                         "'" + std::to_string(v) + "' is not an integer in [" +
-                             std::to_string(lo) + ", " + std::to_string(hi) +
-                             "]");
-      }
-      req.count = v;
+    case Proto2Op::kHistogram:
+      req.count = static_cast<std::uint32_t>(q.number);
       break;
-    }
-    case Proto2Op::kCheckHold: {
-      const std::int64_t v = r.i64();
-      if (r.fail || r.remaining() != 0) {
-        return malformed(std::move(req), DiagCode::kParseSyntax,
-                         "malformed proto2 request");
-      }
-      req.margin = v;
+    case Proto2Op::kCheckHold:
+      req.margin = q.number;
       break;
-    }
-    case Proto2Op::kCorner: {
-      const std::uint8_t sub = r.u8();
-      req.selector = r.str_view();
-      if (r.fail) {
-        return malformed(std::move(req), DiagCode::kParseSyntax,
-                         "malformed proto2 request");
-      }
-      if (sub == kProto2CornerList) {
-        if (r.remaining() != 0) {
-          return malformed(std::move(req), DiagCode::kParseSyntax,
-                           "'corner list' takes no further arguments");
-        }
-        req.corner_list = true;
-        break;
-      }
-      req.sub = static_cast<Proto2Op>(sub);
-      switch (req.sub) {
-        case Proto2Op::kSlack:
-          req.name = body.substr(r.pos);
-          break;
-        case Proto2Op::kWorstPaths:
-        case Proto2Op::kHistogram: {
-          const std::uint32_t v = r.u32();
-          if (r.fail || r.remaining() != 0) {
-            return malformed(std::move(req), DiagCode::kParseSyntax,
-                             "malformed proto2 request");
-          }
-          const std::uint32_t lo = req.sub == Proto2Op::kWorstPaths ? 0 : 1;
-          const std::uint32_t hi =
-              req.sub == Proto2Op::kHistogram ? 1000 : 100000;
-          if (v < lo || v > hi) {
-            return malformed(
-                std::move(req), DiagCode::kParseBadNumber,
-                "'" + std::to_string(v) + "' is not an integer in [" +
-                    std::to_string(lo) + ", " + std::to_string(hi) + "]");
-          }
-          req.count = v;
-          break;
-        }
-        case Proto2Op::kSummary:
-          if (r.remaining() != 0) {
-            return malformed(std::move(req), DiagCode::kParseSyntax,
-                             "malformed proto2 request");
-          }
-          break;
-        case Proto2Op::kCheckHold: {
-          const std::int64_t v = r.i64();
-          if (r.fail || r.remaining() != 0) {
-            return malformed(std::move(req), DiagCode::kParseSyntax,
-                             "malformed proto2 request");
-          }
-          req.margin = v;
-          break;
-        }
-        default:
-          return malformed(std::move(req), DiagCode::kParseSyntax,
-                           "'corner' scopes slack, worst_paths, histogram, "
-                           "summary or check_hold");
-      }
+    default:
       break;
-    }
   }
-  req.ok = true;
   return req;
 }
 
 Proto2Eval proto2_evaluate(const Proto2Request& req, const SnapshotSource& src,
                            BudgetTimer& timer, std::string& out) {
-  const std::size_t base = out.size();
-  if (!req.ok) return error_frame_at(out, base, req.code, req.error);
-  if (timer.exhausted()) {
-    return error_frame_at(out, base, DiagCode::kAnalysisBudget,
-                          deadline_message(src));
-  }
-  FrameWriter frame(out);
-  put_u8(out, static_cast<std::uint8_t>(Proto2Status::kTyped));
-  put_u8(out, static_cast<std::uint8_t>(req.op));
-  switch (req.op) {
-    case Proto2Op::kPing:
-      break;
-    case Proto2Op::kSummary:
-      put_u64(out, src.id());
-      put_u8(out, static_cast<std::uint8_t>(src.status()));
-      put_u8(out, src.works_as_intended() ? 1 : 0);
-      put_i64(out, src.worst_slack());
-      put_u64(out, src.num_terminals());
-      put_u64(out, src.num_violations());
-      put_u64(out, src.num_paths());
-      break;
-    case Proto2Op::kSlack: {
-      const std::size_t idx = src.find_node(req.name);
-      if (idx == SnapshotSource::npos) {
-        return error_frame_at(out, base, DiagCode::kParseUnknownName,
-                              "unknown node '" + std::string(req.name) + "'");
-      }
-      put_str(out, req.name);
-      put_i64(out, src.node_timing(idx).slack);
-      break;
-    }
-    case Proto2Op::kWorstPaths: {
-      const std::size_t served =
-          std::min<std::size_t>(req.count, src.num_paths());
-      if (!put_paths_body(
-              out, served, src.num_violations(),
-              [&src](std::size_t i) { return src.path(i); }, timer)) {
-        return error_frame_at(out, base, DiagCode::kAnalysisBudget,
-                              deadline_message(src));
-      }
-      break;
-    }
-    case Proto2Op::kHistogram:
-      if (!put_histogram_body(
-              out, req.count, src.num_capture_slacks(),
-              [&src](std::size_t i) { return src.capture_slack(i); }, timer)) {
-        return error_frame_at(out, base, DiagCode::kAnalysisBudget,
-                              deadline_message(src));
-      }
-      break;
-    case Proto2Op::kConstraints: {
-      const SnapshotSource::InstRef ref = src.find_instance(req.name);
-      if (!ref.found) {
-        return error_frame_at(
-            out, base, DiagCode::kParseUnknownName,
-            "unknown instance '" + std::string(req.name) + "'");
-      }
-      const std::size_t pins = src.num_instance_pins(ref);
-      put_str(out, req.name);
-      put_u64(out, pins);
-      for (std::size_t i = 0; i < pins; ++i) {
-        timer.count_cycle();
-        if (timer.exhausted()) {
-          return error_frame_at(out, base, DiagCode::kAnalysisBudget,
-                                deadline_message(src));
-        }
-        const SourcePin pin = src.instance_pin(ref, i);
-        const NodeTiming nt = src.node_timing(pin.node);
-        put_str(out, pin.name);
-        put_i64(out, nt.slack);
-        put_i64(out, nt.ready.rise);
-        put_i64(out, nt.ready.fall);
-        put_i64(out, nt.required.rise);
-        put_i64(out, nt.required.fall);
-      }
-      break;
-    }
-    case Proto2Op::kCheckHold: {
-      if (!src.has_hold()) {
-        return error_frame_at(
-            out, base, DiagCode::kServiceRejected,
-            "snapshot " + std::to_string(src.id()) +
-                " carries no hold capture "
-                "(SessionOptions::capture_hold disabled)");
-      }
-      if (!put_check_hold_body(
-              out, req.margin, src.num_hold_pairs(),
-              [&src](std::size_t i) { return src.hold_pair(i); }, timer)) {
-        return error_frame_at(out, base, DiagCode::kAnalysisBudget,
-                              deadline_message(src));
-      }
-      break;
-    }
-    case Proto2Op::kGenConstraints: {
-      if (!src.has_constraints()) {
-        return error_frame_at(
-            out, base, DiagCode::kServiceRejected,
-            "snapshot " + std::to_string(src.id()) +
-                " carries no constraint capture "
-                "(SessionOptions::capture_constraints disabled)");
-      }
-      const std::size_t cons = src.num_constraint_nodes();
-      std::size_t endpoints = 0;
-      for (std::size_t i = 0; i < cons; ++i) {
-        const ConstraintTimes ct = src.constraint_node(i);
-        if (ct.has_ready && ct.has_required && ct.slack <= 0) ++endpoints;
-      }
-      put_u8(out, static_cast<std::uint8_t>(src.constraints_status()));
-      put_u32(out, static_cast<std::uint32_t>(src.backward_snatch_cycles()));
-      put_u32(out, static_cast<std::uint32_t>(src.forward_snatch_cycles()));
-      put_u64(out, endpoints);
-      for (std::size_t i = 0; i < cons; ++i) {
-        const ConstraintTimes ct = src.constraint_node(i);
-        if (!ct.has_ready || !ct.has_required || ct.slack > 0) continue;
-        timer.count_cycle();
-        if (timer.exhausted()) {
-          return error_frame_at(out, base, DiagCode::kAnalysisBudget,
-                                deadline_message(src));
-        }
-        if (i < src.num_node_names()) {
-          put_str(out, src.node_name(i));
-        } else {
-          put_str(out, std::to_string(i));
-        }
-        put_i64(out, std::max(ct.ready.rise, ct.ready.fall));
-        put_i64(out, std::min(ct.required.rise, ct.required.fall));
-        put_i64(out, ct.slack);
-      }
-      break;
-    }
-    case Proto2Op::kCorner: {
-      if (!src.has_corners()) {
-        return error_frame_at(
-            out, base, DiagCode::kServiceRejected,
-            "snapshot " + std::to_string(src.id()) +
-                " carries no corner capture "
-                "(session ran without a corner set)");
-      }
-      if (req.corner_list) {
-        put_u8(out, kProto2CornerList);
-        put_u64(out, src.num_corners());
-        put_str(out, src.corner_meta(src.worst_corner()).name);
-        for (std::size_t k = 0; k < src.num_corners(); ++k) {
-          timer.count_cycle();
-          if (timer.exhausted()) {
-            return error_frame_at(out, base, DiagCode::kAnalysisBudget,
-                                  deadline_message(src));
-          }
-          const SourceCornerMeta c = src.corner_meta(k);
-          put_str(out, c.name);
-          put_u32(out, c.derate_pm);
-          put_u32(out, c.wire_pm);
-          put_i64(out, c.worst_slack);
-          put_u64(out, c.num_violations);
-        }
-        break;
-      }
-      const std::size_t k = resolve_corner_sv(src, req.selector);
-      if (k == SnapshotSource::npos) {
-        return error_frame_at(out, base, DiagCode::kParseUnknownName,
-                              "unknown corner '" + std::string(req.selector) +
-                                  "' (try `corner list`)");
-      }
-      const SourceCornerMeta c = src.corner_meta(k);
-      put_u8(out, static_cast<std::uint8_t>(req.sub));
-      put_str(out, c.name);
-      switch (req.sub) {
-        case Proto2Op::kSlack: {
-          const std::size_t idx = src.find_node(req.name);
-          if (idx == SnapshotSource::npos ||
-              idx >= src.corner_num_node_slacks(k)) {
-            return error_frame_at(
-                out, base, DiagCode::kParseUnknownName,
-                "unknown node '" + std::string(req.name) + "'");
-          }
-          put_str(out, req.name);
-          put_i64(out, src.corner_node_slack(k, idx));
-          break;
-        }
-        case Proto2Op::kWorstPaths: {
-          const std::size_t served =
-              std::min<std::size_t>(req.count, c.num_paths);
-          if (!put_paths_body(
-                  out, served, c.num_violations,
-                  [&src, k](std::size_t i) { return src.corner_path(k, i); },
-                  timer)) {
-            return error_frame_at(out, base, DiagCode::kAnalysisBudget,
-                                  deadline_message(src));
-          }
-          break;
-        }
-        case Proto2Op::kHistogram:
-          if (!put_histogram_body(
-                  out, req.count, src.corner_num_capture_slacks(k),
-                  [&src, k](std::size_t i) {
-                    return src.corner_capture_slack(k, i);
-                  },
-                  timer)) {
-            return error_frame_at(out, base, DiagCode::kAnalysisBudget,
-                                  deadline_message(src));
-          }
-          break;
-        case Proto2Op::kSummary:
-          put_u64(out, src.id());
-          put_u32(out, c.derate_pm);
-          put_u32(out, c.wire_pm);
-          put_i64(out, c.worst_slack);
-          put_u64(out, c.num_violations);
-          put_u64(out, c.num_paths);
-          break;
-        case Proto2Op::kCheckHold: {
-          if (!c.has_hold) {
-            return error_frame_at(
-                out, base, DiagCode::kServiceRejected,
-                "snapshot " + std::to_string(src.id()) +
-                    " carries no hold capture for corner " +
-                    std::string(c.name) +
-                    " (SessionOptions::capture_hold disabled)");
-          }
-          if (!put_check_hold_body(
-                  out, req.margin, src.corner_num_hold_pairs(k),
-                  [&src, k](std::size_t i) {
-                    return src.corner_hold_pair(k, i);
-                  },
-                  timer)) {
-            return error_frame_at(out, base, DiagCode::kAnalysisBudget,
-                                  deadline_message(src));
-          }
-          break;
-        }
-        default:
-          return error_frame_at(out, base, DiagCode::kParseSyntax,
-                                "not a corner read query");
-      }
-      break;
-    }
-    case Proto2Op::kText:
-      return error_frame_at(out, base, DiagCode::kParseSyntax,
-                            "not a read query");
-  }
-  frame.finish();
-  return Proto2Eval{};
+  FrameSink sink(out);
+  evaluate_read(req, src, timer, sink);
+  return sink.finish();
 }
 
 void proto2_error_frame(DiagCode code, std::string_view message,
@@ -549,73 +337,31 @@ void proto2_ping_frame(std::string& out) {
 }
 
 bool proto2_encode_request(const ParsedQuery& q, std::string& out) {
-  if (!q.ok) return false;
-  const std::size_t base = out.size();
+  const Proto2Request req = proto2_request_of(q);
+  if (!req.ok || req.op == Proto2Op::kText) return false;
   FrameWriter frame(out);
-  switch (q.verb) {
-    case QueryVerb::kPing:
-      put_u8(out, static_cast<std::uint8_t>(Proto2Op::kPing));
+  put_u8(out, static_cast<std::uint8_t>(req.op));
+  Proto2Op body = req.op;  // the encoding decode_body reads back
+  if (req.op == Proto2Op::kCorner) {
+    put_u8(out, req.corner_list ? kProto2CornerList
+                                : static_cast<std::uint8_t>(req.sub));
+    put_str(out, req.corner_list ? std::string_view() : req.selector);
+    body = req.sub;
+  }
+  switch (body) {
+    case Proto2Op::kSlack:
+    case Proto2Op::kConstraints:
+      out.append(req.name);
       break;
-    case QueryVerb::kSummary:
-      put_u8(out, static_cast<std::uint8_t>(Proto2Op::kSummary));
+    case Proto2Op::kWorstPaths:
+    case Proto2Op::kHistogram:
+      put_u32(out, req.count);
       break;
-    case QueryVerb::kGenConstraints:
-      put_u8(out, static_cast<std::uint8_t>(Proto2Op::kGenConstraints));
+    case Proto2Op::kCheckHold:
+      put_i64(out, req.margin);
       break;
-    case QueryVerb::kSlack:
-      put_u8(out, static_cast<std::uint8_t>(Proto2Op::kSlack));
-      out.append(q.args[0]);
-      break;
-    case QueryVerb::kConstraints:
-      put_u8(out, static_cast<std::uint8_t>(Proto2Op::kConstraints));
-      out.append(q.args[0]);
-      break;
-    case QueryVerb::kWorstPaths:
-      put_u8(out, static_cast<std::uint8_t>(Proto2Op::kWorstPaths));
-      put_u32(out, static_cast<std::uint32_t>(q.number));
-      break;
-    case QueryVerb::kHistogram:
-      put_u8(out, static_cast<std::uint8_t>(Proto2Op::kHistogram));
-      put_u32(out, static_cast<std::uint32_t>(q.number));
-      break;
-    case QueryVerb::kCheckHold:
-      put_u8(out, static_cast<std::uint8_t>(Proto2Op::kCheckHold));
-      put_i64(out, q.number);
-      break;
-    case QueryVerb::kCorner: {
-      put_u8(out, static_cast<std::uint8_t>(Proto2Op::kCorner));
-      if (q.args[0] == "list") {
-        put_u8(out, kProto2CornerList);
-        put_str(out, std::string_view());
-        break;
-      }
-      Proto2Op sub;
-      switch (q.corner_sub) {
-        case QueryVerb::kSlack: sub = Proto2Op::kSlack; break;
-        case QueryVerb::kWorstPaths: sub = Proto2Op::kWorstPaths; break;
-        case QueryVerb::kHistogram: sub = Proto2Op::kHistogram; break;
-        case QueryVerb::kSummary: sub = Proto2Op::kSummary; break;
-        case QueryVerb::kCheckHold: sub = Proto2Op::kCheckHold; break;
-        default:
-          out.resize(base);
-          return false;
-      }
-      put_u8(out, static_cast<std::uint8_t>(sub));
-      put_str(out, q.args[0]);
-      switch (q.corner_sub) {
-        case QueryVerb::kSlack: out.append(q.args[1]); break;
-        case QueryVerb::kWorstPaths:
-        case QueryVerb::kHistogram:
-          put_u32(out, static_cast<std::uint32_t>(q.number));
-          break;
-        case QueryVerb::kCheckHold: put_i64(out, q.number); break;
-        default: break;  // kSummary: empty sub body
-      }
-      break;
-    }
     default:
-      out.resize(base);
-      return false;
+      break;
   }
   frame.finish();
   return true;
@@ -629,89 +375,153 @@ void proto2_encode_text(std::string_view line, std::string& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Response rendering (client side).
+// Response rendering (client side): decode a typed body and drive the text
+// evaluator's TextSink with its fields.  Every length field is checked
+// against the bytes left before a loop runs on it; a malformed payload
+// renders nothing.
 
 namespace {
 
-bool render_paths(Reader& r, std::string& text, const std::string& scope) {
-  const std::uint64_t served = r.u64();
-  const std::uint64_t of = r.u64();
-  if (r.fail || served > r.remaining() / 8) return false;
-  text += scope + "worst_paths " + std::to_string(served) + " of " +
-          std::to_string(of) + "\n";
-  for (std::uint64_t i = 0; i < served; ++i) {
-    const TimePs slack = r.i64();
-    const std::string_view launch = r.str_view();
-    const std::string_view capture = r.str_view();
-    const std::string_view from = r.str_view();
-    const std::string_view to = r.str_view();
-    const std::uint64_t steps = r.u64();
-    if (r.fail) return false;
-    text += "  path " + std::to_string(i) + " slack " + fmt_ps(slack) +
-            " launch ";
-    text.append(launch);
-    text += " capture ";
-    text.append(capture);
-    text += " from ";
-    text.append(from);
-    text += " to ";
-    text.append(to);
-    text += " steps " + std::to_string(steps) + "\n";
-  }
-  return r.remaining() == 0;
+/// The `n` items of a list reply, each decoded by `item` into the sink.  n
+/// is checked against the bytes left first (every item takes at least 8),
+/// and the reply must end with the last item.
+template <typename Item>
+bool render_items(Reader& r, std::uint64_t n, Item item) {
+  if (r.fail || n > r.remaining() / 8) return false;
+  for (std::uint64_t i = 0; i < n && !r.fail; ++i) item(i);
+  return !r.fail && r.remaining() == 0;
 }
 
-bool render_histogram(Reader& r, std::string& text, const std::string& scope) {
-  const std::uint64_t bins = r.u64();
-  const std::uint64_t n = r.u64();
-  const TimePs mn = r.i64();
-  const TimePs mx = r.i64();
+bool render_typed(Reader& r, TextSink& sink) {
+  std::uint8_t op = r.u8();
   if (r.fail) return false;
-  if (bins == 0) {
-    if (n != 0 || r.remaining() != 0) return false;
-    text += scope + "histogram 0 count 0 min 0 max 0\n";
-    return true;
-  }
-  if (bins > r.remaining() / 8) return false;
-  // Unsigned arithmetic: identical to the evaluator's signed computation on
-  // well-formed frames (mx >= mn), defined behaviour on arbitrary bytes.
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(mx) - static_cast<std::uint64_t>(mn);
-  const std::uint64_t width = span / bins + 1;
-  text += scope + "histogram " + std::to_string(bins) + " count " +
-          std::to_string(n) + " min " + fmt_ps(mn) + " max " + fmt_ps(mx) +
-          "\n";
-  for (std::uint64_t i = 0; i < bins; ++i) {
-    const std::uint64_t c = r.u64();
+  bool scoped = false;
+  if (op == static_cast<std::uint8_t>(Proto2Op::kCorner)) {
+    const std::uint8_t sub = r.u8();
     if (r.fail) return false;
-    const TimePs lo =
-        static_cast<TimePs>(static_cast<std::uint64_t>(mn) + i * width);
-    const TimePs hi =
-        static_cast<TimePs>(static_cast<std::uint64_t>(mn) + (i + 1) * width);
-    text += "  bin " + std::to_string(i) + " lo " + fmt_ps(lo) + " hi " +
-            fmt_ps(hi) + " count " + std::to_string(c) + "\n";
+    if (sub == kProto2CornerList) {
+      const std::uint64_t n = r.u64();
+      sink.corner_list(n, r.str_view());
+      return render_items(r, n, [&](std::uint64_t k) {
+        SourceCorner c;
+        c.name = r.str_view();
+        c.derate_pm = r.u32();
+        c.wire_pm = r.u32();
+        const TimePs ws = r.i64();
+        sink.corner_entry(k, c, ws, r.u64());
+      });
+    }
+    const std::string_view cname = r.str_view();
+    if (r.fail || !corner_scopable(static_cast<Proto2Op>(sub))) return false;
+    sink.scope(cname);
+    scoped = true;
+    op = sub;
   }
-  return r.remaining() == 0;
-}
-
-bool render_check_hold(Reader& r, std::string& text, const std::string& scope) {
-  const TimePs margin = r.i64();
-  const std::uint64_t violations = r.u64();
-  if (r.fail || violations > r.remaining() / 8) return false;
-  text += scope + "check_hold " + fmt_ps(margin) + " violations " +
-          std::to_string(violations) + "\n";
-  for (std::uint64_t i = 0; i < violations; ++i) {
-    const TimePs m = r.i64();
-    const std::string_view launch = r.str_view();
-    const std::string_view capture = r.str_view();
-    if (r.fail) return false;
-    text += "  hold ";
-    text.append(launch);
-    text += " -> ";
-    text.append(capture);
-    text += " margin " + fmt_ps(m) + "\n";
+  switch (static_cast<Proto2Op>(op)) {
+    case Proto2Op::kPing:
+      if (r.remaining() != 0) return false;
+      sink.pong();
+      return true;
+    case Proto2Op::kSummary: {
+      const std::uint64_t id = r.u64();
+      if (scoped) {
+        const std::uint32_t derate = r.u32();
+        const std::uint32_t wire = r.u32();
+        const TimePs ws = r.i64();
+        const std::uint64_t violations = r.u64();
+        const std::uint64_t paths = r.u64();
+        if (r.fail || r.remaining() != 0) return false;
+        sink.corner_summary(id, derate, wire, ws, violations, paths);
+        return true;
+      }
+      const std::uint8_t st = r.u8();
+      const std::uint8_t works = r.u8();
+      const TimePs worst = r.i64();
+      const std::uint64_t terminals = r.u64();
+      const std::uint64_t violations = r.u64();
+      const std::uint64_t paths = r.u64();
+      if (r.fail || r.remaining() != 0 || st > 2) return false;
+      sink.summary(id, static_cast<AnalysisStatus>(st), works != 0, worst,
+                   terminals, violations, paths);
+      return true;
+    }
+    case Proto2Op::kSlack: {
+      const std::string_view name = r.str_view();
+      const TimePs slack = r.i64();
+      if (r.fail || r.remaining() != 0) return false;
+      sink.slack(name, slack);
+      return true;
+    }
+    case Proto2Op::kWorstPaths: {
+      const std::uint64_t served = r.u64();
+      sink.worst_paths(served, r.u64());
+      return render_items(r, served, [&](std::uint64_t i) {
+        SourcePath p;
+        p.slack = r.i64();
+        p.launch = r.str_view();
+        p.capture = r.str_view();
+        p.from = r.str_view();
+        p.to = r.str_view();
+        p.steps = static_cast<std::size_t>(r.u64());
+        sink.path(i, p);
+      });
+    }
+    case Proto2Op::kHistogram: {
+      const std::uint64_t bins = r.u64();
+      const std::uint64_t n = r.u64();
+      const TimePs mn = r.i64();
+      const TimePs mx = r.i64();
+      if (bins == 0 && n != 0) return false;
+      sink.histogram(bins, n, mn, mx);
+      return render_items(r, bins,
+                          [&](std::uint64_t i) { sink.bin(i, r.u64()); });
+    }
+    case Proto2Op::kConstraints: {
+      const std::string_view inst = r.str_view();
+      const std::uint64_t pins = r.u64();
+      sink.constraints(inst, pins);
+      return render_items(r, pins, [&](std::uint64_t) {
+        const std::string_view pin = r.str_view();
+        NodeTiming t;
+        t.slack = r.i64();
+        t.ready.rise = r.i64();
+        t.ready.fall = r.i64();
+        t.required.rise = r.i64();
+        t.required.fall = r.i64();
+        sink.pin(pin, t);
+      });
+    }
+    case Proto2Op::kCheckHold: {
+      const TimePs margin = r.i64();
+      const std::uint64_t violations = r.u64();
+      sink.check_hold(margin, violations);
+      return render_items(r, violations, [&](std::uint64_t) {
+        SourceHoldPair p;
+        p.margin = r.i64();
+        p.launch_label = r.str_view();
+        p.capture_label = r.str_view();
+        sink.hold(p);
+      });
+    }
+    case Proto2Op::kGenConstraints: {
+      const std::uint8_t st = r.u8();
+      const std::uint32_t backward = r.u32();
+      const std::uint32_t forward = r.u32();
+      const std::uint64_t endpoints = r.u64();
+      if (r.fail || st > 2) return false;
+      sink.gen_constraints(static_cast<AnalysisStatus>(st),
+                           static_cast<std::int32_t>(backward),
+                           static_cast<std::int32_t>(forward), endpoints);
+      return render_items(r, endpoints, [&](std::uint64_t) {
+        const std::string_view name = r.str_view();
+        const TimePs ready = r.i64();
+        const TimePs required = r.i64();
+        sink.endpoint(name, ready, required, r.i64());
+      });
+    }
+    default:
+      return false;
   }
-  return r.remaining() == 0;
 }
 
 }  // namespace
@@ -724,176 +534,21 @@ bool proto2_render_payload(std::string_view payload, std::string& text) {
     text.append(payload.substr(1));
     return true;
   }
+  QueryResult reply;
+  TextSink sink(reply);
   if (status == static_cast<std::uint8_t>(Proto2Status::kError)) {
     const std::uint16_t code = r.u16();
     if (r.fail) return false;
-    text += "err ";
-    text += diag_code_name(static_cast<DiagCode>(code));
-    text += ' ';
-    text.append(payload.substr(3));
+    sink.error(static_cast<DiagCode>(code), std::string(payload.substr(3)));
+  } else if (status != static_cast<std::uint8_t>(Proto2Status::kTyped) ||
+             !render_typed(r, sink)) {
+    return false;
+  }
+  for (const std::string& line : reply.lines) {
+    text += line;
     text += '\n';
-    return true;
   }
-  if (status != static_cast<std::uint8_t>(Proto2Status::kTyped)) return false;
-  const std::uint8_t op = r.u8();
-  if (r.fail) return false;
-  switch (static_cast<Proto2Op>(op)) {
-    case Proto2Op::kPing:
-      if (r.remaining() != 0) return false;
-      text += "ok pong\n";
-      return true;
-    case Proto2Op::kSummary: {
-      const std::uint64_t id = r.u64();
-      const std::uint8_t st = r.u8();
-      const std::uint8_t works = r.u8();
-      const TimePs worst = r.i64();
-      const std::uint64_t terminals = r.u64();
-      const std::uint64_t violations = r.u64();
-      const std::uint64_t paths = r.u64();
-      if (r.fail || r.remaining() != 0 || st > 2) return false;
-      text += "ok summary snapshot " + std::to_string(id) + " fields 6\n";
-      text += "  status ";
-      text += analysis_status_name(static_cast<AnalysisStatus>(st));
-      text += "\n";
-      text += std::string("  works_as_intended ") +
-              (works != 0 ? "true" : "false") + "\n";
-      text += "  worst_slack " + fmt_ps(worst) + "\n";
-      text += "  terminals " + std::to_string(terminals) + "\n";
-      text += "  violations " + std::to_string(violations) + "\n";
-      text += "  paths " + std::to_string(paths) + "\n";
-      return true;
-    }
-    case Proto2Op::kSlack: {
-      const std::string_view name = r.str_view();
-      const TimePs slack = r.i64();
-      if (r.fail || r.remaining() != 0) return false;
-      text += "ok slack ";
-      text.append(name);
-      text += " " + fmt_ps(slack) + "\n";
-      return true;
-    }
-    case Proto2Op::kWorstPaths:
-      return render_paths(r, text, "ok ");
-    case Proto2Op::kHistogram:
-      return render_histogram(r, text, "ok ");
-    case Proto2Op::kConstraints: {
-      const std::string_view inst = r.str_view();
-      const std::uint64_t pins = r.u64();
-      if (r.fail || pins > r.remaining() / 8) return false;
-      text += "ok constraints ";
-      text.append(inst);
-      text += " pins " + std::to_string(pins) + "\n";
-      for (std::uint64_t i = 0; i < pins; ++i) {
-        const std::string_view pin = r.str_view();
-        const TimePs slack = r.i64();
-        const TimePs rr = r.i64();
-        const TimePs rf = r.i64();
-        const TimePs qr = r.i64();
-        const TimePs qf = r.i64();
-        if (r.fail) return false;
-        text += "  pin ";
-        text.append(pin);
-        text += " slack " + fmt_ps(slack) + " ready " + fmt_ps(rr) + " " +
-                fmt_ps(rf) + " required " + fmt_ps(qr) + " " + fmt_ps(qf) +
-                "\n";
-      }
-      return r.remaining() == 0;
-    }
-    case Proto2Op::kCheckHold:
-      return render_check_hold(r, text, "ok ");
-    case Proto2Op::kGenConstraints: {
-      const std::uint8_t st = r.u8();
-      const std::uint32_t backward = r.u32();
-      const std::uint32_t forward = r.u32();
-      const std::uint64_t endpoints = r.u64();
-      if (r.fail || st > 2 || endpoints > r.remaining() / 8) return false;
-      text += "ok gen_constraints status ";
-      text += analysis_status_name(static_cast<AnalysisStatus>(st));
-      text += " backward " +
-              std::to_string(static_cast<std::int32_t>(backward)) +
-              " forward " + std::to_string(static_cast<std::int32_t>(forward)) +
-              " endpoints " + std::to_string(endpoints) + "\n";
-      for (std::uint64_t i = 0; i < endpoints; ++i) {
-        const std::string_view name = r.str_view();
-        const TimePs ready = r.i64();
-        const TimePs required = r.i64();
-        const TimePs slack = r.i64();
-        if (r.fail) return false;
-        text += "  node ";
-        text.append(name);
-        text += " ready " + fmt_ps(ready) + " required " + fmt_ps(required) +
-                " slack " + fmt_ps(slack) + "\n";
-      }
-      return r.remaining() == 0;
-    }
-    case Proto2Op::kCorner: {
-      const std::uint8_t sub = r.u8();
-      if (r.fail) return false;
-      if (sub == kProto2CornerList) {
-        const std::uint64_t n = r.u64();
-        const std::string_view worst = r.str_view();
-        if (r.fail || n > r.remaining() / 8) return false;
-        text += "ok corner list " + std::to_string(n) + " worst ";
-        text.append(worst);
-        text += "\n";
-        for (std::uint64_t k = 0; k < n; ++k) {
-          const std::string_view name = r.str_view();
-          const std::uint32_t derate = r.u32();
-          const std::uint32_t wire = r.u32();
-          const TimePs ws = r.i64();
-          const std::uint64_t violations = r.u64();
-          if (r.fail) return false;
-          text += "  corner " + std::to_string(k) + " ";
-          text.append(name);
-          text += " derate " + std::to_string(derate) + " wire " +
-                  std::to_string(wire) + " worst_slack " + fmt_ps(ws) +
-                  " violations " + std::to_string(violations) + "\n";
-        }
-        return r.remaining() == 0;
-      }
-      const std::string_view cname = r.str_view();
-      if (r.fail) return false;
-      const std::string scope = "ok corner " + std::string(cname) + " ";
-      switch (static_cast<Proto2Op>(sub)) {
-        case Proto2Op::kSlack: {
-          const std::string_view name = r.str_view();
-          const TimePs slack = r.i64();
-          if (r.fail || r.remaining() != 0) return false;
-          text += scope + "slack ";
-          text.append(name);
-          text += " " + fmt_ps(slack) + "\n";
-          return true;
-        }
-        case Proto2Op::kWorstPaths:
-          return render_paths(r, text, scope);
-        case Proto2Op::kHistogram:
-          return render_histogram(r, text, scope);
-        case Proto2Op::kSummary: {
-          const std::uint64_t id = r.u64();
-          const std::uint32_t derate = r.u32();
-          const std::uint32_t wire = r.u32();
-          const TimePs ws = r.i64();
-          const std::uint64_t violations = r.u64();
-          const std::uint64_t paths = r.u64();
-          if (r.fail || r.remaining() != 0) return false;
-          text += scope + "summary snapshot " + std::to_string(id) +
-                  " fields 5\n";
-          text += "  derate " + std::to_string(derate) + "\n";
-          text += "  wire " + std::to_string(wire) + "\n";
-          text += "  worst_slack " + fmt_ps(ws) + "\n";
-          text += "  violations " + std::to_string(violations) + "\n";
-          text += "  paths " + std::to_string(paths) + "\n";
-          return true;
-        }
-        case Proto2Op::kCheckHold:
-          return render_check_hold(r, text, scope);
-        default:
-          return false;
-      }
-    }
-    default:
-      return false;
-  }
+  return true;
 }
 
 }  // namespace hb

@@ -10,12 +10,13 @@
 // hatch that keeps every line-protocol verb reachable from v2).
 //
 // Typed replies carry raw values (little-endian integers, u32-prefixed
-// strings, picoseconds as i64), not formatted text; proto2_render_payload
-// reconstructs the exact proto-1 reply bytes from them, which is how the
-// differential tests pin the two protocols together
-// (tests/proto2_test.cpp).  Both the request decoder and the response
-// renderer are bounds-checked end to end and safe on arbitrary bytes (the
-// fixed-seed fuzz CI job).
+// strings, picoseconds as i64), not formatted text.  proto2_evaluate and
+// evaluate_snapshot_read run one evaluation (read_eval.hpp) into a frame
+// and into text, and proto2_render_payload drives the same text formatter
+// from a frame, so a typed reply renders to the proto-1 bytes by
+// construction (tests/proto2_test.cpp keeps the differentials).  The
+// request decoder and the renderer are bounds-checked end to end and safe
+// on arbitrary bytes (the fixed-seed fuzz CI job).
 #pragma once
 
 #include <cstdint>
@@ -59,8 +60,9 @@ enum class Proto2Status : std::uint8_t {
 /// other value is the Proto2Op of the scoped read verb.
 inline constexpr std::uint8_t kProto2CornerList = 0xFF;
 
-/// A decoded request frame payload.  String fields view into the payload
-/// bytes — keep them alive until evaluation finishes.
+/// One read request: a decoded frame payload, or a parsed text query
+/// (read_eval.hpp).  String fields view into those bytes — keep them alive
+/// until evaluation finishes.
 struct Proto2Request {
   Proto2Op op = Proto2Op::kText;
   bool ok = false;
@@ -86,9 +88,9 @@ struct Proto2Eval {
 };
 
 /// Evaluate one typed read request against a snapshot source, appending a
-/// complete response frame (length prefix included) to `out`.  Reply
-/// values are exactly those of evaluate_snapshot_read on the same source —
-/// proto2_render_payload(reply) reproduces the proto-1 text byte for byte.
+/// complete response frame (length prefix included) to `out`; an error or
+/// deadline mid-reply replaces the half-written frame with an error frame.
+/// proto2_render_payload(reply) reproduces evaluate_snapshot_read's text.
 Proto2Eval proto2_evaluate(const Proto2Request& req, const SnapshotSource& src,
                            BudgetTimer& timer, std::string& out);
 
@@ -106,8 +108,7 @@ void proto2_encode_text(std::string_view line, std::string& out);
 
 /// Client side: render one response payload (without the length prefix)
 /// back into proto-1 reply text, appended to `text`.  Returns false on a
-/// malformed payload without touching `text`'s existing content beyond
-/// what was already appended.  Safe on arbitrary bytes.
+/// malformed payload, appending nothing.  Safe on arbitrary bytes.
 bool proto2_render_payload(std::string_view payload, std::string& text);
 
 }  // namespace hb

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 
 #include "clocks/clock_io.hpp"
@@ -249,10 +250,26 @@ double seconds_between(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Why a host with neither a session nor a warm source cannot serve.
+const char* nothing_to_serve(const ServiceConfig& config) {
+  return config.replica ? "replica has no snapshot to serve (snapshot store "
+                          "empty or corrupt)"
+                        : "no design loaded; use `load <netlist> <spec>`";
+}
+
 }  // namespace
 
 ProtocolHandler::ProtocolHandler(ServiceHost& host)
     : host_(&host), timer_(AnalysisBudget{}) {}
+
+BudgetTimer& ProtocolHandler::arm(double deadline_ms) {
+  token_.reset();
+  AnalysisBudget budget;
+  budget.wall_seconds = deadline_ms / 1000.0;
+  budget.cancel = &token_;
+  timer_.rearm(budget);
+  return timer_;
+}
 
 const std::string& ProtocolHandler::handle_line(const std::string& line) {
   wire_.clear();
@@ -335,11 +352,7 @@ void ProtocolHandler::dispatch_into(const ParsedQuery& q, std::string& wire) {
         const std::shared_ptr<const SnapshotSource> warm =
             host_->warm_source();
         if (warm != nullptr && is_read_query(q.verb)) {
-          token_.reset();
-          AnalysisBudget budget;
-          budget.cancel = &token_;
-          timer_.rearm(budget);
-          append_result(evaluate_snapshot_read(q, *warm, timer_), wire);
+          append_result(evaluate_snapshot_read(q, *warm, arm(0)), wire);
           return;
         }
         if (warm != nullptr) {
@@ -355,23 +368,13 @@ void ProtocolHandler::dispatch_into(const ParsedQuery& q, std::string& wire) {
               wire);
           return;
         }
-        append_result(
-            make_error(DiagCode::kServiceRejected,
-                       host_->config().replica
-                           ? "replica has no snapshot to serve (snapshot "
-                             "store empty or corrupt)"
-                           : "no design loaded; use `load <netlist> <spec>`"),
-            wire);
+        append_result(make_error(DiagCode::kServiceRejected,
+                                 nothing_to_serve(host_->config())),
+                      wire);
         return;
       }
-      // Reuse the connection's token/timer pair across requests: reset the
-      // token, then re-arm the timer with this request's deadline.
-      token_.reset();
-      AnalysisBudget budget;
-      budget.wall_seconds = session->deadline_ms() / 1000.0;
-      budget.cancel = &token_;
-      timer_.rearm(budget);
-      append_result(*session->execute_shared(q, &timer_), wire);
+      append_result(
+          *session->execute_shared(q, &arm(session->deadline_ms())), wire);
       return;
     }
   }
@@ -400,74 +403,58 @@ const std::string& ProtocolHandler::handle_frame(std::string_view payload) {
     proto2_ping_frame(frame_wire_);
     return frame_wire_;
   }
-  // Typed read request.
+  // Typed read request, served by the session's current snapshot or else
+  // by the warm source.  A serving session supplies the deadline and takes
+  // the metrics.
   const std::shared_ptr<Session> session = host_->session();
+  ServiceMetrics* metrics = session != nullptr ? &session->metrics() : nullptr;
+  const auto t0 = metrics != nullptr ? std::chrono::steady_clock::now()
+                                     : std::chrono::steady_clock::time_point{};
+  // The binary counterpart of the QueryCache: replies are pure functions of
+  // (request payload, served source), so a repeated payload replays the
+  // recorded frame until the served source's owner changes.
+  const auto serve_from = [this](const auto& owner) {
+    if (typed_cache_owner_.owner_before(owner) ||
+        owner.owner_before(typed_cache_owner_)) {
+      typed_cache_.clear();
+      typed_cache_owner_ = owner;
+    }
+  };
+  std::shared_ptr<const AnalysisSnapshot> snap;
+  std::optional<SnapshotCopySource> copy;
+  std::shared_ptr<const SnapshotSource> warm;
   if (session != nullptr) {
-    if (req.op == Proto2Op::kCorner) session->metrics().record_corner_read();
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::shared_ptr<const AnalysisSnapshot> snap = session->snapshot();
-    // The binary counterpart of the QueryCache: replies are pure functions
-    // of (request payload, snapshot), so a repeated payload against the
-    // same snapshot generation replays the recorded frame.
-    if (typed_cache_id_ != snap->id || typed_cache_src_ != snap.get()) {
-      typed_cache_.clear();
-      typed_cache_id_ = snap->id;
-      typed_cache_src_ = snap.get();
-    }
-    if (const auto it = typed_cache_.find(payload);
-        it != typed_cache_.end()) {
-      frame_wire_ = it->second;
-      session->metrics().record_cache(true);
-      session->metrics().record_request(true, true, false,
-                                        seconds_between(t0));
-      return frame_wire_;
-    }
-    token_.reset();
-    AnalysisBudget budget;
-    budget.wall_seconds = session->deadline_ms() / 1000.0;
-    budget.cancel = &token_;
-    timer_.rearm(budget);
-    const SnapshotCopySource src(*snap);
-    const Proto2Eval e = proto2_evaluate(req, src, timer_, frame_wire_);
-    session->metrics().record_cache(false);
-    session->metrics().record_request(true, e.ok, e.timed_out,
-                                      seconds_between(t0));
-    if (!e.ok) ++frame_errors_;
-    if (e.ok && !e.timed_out && typed_cache_.size() < kTypedCacheCap) {
-      typed_cache_.emplace(std::string(payload), frame_wire_);
+    if (req.op == Proto2Op::kCorner) metrics->record_corner_read();
+    snap = session->snapshot();
+    serve_from(snap);
+    copy.emplace(*snap);
+  } else if ((warm = host_->warm_source()) != nullptr) {
+    serve_from(warm);
+  } else {
+    proto2_error_frame(DiagCode::kServiceRejected,
+                       nothing_to_serve(host_->config()), frame_wire_);
+    ++frame_errors_;
+    return frame_wire_;
+  }
+  if (const auto it = typed_cache_.find(payload); it != typed_cache_.end()) {
+    frame_wire_ = it->second;
+    if (metrics != nullptr) {
+      metrics->record_cache(true);
+      metrics->record_request(true, true, false, seconds_between(t0));
     }
     return frame_wire_;
   }
-  const std::shared_ptr<const SnapshotSource> warm = host_->warm_source();
-  if (warm != nullptr) {
-    if (typed_cache_id_ != warm->id() || typed_cache_src_ != warm.get()) {
-      typed_cache_.clear();
-      typed_cache_id_ = warm->id();
-      typed_cache_src_ = warm.get();
-    }
-    if (const auto it = typed_cache_.find(payload);
-        it != typed_cache_.end()) {
-      frame_wire_ = it->second;
-      return frame_wire_;
-    }
-    token_.reset();
-    AnalysisBudget budget;
-    budget.cancel = &token_;
-    timer_.rearm(budget);
-    const Proto2Eval e = proto2_evaluate(req, *warm, timer_, frame_wire_);
-    if (!e.ok) ++frame_errors_;
-    if (e.ok && !e.timed_out && typed_cache_.size() < kTypedCacheCap) {
-      typed_cache_.emplace(std::string(payload), frame_wire_);
-    }
-    return frame_wire_;
+  const Proto2Eval e = proto2_evaluate(
+      req, copy ? *copy : *warm,
+      arm(session != nullptr ? session->deadline_ms() : 0), frame_wire_);
+  if (metrics != nullptr) {
+    metrics->record_cache(false);
+    metrics->record_request(true, e.ok, e.timed_out, seconds_between(t0));
   }
-  proto2_error_frame(DiagCode::kServiceRejected,
-                     host_->config().replica
-                         ? "replica has no snapshot to serve (snapshot store "
-                           "empty or corrupt)"
-                         : "no design loaded; use `load <netlist> <spec>`",
-                     frame_wire_);
-  ++frame_errors_;
+  if (!e.ok) ++frame_errors_;
+  if (e.ok && typed_cache_.size() < kTypedCacheCap) {
+    typed_cache_.emplace(std::string(payload), frame_wire_);
+  }
   return frame_wire_;
 }
 

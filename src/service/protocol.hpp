@@ -13,8 +13,8 @@
 // SnapshotStore, loads the newest valid persisted snapshot at construction
 // and serves read queries (slack, worst_paths, check_hold, summary, ...)
 // from that warm replica before any design is loaded — byte-identical to
-// the session that persisted it, because both sides answer through
-// evaluate_snapshot_read (service/snapshot_read.hpp).  The warm replica is
+// the session that persisted it, because both sides answer through the one
+// read evaluator (service/read_eval.hpp).  The warm replica is
 // a SnapshotSource: an mmap'd zero-copy SnapshotView when the image format
 // allows it, a decoded copy otherwise (snapshot_store.hpp
 // load_newest_source).  Invalid files found on the way are quarantined and
@@ -147,9 +147,9 @@ class ProtocolHandler {
  private:
   // Per-connection cache of successful typed reply frames, keyed by the raw
   // request payload bytes — the binary counterpart of the session's
-  // QueryCache.  Valid for exactly one snapshot generation: the map clears
-  // whenever the served snapshot id changes.  Heterogeneous lookup keeps
-  // cache hits allocation-free.
+  // QueryCache.  Valid for exactly one served source: the map clears
+  // whenever the owner of the served snapshot or warm source changes.
+  // Heterogeneous lookup keeps cache hits allocation-free.
   struct FrameKeyHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const {
@@ -159,6 +159,9 @@ class ProtocolHandler {
   static constexpr std::size_t kTypedCacheCap = 4096;
 
   void dispatch_into(const ParsedQuery& q, std::string& wire);
+  /// Reset the connection's token and re-arm its timer for one request
+  /// (0 ms: no deadline); the pair is reused across requests.
+  BudgetTimer& arm(double deadline_ms);
   QueryResult run_batch();
   static void append_result(const QueryResult& r, std::string& wire);
 
@@ -176,11 +179,12 @@ class ProtocolHandler {
   std::uint64_t frame_errors_ = 0;
   std::unordered_map<std::string, std::string, FrameKeyHash, std::equal_to<>>
       typed_cache_;
-  // Generation the cache was filled for: snapshot id plus the identity of
-  // the served object, so switching between a warm source and a session
-  // with a colliding id can never replay a stale frame.
-  std::uint64_t typed_cache_id_ = 0;
-  const void* typed_cache_src_ = nullptr;
+  // Owner of the source the cache was filled from, compared by owner
+  // identity.  Snapshot ids restart at 1 in every session and a freed
+  // snapshot's address can be reused, but the weak reference keeps the
+  // owner's control block alive, so no later snapshot or source can
+  // compare equal to it.
+  std::weak_ptr<const void> typed_cache_owner_;
 };
 
 /// The `help` payload (two-space-indented continuation lines).

@@ -41,6 +41,8 @@ constexpr VerbSpec kVerbs[] = {
     {"exit", QueryVerb::kQuit, 0, 0},
 };
 
+constexpr ArgRange kBatchLines{1, 100000};
+
 }  // namespace
 
 bool is_read_query(QueryVerb verb) {
@@ -97,6 +99,11 @@ std::string fmt_ps(TimePs t) {
   if (t >= kInfinitePs) return "+inf";
   if (t <= -kInfinitePs) return "-inf";
   return std::to_string(t);
+}
+
+std::string range_error(std::string_view token, ArgRange range) {
+  return "'" + std::string(token) + "' is not an integer in [" +
+         std::to_string(range.lo) + ", " + std::to_string(range.hi) + "]";
 }
 
 ParsedQuery parse_query(const std::string& line) {
@@ -203,13 +210,12 @@ bool parse_query_into(const std::string& line, ParsedQuery& q) {
     case QueryVerb::kBatch: {
       char* end = nullptr;
       const long long v = std::strtoll(q.args[0].c_str(), &end, 10);
-      const long long lo = q.verb == QueryVerb::kWorstPaths ? 0 : 1;
-      const long long hi = q.verb == QueryVerb::kHistogram ? 1000 : 100000;
-      if (end == nullptr || *end != '\0' || q.args[0].empty() || v < lo ||
-          v > hi) {
-        return fail(DiagCode::kParseBadNumber,
-                    "'" + q.args[0] + "' is not an integer in [" +
-                        std::to_string(lo) + ", " + std::to_string(hi) + "]");
+      const ArgRange range = q.verb == QueryVerb::kWorstPaths ? kWorstPathsCount
+                             : q.verb == QueryVerb::kHistogram ? kHistogramBins
+                                                               : kBatchLines;
+      if (end == nullptr || *end != '\0' || q.args[0].empty() ||
+          v < range.lo || v > range.hi) {
+        return fail(DiagCode::kParseBadNumber, range_error(q.args[0], range));
       }
       q.number = v;
       canon_args = std::to_string(v);

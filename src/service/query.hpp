@@ -12,6 +12,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/diagnostics.hpp"
@@ -93,6 +94,19 @@ struct ParsedQuery {
   /// The reply to send when !ok.
   QueryResult error;
 };
+
+/// Accepted values of a numeric read argument.  The text parser and the
+/// proto2 request decoder both check against these.
+struct ArgRange {
+  std::int64_t lo;
+  std::int64_t hi;
+};
+inline constexpr ArgRange kHistogramBins{1, 1000};
+inline constexpr ArgRange kWorstPathsCount{0, 100000};
+
+/// "'<token>' is not an integer in [lo, hi]" — the out-of-range message of
+/// both request decoders.
+std::string range_error(std::string_view token, ArgRange range);
 
 /// Parse and canonicalise one query line.  Empty and '#'-comment lines
 /// yield verb kUnknown with ok=false and an empty canonical — callers skip

@@ -1,349 +1,18 @@
 #include "service/snapshot_read.hpp"
 
-#include <algorithm>
+#include "service/read_eval.hpp"
 
 namespace hb {
-namespace {
-
-QueryResult deadline_error(const SnapshotSource& src) {
-  return make_error(DiagCode::kAnalysisBudget,
-                    "read deadline exceeded; snapshot " +
-                        std::to_string(src.id()) + " unaffected");
-}
-
-/// Resolve a `corner` selector — a corner name, or a decimal index — to an
-/// index into the corner table; npos when it matches neither.
-std::size_t resolve_corner(const SnapshotSource& src, const std::string& sel) {
-  for (std::size_t k = 0; k < src.num_corners(); ++k) {
-    if (src.corner_meta(k).name == sel) return k;
-  }
-  if (!sel.empty() &&
-      sel.find_first_not_of("0123456789") == std::string::npos &&
-      sel.size() <= 9) {
-    const std::size_t k = static_cast<std::size_t>(std::stoul(sel));
-    if (k < src.num_corners()) return k;
-  }
-  return SnapshotSource::npos;
-}
-
-std::string path_line(std::size_t i, const SourcePath& p) {
-  std::string line = "  path " + std::to_string(i) + " slack " +
-                     fmt_ps(p.slack) + " launch ";
-  line.append(p.launch);
-  line += " capture ";
-  line.append(p.capture);
-  line += " from ";
-  line.append(p.from);
-  line += " to ";
-  line.append(p.to);
-  line += " steps " + std::to_string(p.steps);
-  return line;
-}
-
-std::string hold_line(const SourceHoldPair& p) {
-  std::string line = "  hold ";
-  line.append(p.launch_label);
-  line += " -> ";
-  line.append(p.capture_label);
-  line += " margin " + fmt_ps(p.margin);
-  return line;
-}
-
-/// `corner ...` — serve the scoped read from the snapshot's per-corner
-/// sections.  Reply headers mirror the unscoped verbs with
-/// "corner <name>" spliced in after "ok".
-QueryResult evaluate_corner_read(const ParsedQuery& q,
-                                 const SnapshotSource& src,
-                                 BudgetTimer& timer) {
-  if (!src.has_corners()) {
-    return make_error(DiagCode::kServiceRejected,
-                      "snapshot " + std::to_string(src.id()) +
-                          " carries no corner capture "
-                          "(session ran without a corner set)");
-  }
-  if (q.args[0] == "list") {
-    QueryResult r = make_ok(
-        "ok corner list " + std::to_string(src.num_corners()) + " worst " +
-        std::string(src.corner_meta(src.worst_corner()).name));
-    for (std::size_t k = 0; k < src.num_corners(); ++k) {
-      timer.count_cycle();
-      if (timer.exhausted()) return deadline_error(src);
-      const SourceCornerMeta c = src.corner_meta(k);
-      r.lines.push_back("  corner " + std::to_string(k) + " " +
-                        std::string(c.name) + " derate " +
-                        std::to_string(c.derate_pm) + " wire " +
-                        std::to_string(c.wire_pm) + " worst_slack " +
-                        fmt_ps(c.worst_slack) + " violations " +
-                        std::to_string(c.num_violations));
-    }
-    return r;
-  }
-  const std::size_t k = resolve_corner(src, q.args[0]);
-  if (k == SnapshotSource::npos) {
-    return make_error(DiagCode::kParseUnknownName,
-                      "unknown corner '" + q.args[0] + "' (try `corner list`)");
-  }
-  const SourceCornerMeta c = src.corner_meta(k);
-  const std::string scope = "ok corner " + std::string(c.name) + " ";
-  switch (q.corner_sub) {
-    case QueryVerb::kSlack: {
-      const std::size_t idx = src.find_node(q.args[1]);
-      if (idx == SnapshotSource::npos ||
-          idx >= src.corner_num_node_slacks(k)) {
-        return make_error(DiagCode::kParseUnknownName,
-                          "unknown node '" + q.args[1] + "'");
-      }
-      return make_ok(scope + "slack " + q.args[1] + " " +
-                     fmt_ps(src.corner_node_slack(k, idx)));
-    }
-    case QueryVerb::kWorstPaths: {
-      const std::size_t want = static_cast<std::size_t>(q.number);
-      const std::size_t served = std::min(want, c.num_paths);
-      QueryResult r = make_ok(scope + "worst_paths " + std::to_string(served) +
-                              " of " + std::to_string(c.num_violations));
-      for (std::size_t i = 0; i < served; ++i) {
-        timer.count_cycle();
-        if (timer.exhausted()) return deadline_error(src);
-        r.lines.push_back(path_line(i, src.corner_path(k, i)));
-      }
-      return r;
-    }
-    case QueryVerb::kHistogram: {
-      const std::size_t n = src.corner_num_capture_slacks(k);
-      if (n == 0) {
-        return make_ok(scope + "histogram 0 count 0 min 0 max 0");
-      }
-      TimePs mn = src.corner_capture_slack(k, 0), mx = mn;
-      for (std::size_t i = 1; i < n; ++i) {
-        const TimePs s = src.corner_capture_slack(k, i);
-        mn = std::min(mn, s);
-        mx = std::max(mx, s);
-      }
-      const std::int64_t bins = q.number;
-      const TimePs width = (mx - mn) / bins + 1;
-      std::vector<std::uint64_t> count(static_cast<std::size_t>(bins), 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        const TimePs s = src.corner_capture_slack(k, i);
-        ++count[static_cast<std::size_t>((s - mn) / width)];
-      }
-      QueryResult r = make_ok(scope + "histogram " + std::to_string(bins) +
-                              " count " + std::to_string(n) + " min " +
-                              fmt_ps(mn) + " max " + fmt_ps(mx));
-      for (std::int64_t i = 0; i < bins; ++i) {
-        timer.count_cycle();
-        if (timer.exhausted()) return deadline_error(src);
-        r.lines.push_back("  bin " + std::to_string(i) + " lo " +
-                          fmt_ps(mn + i * width) + " hi " +
-                          fmt_ps(mn + (i + 1) * width) + " count " +
-                          std::to_string(count[static_cast<std::size_t>(i)]));
-      }
-      return r;
-    }
-    case QueryVerb::kSummary: {
-      QueryResult r = make_ok(scope + "summary snapshot " +
-                              std::to_string(src.id()) + " fields 5");
-      r.lines.push_back("  derate " + std::to_string(c.derate_pm));
-      r.lines.push_back("  wire " + std::to_string(c.wire_pm));
-      r.lines.push_back("  worst_slack " + fmt_ps(c.worst_slack));
-      r.lines.push_back("  violations " + std::to_string(c.num_violations));
-      r.lines.push_back("  paths " + std::to_string(c.num_paths));
-      return r;
-    }
-    case QueryVerb::kCheckHold: {
-      if (!c.has_hold) {
-        return make_error(DiagCode::kServiceRejected,
-                          "snapshot " + std::to_string(src.id()) +
-                              " carries no hold capture for corner " +
-                              std::string(c.name) +
-                              " (SessionOptions::capture_hold disabled)");
-      }
-      const TimePs margin = q.number;
-      const std::size_t pairs = src.corner_num_hold_pairs(k);
-      std::size_t violations = 0;
-      for (std::size_t i = 0; i < pairs; ++i) {
-        if (src.corner_hold_pair(k, i).margin < margin) ++violations;
-      }
-      QueryResult r = make_ok(scope + "check_hold " + fmt_ps(margin) +
-                              " violations " + std::to_string(violations));
-      for (std::size_t i = 0; i < pairs; ++i) {
-        const SourceHoldPair p = src.corner_hold_pair(k, i);
-        if (p.margin >= margin) continue;
-        timer.count_cycle();
-        if (timer.exhausted()) return deadline_error(src);
-        r.lines.push_back(hold_line(p));
-      }
-      return r;
-    }
-    default:
-      return make_error(DiagCode::kParseSyntax, "not a corner read query");
-  }
-}
-
-}  // namespace
 
 QueryResult evaluate_snapshot_read(const ParsedQuery& q,
                                    const SnapshotSource& src,
                                    BudgetTimer& timer) {
-  if (timer.exhausted()) return deadline_error(src);
-  switch (q.verb) {
-    case QueryVerb::kSlack: {
-      const std::size_t idx = src.find_node(q.args[0]);
-      if (idx == SnapshotSource::npos) {
-        return make_error(DiagCode::kParseUnknownName,
-                          "unknown node '" + q.args[0] + "'");
-      }
-      return make_ok("ok slack " + q.args[0] + " " +
-                     fmt_ps(src.node_timing(idx).slack));
-    }
-    case QueryVerb::kWorstPaths: {
-      const std::size_t want = static_cast<std::size_t>(q.number);
-      const std::size_t served = std::min(want, src.num_paths());
-      QueryResult r = make_ok("ok worst_paths " + std::to_string(served) +
-                              " of " + std::to_string(src.num_violations()));
-      for (std::size_t i = 0; i < served; ++i) {
-        timer.count_cycle();
-        if (timer.exhausted()) return deadline_error(src);
-        r.lines.push_back(path_line(i, src.path(i)));
-      }
-      return r;
-    }
-    case QueryVerb::kHistogram: {
-      const std::size_t n = src.num_capture_slacks();
-      if (n == 0) {
-        return make_ok("ok histogram 0 count 0 min 0 max 0");
-      }
-      TimePs mn = src.capture_slack(0), mx = mn;
-      for (std::size_t i = 1; i < n; ++i) {
-        const TimePs s = src.capture_slack(i);
-        mn = std::min(mn, s);
-        mx = std::max(mx, s);
-      }
-      const std::int64_t bins = q.number;
-      const TimePs width = (mx - mn) / bins + 1;
-      std::vector<std::uint64_t> count(static_cast<std::size_t>(bins), 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        const TimePs s = src.capture_slack(i);
-        ++count[static_cast<std::size_t>((s - mn) / width)];
-      }
-      QueryResult r = make_ok("ok histogram " + std::to_string(bins) +
-                              " count " + std::to_string(n) + " min " +
-                              fmt_ps(mn) + " max " + fmt_ps(mx));
-      for (std::int64_t i = 0; i < bins; ++i) {
-        timer.count_cycle();
-        if (timer.exhausted()) return deadline_error(src);
-        r.lines.push_back("  bin " + std::to_string(i) + " lo " +
-                          fmt_ps(mn + i * width) + " hi " +
-                          fmt_ps(mn + (i + 1) * width) + " count " +
-                          std::to_string(count[static_cast<std::size_t>(i)]));
-      }
-      return r;
-    }
-    case QueryVerb::kConstraints: {
-      const SnapshotSource::InstRef ref = src.find_instance(q.args[0]);
-      if (!ref.found) {
-        return make_error(DiagCode::kParseUnknownName,
-                          "unknown instance '" + q.args[0] + "'");
-      }
-      const std::size_t pins = src.num_instance_pins(ref);
-      QueryResult r = make_ok("ok constraints " + q.args[0] + " pins " +
-                              std::to_string(pins));
-      for (std::size_t i = 0; i < pins; ++i) {
-        timer.count_cycle();
-        if (timer.exhausted()) return deadline_error(src);
-        const SourcePin pin = src.instance_pin(ref, i);
-        const NodeTiming nt = src.node_timing(pin.node);
-        std::string line = "  pin ";
-        line.append(pin.name);
-        line += " slack " + fmt_ps(nt.slack) + " ready " +
-                fmt_ps(nt.ready.rise) + " " + fmt_ps(nt.ready.fall) +
-                " required " + fmt_ps(nt.required.rise) + " " +
-                fmt_ps(nt.required.fall);
-        r.lines.push_back(std::move(line));
-      }
-      return r;
-    }
-    case QueryVerb::kSummary: {
-      QueryResult r = make_ok("ok summary snapshot " +
-                              std::to_string(src.id()) + " fields 6");
-      r.lines.push_back("  status " +
-                        std::string(analysis_status_name(src.status())));
-      r.lines.push_back(std::string("  works_as_intended ") +
-                        (src.works_as_intended() ? "true" : "false"));
-      r.lines.push_back("  worst_slack " + fmt_ps(src.worst_slack()));
-      r.lines.push_back("  terminals " + std::to_string(src.num_terminals()));
-      r.lines.push_back("  violations " + std::to_string(src.num_violations()));
-      r.lines.push_back("  paths " + std::to_string(src.num_paths()));
-      return r;
-    }
-    case QueryVerb::kCheckHold: {
-      if (!src.has_hold()) {
-        return make_error(DiagCode::kServiceRejected,
-                          "snapshot " + std::to_string(src.id()) +
-                              " carries no hold capture "
-                              "(SessionOptions::capture_hold disabled)");
-      }
-      // hold_pairs holds every connected pair with its worst margin, in the
-      // live sweep's (launch, capture) order — filtering by margin < m
-      // reproduces check_hold(m) on the analyser byte for byte.
-      const TimePs margin = q.number;
-      const std::size_t pairs = src.num_hold_pairs();
-      std::size_t violations = 0;
-      for (std::size_t i = 0; i < pairs; ++i) {
-        if (src.hold_pair(i).margin < margin) ++violations;
-      }
-      QueryResult r = make_ok("ok check_hold " + fmt_ps(margin) +
-                              " violations " + std::to_string(violations));
-      for (std::size_t i = 0; i < pairs; ++i) {
-        const SourceHoldPair p = src.hold_pair(i);
-        if (p.margin >= margin) continue;
-        timer.count_cycle();
-        if (timer.exhausted()) return deadline_error(src);
-        r.lines.push_back(hold_line(p));
-      }
-      return r;
-    }
-    case QueryVerb::kGenConstraints: {
-      if (!src.has_constraints()) {
-        return make_error(DiagCode::kServiceRejected,
-                          "snapshot " + std::to_string(src.id()) +
-                              " carries no constraint capture "
-                              "(SessionOptions::capture_constraints disabled)");
-      }
-      // Violating endpoints, as the one-shot CLI prints them: nodes with a
-      // full Algorithm 2 window and non-positive slack.
-      const std::size_t cons = src.num_constraint_nodes();
-      std::size_t endpoints = 0;
-      for (std::size_t i = 0; i < cons; ++i) {
-        const ConstraintTimes ct = src.constraint_node(i);
-        if (ct.has_ready && ct.has_required && ct.slack <= 0) ++endpoints;
-      }
-      QueryResult r = make_ok(
-          "ok gen_constraints status " +
-          std::string(analysis_status_name(src.constraints_status())) +
-          " backward " + std::to_string(src.backward_snatch_cycles()) +
-          " forward " + std::to_string(src.forward_snatch_cycles()) +
-          " endpoints " + std::to_string(endpoints));
-      for (std::size_t i = 0; i < cons; ++i) {
-        const ConstraintTimes ct = src.constraint_node(i);
-        if (!ct.has_ready || !ct.has_required || ct.slack > 0) continue;
-        timer.count_cycle();
-        if (timer.exhausted()) return deadline_error(src);
-        const std::string name = i < src.num_node_names()
-                                     ? std::string(src.node_name(i))
-                                     : std::to_string(i);
-        r.lines.push_back("  node " + name + " ready " +
-                          fmt_ps(std::max(ct.ready.rise, ct.ready.fall)) +
-                          " required " +
-                          fmt_ps(std::min(ct.required.rise, ct.required.fall)) +
-                          " slack " + fmt_ps(ct.slack));
-      }
-      return r;
-    }
-    case QueryVerb::kCorner:
-      return evaluate_corner_read(q, src, timer);
-    default:
-      return make_error(DiagCode::kParseSyntax, "not a read query");
-  }
+  Proto2Request req = proto2_request_of(q);
+  if (!is_read_query(q.verb)) req.op = Proto2Op::kText;  // ping: control verb
+  QueryResult r;
+  TextSink sink(r);
+  evaluate_read(req, src, timer, sink);
+  return r;
 }
 
 QueryResult evaluate_snapshot_read(const ParsedQuery& q,

@@ -1,12 +1,10 @@
-// Snapshot read evaluation — one pure function from (query, snapshot) to a
-// reply, shared by every serving surface.
-//
-// A live Session, a warm-restarted host serving a store-loaded snapshot
-// (snapshot_store.hpp) and a read-only replica serving an mmap'd
-// SnapshotView (snapshot_view.hpp) all call the same evaluator through the
-// SnapshotSource interface, so every surface answers read queries
-// byte-identically — the warm-restart and view-vs-copy differential
-// contracts (tests/snapshot_store_test.cpp, tests/proto2_test.cpp).
+// Snapshot read evaluation, text replies — one pure function from (query,
+// snapshot) to a reply, shared by every serving surface.  It runs the one
+// read evaluator (read_eval.hpp) that proto2_evaluate runs for typed
+// replies, with the text sink; a live Session, a warm-restarted host and a
+// read-only replica serving an mmap'd SnapshotView all evaluate through the
+// SnapshotSource interface, so every surface and both protocols answer
+// byte-identically (tests/snapshot_store_test.cpp, tests/proto2_test.cpp).
 //
 // check_hold and gen_constraints are read queries here: they evaluate the
 // hold-pair and constraint captures embedded in the snapshot, never the

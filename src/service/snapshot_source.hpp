@@ -1,13 +1,20 @@
-// SnapshotSource — the one evaluator interface behind every snapshot-served
-// read verb (service/snapshot_read.*).
+// SnapshotSource — the data interface of the one read evaluator
+// (service/read_eval.hpp) behind every snapshot-served read verb, in both
+// protocols.
 //
 // Two implementations exist: SnapshotCopySource (below) adapts a decoded
 // in-memory AnalysisSnapshot, and SnapshotView (snapshot_view.hpp) serves
 // straight from an mmap'd image without materialising a single string.
-// evaluate_snapshot_read() is written against this interface only, so a
-// live session, a warm-restarted host and a read-only replica all produce
+// The evaluator is written against this interface only, so a live
+// session, a warm-restarted host and a read-only replica all produce
 // byte-identical replies — the differential contract of
 // tests/proto2_test.cpp.
+//
+// The results a multi-corner capture repeats per corner (worst slack,
+// violations, node slacks, worst paths, capture slacks, hold pairs) are
+// read through scoped accessors: ReadScope{} selects the snapshot's own
+// results, ReadScope{k} corner k's, so `slack` and `corner k slack` run
+// the same evaluation.
 //
 // Accessors hand out string_views and small value structs; views point into
 // storage owned by the source (the snapshot's strings, or the mapped
@@ -19,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -46,14 +54,19 @@ struct SourceHoldPair {
   std::string_view capture_label;
 };
 
-struct SourceCornerMeta {
+/// One entry of the corner table.
+struct SourceCorner {
   std::string_view name;
   std::uint32_t derate_pm = 1000;
   std::uint32_t wire_pm = 1000;
-  TimePs worst_slack = 0;
-  std::size_t num_violations = 0;
-  std::size_t num_paths = 0;
-  bool has_hold = false;
+};
+
+/// Which results a scoped accessor reads: the snapshot's own (the base
+/// scope) or corner k's section of a multi-corner capture.
+struct ReadScope {
+  static constexpr std::size_t kBase = static_cast<std::size_t>(-1);
+  std::size_t corner = kBase;
+  bool base() const { return corner == kBase; }
 };
 
 class SnapshotSource {
@@ -75,12 +88,9 @@ class SnapshotSource {
   virtual std::string_view design_name() const = 0;
   virtual AnalysisStatus status() const = 0;
   virtual bool works_as_intended() const = 0;
-  virtual TimePs worst_slack() const = 0;
   virtual std::size_t num_terminals() const = 0;
-  virtual std::size_t num_violations() const = 0;
 
   // -- node timings / names ------------------------------------------------
-  virtual std::size_t num_nodes() const = 0;
   virtual NodeTiming node_timing(std::size_t i) const = 0;
   virtual std::size_t num_node_names() const = 0;
   virtual std::string_view node_name(std::size_t i) const = 0;
@@ -88,23 +98,10 @@ class SnapshotSource {
   /// lowest id (the NameIndex emplace-first-wins rule).
   virtual std::size_t find_node(std::string_view name) const = 0;
 
-  // -- worst paths ---------------------------------------------------------
-  virtual std::size_t num_paths() const = 0;
-  virtual SourcePath path(std::size_t i) const = 0;
-
-  // -- capture slacks (histogram input) ------------------------------------
-  virtual std::size_t num_capture_slacks() const = 0;
-  virtual TimePs capture_slack(std::size_t i) const = 0;
-
   // -- instance pin tables (constraints query) -----------------------------
   virtual InstRef find_instance(std::string_view name) const = 0;
   virtual std::size_t num_instance_pins(const InstRef& ref) const = 0;
   virtual SourcePin instance_pin(const InstRef& ref, std::size_t pin) const = 0;
-
-  // -- hold capture --------------------------------------------------------
-  virtual bool has_hold() const = 0;
-  virtual std::size_t num_hold_pairs() const = 0;
-  virtual SourceHoldPair hold_pair(std::size_t i) const = 0;
 
   // -- constraint capture --------------------------------------------------
   virtual bool has_constraints() const = 0;
@@ -114,18 +111,31 @@ class SnapshotSource {
   virtual std::size_t num_constraint_nodes() const = 0;
   virtual ConstraintTimes constraint_node(std::size_t i) const = 0;
 
-  // -- corner capture ------------------------------------------------------
+  // -- corner table --------------------------------------------------------
   virtual bool has_corners() const = 0;
   virtual std::uint32_t worst_corner() const = 0;
   virtual std::size_t num_corners() const = 0;
-  virtual SourceCornerMeta corner_meta(std::size_t k) const = 0;
-  virtual std::size_t corner_num_node_slacks(std::size_t k) const = 0;
-  virtual TimePs corner_node_slack(std::size_t k, std::size_t i) const = 0;
-  virtual std::size_t corner_num_capture_slacks(std::size_t k) const = 0;
-  virtual TimePs corner_capture_slack(std::size_t k, std::size_t i) const = 0;
-  virtual SourcePath corner_path(std::size_t k, std::size_t i) const = 0;
-  virtual std::size_t corner_num_hold_pairs(std::size_t k) const = 0;
-  virtual SourceHoldPair corner_hold_pair(std::size_t k, std::size_t i) const = 0;
+  virtual SourceCorner corner(std::size_t k) const = 0;
+
+  // -- scoped results: the base scope or corner k --------------------------
+  // A corner index out of range reads as an empty scope.
+  virtual TimePs worst_slack(ReadScope s) const = 0;
+  virtual std::size_t num_violations(ReadScope s) const = 0;
+  /// Slack of node id `node`; nullopt when the scope's slack table has no
+  /// such entry.  The base scope reads node_timing(node).slack and so
+  /// answers every id, as node_timing does.
+  virtual std::optional<TimePs> node_slack(ReadScope s,
+                                           std::size_t node) const = 0;
+  /// Worst paths, worst first.
+  virtual std::size_t num_paths(ReadScope s) const = 0;
+  virtual SourcePath path(ReadScope s, std::size_t i) const = 0;
+  /// Finite capture-terminal slacks (histogram input).
+  virtual std::size_t num_capture_slacks(ReadScope s) const = 0;
+  virtual TimePs capture_slack(ReadScope s, std::size_t i) const = 0;
+  /// Hold capture: every connected pair with its worst margin.
+  virtual bool has_hold(ReadScope s) const = 0;
+  virtual std::size_t num_hold_pairs(ReadScope s) const = 0;
+  virtual SourceHoldPair hold_pair(ReadScope s, std::size_t i) const = 0;
 };
 
 /// Adapter over a decoded AnalysisSnapshot.  Construction is free (two
@@ -142,11 +152,8 @@ class SnapshotCopySource final : public SnapshotSource {
   std::string_view design_name() const override { return snap_->design_name; }
   AnalysisStatus status() const override { return snap_->status; }
   bool works_as_intended() const override { return snap_->works_as_intended; }
-  TimePs worst_slack() const override { return snap_->worst_slack; }
   std::size_t num_terminals() const override { return snap_->num_terminals; }
-  std::size_t num_violations() const override { return snap_->num_violations; }
 
-  std::size_t num_nodes() const override { return snap_->nodes.size(); }
   NodeTiming node_timing(std::size_t i) const override {
     return i < snap_->nodes.size() ? snap_->nodes[i] : NodeTiming{};
   }
@@ -162,27 +169,6 @@ class SnapshotCopySource final : public SnapshotSource {
     const auto& by_name = snap_->names->node_by_name;
     const auto it = by_name.find(std::string(name));
     return it == by_name.end() ? npos : static_cast<std::size_t>(it->second);
-  }
-
-  std::size_t num_paths() const override { return snap_->paths.size(); }
-  SourcePath path(std::size_t i) const override {
-    SourcePath out;
-    if (i >= snap_->paths.size()) return out;
-    const SnapshotPath& p = snap_->paths[i];
-    out.slack = p.slack;
-    out.launch = p.launch;
-    out.capture = p.capture;
-    out.from = p.from;
-    out.to = p.to;
-    out.steps = p.steps;
-    return out;
-  }
-
-  std::size_t num_capture_slacks() const override {
-    return snap_->capture_slacks.size();
-  }
-  TimePs capture_slack(std::size_t i) const override {
-    return i < snap_->capture_slacks.size() ? snap_->capture_slacks[i] : 0;
   }
 
   InstRef find_instance(std::string_view name) const override {
@@ -208,18 +194,6 @@ class SnapshotCopySource final : public SnapshotSource {
     return out;
   }
 
-  bool has_hold() const override { return snap_->has_hold; }
-  std::size_t num_hold_pairs() const override { return snap_->hold_pairs.size(); }
-  SourceHoldPair hold_pair(std::size_t i) const override {
-    SourceHoldPair out;
-    if (i >= snap_->hold_pairs.size()) return out;
-    const SnapshotHoldPair& p = snap_->hold_pairs[i];
-    out.margin = p.margin;
-    out.launch_label = p.launch_label;
-    out.capture_label = p.capture_label;
-    return out;
-  }
-
   bool has_constraints() const override { return snap_->has_constraints; }
   AnalysisStatus constraints_status() const override {
     return snap_->constraints_status;
@@ -241,66 +215,74 @@ class SnapshotCopySource final : public SnapshotSource {
   bool has_corners() const override { return snap_->has_corners; }
   std::uint32_t worst_corner() const override { return snap_->worst_corner; }
   std::size_t num_corners() const override { return snap_->corners.size(); }
-  SourceCornerMeta corner_meta(std::size_t k) const override {
-    SourceCornerMeta out;
-    if (k >= snap_->corners.size()) return out;
+  SourceCorner corner(std::size_t k) const override {
+    if (k >= snap_->corners.size()) return SourceCorner{};
     const SnapshotCorner& c = snap_->corners[k];
-    out.name = c.name;
-    out.derate_pm = c.derate_pm;
-    out.wire_pm = c.wire_pm;
-    out.worst_slack = c.worst_slack;
-    out.num_violations = c.num_violations;
-    out.num_paths = c.paths.size();
-    out.has_hold = c.has_hold;
-    return out;
+    return SourceCorner{c.name, c.derate_pm, c.wire_pm};
   }
-  std::size_t corner_num_node_slacks(std::size_t k) const override {
-    return k < snap_->corners.size() ? snap_->corners[k].node_slacks.size() : 0;
+
+  TimePs worst_slack(ReadScope s) const override {
+    return scoped(s, TimePs{0}, [](const auto& x) { return x.worst_slack; });
   }
-  TimePs corner_node_slack(std::size_t k, std::size_t i) const override {
-    if (k >= snap_->corners.size()) return 0;
-    const auto& v = snap_->corners[k].node_slacks;
-    return i < v.size() ? v[i] : 0;
+  std::size_t num_violations(ReadScope s) const override {
+    return scoped(s, std::size_t{0},
+                  [](const auto& x) { return x.num_violations; });
   }
-  std::size_t corner_num_capture_slacks(std::size_t k) const override {
-    return k < snap_->corners.size() ? snap_->corners[k].capture_slacks.size()
-                                     : 0;
+  std::optional<TimePs> node_slack(ReadScope s,
+                                   std::size_t node) const override {
+    if (s.base()) return node_timing(node).slack;
+    if (s.corner >= snap_->corners.size()) return std::nullopt;
+    const std::vector<TimePs>& v = snap_->corners[s.corner].node_slacks;
+    if (node >= v.size()) return std::nullopt;
+    return v[node];
   }
-  TimePs corner_capture_slack(std::size_t k, std::size_t i) const override {
-    if (k >= snap_->corners.size()) return 0;
-    const auto& v = snap_->corners[k].capture_slacks;
-    return i < v.size() ? v[i] : 0;
+  std::size_t num_paths(ReadScope s) const override {
+    return scoped(s, std::size_t{0},
+                  [](const auto& x) { return x.paths.size(); });
   }
-  SourcePath corner_path(std::size_t k, std::size_t i) const override {
-    SourcePath out;
-    if (k >= snap_->corners.size()) return out;
-    const auto& paths = snap_->corners[k].paths;
-    if (i >= paths.size()) return out;
-    const SnapshotPath& p = paths[i];
-    out.slack = p.slack;
-    out.launch = p.launch;
-    out.capture = p.capture;
-    out.from = p.from;
-    out.to = p.to;
-    out.steps = p.steps;
-    return out;
+  SourcePath path(ReadScope s, std::size_t i) const override {
+    return scoped(s, SourcePath{}, [i](const auto& x) {
+      if (i >= x.paths.size()) return SourcePath{};
+      const SnapshotPath& p = x.paths[i];
+      return SourcePath{p.slack, p.launch, p.capture, p.from, p.to, p.steps};
+    });
   }
-  std::size_t corner_num_hold_pairs(std::size_t k) const override {
-    return k < snap_->corners.size() ? snap_->corners[k].hold_pairs.size() : 0;
+  std::size_t num_capture_slacks(ReadScope s) const override {
+    return scoped(s, std::size_t{0},
+                  [](const auto& x) { return x.capture_slacks.size(); });
   }
-  SourceHoldPair corner_hold_pair(std::size_t k, std::size_t i) const override {
-    SourceHoldPair out;
-    if (k >= snap_->corners.size()) return out;
-    const auto& pairs = snap_->corners[k].hold_pairs;
-    if (i >= pairs.size()) return out;
-    out.margin = pairs[i].margin;
-    out.launch_label = pairs[i].launch_label;
-    out.capture_label = pairs[i].capture_label;
-    return out;
+  TimePs capture_slack(ReadScope s, std::size_t i) const override {
+    return scoped(s, TimePs{0}, [i](const auto& x) {
+      return i < x.capture_slacks.size() ? x.capture_slacks[i] : TimePs{0};
+    });
+  }
+  bool has_hold(ReadScope s) const override {
+    return scoped(s, false, [](const auto& x) { return x.has_hold; });
+  }
+  std::size_t num_hold_pairs(ReadScope s) const override {
+    return scoped(s, std::size_t{0},
+                  [](const auto& x) { return x.hold_pairs.size(); });
+  }
+  SourceHoldPair hold_pair(ReadScope s, std::size_t i) const override {
+    return scoped(s, SourceHoldPair{}, [i](const auto& x) {
+      if (i >= x.hold_pairs.size()) return SourceHoldPair{};
+      const SnapshotHoldPair& p = x.hold_pairs[i];
+      return SourceHoldPair{p.margin, p.launch_label, p.capture_label};
+    });
   }
 
  private:
   using PinTable = std::vector<std::pair<std::string, std::uint32_t>>;
+
+  /// Apply `f` to the snapshot (base scope) or to corner k's section: both
+  /// carry worst_slack, num_violations, paths, capture_slacks, has_hold and
+  /// hold_pairs under the same names.  `none` for a corner out of range.
+  template <typename R, typename F>
+  R scoped(ReadScope s, R none, F f) const {
+    if (s.base()) return f(*snap_);
+    return s.corner < snap_->corners.size() ? f(snap_->corners[s.corner])
+                                            : none;
+  }
 
   std::shared_ptr<const AnalysisSnapshot> owned_;
   const AnalysisSnapshot* snap_;

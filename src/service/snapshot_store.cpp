@@ -179,11 +179,12 @@ void encode_path_list(Out& o, const std::vector<SnapshotPath>& paths) {
   }
 }
 
-bool decode_paths(std::string_view payload, AnalysisSnapshot& s) {
-  Reader r = reader_of(payload);
+/// Decode a u64-counted path list, as encode_path_list writes it for the
+/// worst-paths section and for every corner; false when it is truncated.
+bool decode_path_list(Reader& r, std::vector<SnapshotPath>& paths) {
   const std::uint64_t count = r.u64();
-  s.paths.clear();
-  if (count <= r.remaining()) s.paths.reserve(static_cast<std::size_t>(count));
+  paths.clear();
+  if (count <= r.remaining()) paths.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
     SnapshotPath sp;
     sp.slack = r.i64();
@@ -192,9 +193,14 @@ bool decode_paths(std::string_view payload, AnalysisSnapshot& s) {
     sp.from = r.str();
     sp.to = r.str();
     sp.steps = static_cast<std::size_t>(r.u64());
-    if (!r.fail) s.paths.push_back(std::move(sp));
+    if (!r.fail) paths.push_back(std::move(sp));
   }
-  return !r.fail && s.paths.size() == count && r.remaining() == 0;
+  return !r.fail && paths.size() == count;
+}
+
+bool decode_paths(std::string_view payload, AnalysisSnapshot& s) {
+  Reader r = reader_of(payload);
+  return decode_path_list(r, s.paths) && r.remaining() == 0;
 }
 
 template <class Out>
@@ -203,19 +209,24 @@ void encode_slack_list(Out& o, const std::vector<TimePs>& slacks) {
   for (const TimePs t : slacks) o.i64(t);
 }
 
-bool decode_capture_slacks(std::string_view payload, AnalysisSnapshot& s) {
-  Reader r = reader_of(payload);
+/// As decode_path_list, for encode_slack_list's u64-counted slacks.
+bool decode_slack_list(Reader& r, std::vector<TimePs>& slacks) {
   const std::uint64_t count = r.u64();
-  s.capture_slacks.clear();
+  slacks.clear();
   // count * 8 could wrap: compare through the division, as the view does.
-  if (count <= r.remaining() / 8 && count * 8 == r.remaining()) {
-    s.capture_slacks.reserve(static_cast<std::size_t>(count));
+  if (count <= r.remaining() / 8) {
+    slacks.reserve(static_cast<std::size_t>(count));
   }
   for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
     const TimePs t = r.i64();
-    if (!r.fail) s.capture_slacks.push_back(t);
+    if (!r.fail) slacks.push_back(t);
   }
-  return !r.fail && s.capture_slacks.size() == count && r.remaining() == 0;
+  return !r.fail && slacks.size() == count;
+}
+
+bool decode_capture_slacks(std::string_view payload, AnalysisSnapshot& s) {
+  Reader r = reader_of(payload);
+  return decode_slack_list(r, s.capture_slacks) && r.remaining() == 0;
 }
 
 /// `keys`: the instance names of idx.inst_pins in sorted order — the
@@ -290,13 +301,11 @@ void encode_hold_list(Out& o, const std::vector<SnapshotHoldPair>& pairs) {
   }
 }
 
-bool decode_hold_pairs(std::string_view payload, AnalysisSnapshot& s) {
-  Reader r = reader_of(payload);
+/// As decode_path_list, for encode_hold_list's hold pairs.
+bool decode_hold_list(Reader& r, std::vector<SnapshotHoldPair>& pairs) {
   const std::uint64_t count = r.u64();
-  s.hold_pairs.clear();
-  if (count <= r.remaining()) {
-    s.hold_pairs.reserve(static_cast<std::size_t>(count));
-  }
+  pairs.clear();
+  if (count <= r.remaining()) pairs.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
     SnapshotHoldPair hp;
     hp.launch = r.u32();
@@ -304,9 +313,14 @@ bool decode_hold_pairs(std::string_view payload, AnalysisSnapshot& s) {
     hp.margin = r.i64();
     hp.launch_label = r.str();
     hp.capture_label = r.str();
-    if (!r.fail) s.hold_pairs.push_back(std::move(hp));
+    if (!r.fail) pairs.push_back(std::move(hp));
   }
-  return !r.fail && s.hold_pairs.size() == count && r.remaining() == 0;
+  return !r.fail && pairs.size() == count;
+}
+
+bool decode_hold_pairs(std::string_view payload, AnalysisSnapshot& s) {
+  Reader r = reader_of(payload);
+  return decode_hold_list(r, s.hold_pairs) && r.remaining() == 0;
 }
 
 template <class Out>
@@ -394,53 +408,14 @@ bool decode_corners(std::string_view payload, AnalysisSnapshot& s) {
     c.wire_pm = r.u32();
     c.worst_slack = r.i64();
     c.num_violations = static_cast<std::size_t>(r.u64());
-    const std::uint64_t nn = r.u64();
-    if (nn <= r.remaining()) {
-      c.node_slacks.reserve(static_cast<std::size_t>(nn));
-    }
-    for (std::uint64_t j = 0; j < nn && !r.fail; ++j) {
-      const TimePs t = r.i64();
-      if (!r.fail) c.node_slacks.push_back(t);
-    }
-    if (r.fail || c.node_slacks.size() != nn) return false;
+    if (!decode_slack_list(r, c.node_slacks)) return false;
     // One slack per graph node — keyed by the same TNodeId index as the
     // node-timings section, which decodes before this one.
     if (c.node_slacks.size() != s.nodes.size()) return false;
-    const std::uint64_t ns = r.u64();
-    if (ns <= r.remaining()) {
-      c.capture_slacks.reserve(static_cast<std::size_t>(ns));
-    }
-    for (std::uint64_t j = 0; j < ns && !r.fail; ++j) {
-      const TimePs t = r.i64();
-      if (!r.fail) c.capture_slacks.push_back(t);
-    }
-    if (r.fail || c.capture_slacks.size() != ns) return false;
-    const std::uint64_t np = r.u64();
-    if (np <= r.remaining()) c.paths.reserve(static_cast<std::size_t>(np));
-    for (std::uint64_t j = 0; j < np && !r.fail; ++j) {
-      SnapshotPath sp;
-      sp.slack = r.i64();
-      sp.launch = r.str();
-      sp.capture = r.str();
-      sp.from = r.str();
-      sp.to = r.str();
-      sp.steps = static_cast<std::size_t>(r.u64());
-      if (!r.fail) c.paths.push_back(std::move(sp));
-    }
-    if (r.fail || c.paths.size() != np) return false;
+    if (!decode_slack_list(r, c.capture_slacks)) return false;
+    if (!decode_path_list(r, c.paths)) return false;
     c.has_hold = r.u8() != 0;
-    const std::uint64_t nh = r.u64();
-    if (nh <= r.remaining()) c.hold_pairs.reserve(static_cast<std::size_t>(nh));
-    for (std::uint64_t j = 0; j < nh && !r.fail; ++j) {
-      SnapshotHoldPair hp;
-      hp.launch = r.u32();
-      hp.capture = r.u32();
-      hp.margin = r.i64();
-      hp.launch_label = r.str();
-      hp.capture_label = r.str();
-      if (!r.fail) c.hold_pairs.push_back(std::move(hp));
-    }
-    if (r.fail || c.hold_pairs.size() != nh) return false;
+    if (!decode_hold_list(r, c.hold_pairs)) return false;
     s.corners.push_back(std::move(c));
   }
   if (r.fail || s.corners.size() != count || r.remaining() != 0) return false;

@@ -198,10 +198,10 @@ bool SnapshotView::index_meta(std::string_view payload) {
   id_ = r.u64();
   const std::uint8_t status = r.u8();
   works_ = r.u8() != 0;
-  worst_slack_ = r.i64();
+  base_.worst_slack = r.i64();
   num_terminals_ = static_cast<std::size_t>(r.u64());
-  num_violations_ = static_cast<std::size_t>(r.u64());
-  has_hold_ = r.u8() != 0;
+  base_.num_violations = static_cast<std::size_t>(r.u64());
+  base_.has_hold = r.u8() != 0;
   has_constraints_ = r.u8() != 0;
   const std::uint8_t cstatus = r.u8();
   backward_ = static_cast<std::int32_t>(r.u32());
@@ -218,6 +218,50 @@ namespace {
 constexpr std::size_t kTimingStride = 46;
 /// ConstraintTimes record bytes: 2 × u8 + 5 × i64.
 constexpr std::size_t kConstraintStride = 42;
+
+/// Read a u64 count of path records and record each one's absolute offset
+/// (`base` + position in `r`); false when one is truncated.  Shared by the
+/// worst-paths section and every corner's path list.
+bool index_path_records(Reader& r, std::size_t base,
+                        std::vector<std::size_t>& offs) {
+  const std::uint64_t count = r.u64();
+  offs.clear();
+  if (!r.fail && count <= r.remaining()) {
+    offs.reserve(static_cast<std::size_t>(count));
+  }
+  for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
+    const std::size_t off = base + r.pos;
+    r.i64();
+    r.str_view();
+    r.str_view();
+    r.str_view();
+    r.str_view();
+    r.u64();
+    if (!r.fail) offs.push_back(off);
+  }
+  return !r.fail && offs.size() == count;
+}
+
+/// As index_path_records, for hold-pair records.
+bool index_hold_records(Reader& r, std::size_t base,
+                        std::vector<std::size_t>& offs) {
+  const std::uint64_t count = r.u64();
+  offs.clear();
+  if (!r.fail && count <= r.remaining()) {
+    offs.reserve(static_cast<std::size_t>(count));
+  }
+  for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
+    const std::size_t off = base + r.pos;
+    r.u32();
+    r.u32();
+    r.i64();
+    r.str_view();
+    r.str_view();
+    if (!r.fail) offs.push_back(off);
+  }
+  return !r.fail && offs.size() == count;
+}
+
 }  // namespace
 
 bool SnapshotView::index_timings(std::string_view payload, std::size_t base) {
@@ -235,22 +279,7 @@ bool SnapshotView::index_timings(std::string_view payload, std::size_t base) {
 
 bool SnapshotView::index_paths(std::string_view payload, std::size_t base) {
   Reader r = reader_of(payload);
-  const std::uint64_t count = r.u64();
-  path_offs_.clear();
-  if (!r.fail && count <= r.remaining()) {
-    path_offs_.reserve(static_cast<std::size_t>(count));
-  }
-  for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
-    const std::size_t off = base + r.pos;
-    r.i64();
-    r.str_view();
-    r.str_view();
-    r.str_view();
-    r.str_view();
-    r.u64();
-    if (!r.fail) path_offs_.push_back(off);
-  }
-  return !r.fail && path_offs_.size() == count && r.remaining() == 0;
+  return index_path_records(r, base, base_.path_offs) && r.remaining() == 0;
 }
 
 bool SnapshotView::index_caps(std::string_view payload, std::size_t base) {
@@ -258,8 +287,8 @@ bool SnapshotView::index_caps(std::string_view payload, std::size_t base) {
   const std::uint64_t count = r.u64();
   if (r.fail) return false;
   if (count > r.remaining() / 8 || count * 8 != r.remaining()) return false;
-  caps_off_ = base + 8;
-  num_caps_ = static_cast<std::size_t>(count);
+  base_.cap_off = base + 8;
+  base_.num_caps = static_cast<std::size_t>(count);
   return true;
 }
 
@@ -330,21 +359,7 @@ void SnapshotView::build_name_order() const {
 
 bool SnapshotView::index_holds(std::string_view payload, std::size_t base) {
   Reader r = reader_of(payload);
-  const std::uint64_t count = r.u64();
-  hold_offs_.clear();
-  if (!r.fail && count <= r.remaining()) {
-    hold_offs_.reserve(static_cast<std::size_t>(count));
-  }
-  for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
-    const std::size_t off = base + r.pos;
-    r.u32();
-    r.u32();
-    r.i64();
-    r.str_view();
-    r.str_view();
-    if (!r.fail) hold_offs_.push_back(off);
-  }
-  return !r.fail && hold_offs_.size() == count && r.remaining() == 0;
+  return index_hold_records(r, base, base_.hold_offs) && r.remaining() == 0;
 }
 
 bool SnapshotView::index_constraints(std::string_view payload,
@@ -376,8 +391,8 @@ bool SnapshotView::index_corners(std::string_view payload, std::size_t base) {
     r.str_view();
     c.derate_pm = r.u32();
     c.wire_pm = r.u32();
-    c.worst_slack = r.i64();
-    c.num_violations = static_cast<std::size_t>(r.u64());
+    c.scope.worst_slack = r.i64();
+    c.scope.num_violations = static_cast<std::size_t>(r.u64());
     const std::uint64_t nn = r.u64();
     if (r.fail || nn > r.remaining() / 8) return false;
     c.node_slack_off = base + r.pos;
@@ -388,33 +403,12 @@ bool SnapshotView::index_corners(std::string_view payload, std::size_t base) {
     if (c.num_node_slacks != num_timings_) return false;
     const std::uint64_t ns = r.u64();
     if (r.fail || ns > r.remaining() / 8) return false;
-    c.cap_off = base + r.pos;
-    c.num_caps = static_cast<std::size_t>(ns);
+    c.scope.cap_off = base + r.pos;
+    c.scope.num_caps = static_cast<std::size_t>(ns);
     r.pos += static_cast<std::size_t>(ns) * 8;
-    const std::uint64_t np = r.u64();
-    for (std::uint64_t j = 0; j < np && !r.fail; ++j) {
-      const std::size_t off = base + r.pos;
-      r.i64();
-      r.str_view();
-      r.str_view();
-      r.str_view();
-      r.str_view();
-      r.u64();
-      if (!r.fail) c.path_offs.push_back(off);
-    }
-    if (r.fail || c.path_offs.size() != np) return false;
-    c.has_hold = r.u8() != 0;
-    const std::uint64_t nh = r.u64();
-    for (std::uint64_t j = 0; j < nh && !r.fail; ++j) {
-      const std::size_t off = base + r.pos;
-      r.u32();
-      r.u32();
-      r.i64();
-      r.str_view();
-      r.str_view();
-      if (!r.fail) c.hold_offs.push_back(off);
-    }
-    if (r.fail || c.hold_offs.size() != nh) return false;
+    if (!index_path_records(r, base, c.scope.path_offs)) return false;
+    c.scope.has_hold = r.u8() != 0;
+    if (!index_hold_records(r, base, c.scope.hold_offs)) return false;
     corners_.push_back(std::move(c));
   }
   if (r.fail || corners_.size() != count || r.remaining() != 0) return false;
@@ -492,15 +486,6 @@ std::size_t SnapshotView::find_node(std::string_view name) const {
   return static_cast<std::size_t>(*it);
 }
 
-SourcePath SnapshotView::path(std::size_t i) const {
-  return i < path_offs_.size() ? path_at(path_offs_[i]) : SourcePath{};
-}
-
-TimePs SnapshotView::capture_slack(std::size_t i) const {
-  if (i >= num_caps_) return 0;
-  return static_cast<TimePs>(codec_read_le64(data_ + caps_off_ + i * 8));
-}
-
 SnapshotSource::InstRef SnapshotView::find_instance(
     std::string_view name) const {
   const auto it = std::lower_bound(
@@ -533,10 +518,6 @@ SourcePin SnapshotView::instance_pin(const InstRef& ref,
   return out;
 }
 
-SourceHoldPair SnapshotView::hold_pair(std::size_t i) const {
-  return i < hold_offs_.size() ? hold_at(hold_offs_[i]) : SourceHoldPair{};
-}
-
 ConstraintTimes SnapshotView::constraint_node(std::size_t i) const {
   ConstraintTimes ct;
   if (i >= num_cons_) return ct;
@@ -551,57 +532,42 @@ ConstraintTimes SnapshotView::constraint_node(std::size_t i) const {
   return ct;
 }
 
-SourceCornerMeta SnapshotView::corner_meta(std::size_t k) const {
-  SourceCornerMeta out;
-  if (k >= corners_.size()) return out;
+SourceCorner SnapshotView::corner(std::size_t k) const {
+  if (k >= corners_.size()) return SourceCorner{};
   const CornerIdx& c = corners_[k];
-  out.name = str_at(c.name_off);
-  out.derate_pm = c.derate_pm;
-  out.wire_pm = c.wire_pm;
-  out.worst_slack = c.worst_slack;
-  out.num_violations = c.num_violations;
-  out.num_paths = c.path_offs.size();
-  out.has_hold = c.has_hold;
-  return out;
+  return SourceCorner{str_at(c.name_off), c.derate_pm, c.wire_pm};
 }
 
-std::size_t SnapshotView::corner_num_node_slacks(std::size_t k) const {
-  return k < corners_.size() ? corners_[k].num_node_slacks : 0;
+const SnapshotView::ScopeIdx& SnapshotView::scope_of(ReadScope s) const {
+  static const ScopeIdx kEmpty;
+  if (s.base()) return base_;
+  return s.corner < corners_.size() ? corners_[s.corner].scope : kEmpty;
 }
 
-TimePs SnapshotView::corner_node_slack(std::size_t k, std::size_t i) const {
-  if (k >= corners_.size()) return 0;
-  const CornerIdx& c = corners_[k];
-  if (i >= c.num_node_slacks) return 0;
-  return static_cast<TimePs>(codec_read_le64(data_ + c.node_slack_off + i * 8));
+std::optional<TimePs> SnapshotView::node_slack(ReadScope s,
+                                               std::size_t node) const {
+  if (s.base()) return node_timing(node).slack;
+  if (s.corner >= corners_.size()) return std::nullopt;
+  const CornerIdx& c = corners_[s.corner];
+  if (node >= c.num_node_slacks) return std::nullopt;
+  return static_cast<TimePs>(
+      codec_read_le64(data_ + c.node_slack_off + node * 8));
 }
 
-std::size_t SnapshotView::corner_num_capture_slacks(std::size_t k) const {
-  return k < corners_.size() ? corners_[k].num_caps : 0;
+SourcePath SnapshotView::path(ReadScope s, std::size_t i) const {
+  const ScopeIdx& x = scope_of(s);
+  return i < x.path_offs.size() ? path_at(x.path_offs[i]) : SourcePath{};
 }
 
-TimePs SnapshotView::corner_capture_slack(std::size_t k, std::size_t i) const {
-  if (k >= corners_.size()) return 0;
-  const CornerIdx& c = corners_[k];
-  if (i >= c.num_caps) return 0;
-  return static_cast<TimePs>(codec_read_le64(data_ + c.cap_off + i * 8));
+TimePs SnapshotView::capture_slack(ReadScope s, std::size_t i) const {
+  const ScopeIdx& x = scope_of(s);
+  if (i >= x.num_caps) return 0;
+  return static_cast<TimePs>(codec_read_le64(data_ + x.cap_off + i * 8));
 }
 
-SourcePath SnapshotView::corner_path(std::size_t k, std::size_t i) const {
-  if (k >= corners_.size()) return SourcePath{};
-  const CornerIdx& c = corners_[k];
-  return i < c.path_offs.size() ? path_at(c.path_offs[i]) : SourcePath{};
-}
-
-std::size_t SnapshotView::corner_num_hold_pairs(std::size_t k) const {
-  return k < corners_.size() ? corners_[k].hold_offs.size() : 0;
-}
-
-SourceHoldPair SnapshotView::corner_hold_pair(std::size_t k,
-                                              std::size_t i) const {
-  if (k >= corners_.size()) return SourceHoldPair{};
-  const CornerIdx& c = corners_[k];
-  return i < c.hold_offs.size() ? hold_at(c.hold_offs[i]) : SourceHoldPair{};
+SourceHoldPair SnapshotView::hold_pair(ReadScope s, std::size_t i) const {
+  const ScopeIdx& x = scope_of(s);
+  return i < x.hold_offs.size() ? hold_at(x.hold_offs[i]) : SourceHoldPair{};
 }
 
 }  // namespace hb

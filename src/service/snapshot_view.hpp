@@ -67,29 +67,16 @@ class SnapshotView final : public SnapshotSource {
   std::string_view design_name() const override { return design_name_; }
   AnalysisStatus status() const override { return status_; }
   bool works_as_intended() const override { return works_; }
-  TimePs worst_slack() const override { return worst_slack_; }
   std::size_t num_terminals() const override { return num_terminals_; }
-  std::size_t num_violations() const override { return num_violations_; }
 
-  std::size_t num_nodes() const override { return num_timings_; }
   NodeTiming node_timing(std::size_t i) const override;
   std::size_t num_node_names() const override { return name_offs_.size(); }
   std::string_view node_name(std::size_t i) const override;
   std::size_t find_node(std::string_view name) const override;
 
-  std::size_t num_paths() const override { return path_offs_.size(); }
-  SourcePath path(std::size_t i) const override;
-
-  std::size_t num_capture_slacks() const override { return num_caps_; }
-  TimePs capture_slack(std::size_t i) const override;
-
   InstRef find_instance(std::string_view name) const override;
   std::size_t num_instance_pins(const InstRef& ref) const override;
   SourcePin instance_pin(const InstRef& ref, std::size_t pin) const override;
-
-  bool has_hold() const override { return has_hold_; }
-  std::size_t num_hold_pairs() const override { return hold_offs_.size(); }
-  SourceHoldPair hold_pair(std::size_t i) const override;
 
   bool has_constraints() const override { return has_constraints_; }
   AnalysisStatus constraints_status() const override {
@@ -103,29 +90,48 @@ class SnapshotView final : public SnapshotSource {
   bool has_corners() const override { return has_corners_; }
   std::uint32_t worst_corner() const override { return worst_corner_; }
   std::size_t num_corners() const override { return corners_.size(); }
-  SourceCornerMeta corner_meta(std::size_t k) const override;
-  std::size_t corner_num_node_slacks(std::size_t k) const override;
-  TimePs corner_node_slack(std::size_t k, std::size_t i) const override;
-  std::size_t corner_num_capture_slacks(std::size_t k) const override;
-  TimePs corner_capture_slack(std::size_t k, std::size_t i) const override;
-  SourcePath corner_path(std::size_t k, std::size_t i) const override;
-  std::size_t corner_num_hold_pairs(std::size_t k) const override;
-  SourceHoldPair corner_hold_pair(std::size_t k, std::size_t i) const override;
+  SourceCorner corner(std::size_t k) const override;
+
+  TimePs worst_slack(ReadScope s) const override {
+    return scope_of(s).worst_slack;
+  }
+  std::size_t num_violations(ReadScope s) const override {
+    return scope_of(s).num_violations;
+  }
+  std::optional<TimePs> node_slack(ReadScope s,
+                                   std::size_t node) const override;
+  std::size_t num_paths(ReadScope s) const override {
+    return scope_of(s).path_offs.size();
+  }
+  SourcePath path(ReadScope s, std::size_t i) const override;
+  std::size_t num_capture_slacks(ReadScope s) const override {
+    return scope_of(s).num_caps;
+  }
+  TimePs capture_slack(ReadScope s, std::size_t i) const override;
+  bool has_hold(ReadScope s) const override { return scope_of(s).has_hold; }
+  std::size_t num_hold_pairs(ReadScope s) const override {
+    return scope_of(s).hold_offs.size();
+  }
+  SourceHoldPair hold_pair(ReadScope s, std::size_t i) const override;
 
  private:
-  struct CornerIdx {
-    std::size_t name_off = 0;
-    std::uint32_t derate_pm = 1000;
-    std::uint32_t wire_pm = 1000;
+  /// One scope's results: the snapshot's own, or one corner's section.
+  struct ScopeIdx {
     TimePs worst_slack = 0;
     std::size_t num_violations = 0;
-    std::size_t node_slack_off = 0;
-    std::size_t num_node_slacks = 0;
     std::size_t cap_off = 0;
     std::size_t num_caps = 0;
     std::vector<std::size_t> path_offs;
     bool has_hold = false;
     std::vector<std::size_t> hold_offs;
+  };
+  struct CornerIdx {
+    ScopeIdx scope;
+    std::size_t name_off = 0;
+    std::uint32_t derate_pm = 1000;
+    std::uint32_t wire_pm = 1000;
+    std::size_t node_slack_off = 0;
+    std::size_t num_node_slacks = 0;
   };
 
   SnapshotView() = default;
@@ -147,6 +153,8 @@ class SnapshotView final : public SnapshotSource {
   std::string_view str_at(std::size_t off) const;
   SourcePath path_at(std::size_t off) const;
   SourceHoldPair hold_at(std::size_t off) const;
+  /// The scope's index; an empty one for a corner out of range.
+  const ScopeIdx& scope_of(ReadScope s) const;
 
   const unsigned char* data_ = nullptr;
   std::size_t size_ = 0;
@@ -158,10 +166,7 @@ class SnapshotView final : public SnapshotSource {
   std::uint64_t id_ = 0;
   AnalysisStatus status_ = AnalysisStatus::kComplete;
   bool works_ = false;
-  TimePs worst_slack_ = 0;
   std::size_t num_terminals_ = 0;
-  std::size_t num_violations_ = 0;
-  bool has_hold_ = false;
   bool has_constraints_ = false;
   AnalysisStatus constraints_status_ = AnalysisStatus::kComplete;
   std::int32_t backward_ = 0;
@@ -170,14 +175,12 @@ class SnapshotView final : public SnapshotSource {
   // fixed-stride sections: absolute offset of the first record
   std::size_t timings_off_ = 0;
   std::size_t num_timings_ = 0;
-  std::size_t caps_off_ = 0;
-  std::size_t num_caps_ = 0;
   std::size_t cons_off_ = 0;
   std::size_t num_cons_ = 0;
 
-  // variable-stride sections: absolute offset per record
-  std::vector<std::size_t> path_offs_;
-  std::vector<std::size_t> hold_offs_;
+  // the base scope: meta counters, capture slacks, and the variable-stride
+  // path and hold-pair sections (absolute offset per record)
+  ScopeIdx base_;
 
   // name table: offset of each node name's length prefix, plus the node-id
   // permutation sorted by (name, id) — lower_bound lands on the lowest id

@@ -9,19 +9,22 @@
 //      verb including the error replies.
 //   2. Protocol identity: every proto-2 typed reply, rendered back to text
 //      by proto2_render_payload, reproduces the proto-1 reply byte for
-//      byte; decode errors carry the same structured messages as the text
-//      parser for the same out-of-range values.
+//      byte — also on extreme histogram spans; decode errors carry the same
+//      structured messages as the text parser for the same out-of-range
+//      values.
 //   3. Version skew: a crafted version-1 image is refused by the view
 //      (kSnapshotVersionSkew) but still decodes on the copy path, and the
 //      store's load_newest_source falls back accordingly with identical
 //      replies.
 //   4. Robustness: arbitrary and mutated bytes through SnapshotView::attach
-//      and through the frame decoder/renderer never crash (fixed seeds;
-//      re-run under ASan/UBSan in the CI fuzz job), and a view never
+//      and through the frame decoder/renderer never crash, and valid images
+//      with arbitrary values answer every verb in both protocols (fixed
+//      seeds; re-run under ASan/UBSan in the CI fuzz job); a view never
 //      accepts an image parse_snapshot rejects.
 //   5. Zero-allocation steady state: cached text reads and typed binary
 //      replies perform no heap allocation once warm (global operator new
-//      hook, this binary only).
+//      hook, this binary only); the typed-frame cache never replays a frame
+//      recorded for a replaced session.
 //   6. Replica mode: read-only semantics, re-mapping via `snapshot load`,
 //      and the per-section `snapshot stat` report.
 #include <gtest/gtest.h>
@@ -31,6 +34,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -270,6 +274,60 @@ TEST(Proto2DiffTest, TypedRepliesRenderIdenticalToProto1) {
   }
 }
 
+TEST(Proto2DiffTest, HistogramSafeOnExtremeSlacks) {
+  // Capture slacks come from the image unchecked: a crafted image with
+  // recomputed checksums may carry any i64 span.  Bins must stay in range
+  // and both protocols must agree, in the base scope and in a corner.
+  Workload w = std::move(all_generator_networks()[0]);
+  const auto captured = captured_snapshot(w, true);
+  constexpr TimePs kMin = std::numeric_limits<TimePs>::min();
+  constexpr TimePs kMax = std::numeric_limits<TimePs>::max();
+  const std::vector<std::vector<TimePs>> extremes = {
+      {-(TimePs{1} << 62), TimePs{1} << 62}, {kMin, kMax}};
+  for (const std::vector<TimePs>& slacks : extremes) {
+    AnalysisSnapshot snap = *captured;
+    snap.capture_slacks = slacks;
+    snap.corners[0].capture_slacks = slacks;
+    const std::string image = serialize_snapshot(snap);
+    const SnapshotView::MapResult mr = SnapshotView::attach(image);
+    ASSERT_TRUE(mr.ok()) << mr.error;
+    const SnapshotCopySource copy(snap);
+    for (const char* line : {"histogram 1", "histogram 2", "histogram 1000",
+                             "corner 0 histogram 2"}) {
+      SCOPED_TRACE(line);
+      const ParsedQuery q = parse_query(line);
+      ASSERT_TRUE(q.ok);
+      for (const SnapshotSource* src :
+           {static_cast<const SnapshotSource*>(&copy),
+            static_cast<const SnapshotSource*>(mr.view.get())}) {
+        const std::string text = eval_text(q, *src);
+        // Well formed: the header, then one line per bin, whose counts
+        // add up to the two slacks.
+        std::istringstream is(text);
+        std::string header;
+        std::getline(is, header);
+        EXPECT_EQ(header.rfind("ok ", 0), 0u) << header;
+        EXPECT_NE(header.find("histogram " + std::to_string(q.number) +
+                              " count 2 "),
+                  std::string::npos)
+            << header;
+        std::int64_t bins = 0;
+        std::uint64_t counted = 0;
+        for (std::string l; std::getline(is, l); ++bins) {
+          EXPECT_EQ(l.rfind("  bin " + std::to_string(bins) + " lo ", 0), 0u)
+              << l;
+          counted += std::stoull(l.substr(l.rfind(' ') + 1));
+        }
+        EXPECT_EQ(bins, q.number);
+        EXPECT_EQ(counted, 2u);
+        std::string rendered;
+        ASSERT_TRUE(eval_proto2(q, *src, rendered));
+        EXPECT_EQ(rendered, text);
+      }
+    }
+  }
+}
+
 TEST(Proto2DiffTest, DecodeRangeErrorsMatchTextParser) {
   // A typed frame carrying an out-of-range value must produce the same
   // structured error the text parser emits for the same token.
@@ -423,8 +481,10 @@ TEST(ViewFuzzTest, AttachSafeOnMutatedValidImages) {
   Workload w = std::move(all_generator_networks()[0]);
   const auto snap = captured_snapshot(w, true);
   const std::string image = serialize_snapshot(*snap);
-  const ParsedQuery summary = parse_query("summary");
-  const ParsedQuery paths = parse_query("worst_paths 5");
+  std::vector<ParsedQuery> queries;
+  for (const std::string& line : read_queries(*snap, true)) {
+    queries.push_back(parse_query(line));
+  }
   std::uint64_t rng = 0x5EED0001;
   for (int round = 0; round < 400; ++round) {
     std::string mutated = image;
@@ -442,10 +502,61 @@ TEST(ViewFuzzTest, AttachSafeOnMutatedValidImages) {
     const SnapshotView::MapResult mr = SnapshotView::attach(mutated);
     if (!mr.ok()) continue;
     // Checksums make surviving mutations astronomically unlikely, but any
-    // accepted view must also satisfy the parser and answer reads safely.
+    // accepted view must also satisfy the parser and answer every read
+    // safely, in both protocols.
     EXPECT_TRUE(parse_snapshot(mutated).ok());
-    eval_text(summary, *mr.view);
-    eval_text(paths, *mr.view);
+    for (const ParsedQuery& q : queries) {
+      std::string rendered;
+      if (eval_proto2(q, *mr.view, rendered)) {
+        EXPECT_EQ(rendered, eval_text(q, *mr.view));
+      }
+    }
+  }
+}
+
+TEST(ViewFuzzTest, EveryVerbSafeOnArbitraryValues) {
+  // Valid images (serialised, so every checksum holds) whose values are
+  // arbitrary i64s: node timings, capture slacks, corner slacks and hold
+  // margins.  Every read verb must answer in both protocols, over the view
+  // and over the copy, with the typed reply rendering to the text reply.
+  Workload w = std::move(all_generator_networks()[0]);
+  const auto captured = captured_snapshot(w, true);
+  std::uint64_t rng = 0xA5B1C2D3;
+  const auto any = [&rng] { return static_cast<TimePs>(splitmix(rng)); };
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE(round);
+    AnalysisSnapshot snap = *captured;
+    for (NodeTiming& t : snap.nodes) {
+      t.slack = any();
+      t.ready = {any(), any()};
+      t.required = {any(), any()};
+    }
+    for (TimePs& s : snap.capture_slacks) s = any();
+    for (SnapshotHoldPair& p : snap.hold_pairs) p.margin = any();
+    for (SnapshotCorner& c : snap.corners) {
+      for (TimePs& s : c.node_slacks) s = any();
+      for (TimePs& s : c.capture_slacks) s = any();
+      for (SnapshotHoldPair& p : c.hold_pairs) p.margin = any();
+    }
+    const std::string image = serialize_snapshot(snap);
+    const SnapshotView::MapResult mr = SnapshotView::attach(image);
+    ASSERT_TRUE(mr.ok()) << mr.error;
+    const SnapshotCopySource copy(snap);
+    std::size_t typed = 0;
+    for (const std::string& line : read_queries(snap, true)) {
+      SCOPED_TRACE(line);
+      const ParsedQuery q = parse_query(line);
+      ASSERT_TRUE(q.ok);
+      const std::string text = eval_text(q, copy);
+      EXPECT_EQ(eval_text(q, *mr.view), text);
+      std::string rendered;
+      if (!eval_proto2(q, copy, rendered)) continue;
+      ++typed;
+      EXPECT_EQ(rendered, text);
+      ASSERT_TRUE(eval_proto2(q, *mr.view, rendered));
+      EXPECT_EQ(rendered, text);
+    }
+    EXPECT_GT(typed, 10u);
   }
 }
 
@@ -523,9 +634,10 @@ TEST(Proto2FuzzTest, RendererSafeOnArbitraryPayloads) {
 
 // -- Connection-level behaviour ---------------------------------------------
 
-std::shared_ptr<Session> make_session(SessionOptions opt = {}) {
+std::shared_ptr<Session> make_session(SessionOptions opt = {},
+                                      std::uint64_t seed = 7) {
   RandomNetworkSpec spec;
-  spec.seed = 7;
+  spec.seed = seed;
   spec.num_clocks = 2;
   spec.banks = 4;
   spec.bank_width = 4;
@@ -681,6 +793,60 @@ TEST(Proto2Test, ZeroAllocSteadyStateOnCachedAndTypedReads) {
   const std::uint64_t bin_allocs =
       g_allocs.load(std::memory_order_relaxed) - bin_before;
   EXPECT_EQ(bin_allocs, 0u) << "typed binary replies must not allocate";
+}
+
+TEST(Proto2Test, TypedCacheNeverReplaysAReplacedSessionsFrame) {
+  // Every session numbers its snapshots from 1, and a destroyed session's
+  // snapshot address can be reused by the next one: the connection's typed
+  // cache must never answer for design C with design A's frame.  The same
+  // holds for warm sources: a view remapped by `snapshot load` after one
+  // that was dropped unserved often lands at the dropped view's address
+  // with the same snapshot id.
+  SessionOptions opt;
+  opt.pool_threads = 1;
+  std::string frame;
+  ASSERT_TRUE(proto2_encode_request(parse_query("summary"), frame));
+  const std::string_view payload = std::string_view(frame).substr(4);
+  std::string remap;
+  proto2_encode_text("snapshot load", remap);
+  const auto fresh_reply = [payload](ServiceHost& host) {
+    ProtocolHandler fresh(host);
+    EXPECT_EQ(fresh.handle_line("proto 2"), "ok proto 2\n");
+    return fresh.handle_frame(payload);
+  };
+  {
+    ServiceHost host;
+    ProtocolHandler h(host);
+    ASSERT_EQ(h.handle_line("proto 2"), "ok proto 2\n");
+    for (int round = 0; round < 40; ++round) {
+      SCOPED_TRACE(round);
+      host.adopt(make_session(opt, 11));
+      h.handle_frame(payload);
+      host.adopt(make_session(opt, 12));
+      host.adopt(make_session(opt, 13));
+      EXPECT_EQ(h.handle_frame(payload), fresh_reply(host));
+    }
+  }
+  TempDir dir;
+  SnapshotStore store({dir.path, 4});
+  const std::shared_ptr<Session> designs[] = {
+      make_session(opt, 11), make_session(opt, 12), make_session(opt, 13)};
+  ASSERT_TRUE(store.save(*designs[0]->snapshot()).ok);
+  ServiceConfig cfg;
+  cfg.snapshot_dir = dir.path;
+  cfg.replica = true;
+  ServiceHost replica(cfg);
+  ProtocolHandler h(replica);
+  ASSERT_EQ(h.handle_line("proto 2"), "ok proto 2\n");
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(round);
+    for (int d = 0; d < 3; ++d) {
+      ASSERT_TRUE(store.save(*designs[d]->snapshot()).ok);
+      h.handle_frame(std::string_view(remap).substr(4));
+      if (d == 1) continue;  // B is mapped and dropped, never served
+      EXPECT_EQ(h.handle_frame(payload), fresh_reply(replica));
+    }
+  }
 }
 
 // -- Replica mode -----------------------------------------------------------
