@@ -5,27 +5,29 @@
 // worst_paths, histogram, slack over a rotating node set), then a what-if
 // loop (set_delay + commit) running under 4 concurrent readers.  Each
 // thread-count run uses a fresh session so cache warm-up is comparable.
+// Both figures swing widely between back-to-back runs of one binary, so
+// each is measured `runs` times and reported as the median with its
+// quartiles.
 //
-// Two zero-copy read-path comparisons ride along (docs/SERVICE.md):
+// Two read-path measurements ride along (docs/SERVICE.md):
 //   * proto1 vs proto2 — the same hot read mix through one text-protocol
 //     connection and one binary-protocol connection against the same host,
 //     in interleaved rounds so cache state and frequency scaling hit both
 //     sides equally;
-//   * copy load vs mmap view — warm-restart time to the first served query,
-//     decoded-copy path (read + parse_snapshot + evaluate) against the
-//     SnapshotView path (map_file + evaluate).
+//   * warm restart — time to the first served query through the mmap'd
+//     SnapshotView (map_file + evaluate), checked against the live
+//     snapshot's reply.
 //
 // Writes BENCH_service.json.  `hardware_threads` records the machine the
 // numbers came from: read scaling across client threads is limited by the
 // cores available (a 1-core container serialises every client).
-// `--quick` shrinks every iteration count for the CI perf-smoke schema
-// check; the JSON records which mode produced it.
+// `--quick` shrinks every iteration and run count for the CI perf-smoke
+// schema check; the JSON records which mode produced it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -79,15 +81,42 @@ struct ThroughputResult {
   double cache_hit_rate = 0;
 };
 
+/// Median and quartiles of repeated runs (linear interpolation).
+struct Spread {
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double p) {
+    const double x = p * static_cast<double>(v.size() - 1);
+    const std::size_t i = static_cast<std::size_t>(x);
+    if (i + 1 >= v.size()) return v.back();
+    return v[i] + (x - static_cast<double>(i)) * (v[i + 1] - v[i]);
+  };
+  return Spread{at(0.25), at(0.5), at(0.75)};
+}
+
+std::string spread_json(const Spread& s) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf,
+                "{\"q1\": %.2f, \"median\": %.2f, \"q3\": %.2f}", s.q1,
+                s.median, s.q3);
+  return buf;
+}
+
 struct SnapshotCodecResult {
   std::size_t image_bytes = 0;
   double serialize_mb_s = 0;  // MB/s through serialize_snapshot
-  double parse_mb_s = 0;      // MB/s through parse_snapshot (validated)
+  double attach_mb_s = 0;     // MB/s through SnapshotView::attach (validated)
 };
 
-/// Serialise/parse throughput of the persistence codec over the bench
-/// session's fully captured snapshot — the cost of one store save and one
-/// warm-restart load, minus the disk.
+/// Serialise throughput of the persistence codec, and validation plus
+/// indexing throughput of the view, over the bench session's fully
+/// captured snapshot — the cost of one store save and one warm-restart
+/// load, minus the disk.
 SnapshotCodecResult measure_snapshot_codec(int iters) {
   auto session = make_bench_session();
   const AnalysisSnapshot& snap = *session->snapshot();
@@ -103,14 +132,14 @@ SnapshotCodecResult measure_snapshot_codec(int iters) {
 
   start = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) {
-    const SnapshotParse p = parse_snapshot(image);
-    if (!p.ok()) {
-      std::printf("snapshot parse failed: %s\n", p.error.c_str());
+    const SnapshotView::MapResult m = SnapshotView::attach(image);
+    if (!m.ok()) {
+      std::printf("snapshot attach failed: %s\n", m.error.c_str());
       std::exit(1);
     }
   }
-  const double parse_s = seconds_since(start);
-  r.parse_mb_s = static_cast<double>(image.size()) * iters / parse_s / 1e6;
+  const double attach_s = seconds_since(start);
+  r.attach_mb_s = static_cast<double>(image.size()) * iters / attach_s / 1e6;
   return r;
 }
 
@@ -146,7 +175,6 @@ struct WhatIfResult {
   double mean_us = 0;
   double p50_us = 0;
   double max_us = 0;
-  int commits = 0;
 };
 
 WhatIfResult measure_whatif(int readers, int commits) {
@@ -188,7 +216,6 @@ WhatIfResult measure_whatif(int readers, int commits) {
   for (std::thread& t : threads) t.join();
 
   WhatIfResult r;
-  r.commits = commits;
   std::sort(latency_us.begin(), latency_us.end());
   for (double v : latency_us) r.mean_us += v;
   r.mean_us /= static_cast<double>(latency_us.size());
@@ -264,25 +291,22 @@ ProtocolCompareResult measure_protocols(int rounds, int queries_per_round) {
 
 struct WarmRestartResult {
   std::size_t image_bytes = 0;
-  double copy_first_query_us = 0;
   double view_first_query_us = 0;
-  double speedup = 0;
-  double copy_mb_s = 0;
   double view_mb_s = 0;
 };
 
-/// Warm-restart cost to the first served reply, per path: the decoded copy
-/// (read the file, parse_snapshot, adapt, evaluate `summary`) against the
-/// mmap view (map_file, evaluate `summary`).  Fresh mapping every
-/// iteration; the file stays in page cache for both sides, so the delta is
-/// decode work, not disk.
+/// Warm-restart cost to the first served reply: map_file, then evaluate
+/// `summary` through the view.  Fresh mapping every iteration; the file
+/// stays in page cache, so this is validation and indexing, not disk.
 WarmRestartResult measure_warm_restart(int iters) {
   namespace fs = std::filesystem;
   const std::string dir =
       (fs::temp_directory_path() / "hb-bench-warm").string();
   fs::remove_all(dir);
   SnapshotStore store({dir, 2});
+  const ParsedQuery q = parse_query("summary");
   std::string path;
+  std::string live_reply;
   {
     auto session = make_bench_session();
     const SnapshotStore::SaveResult save = store.save(*session->snapshot());
@@ -291,30 +315,14 @@ WarmRestartResult measure_warm_restart(int iters) {
       std::exit(1);
     }
     path = save.path;
+    BudgetTimer timer{AnalysisBudget{}};
+    live_reply = to_wire(evaluate_snapshot_read(
+        q, SnapshotCopySource(*session->snapshot()), timer));
   }
-  const ParsedQuery q = parse_query("summary");
 
   WarmRestartResult r;
-  std::string first_reply;
-  double copy_s = 0, view_s = 0;
+  double view_s = 0;
   for (int i = -1; i < iters; ++i) {  // iteration -1 is the warm-up
-    auto start = std::chrono::steady_clock::now();
-    std::ifstream in(path, std::ios::binary);
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    const SnapshotParse parsed = parse_snapshot(bytes);
-    if (!parsed.ok()) {
-      std::printf("copy load failed: %s\n", parsed.error.c_str());
-      std::exit(1);
-    }
-    const SnapshotCopySource src(*parsed.snapshot);
-    BudgetTimer timer{AnalysisBudget{}};
-    const std::string reply = to_wire(evaluate_snapshot_read(q, src, timer));
-    if (i >= 0) copy_s += seconds_since(start);
-    r.image_bytes = bytes.size();
-    first_reply = reply;
-  }
-  for (int i = -1; i < iters; ++i) {
     auto start = std::chrono::steady_clock::now();
     const SnapshotView::MapResult mr = SnapshotView::map_file(path);
     if (!mr.ok()) {
@@ -325,17 +333,15 @@ WarmRestartResult measure_warm_restart(int iters) {
     const std::string reply =
         to_wire(evaluate_snapshot_read(q, *mr.view, timer));
     if (i >= 0) view_s += seconds_since(start);
-    if (reply != first_reply) {
-      std::printf("view reply diverged from copy reply\n");
+    r.image_bytes = mr.view->image_bytes();
+    if (reply != live_reply) {
+      std::printf("view reply diverged from the live snapshot's reply\n");
       std::exit(1);
     }
   }
   fs::remove_all(dir);
 
-  r.copy_first_query_us = 1e6 * copy_s / iters;
   r.view_first_query_us = 1e6 * view_s / iters;
-  r.speedup = r.copy_first_query_us / r.view_first_query_us;
-  r.copy_mb_s = static_cast<double>(r.image_bytes) / (copy_s / iters) / 1e6;
   r.view_mb_s = static_cast<double>(r.image_bytes) / (view_s / iters) / 1e6;
   return r;
 }
@@ -346,30 +352,49 @@ WarmRestartResult measure_warm_restart(int iters) {
 int main(int argc, char** argv) {
   using namespace hb;
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+  const int runs = quick ? 2 : 5;
   const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("hardware threads: %u%s\n", hw, quick ? " (quick mode)" : "");
-  std::printf("%8s %12s %14s\n", "clients", "queries/s", "cache hit rate");
+  std::printf("hardware threads: %u%s, %d runs per noisy figure\n", hw,
+              quick ? " (quick mode)" : "", runs);
+  std::printf("%4s %8s %12s %14s\n", "run", "clients", "queries/s",
+              "cache hit rate");
 
-  std::vector<ThroughputResult> reads;
-  for (int clients : {1, 4, 8}) {
-    reads.push_back(measure_reads(clients, quick ? 400 : 4000));
-    const ThroughputResult& r = reads.back();
-    std::printf("%8d %12.0f %13.1f%%\n", r.clients, r.qps,
-                100.0 * r.cache_hit_rate);
+  // reads[run][k]: clients 1, 4, 8.
+  std::vector<std::vector<ThroughputResult>> reads(runs);
+  std::vector<double> scalings;
+  for (int run = 0; run < runs; ++run) {
+    for (int clients : {1, 4, 8}) {
+      reads[run].push_back(measure_reads(clients, quick ? 400 : 4000));
+      const ThroughputResult& r = reads[run].back();
+      std::printf("%4d %8d %12.0f %13.1f%%\n", run, r.clients, r.qps,
+                  100.0 * r.cache_hit_rate);
+    }
+    scalings.push_back(reads[run].back().qps / reads[run].front().qps);
   }
-  const double scaling = reads.back().qps / reads.front().qps;
-  std::printf("read throughput scaling 1 -> 8 clients: %.2fx\n", scaling);
+  const Spread scaling = spread_of(scalings);
+  std::printf("read throughput scaling 1 -> 8 clients: median %.2fx "
+              "(quartiles %.2f-%.2f)\n",
+              scaling.median, scaling.q1, scaling.q3);
 
-  const WhatIfResult whatif = measure_whatif(4, quick ? 8 : 40);
+  const int commits = quick ? 8 : 40;
+  std::vector<double> commit_p50, commit_mean, commit_max;
+  for (int run = 0; run < runs; ++run) {
+    const WhatIfResult w = measure_whatif(4, commits);
+    commit_p50.push_back(w.p50_us);
+    commit_mean.push_back(w.mean_us);
+    commit_max.push_back(w.max_us);
+  }
+  const Spread p50 = spread_of(commit_p50);
   std::printf(
-      "what-if commit under 4 readers: mean %.0f us, p50 %.0f us, max %.0f us "
-      "(%d commits)\n",
-      whatif.mean_us, whatif.p50_us, whatif.max_us, whatif.commits);
+      "what-if commit under 4 readers: p50 median %.0f us (quartiles "
+      "%.0f-%.0f), %d commits per run\n",
+      p50.median, p50.q1, p50.q3, commits);
 
   const SnapshotCodecResult codec = measure_snapshot_codec(quick ? 3 : 20);
   std::printf(
-      "snapshot codec (%zu byte image): serialize %.0f MB/s, parse %.0f MB/s\n",
-      codec.image_bytes, codec.serialize_mb_s, codec.parse_mb_s);
+      "snapshot codec (%zu byte image): serialize %.0f MB/s, attach %.0f "
+      "MB/s\n",
+      codec.image_bytes, codec.serialize_mb_s, codec.attach_mb_s);
 
   const ProtocolCompareResult proto =
       measure_protocols(quick ? 20 : 200, 64);
@@ -381,33 +406,39 @@ int main(int argc, char** argv) {
 
   const WarmRestartResult warm = measure_warm_restart(quick ? 5 : 15);
   std::printf(
-      "warm restart to first query (%zu byte image): copy %.0f us "
-      "(%.0f MB/s), view %.0f us (%.0f MB/s), %.1fx\n",
-      warm.image_bytes, warm.copy_first_query_us, warm.copy_mb_s,
-      warm.view_first_query_us, warm.view_mb_s, warm.speedup);
+      "warm restart to first query (%zu byte image): view %.0f us "
+      "(%.0f MB/s)\n",
+      warm.image_bytes, warm.view_first_query_us, warm.view_mb_s);
 
   FILE* json = std::fopen("BENCH_service.json", "w");
   std::fprintf(json,
                "{\n  \"hardware_threads\": %u,\n  \"threads_used\": %u,\n"
-               "  \"quick\": %s,\n"
+               "  \"quick\": %s,\n  \"runs\": %d,\n"
                "  \"read_throughput\": [\n",
-               hw, hw > 0 ? hw : 1, quick ? "true" : "false");
-  for (std::size_t i = 0; i < reads.size(); ++i) {
+               hw, hw > 0 ? hw : 1, quick ? "true" : "false", runs);
+  // Per client count: the median run's throughput and cache hit rate.
+  for (std::size_t k = 0; k < reads[0].size(); ++k) {
+    std::vector<double> qps, hits;
+    for (const std::vector<ThroughputResult>& run : reads) {
+      qps.push_back(run[k].qps);
+      hits.push_back(run[k].cache_hit_rate);
+    }
     std::fprintf(json,
-                 "    {\"clients\": %d, \"queries_per_second\": %.0f, "
+                 "    {\"clients\": %d, \"queries_per_second\": %s, "
                  "\"cache_hit_rate\": %.3f}%s\n",
-                 reads[i].clients, reads[i].qps, reads[i].cache_hit_rate,
-                 i + 1 < reads.size() ? "," : "");
+                 reads[0][k].clients, spread_json(spread_of(qps)).c_str(),
+                 spread_of(hits).median, k + 1 < reads[0].size() ? "," : "");
   }
   std::fprintf(json,
-               "  ],\n  \"read_scaling_1_to_8\": %.2f,\n"
-               "  \"whatif_commit_under_4_readers\": {\"mean_us\": %.1f, "
-               "\"p50_us\": %.1f, \"max_us\": %.1f, \"commits\": %d},\n"
+               "  ],\n  \"read_scaling_1_to_8\": %s,\n"
+               "  \"whatif_commit_under_4_readers\": {\"p50_us\": %s, "
+               "\"mean_us\": %s, \"max_us\": %s, \"commits\": %d},\n"
                "  \"snapshot_codec\": {\"image_bytes\": %zu, "
-               "\"serialize_mb_s\": %.1f, \"parse_mb_s\": %.1f},\n",
-               scaling, whatif.mean_us, whatif.p50_us, whatif.max_us,
-               whatif.commits, codec.image_bytes, codec.serialize_mb_s,
-               codec.parse_mb_s);
+               "\"serialize_mb_s\": %.1f, \"attach_mb_s\": %.1f},\n",
+               spread_json(scaling).c_str(), spread_json(p50).c_str(),
+               spread_json(spread_of(commit_mean)).c_str(),
+               spread_json(spread_of(commit_max)).c_str(), commits,
+               codec.image_bytes, codec.serialize_mb_s, codec.attach_mb_s);
   std::fprintf(json,
                "  \"proto2\": {\"queries_per_side\": %d, "
                "\"proto1_qps\": %.0f, \"proto2_qps\": %.0f, "
@@ -415,12 +446,10 @@ int main(int argc, char** argv) {
                "\"verbs\": [\"summary\", \"worst_paths\", \"histogram\", "
                "\"slack\"]},\n"
                "  \"warm_restart\": {\"image_bytes\": %zu, "
-               "\"copy_first_query_us\": %.1f, \"view_first_query_us\": %.1f, "
-               "\"speedup\": %.2f, \"copy_mb_s\": %.1f, \"view_mb_s\": %.1f}"
+               "\"view_first_query_us\": %.1f, \"view_mb_s\": %.1f}"
                "\n}\n",
                proto.queries_per_side, proto.proto1_qps, proto.proto2_qps,
-               proto.speedup, warm.image_bytes, warm.copy_first_query_us,
-               warm.view_first_query_us, warm.speedup, warm.copy_mb_s,
+               proto.speedup, warm.image_bytes, warm.view_first_query_us,
                warm.view_mb_s);
   std::fclose(json);
   std::printf("wrote BENCH_service.json\n");

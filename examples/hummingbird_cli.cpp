@@ -370,10 +370,10 @@ int run_serve(int argc, char** argv) {
   if (!corners.empty()) config.session.corners = load_corners(corners);
   ServiceHost host(std::move(config));
   if (const auto warm = host.warm_source()) {
-    std::fprintf(stderr, "warm restart: serving snapshot %llu of '%s'%s\n",
+    std::fprintf(stderr,
+                 "warm restart: serving snapshot %llu of '%s' (mmap view)\n",
                  static_cast<unsigned long long>(warm->id()),
-                 std::string(warm->design_name()).c_str(),
-                 host.warm_mapped() ? " (mmap view)" : " (decoded copy)");
+                 std::string(warm->design_name()).c_str());
   }
   if (!netlist.empty()) {
     const QueryResult loaded = host.load(netlist, spec, lib);

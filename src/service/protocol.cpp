@@ -32,19 +32,13 @@ ServiceHost::ServiceHost(ServiceConfig config) : config_(std::move(config)) {
   opt.dir = config_.snapshot_dir;
   opt.retain = config_.snapshot_retain;
   store_ = std::make_unique<SnapshotStore>(std::move(opt));
-  // Warm restart: adopt the newest valid persisted snapshot — mmap'd when
-  // the image format supports the zero-copy view, decoded otherwise —
-  // quarantining anything corrupt on the way; an empty or fully corrupt
-  // store is a cold start, not an error.
+  // Warm restart: map the newest valid persisted snapshot, quarantining
+  // anything corrupt on the way; an empty or fully corrupt store is a cold
+  // start, not an error.
   SnapshotStore::SourceResult warm = store_->load_newest_source();
   warm_rejected_ = warm.rejected;
-  if (warm.ok()) {
-    warm_loaded_ = true;
-    warm_source_ = std::move(warm.source);
-    warm_mapped_ = warm.mapped;
-    warm_sections_ = std::move(warm.sections);
-    warm_bytes_ = warm.image_bytes;
-  }
+  warm_loaded_ = warm.ok();
+  warm_view_ = std::move(warm.view);
 }
 
 ServiceHost::~ServiceHost() = default;
@@ -75,13 +69,10 @@ std::shared_ptr<Session> ServiceHost::session() const {
 
 std::shared_ptr<const SnapshotSource> ServiceHost::warm_source() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return warm_source_;
+  return warm_view_;
 }
 
-bool ServiceHost::warm_mapped() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return warm_source_ != nullptr && warm_mapped_;
-}
+bool ServiceHost::warm_mapped() const { return warm_source() != nullptr; }
 
 QueryResult ServiceHost::snapshot_command(const ParsedQuery& q) {
   if (store_ == nullptr) {
@@ -117,15 +108,13 @@ QueryResult ServiceHost::snapshot_command(const ParsedQuery& q) {
       if (res.ok()) m.record_snapshot_loaded();
     }
     if (!res.ok()) return make_error(res.code, res.error);
-    QueryResult r = make_ok("ok snapshot load " + res.design + " generation " +
-                            std::to_string(res.generation) + " snapshot " +
-                            std::to_string(res.source->id()) + " rejected " +
-                            std::to_string(res.rejected));
+    QueryResult r = make_ok(
+        "ok snapshot load " + std::string(res.view->design_name()) +
+        " generation " + std::to_string(res.generation) + " snapshot " +
+        std::to_string(res.view->id()) + " rejected " +
+        std::to_string(res.rejected));
     std::lock_guard<std::mutex> lock(mutex_);
-    warm_source_ = std::move(res.source);
-    warm_mapped_ = res.mapped;
-    warm_sections_ = std::move(res.sections);
-    warm_bytes_ = res.image_bytes;
+    warm_view_ = std::move(res.view);
     return r;
   }
   // stat: store-level truth (counters since this process opened the store).
@@ -145,23 +134,22 @@ QueryResult ServiceHost::snapshot_command(const ParsedQuery& q) {
   add("loads", std::to_string(store_->loads()));
   add("snapshots_rejected", std::to_string(store_->snapshots_rejected()));
   add("self_heals", std::to_string(store_->self_heals()));
-  std::shared_ptr<const SnapshotSource> warm;
-  bool mapped = false;
-  std::vector<SnapshotSectionInfo> sections;
-  std::size_t image_bytes = 0;
+  std::shared_ptr<const SnapshotView> warm;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    warm = warm_source_;
-    mapped = warm_mapped_;
-    sections = warm_sections_;
-    image_bytes = warm_bytes_;
+    warm = warm_view_;
   }
   add("warm", warm == nullptr
                   ? std::string("none")
                   : std::string(warm->design_name()) + " " +
                         std::to_string(warm->id()));
-  if (warm != nullptr) add("warm_mode", mapped ? "mapped" : "copied");
-  if (warm == nullptr && store_->saves() > 0) {
+  std::vector<SnapshotSectionInfo> sections;
+  std::size_t image_bytes = 0;
+  if (warm != nullptr) {
+    add("warm_mode", "mapped");
+    sections = warm->sections();
+    image_bytes = warm->image_bytes();
+  } else if (store_->saves() > 0) {
     // No warm source: report the image the most recent save produced.
     sections = store_->last_save_sections();
     image_bytes = store_->last_save_bytes();

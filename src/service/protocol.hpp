@@ -14,11 +14,10 @@
 // and serves read queries (slack, worst_paths, check_hold, summary, ...)
 // from that warm replica before any design is loaded — byte-identical to
 // the session that persisted it, because both sides answer through the one
-// read evaluator (service/read_eval.hpp).  The warm replica is
-// a SnapshotSource: an mmap'd zero-copy SnapshotView when the image format
-// allows it, a decoded copy otherwise (snapshot_store.hpp
-// load_newest_source).  Invalid files found on the way are quarantined and
-// counted; the host degrades to a cold start when nothing valid remains.
+// read evaluator (service/read_eval.hpp).  The warm replica is an mmap'd
+// zero-copy SnapshotView (snapshot_store.hpp load_newest_source).  Invalid
+// files found on the way are quarantined and counted; the host degrades to
+// a cold start when nothing valid remains.
 // Once a session is installed it saves every published snapshot back into
 // the same store.
 //
@@ -39,6 +38,7 @@
 #include "service/proto2.hpp"
 #include "service/session.hpp"
 #include "service/snapshot_store.hpp"
+#include "service/snapshot_view.hpp"
 
 namespace hb {
 
@@ -81,8 +81,7 @@ class ServiceHost {
   /// queries are served from it while no session is active; null when the
   /// store is absent, empty, or fully corrupt (cold start).
   std::shared_ptr<const SnapshotSource> warm_source() const;
-  /// True when the warm source is an mmap'd SnapshotView (zero-copy),
-  /// false when it is a decoded copy; false without a warm source.
+  /// True when a warm source exists: it is always an mmap'd SnapshotView.
   bool warm_mapped() const;
 
   /// Execute a `snapshot save|load|stat` query (null store → structured
@@ -99,11 +98,8 @@ class ServiceHost {
   std::unique_ptr<SnapshotStore> store_;
   mutable std::mutex mutex_;
   std::shared_ptr<Session> session_;
-  // Warm source and its image facts (mutex_).
-  std::shared_ptr<const SnapshotSource> warm_source_;
-  bool warm_mapped_ = false;
-  std::vector<SnapshotSectionInfo> warm_sections_;
-  std::size_t warm_bytes_ = 0;
+  // Warm source; its image facts are read from the view (mutex_).
+  std::shared_ptr<const SnapshotView> warm_view_;
   // Warm-load outcome held until the first session exists to carry the
   // recovery counters in its ServiceMetrics (mutex_).
   bool warm_loaded_ = false;

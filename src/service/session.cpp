@@ -31,6 +31,7 @@ Session::Session(Design design, ClockSet clocks, HummingbirdOptions analysis,
   deadline_ms_.store(options_.default_deadline_ms, std::memory_order_relaxed);
   HummingbirdOptions opt = analysis_options_;
   opt.alg1.pool = pool_.get();
+  opt.alg2.pool = pool_.get();
   hb_ = std::make_unique<Hummingbird>(design_, clocks_, std::move(opt));
   names_ = build_name_index(hb_->graph());
   const Algorithm1Result res = hb_->analyze();
@@ -271,6 +272,7 @@ QueryResult Session::do_commit(BudgetTimer*) {
       // design plus the accumulated delay history and analyse from scratch.
       HummingbirdOptions opt = analysis_options_;
       opt.alg1.pool = pool_.get();
+      opt.alg2.pool = pool_.get();
       opt.alg1.budget = request_budget();
       opt.delay_adjust = delay_adjust_history();
       auto fresh = std::make_unique<Hummingbird>(design_, clocks_, std::move(opt));
@@ -346,18 +348,7 @@ void Session::attach_captures(AnalysisSnapshot& snap) {
   if (options_.capture_constraints) {
     // Runs under the analysis options' own Algorithm 2 budget: a commit's
     // request deadline covers Algorithm 1 only.
-    Algorithm2Options a2 = analysis_options_.alg2;
-    a2.pool = pool_.get();
-    ConstraintSet cs =
-        run_algorithm2(hb_->sync_model_mut(), hb_->engine_mut(), a2);
-    if (hb_->num_quarantined() > 0 && cs.status == AnalysisStatus::kComplete) {
-      cs.status = AnalysisStatus::kPartial;
-    }
-    snap.has_constraints = true;
-    snap.constraints_status = cs.status;
-    snap.backward_snatch_cycles = cs.backward_snatch_cycles;
-    snap.forward_snatch_cycles = cs.forward_snatch_cycles;
-    snap.constraint_nodes = std::move(cs.nodes);
+    capture_constraints_into(snap, *hb_);
   }
 }
 

@@ -32,6 +32,66 @@ std::shared_ptr<const NameIndex> build_name_index(const TimingGraph& graph) {
   return idx;
 }
 
+namespace {
+
+/// Append the finite capture-terminal slacks, in SyncId order, that
+/// `slack_of(sid)` reports; returns how many of them are negative.
+template <class SlackOf>
+std::size_t collect_capture_slacks(std::vector<TimePs>& out,
+                                   const SyncModel& sync, SlackOf slack_of) {
+  std::size_t violations = 0;
+  out.reserve(sync.num_instances());
+  for (std::size_t i = 0; i < sync.num_instances(); ++i) {
+    const SyncId sid(static_cast<std::uint32_t>(i));
+    if (!sync.at(sid).data_in.valid()) continue;
+    const TimePs s = slack_of(sid);
+    if (s >= kInfinitePs) continue;
+    out.push_back(s);
+    if (s < 0) ++violations;
+  }
+  return violations;
+}
+
+/// Slow paths reduced to what replies print: labels and end node names.
+std::vector<SnapshotPath> snapshot_paths(const std::vector<SlowPath>& paths,
+                                         const SlackEngine& engine) {
+  const SyncModel& sync = engine.sync();
+  std::vector<SnapshotPath> out;
+  out.reserve(paths.size());
+  for (const SlowPath& p : paths) {
+    SnapshotPath sp;
+    sp.slack = p.slack;
+    sp.launch = sync.at(p.launch).label;
+    sp.capture = sync.at(p.capture).label;
+    if (!p.steps.empty()) {
+      sp.from = engine.graph().node_name(p.steps.front().node);
+      sp.to = engine.graph().node_name(p.steps.back().node);
+    }
+    sp.steps = p.steps.size();
+    out.push_back(std::move(sp));
+  }
+  return out;
+}
+
+/// Hold-sweep results with their terminal labels.
+std::vector<SnapshotHoldPair> snapshot_hold_pairs(
+    const std::vector<HoldViolation>& all, const SyncModel& sync) {
+  std::vector<SnapshotHoldPair> out;
+  out.reserve(all.size());
+  for (const HoldViolation& v : all) {
+    SnapshotHoldPair p;
+    p.launch = v.launch.value();
+    p.capture = v.capture.value();
+    p.margin = v.margin;
+    p.launch_label = sync.at(v.launch).label;
+    p.capture_label = sync.at(v.capture).label;
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+}  // namespace
+
 std::shared_ptr<AnalysisSnapshot> take_snapshot(
     const SlackEngine& engine, const Algorithm1Result& result,
     std::uint64_t id, std::size_t max_paths,
@@ -44,30 +104,11 @@ std::shared_ptr<AnalysisSnapshot> take_snapshot(
   snap->worst_slack = result.worst_slack;
   snap->names = std::move(names);
 
-  const SyncModel& sync = engine.sync();
-  snap->num_terminals = sync.num_instances();
-  snap->capture_slacks.reserve(snap->num_terminals);
-  for (std::size_t i = 0; i < snap->num_terminals; ++i) {
-    const SyncId sid(static_cast<std::uint32_t>(i));
-    if (!sync.at(sid).data_in.valid()) continue;
-    const TimePs s = engine.capture_slack(sid);
-    if (s >= kInfinitePs) continue;
-    snap->capture_slacks.push_back(s);
-    if (s < 0) ++snap->num_violations;
-  }
-
-  for (const SlowPath& p : enumerate_slow_paths(engine, max_paths)) {
-    SnapshotPath sp;
-    sp.slack = p.slack;
-    sp.launch = sync.at(p.launch).label;
-    sp.capture = sync.at(p.capture).label;
-    if (!p.steps.empty()) {
-      sp.from = engine.graph().node_name(p.steps.front().node);
-      sp.to = engine.graph().node_name(p.steps.back().node);
-    }
-    sp.steps = p.steps.size();
-    snap->paths.push_back(std::move(sp));
-  }
+  snap->num_terminals = engine.sync().num_instances();
+  snap->num_violations = collect_capture_slacks(
+      snap->capture_slacks, engine.sync(),
+      [&engine](SyncId sid) { return engine.capture_slack(sid); });
+  snap->paths = snapshot_paths(enumerate_slow_paths(engine, max_paths), engine);
 
   // Bulk copy straight from the engine's flat per-node timing array (one
   // allocation, no per-node accessor calls).
@@ -80,19 +121,8 @@ void capture_hold_into(AnalysisSnapshot& snap, const SlackEngine& engine,
   // An infinite threshold keeps every connected pair: the sweep's final
   // sort+dedup already reduces each pair to its worst (minimum) margin, so
   // filtering this list by `margin < m` yields exactly check_hold(m).
-  const std::vector<HoldViolation> all = check_hold(engine, kInfinitePs, pool);
-  const SyncModel& sync = engine.sync();
-  snap.hold_pairs.clear();
-  snap.hold_pairs.reserve(all.size());
-  for (const HoldViolation& v : all) {
-    SnapshotHoldPair p;
-    p.launch = v.launch.value();
-    p.capture = v.capture.value();
-    p.margin = v.margin;
-    p.launch_label = sync.at(v.launch).label;
-    p.capture_label = sync.at(v.capture).label;
-    snap.hold_pairs.push_back(std::move(p));
-  }
+  snap.hold_pairs = snapshot_hold_pairs(
+      check_hold(engine, kInfinitePs, pool), engine.sync());
   snap.has_hold = true;
 }
 
@@ -115,44 +145,16 @@ void capture_corners_into(AnalysisSnapshot& snap, const CornerAnalysis& ca,
     sc.node_slacks.reserve(nts.size());
     for (const NodeTiming& nt : nts) sc.node_slacks.push_back(nt.slack);
 
-    sc.capture_slacks.reserve(sync.num_instances());
-    for (std::size_t i = 0; i < sync.num_instances(); ++i) {
-      const SyncId sid(static_cast<std::uint32_t>(i));
-      if (!sync.at(sid).data_in.valid()) continue;
-      const TimePs s = ca.capture_slack(k, sid);
-      if (s >= kInfinitePs) continue;
-      sc.capture_slacks.push_back(s);
-      if (s < 0) ++sc.num_violations;
-    }
-
-    for (const SlowPath& p : ca.slow_paths(k, max_paths)) {
-      SnapshotPath sp;
-      sp.slack = p.slack;
-      sp.launch = sync.at(p.launch).label;
-      sp.capture = sync.at(p.capture).label;
-      if (!p.steps.empty()) {
-        sp.from = engine.graph().node_name(p.steps.front().node);
-        sp.to = engine.graph().node_name(p.steps.back().node);
-      }
-      sp.steps = p.steps.size();
-      sc.paths.push_back(std::move(sp));
-    }
+    sc.num_violations = collect_capture_slacks(
+        sc.capture_slacks, sync,
+        [&ca, k](SyncId sid) { return ca.capture_slack(k, sid); });
+    sc.paths = snapshot_paths(ca.slow_paths(k, max_paths), engine);
 
     if (capture_hold) {
       // Same infinite-threshold trick as capture_hold_into, under this
       // corner's derated delays.
-      const std::vector<HoldViolation> all =
-          ca.check_hold_times(k, kInfinitePs, pool);
-      sc.hold_pairs.reserve(all.size());
-      for (const HoldViolation& v : all) {
-        SnapshotHoldPair p;
-        p.launch = v.launch.value();
-        p.capture = v.capture.value();
-        p.margin = v.margin;
-        p.launch_label = sync.at(v.launch).label;
-        p.capture_label = sync.at(v.capture).label;
-        sc.hold_pairs.push_back(std::move(p));
-      }
+      sc.hold_pairs =
+          snapshot_hold_pairs(ca.check_hold_times(k, kInfinitePs, pool), sync);
       sc.has_hold = true;
     }
 
@@ -163,8 +165,7 @@ void capture_corners_into(AnalysisSnapshot& snap, const CornerAnalysis& ca,
 }
 
 void capture_constraints_into(AnalysisSnapshot& snap, Hummingbird& hb) {
-  ConstraintSet cs = hb.generate_constraints();  // mutates offsets
-  hb.reanalyze();                                // bit-identical restore
+  ConstraintSet cs = hb.generate_constraints();  // leaves Algorithm 2's offsets
   snap.has_constraints = true;
   snap.constraints_status = cs.status;
   snap.backward_snatch_cycles = cs.backward_snatch_cycles;

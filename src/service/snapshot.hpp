@@ -165,10 +165,11 @@ void capture_corners_into(AnalysisSnapshot& snap, const CornerAnalysis& ca,
                           std::size_t max_paths, bool capture_hold,
                           ThreadPool* pool = nullptr);
 
-/// Run Algorithm 2 and record the constraint set into `snap` (sets
-/// has_constraints), then restore the analyser to its settled Algorithm 1
-/// state via reanalyze() — bit-identical, so snapshots taken before and
-/// after this call agree (the reanalyze contract, tests/service_test.cpp).
+/// Run Algorithm 2 (Hummingbird::generate_constraints, under the
+/// analyser's own Algorithm 2 options) and record the constraint set into
+/// `snap` (sets has_constraints).  Call last: it leaves the analyser in
+/// Algorithm 2's state, so hold and corner captures must come first.  The
+/// next Algorithm 1 run starts from reset offsets and does not depend on it.
 void capture_constraints_into(AnalysisSnapshot& snap, Hummingbird& hb);
 
 }  // namespace hb

@@ -124,14 +124,7 @@ struct Reader {
     return v;
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (!need(len)) return std::string();
-    std::string s(reinterpret_cast<const char*>(data + pos), len);
-    pos += len;
-    return s;
-  }
-  /// Zero-copy variant of str(): a view into the underlying bytes.
+  /// A u32-length-prefixed string, as a view into the underlying bytes.
   std::string_view str_view() {
     const std::uint32_t len = u32();
     if (!need(len)) return std::string_view();

@@ -2,9 +2,10 @@
 // (service/read_eval.hpp) behind every snapshot-served read verb, in both
 // protocols.
 //
-// Two implementations exist: SnapshotCopySource (below) adapts a decoded
-// in-memory AnalysisSnapshot, and SnapshotView (snapshot_view.hpp) serves
-// straight from an mmap'd image without materialising a single string.
+// Two implementations exist: SnapshotCopySource (below) adapts a live
+// session's in-memory AnalysisSnapshot, and SnapshotView (snapshot_view.hpp)
+// serves every persisted image straight from its mmap'd bytes without
+// materialising a single string.
 // The evaluator is written against this interface only, so a live
 // session, a warm-restarted host and a read-only replica all produce
 // byte-identical replies — the differential contract of
@@ -138,10 +139,10 @@ class SnapshotSource {
   virtual SourceHoldPair hold_pair(ReadScope s, std::size_t i) const = 0;
 };
 
-/// Adapter over a decoded AnalysisSnapshot.  Construction is free (two
-/// pointer stores), so the session read path builds one on the stack per
-/// request.  The shared_ptr overload keeps the snapshot alive for sources
-/// that outlive their caller's pointer (the store's copy-load fallback).
+/// Adapter over a live session's in-memory AnalysisSnapshot.  Construction
+/// is free (two pointer stores), so the session read path builds one on the
+/// stack per request.  The shared_ptr overload keeps the snapshot alive for
+/// sources that outlive their caller's pointer.
 class SnapshotCopySource final : public SnapshotSource {
  public:
   explicit SnapshotCopySource(const AnalysisSnapshot& snap) : snap_(&snap) {}

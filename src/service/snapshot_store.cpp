@@ -7,8 +7,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <map>
 
 #include "service/snapshot_codec.hpp"
 #include "service/snapshot_view.hpp"
@@ -41,16 +39,8 @@ const char* snapshot_section_name(SnapshotSection s) {
 
 namespace {
 
-const char* section_name_of(std::uint32_t kind) {
-  return kind < kNumSnapshotSections
-             ? snapshot_section_name(static_cast<SnapshotSection>(kind))
-             : "unknown";
-}
-
-// Little-endian encoding primitives and the bounds-checked Reader live in
-// service/snapshot_codec.hpp, shared with SnapshotView and protocol v2.
-
-bool valid_status(std::uint8_t v) { return v <= 2; }
+// Little-endian encoding primitives live in service/snapshot_codec.hpp,
+// shared with SnapshotView and protocol v2.
 
 // ---------------------------------------------------------------------------
 // Per-section payloads.  Each encoder is a template over its output and
@@ -110,27 +100,6 @@ void encode_meta(Out& o, const AnalysisSnapshot& s) {
   o.u32(static_cast<std::uint32_t>(s.forward_snatch_cycles));
 }
 
-bool decode_meta(std::string_view payload, AnalysisSnapshot& s) {
-  Reader r = reader_of(payload);
-  s.design_name = r.str();
-  s.id = r.u64();
-  const std::uint8_t status = r.u8();
-  s.works_as_intended = r.u8() != 0;
-  s.worst_slack = r.i64();
-  s.num_terminals = static_cast<std::size_t>(r.u64());
-  s.num_violations = static_cast<std::size_t>(r.u64());
-  s.has_hold = r.u8() != 0;
-  s.has_constraints = r.u8() != 0;
-  const std::uint8_t cstatus = r.u8();
-  s.backward_snatch_cycles = static_cast<std::int32_t>(r.u32());
-  s.forward_snatch_cycles = static_cast<std::int32_t>(r.u32());
-  if (r.fail || r.remaining() != 0) return false;
-  if (!valid_status(status) || !valid_status(cstatus)) return false;
-  s.status = static_cast<AnalysisStatus>(status);
-  s.constraints_status = static_cast<AnalysisStatus>(cstatus);
-  return true;
-}
-
 template <class Out>
 void encode_node_timings(Out& o, const AnalysisSnapshot& s) {
   o.u64(s.nodes.size());
@@ -146,26 +115,6 @@ void encode_node_timings(Out& o, const AnalysisSnapshot& s) {
   }
 }
 
-bool decode_node_timings(std::string_view payload, AnalysisSnapshot& s) {
-  Reader r = reader_of(payload);
-  const std::uint64_t count = r.u64();
-  s.nodes.clear();
-  if (count <= r.remaining()) s.nodes.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
-    NodeTiming nt;
-    nt.slack = r.i64();
-    nt.ready.rise = r.i64();
-    nt.ready.fall = r.i64();
-    nt.required.rise = r.i64();
-    nt.required.fall = r.i64();
-    nt.has_ready = r.u8() != 0;
-    nt.has_constraint = r.u8() != 0;
-    nt.settling_count = static_cast<int>(r.u32());
-    if (!r.fail) s.nodes.push_back(nt);
-  }
-  return !r.fail && s.nodes.size() == count && r.remaining() == 0;
-}
-
 template <class Out>
 void encode_path_list(Out& o, const std::vector<SnapshotPath>& paths) {
   o.u64(paths.size());
@@ -179,54 +128,10 @@ void encode_path_list(Out& o, const std::vector<SnapshotPath>& paths) {
   }
 }
 
-/// Decode a u64-counted path list, as encode_path_list writes it for the
-/// worst-paths section and for every corner; false when it is truncated.
-bool decode_path_list(Reader& r, std::vector<SnapshotPath>& paths) {
-  const std::uint64_t count = r.u64();
-  paths.clear();
-  if (count <= r.remaining()) paths.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
-    SnapshotPath sp;
-    sp.slack = r.i64();
-    sp.launch = r.str();
-    sp.capture = r.str();
-    sp.from = r.str();
-    sp.to = r.str();
-    sp.steps = static_cast<std::size_t>(r.u64());
-    if (!r.fail) paths.push_back(std::move(sp));
-  }
-  return !r.fail && paths.size() == count;
-}
-
-bool decode_paths(std::string_view payload, AnalysisSnapshot& s) {
-  Reader r = reader_of(payload);
-  return decode_path_list(r, s.paths) && r.remaining() == 0;
-}
-
 template <class Out>
 void encode_slack_list(Out& o, const std::vector<TimePs>& slacks) {
   o.u64(slacks.size());
   for (const TimePs t : slacks) o.i64(t);
-}
-
-/// As decode_path_list, for encode_slack_list's u64-counted slacks.
-bool decode_slack_list(Reader& r, std::vector<TimePs>& slacks) {
-  const std::uint64_t count = r.u64();
-  slacks.clear();
-  // count * 8 could wrap: compare through the division, as the view does.
-  if (count <= r.remaining() / 8) {
-    slacks.reserve(static_cast<std::size_t>(count));
-  }
-  for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
-    const TimePs t = r.i64();
-    if (!r.fail) slacks.push_back(t);
-  }
-  return !r.fail && slacks.size() == count;
-}
-
-bool decode_capture_slacks(std::string_view payload, AnalysisSnapshot& s) {
-  Reader r = reader_of(payload);
-  return decode_slack_list(r, s.capture_slacks) && r.remaining() == 0;
 }
 
 /// `keys`: the instance names of idx.inst_pins in sorted order — the
@@ -249,46 +154,6 @@ void encode_name_index(Out& o, const NameIndex& idx,
   }
 }
 
-bool decode_name_index(std::string_view payload, AnalysisSnapshot& s) {
-  Reader r = reader_of(payload);
-  auto idx = std::make_shared<NameIndex>();
-  const std::uint64_t nodes = r.u64();
-  if (nodes <= r.remaining()) {
-    idx->node_names.reserve(static_cast<std::size_t>(nodes));
-  }
-  for (std::uint64_t i = 0; i < nodes && !r.fail; ++i) {
-    std::string n = r.str();
-    if (!r.fail) idx->node_names.push_back(std::move(n));
-  }
-  if (r.fail || idx->node_names.size() != nodes) return false;
-  // node_by_name is derived, never serialised: rebuild it here so the
-  // loaded index answers lookups exactly like the freshly built one.
-  idx->node_by_name.reserve(idx->node_names.size());
-  for (std::size_t i = 0; i < idx->node_names.size(); ++i) {
-    idx->node_by_name.emplace(idx->node_names[i],
-                              static_cast<std::uint32_t>(i));
-  }
-  const std::uint64_t insts = r.u64();
-  for (std::uint64_t i = 0; i < insts && !r.fail; ++i) {
-    std::string name = r.str();
-    const std::uint64_t pins = r.u64();
-    if (r.fail) break;
-    auto& slot = idx->inst_pins[name];
-    if (pins <= r.remaining()) slot.reserve(static_cast<std::size_t>(pins));
-    for (std::uint64_t pi = 0; pi < pins && !r.fail; ++pi) {
-      std::string pin = r.str();
-      const std::uint32_t node = r.u32();
-      if (!r.fail) slot.emplace_back(std::move(pin), node);
-    }
-    if (!r.fail && slot.size() != pins) return false;
-  }
-  if (r.fail || idx->inst_pins.size() != insts || r.remaining() != 0) {
-    return false;
-  }
-  s.names = std::move(idx);
-  return true;
-}
-
 template <class Out>
 void encode_hold_list(Out& o, const std::vector<SnapshotHoldPair>& pairs) {
   o.u64(pairs.size());
@@ -299,28 +164,6 @@ void encode_hold_list(Out& o, const std::vector<SnapshotHoldPair>& pairs) {
     o.str(hp.launch_label);
     o.str(hp.capture_label);
   }
-}
-
-/// As decode_path_list, for encode_hold_list's hold pairs.
-bool decode_hold_list(Reader& r, std::vector<SnapshotHoldPair>& pairs) {
-  const std::uint64_t count = r.u64();
-  pairs.clear();
-  if (count <= r.remaining()) pairs.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
-    SnapshotHoldPair hp;
-    hp.launch = r.u32();
-    hp.capture = r.u32();
-    hp.margin = r.i64();
-    hp.launch_label = r.str();
-    hp.capture_label = r.str();
-    if (!r.fail) pairs.push_back(std::move(hp));
-  }
-  return !r.fail && pairs.size() == count;
-}
-
-bool decode_hold_pairs(std::string_view payload, AnalysisSnapshot& s) {
-  Reader r = reader_of(payload);
-  return decode_hold_list(r, s.hold_pairs) && r.remaining() == 0;
 }
 
 template <class Out>
@@ -335,27 +178,6 @@ void encode_constraints(Out& o, const AnalysisSnapshot& s) {
     o.i64(ct.required.fall);
     o.i64(ct.slack);
   }
-}
-
-bool decode_constraints(std::string_view payload, AnalysisSnapshot& s) {
-  Reader r = reader_of(payload);
-  const std::uint64_t count = r.u64();
-  s.constraint_nodes.clear();
-  if (count <= r.remaining()) {
-    s.constraint_nodes.reserve(static_cast<std::size_t>(count));
-  }
-  for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
-    ConstraintTimes ct;
-    ct.has_ready = r.u8() != 0;
-    ct.has_required = r.u8() != 0;
-    ct.ready.rise = r.i64();
-    ct.ready.fall = r.i64();
-    ct.required.rise = r.i64();
-    ct.required.fall = r.i64();
-    ct.slack = r.i64();
-    if (!r.fail) s.constraint_nodes.push_back(ct);
-  }
-  return !r.fail && s.constraint_nodes.size() == count && r.remaining() == 0;
 }
 
 template <class Out>
@@ -394,43 +216,10 @@ void encode_section(Out& o, std::uint32_t kind, const AnalysisSnapshot& s) {
   }
 }
 
-bool decode_corners(std::string_view payload, AnalysisSnapshot& s) {
-  Reader r = reader_of(payload);
-  s.has_corners = r.u8() != 0;
-  s.worst_corner = r.u32();
-  const std::uint64_t count = r.u64();
-  s.corners.clear();
-  if (count <= r.remaining()) s.corners.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count && !r.fail; ++i) {
-    SnapshotCorner c;
-    c.name = r.str();
-    c.derate_pm = r.u32();
-    c.wire_pm = r.u32();
-    c.worst_slack = r.i64();
-    c.num_violations = static_cast<std::size_t>(r.u64());
-    if (!decode_slack_list(r, c.node_slacks)) return false;
-    // One slack per graph node — keyed by the same TNodeId index as the
-    // node-timings section, which decodes before this one.
-    if (c.node_slacks.size() != s.nodes.size()) return false;
-    if (!decode_slack_list(r, c.capture_slacks)) return false;
-    if (!decode_path_list(r, c.paths)) return false;
-    c.has_hold = r.u8() != 0;
-    if (!decode_hold_list(r, c.hold_pairs)) return false;
-    s.corners.push_back(std::move(c));
-  }
-  if (r.fail || s.corners.size() != count || r.remaining() != 0) return false;
-  // The flag, the index and the list must agree — a snapshot may omit
-  // corners entirely, but never half-describe them.
-  if (s.has_corners != !s.corners.empty()) return false;
-  if (s.has_corners && s.worst_corner >= s.corners.size()) return false;
-  if (!s.has_corners && s.worst_corner != 0) return false;
-  return true;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Image assembly / parsing.
+// Image assembly.
 
 const NameIndex::ImageSection& NameIndex::image_section() const {
   std::call_once(image_once_, [this] {
@@ -495,104 +284,6 @@ std::string serialize_snapshot(const AnalysisSnapshot& snap,
     if (sections_out != nullptr) sections_out->push_back(info);
   }
   return image;
-}
-
-SnapshotParse parse_snapshot(std::string_view bytes) {
-  SnapshotParse out;
-  auto corrupt = [&out](std::string msg) -> SnapshotParse& {
-    out.code = DiagCode::kSnapshotCorrupt;
-    out.error = std::move(msg);
-    out.snapshot = nullptr;
-    return out;
-  };
-
-  Reader r = reader_of(bytes);
-  if (!r.need(12)) return corrupt("image shorter than the 12-byte header");
-  const std::uint32_t magic = r.u32();
-  if (magic != kSnapshotMagic) return corrupt("bad magic (not a snapshot image)");
-  out.version = r.u32();
-  if (out.version < kSnapshotMinFormatVersion ||
-      out.version > kSnapshotFormatVersion) {
-    out.code = DiagCode::kSnapshotVersionSkew;
-    out.error = "format version " + std::to_string(out.version) +
-                ", this build reads versions " +
-                std::to_string(kSnapshotMinFormatVersion) + ".." +
-                std::to_string(kSnapshotFormatVersion);
-    return out;
-  }
-  const std::uint32_t num_sections = r.u32();
-
-  std::string_view payloads[kNumSnapshotSections];
-  bool seen[kNumSnapshotSections] = {};
-  for (std::uint32_t i = 0; i < num_sections; ++i) {
-    SnapshotSectionInfo info;
-    info.header_offset = r.pos;
-    if (!r.need(20)) return corrupt("truncated section header");
-    info.kind = r.u32();
-    const std::uint64_t len = r.u64();
-    info.checksum = r.u64();
-    if (len > r.remaining()) {
-      return corrupt(std::string("truncated payload of section ") +
-                     section_name_of(info.kind));
-    }
-    info.payload_offset = r.pos;
-    info.payload_size = static_cast<std::size_t>(len);
-    const std::string_view payload =
-        bytes.substr(r.pos, static_cast<std::size_t>(len));
-    r.pos += static_cast<std::size_t>(len);
-    out.sections.push_back(info);
-    if (snapshot_checksum(payload.data(), payload.size(), info.kind) !=
-        info.checksum) {
-      return corrupt(std::string("checksum mismatch in section ") +
-                     section_name_of(info.kind));
-    }
-    if (info.kind < kNumSnapshotSections) {
-      if (seen[info.kind]) {
-        return corrupt(std::string("duplicate section ") +
-                       section_name_of(info.kind));
-      }
-      seen[info.kind] = true;
-      payloads[info.kind] = payload;
-    }
-    // Unknown kinds are checksum-verified and skipped.
-  }
-  if (r.remaining() != 0) return corrupt("trailing bytes after last section");
-  for (std::uint32_t k = 0; k < kNumSnapshotSections; ++k) {
-    // Version-1 images predate the corners section; everything else is
-    // mandatory in every version.
-    if (out.version < 2 && k == static_cast<std::uint32_t>(SnapshotSection::kCorners)) {
-      continue;
-    }
-    if (!seen[k]) {
-      return corrupt(std::string("missing section ") + section_name_of(k));
-    }
-  }
-
-  auto snap = std::make_shared<AnalysisSnapshot>();
-  struct SectionDecoder {
-    SnapshotSection kind;
-    bool (*decode)(std::string_view, AnalysisSnapshot&);
-  };
-  const SectionDecoder decoders[] = {
-      {SnapshotSection::kMeta, decode_meta},
-      {SnapshotSection::kNodeTimings, decode_node_timings},
-      {SnapshotSection::kWorstPaths, decode_paths},
-      {SnapshotSection::kCaptureSlacks, decode_capture_slacks},
-      {SnapshotSection::kNameIndex, decode_name_index},
-      {SnapshotSection::kHoldPairs, decode_hold_pairs},
-      {SnapshotSection::kConstraints, decode_constraints},
-      {SnapshotSection::kCorners, decode_corners},
-  };
-  for (const SectionDecoder& d : decoders) {
-    const auto kind = static_cast<std::uint32_t>(d.kind);
-    if (!seen[kind]) continue;  // absent kCorners in a version-1 image
-    if (!d.decode(payloads[kind], *snap)) {
-      return corrupt(std::string("undecodable section ") +
-                     snapshot_section_name(d.kind));
-    }
-  }
-  out.snapshot = std::move(snap);
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -799,68 +490,6 @@ std::size_t SnapshotStore::last_save_bytes() const {
   return last_save_bytes_;
 }
 
-SnapshotStore::LoadResult SnapshotStore::load_newest(const std::string& design) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  LoadResult res;
-  const std::string stem = design.empty() ? std::string() : sanitize_design(design);
-
-  std::vector<FileEntry> entries = scan_locked();
-  if (!stem.empty()) {
-    entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                 [&stem](const FileEntry& e) {
-                                   return e.stem != stem;
-                                 }),
-                  entries.end());
-  }
-  std::reverse(entries.begin(), entries.end());  // newest generation first
-
-  DiagCode last_code = DiagCode::kSnapshotMissing;
-  std::string last_error;
-  for (const FileEntry& e : entries) {
-    std::ifstream in(e.path, std::ios::binary);
-    if (!in) {
-      last_code = DiagCode::kSnapshotIo;
-      last_error = "cannot read '" + e.path + "'";
-      continue;
-    }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    SnapshotParse p = parse_snapshot(bytes);
-    if (!p.ok()) {
-      // Quarantine: keep the file for post-mortems, but never retry it.
-      std::error_code ec;
-      fs::rename(e.path, e.path + ".quarantined", ec);
-      ++rejected_;
-      ++res.rejected;
-      last_code = p.code;
-      last_error =
-          fs::path(e.path).filename().string() + ": " + p.error;
-      continue;
-    }
-    if (!design.empty() && p.snapshot->design_name != design) {
-      continue;  // stem collision with another design; not corruption
-    }
-    res.snapshot = std::move(p.snapshot);
-    res.path = e.path;
-    res.generation = e.generation;
-    res.design = res.snapshot->design_name;
-    break;
-  }
-
-  if (res.rejected > 0) ++self_heals_;
-  if (res.ok()) {
-    ++loads_;
-  } else {
-    res.code = last_code;
-    res.error = !last_error.empty()
-                    ? last_error
-                    : (design.empty()
-                           ? std::string("store has no snapshots")
-                           : "no snapshot for design '" + design + "'");
-  }
-  return res;
-}
-
 SnapshotStore::SourceResult SnapshotStore::load_newest_source(
     const std::string& design) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -881,54 +510,27 @@ SnapshotStore::SourceResult SnapshotStore::load_newest_source(
   DiagCode last_code = DiagCode::kSnapshotMissing;
   std::string last_error;
   for (const FileEntry& e : entries) {
-    // Fast path: mmap the image into a zero-copy view.
     SnapshotView::MapResult m = SnapshotView::map_file(e.path);
-    if (m.ok()) {
-      if (!design.empty() && m.view->design_name() != design) {
-        continue;  // stem collision with another design; not corruption
+    if (!m.ok()) {
+      last_code = m.code;
+      if (m.code == DiagCode::kSnapshotIo) {
+        last_error = m.error;  // unreadable, not invalid: skip, keep the file
+        continue;
       }
-      res.sections = m.view->sections();
-      res.image_bytes = m.view->image_bytes();
-      res.design = std::string(m.view->design_name());
-      res.source = std::move(m.view);
-      res.mapped = true;
-      res.path = e.path;
-      res.generation = e.generation;
-      break;
-    }
-    // Fallback: decode a copy.  parse_snapshot is the arbiter of validity —
-    // a file is quarantined only when the parser rejects it too, so the
-    // recovery semantics match load_newest exactly (a version-1 image or a
-    // non-canonical-but-parseable layout loads here, just without the map).
-    std::ifstream in(e.path, std::ios::binary);
-    if (!in) {
-      last_code = DiagCode::kSnapshotIo;
-      last_error = "cannot read '" + e.path + "'";
-      continue;
-    }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    SnapshotParse p = parse_snapshot(bytes);
-    if (!p.ok()) {
+      // Quarantine: keep the file for post-mortems, but never retry it.
       std::error_code ec;
       fs::rename(e.path, e.path + ".quarantined", ec);
       ++rejected_;
       ++res.rejected;
-      last_code = p.code;
-      last_error = fs::path(e.path).filename().string() + ": " + p.error;
+      last_error = fs::path(e.path).filename().string() + ": " + m.error;
       continue;
     }
-    if (!design.empty() && p.snapshot->design_name != design) {
-      continue;
+    if (!design.empty() && m.view->design_name() != design) {
+      continue;  // stem collision with another design; not corruption
     }
-    res.snapshot = std::move(p.snapshot);
-    res.source = std::make_shared<SnapshotCopySource>(res.snapshot);
-    res.mapped = false;
-    res.sections = std::move(p.sections);
-    res.image_bytes = bytes.size();
+    res.view = std::move(m.view);
     res.path = e.path;
     res.generation = e.generation;
-    res.design = res.snapshot->design_name;
     break;
   }
 

@@ -4,8 +4,9 @@
 // An AnalysisSnapshot is serialised to a versioned binary image: a fixed
 // header (magic, format version, section count) followed by framed
 // sections, each carrying its own length and XXH64 checksum (util/xxhash)
-// seeded by the section kind.  The parser is bounds-checked end to end and
-// never trusts a length field, so arbitrary bytes — truncated files, bit
+// seeded by the section kind.  The one reader of the format is
+// SnapshotView (snapshot_view.hpp): its indexer is bounds-checked end to end
+// and never trusts a length field, so arbitrary bytes — truncated files, bit
 // flips, fuzzer output — produce a structured DiagCode instead of a crash
 // (tests/snapshot_store_test.cpp, the fixed-seed fuzz CI job).
 //
@@ -16,13 +17,16 @@
 // name.  Generations are monotone across the whole store; bounded
 // retention deletes the oldest files per design beyond `retain`.
 //
-// Recovery contract (docs/ROBUSTNESS.md): load_newest() walks generations
-// newest-first, quarantines every invalid file by renaming it to
-// `<name>.quarantined` (it is never retried, but kept for post-mortems)
-// and falls back to the next older generation; when nothing valid remains
-// the caller degrades to a cold start.  Every quarantine increments
-// `snapshots_rejected`; every load that had to skip at least one file
-// increments `self_heals` — whether or not an older generation saved it.
+// Recovery contract (docs/ROBUSTNESS.md): load_newest_source() walks
+// generations newest-first and maps each file into a SnapshotView.  Every
+// file the view rejects (kSnapshotCorrupt, kSnapshotVersionSkew) is
+// quarantined by renaming it to `<name>.quarantined` (it is never retried,
+// but kept for post-mortems) and the walk falls back to the next older
+// generation; a file that cannot be opened or mapped (kSnapshotIo) is
+// skipped but kept.  When nothing valid remains the caller degrades to a
+// cold start.  Every quarantine increments `snapshots_rejected`; every load
+// that had to quarantine at least one file increments `self_heals` —
+// whether or not an older generation saved it.
 //
 // Fault injection (util/faultinject): save() perturbs the in-memory image
 // before it reaches disk — kSnapshotShortWrite truncates it,
@@ -36,7 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "service/snapshot.hpp"
@@ -47,11 +50,11 @@ namespace hb {
 /// "HBSS" big-endian in the first four image bytes.
 inline constexpr std::uint32_t kSnapshotMagic = 0x48425353u;
 /// Bump on any incompatible layout change; newer files are rejected with
-/// kSnapshotVersionSkew (never mis-decoded).  Version 2 added the corners
+/// kSnapshotVersionSkew (never misread).  Version 2 added the corners
 /// section; version-1 images (pre-corner) still load, with
-/// has_corners == false.
+/// has_corners() == false.
 inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
-/// Oldest format this build still decodes.
+/// Oldest format this build still reads.
 inline constexpr std::uint32_t kSnapshotMinFormatVersion = 1;
 
 /// Section kinds, in serialisation order.  The checksum of each section is
@@ -98,22 +101,7 @@ struct SnapshotSectionInfo {
   std::uint64_t checksum = 0;      // stored checksum
 };
 
-struct SnapshotParse {
-  /// Decoded snapshot; null when the image was rejected.
-  std::shared_ptr<AnalysisSnapshot> snapshot;
-  /// kSnapshotCorrupt / kSnapshotVersionSkew when snapshot == nullptr.
-  DiagCode code = DiagCode::kSnapshotCorrupt;
-  std::string error;
-  std::uint32_t version = 0;  // as read from the header, when readable
-  /// Sections scanned before the failure (complete on success).
-  std::vector<SnapshotSectionInfo> sections;
-
-  bool ok() const { return snapshot != nullptr; }
-};
-
-/// Decode an image.  Safe on arbitrary bytes: every length is bounds-
-/// checked, every section checksum verified before its payload is decoded.
-SnapshotParse parse_snapshot(std::string_view bytes);
+class SnapshotView;
 
 class SnapshotStore {
  public:
@@ -131,40 +119,18 @@ class SnapshotStore {
     std::string error;
   };
 
-  struct LoadResult {
-    std::shared_ptr<const AnalysisSnapshot> snapshot;  // null when nothing valid
+  struct SourceResult {
+    /// The mapped image; null when nothing valid remains.  Its design name,
+    /// section frames and byte size are read from the view.
+    std::shared_ptr<const SnapshotView> view;
     std::string path;
     std::uint64_t generation = 0;
-    std::string design;
     /// Files quarantined during this load (corrupt / version-skewed).
     std::size_t rejected = 0;
-    DiagCode code = DiagCode::kSnapshotMissing;  // when snapshot == nullptr
+    DiagCode code = DiagCode::kSnapshotMissing;  // when view == nullptr
     std::string error;
 
-    bool ok() const { return snapshot != nullptr; }
-  };
-
-  /// load_newest(), but served through the SnapshotSource interface.  The
-  /// fast path mmaps the image into a zero-copy SnapshotView; images the
-  /// view cannot serve (format version 1, non-canonical layouts) fall back
-  /// to the decoded copy path with `mapped == false`.  Quarantine decisions
-  /// are governed by parse_snapshot exactly as in load_newest: a file is
-  /// quarantined only when the parser rejects it too.
-  struct SourceResult {
-    std::shared_ptr<const SnapshotSource> source;  // null when nothing valid
-    /// Set when the copy fallback decoded the image (mapped == false).
-    std::shared_ptr<const AnalysisSnapshot> snapshot;
-    bool mapped = false;
-    std::vector<SnapshotSectionInfo> sections;
-    std::size_t image_bytes = 0;
-    std::string path;
-    std::uint64_t generation = 0;
-    std::string design;
-    std::size_t rejected = 0;
-    DiagCode code = DiagCode::kSnapshotMissing;  // when source == nullptr
-    std::string error;
-
-    bool ok() const { return source != nullptr; }
+    bool ok() const { return view != nullptr; }
   };
 
   /// Opens (and creates, if needed) the store directory and scans existing
@@ -177,14 +143,9 @@ class SnapshotStore {
   SaveResult save(const AnalysisSnapshot& snap);
 
   /// Newest valid snapshot for `design` — or, with an empty argument, for
-  /// whichever design owns the newest valid generation in the store.
-  /// Invalid files encountered on the way are quarantined (renamed to
-  /// `<name>.quarantined`) and counted.
-  LoadResult load_newest(const std::string& design = std::string());
-
-  /// Newest valid snapshot as a SnapshotSource — mmap'd when possible,
-  /// decoded copy otherwise.  Same selection, quarantine and counter
-  /// semantics as load_newest.
+  /// whichever design owns the newest valid generation in the store —
+  /// mmap'd into a SnapshotView.  Invalid files encountered on the way are
+  /// quarantined (renamed to `<name>.quarantined`) and counted.
   SourceResult load_newest_source(const std::string& design = std::string());
 
   /// Section frames and byte size of the most recent successful save()

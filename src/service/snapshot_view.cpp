@@ -109,13 +109,6 @@ bool SnapshotView::index(std::string_view bytes, DiagCode* code,
              std::to_string(kSnapshotFormatVersion);
     return false;
   }
-  if (*version < kSnapshotViewMinFormatVersion) {
-    // The parser still decodes these; the store falls back to the copy path.
-    *code = DiagCode::kSnapshotVersionSkew;
-    *error = "format version " + std::to_string(*version) +
-             " predates mmap snapshot views (decoded copy required)";
-    return false;
-  }
   const std::uint32_t num_sections = r.u32();
 
   std::string_view payloads[kNumSnapshotSections];
@@ -155,8 +148,12 @@ bool SnapshotView::index(std::string_view bytes, DiagCode* code,
     // Unknown kinds are checksum-verified and skipped.
   }
   if (r.remaining() != 0) return corrupt("trailing bytes after last section");
+  constexpr auto kCorners =
+      static_cast<std::uint32_t>(SnapshotSection::kCorners);
   for (std::uint32_t k = 0; k < kNumSnapshotSections; ++k) {
-    if (!seen[k]) {
+    // Version-1 images predate the corners section, and a view without one
+    // serves no corners; every other section is mandatory in every version.
+    if (!seen[k] && !(k == kCorners && *version < 2)) {
       return corrupt(std::string("missing section ") + section_name_of(k));
     }
   }
@@ -180,6 +177,7 @@ bool SnapshotView::index(std::string_view bytes, DiagCode* code,
   };
   for (const SectionIndexer& s : indexers) {
     const auto kind = static_cast<std::uint32_t>(s.kind);
+    if (!seen[kind]) continue;  // absent corners in a version-1 image
     if (!(this->*s.index)(payloads[kind], bases[kind])) {
       return corrupt(std::string("undecodable section ") +
                      snapshot_section_name(s.kind));
@@ -189,8 +187,9 @@ bool SnapshotView::index(std::string_view bytes, DiagCode* code,
 }
 
 // ---------------------------------------------------------------------------
-// Per-section indexers.  Each mirrors the corresponding decode_* in
-// snapshot_store.cpp, recording absolute record offsets instead of decoding.
+// Per-section indexers.  Each walks its section's records with the
+// bounds-checked Reader, recording absolute record offsets instead of
+// decoding.
 
 bool SnapshotView::index_meta(std::string_view payload) {
   Reader r = reader_of(payload);
@@ -319,9 +318,8 @@ bool SnapshotView::index_names(std::string_view payload, std::size_t base) {
     const std::uint64_t pins = r.u64();
     if (r.fail) break;
     // Strictly sorted instance names: what serialize_snapshot emits, and
-    // what binary search over inst_offs_ requires.  Stricter than the
-    // parser's uniqueness check — the store falls back to the copy path for
-    // images that fail here.
+    // what binary search over inst_offs_ requires.  An image that fails
+    // here is corrupt, and the store quarantines it.
     if (have_prev && !(prev < name)) return false;
     prev = name;
     have_prev = true;

@@ -8,15 +8,13 @@
 // indexing, every accessor is a couple of bounds-checked loads straight from
 // the page cache.
 //
-// Validation mirrors parse_snapshot() check for check, with two deliberate
-// extras — a view never accepts an image the parser would reject, but may
-// reject ones the parser tolerates (the store then falls back to the decoded
-// copy path, see SnapshotStore::load_newest_source):
-//   * version 1 images predate the view layout guarantees and are refused
-//     with kSnapshotVersionSkew (the parser still decodes them);
-//   * the name-index instance table must be strictly sorted by name —
-//     serialize_snapshot always emits it that way; the parser merely
-//     requires uniqueness.
+// The view is the only reader of the image format.  Indexing never trusts
+// a length field, so arbitrary bytes — truncated files, bit flips, fuzzer
+// output — are refused with kSnapshotCorrupt, and images newer than this
+// build with kSnapshotVersionSkew, never a crash.  Version-1 images predate
+// the corners section and are served with no corners.  The name-index
+// instance table must be strictly sorted by name, as serialize_snapshot
+// always emits it; an unsorted table is corrupt.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +29,6 @@
 #include "util/diagnostics.hpp"
 
 namespace hb {
-
-/// Oldest image format a SnapshotView can serve without a decoded copy.
-inline constexpr std::uint32_t kSnapshotViewMinFormatVersion = 2;
 
 class SnapshotView final : public SnapshotSource {
  public:

@@ -12,15 +12,14 @@
 //      byte — also on extreme histogram spans; decode errors carry the same
 //      structured messages as the text parser for the same out-of-range
 //      values.
-//   3. Version skew: a crafted version-1 image is refused by the view
-//      (kSnapshotVersionSkew) but still decodes on the copy path, and the
-//      store's load_newest_source falls back accordingly with identical
-//      replies.
+//   3. Version 1: a crafted version-1 image (no corners section) is served
+//      by the view with no corners, through the store and through a
+//      restarted host, with replies identical to the in-memory snapshot's.
 //   4. Robustness: arbitrary and mutated bytes through SnapshotView::attach
-//      and through the frame decoder/renderer never crash, and valid images
-//      with arbitrary values answer every verb in both protocols (fixed
-//      seeds; re-run under ASan/UBSan in the CI fuzz job); a view never
-//      accepts an image parse_snapshot rejects.
+//      and through the frame decoder/renderer never crash, random bytes are
+//      always refused, and valid images with arbitrary values answer every
+//      verb in both protocols (fixed seeds; re-run under ASan/UBSan in the
+//      CI fuzz job).
 //   5. Zero-allocation steady state: cached text reads and typed binary
 //      replies perform no heap allocation once warm (global operator new
 //      hook, this binary only); the typed-frame cache never replays a frame
@@ -123,8 +122,8 @@ CornerSet test_corners() {
 }
 
 /// Analyse one workload into a fully captured snapshot — hold pairs,
-/// Algorithm 2 constraints and (optionally) a 3-corner capture — exactly
-/// as a session publishes them.
+/// (optionally) a 3-corner capture and Algorithm 2 constraints — in the
+/// order a session captures them.
 std::shared_ptr<AnalysisSnapshot> captured_snapshot(Workload& w,
                                                     bool with_corners) {
   Hummingbird hum(w.design, w.clocks);
@@ -132,12 +131,12 @@ std::shared_ptr<AnalysisSnapshot> captured_snapshot(Workload& w,
   auto snap = take_snapshot(hum.engine(), res, 1, 32,
                             build_name_index(hum.graph()));
   capture_hold_into(*snap, hum.engine());
-  capture_constraints_into(*snap, hum);
   if (with_corners) {
     CornerAnalysis ca(hum.engine(), test_corners());
     ca.compute(nullptr);
     capture_corners_into(*snap, ca, 32, true);
   }
+  capture_constraints_into(*snap, hum);
   return snap;
 }
 
@@ -374,19 +373,18 @@ TEST(Proto2DiffTest, PingAndTextFramesRoundTrip) {
   EXPECT_EQ(rendered, "ok bye\n");
 }
 
-// -- Version skew / copy fallback -------------------------------------------
+// -- Version 1 ---------------------------------------------------------------
 
 /// Craft a version-1 image: the seven pre-corner sections of a cornerless
-/// version-2 image under a version-1 header.  parse_snapshot accepts it
-/// (corners are optional below version 2); the view must refuse it.
-std::string make_v1_image(const std::string& v2_image) {
-  const SnapshotParse parsed = parse_snapshot(v2_image);
-  EXPECT_TRUE(parsed.ok()) << parsed.error;
-  EXPECT_EQ(parsed.sections.size(), kNumSnapshotSections);
+/// snapshot's image under a version-1 header.
+std::string make_v1_image(const AnalysisSnapshot& snap) {
+  std::vector<SnapshotSectionInfo> sections;
+  const std::string v2_image = serialize_snapshot(snap, &sections);
+  EXPECT_EQ(sections.size(), kNumSnapshotSections);
   std::string v1 = v2_image.substr(0, 4);  // magic
   put_u32(v1, 1);                          // version
   put_u32(v1, kNumSnapshotSections - 1);   // section count, corners dropped
-  for (const SnapshotSectionInfo& s : parsed.sections) {
+  for (const SnapshotSectionInfo& s : sections) {
     if (s.kind == static_cast<std::uint32_t>(SnapshotSection::kCorners)) {
       continue;
     }
@@ -396,39 +394,65 @@ std::string make_v1_image(const std::string& v2_image) {
   return v1;
 }
 
-TEST(ViewDiffTest, Version1ImageFallsBackToDecodedCopy) {
+/// A store directory holding only `snap`'s version-1 image, generation 1.
+void write_v1_store(const std::string& dir, const AnalysisSnapshot& snap) {
+  const std::string v1 = make_v1_image(snap);
+  std::ofstream f(dir + "/" + snap.design_name + ".1.hbss", std::ios::binary);
+  f.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+}
+
+TEST(ViewDiffTest, StoreServesVersion1ImageThroughTheView) {
   Workload w = std::move(all_generator_networks()[0]);
   const auto snap = captured_snapshot(w, false);
-  const std::string v1 = make_v1_image(serialize_snapshot(*snap));
 
-  // The parser accepts the version-1 image; the view refuses it with the
-  // dedicated skew code.
-  const SnapshotParse parsed = parse_snapshot(v1);
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  // The view reads the version-1 image itself, with no corners.
+  const std::string v1 = make_v1_image(*snap);
   const SnapshotView::MapResult mr = SnapshotView::attach(v1);
-  ASSERT_FALSE(mr.ok());
-  EXPECT_EQ(mr.code, DiagCode::kSnapshotVersionSkew);
+  ASSERT_TRUE(mr.ok()) << mr.error;
   EXPECT_EQ(mr.version, 1u);
+  EXPECT_EQ(mr.view->sections().size(), kNumSnapshotSections - 1);
+  EXPECT_FALSE(mr.view->has_corners());
+  EXPECT_EQ(mr.view->num_corners(), 0u);
 
-  // A store holding only the version-1 file still serves it — through the
-  // decoded copy path — with replies identical to the in-memory snapshot.
+  // A store holding only the version-1 file maps it, quarantines nothing,
+  // and answers like the in-memory snapshot.
   TempDir dir;
-  {
-    std::ofstream f(dir.path + "/" + snap->design_name + ".1.hbss",
-                    std::ios::binary);
-    f.write(v1.data(), static_cast<std::streamsize>(v1.size()));
-  }
+  write_v1_store(dir.path, *snap);
   SnapshotStore store({dir.path, 4});
   SnapshotStore::SourceResult res = store.load_newest_source();
   ASSERT_TRUE(res.ok()) << res.error;
-  EXPECT_FALSE(res.mapped);
-  EXPECT_EQ(res.rejected, 0u);  // skew is a fallback, not a quarantine
+  EXPECT_TRUE(res.view->mapped());
+  EXPECT_EQ(res.rejected, 0u);
   const SnapshotCopySource copy(*snap);
   for (const std::string& line : read_queries(*snap, false)) {
     SCOPED_TRACE(line);
     const ParsedQuery q = parse_query(line);
     ASSERT_TRUE(q.ok);
-    EXPECT_EQ(eval_text(q, *res.source), eval_text(q, copy));
+    EXPECT_EQ(eval_text(q, *res.view), eval_text(q, copy));
+  }
+}
+
+TEST(ViewDiffTest, HostRestartedOverVersion1StoreServesItMapped) {
+  Workload w = std::move(all_generator_networks()[0]);
+  const auto snap = captured_snapshot(w, false);
+  TempDir dir;
+  write_v1_store(dir.path, *snap);
+
+  ServiceConfig cfg;
+  cfg.snapshot_dir = dir.path;
+  ServiceHost host(cfg);
+  ASSERT_NE(host.warm_source(), nullptr);
+  EXPECT_TRUE(host.warm_mapped());
+  ProtocolHandler h(host);
+  const std::string stat = h.handle_line("snapshot stat");
+  EXPECT_NE(stat.find("store warm_mode mapped"), std::string::npos) << stat;
+  EXPECT_NE(stat.find("store snapshots_rejected 0"), std::string::npos);
+  const SnapshotCopySource copy(*snap);
+  for (const std::string& line : read_queries(*snap, false)) {
+    SCOPED_TRACE(line);
+    const ParsedQuery q = parse_query(line);
+    ASSERT_TRUE(q.ok);
+    EXPECT_EQ(h.handle_line(line), eval_text(q, copy));
   }
 }
 
@@ -440,15 +464,15 @@ TEST(ViewDiffTest, StorePrefersMappedViewOnCurrentFormat) {
   ASSERT_TRUE(store.save(*snap).ok);
   SnapshotStore::SourceResult res = store.load_newest_source();
   ASSERT_TRUE(res.ok()) << res.error;
-  EXPECT_TRUE(res.mapped);
-  EXPECT_EQ(res.sections.size(), kNumSnapshotSections);
-  EXPECT_GT(res.image_bytes, 0u);
+  EXPECT_TRUE(res.view->mapped());
+  EXPECT_EQ(res.view->sections().size(), kNumSnapshotSections);
+  EXPECT_GT(res.view->image_bytes(), 0u);
   const SnapshotCopySource copy(*snap);
   for (const std::string& line : read_queries(*snap, true)) {
     SCOPED_TRACE(line);
     const ParsedQuery q = parse_query(line);
     ASSERT_TRUE(q.ok);
-    EXPECT_EQ(eval_text(q, *res.source), eval_text(q, copy));
+    EXPECT_EQ(eval_text(q, *res.view), eval_text(q, copy));
   }
 }
 
@@ -468,12 +492,8 @@ TEST(ViewFuzzTest, AttachSafeOnArbitraryBytes) {
       std::memcpy(blob.data(), head.data(), head.size());
     }
     const SnapshotView::MapResult mr = SnapshotView::attach(blob);
-    if (mr.ok()) {
-      // A view never accepts what the parser rejects.
-      EXPECT_TRUE(parse_snapshot(blob).ok());
-    } else {
-      EXPECT_FALSE(mr.error.empty());
-    }
+    EXPECT_FALSE(mr.ok());  // random bytes never checksum-validate
+    EXPECT_FALSE(mr.error.empty());
   }
 }
 
@@ -502,9 +522,7 @@ TEST(ViewFuzzTest, AttachSafeOnMutatedValidImages) {
     const SnapshotView::MapResult mr = SnapshotView::attach(mutated);
     if (!mr.ok()) continue;
     // Checksums make surviving mutations astronomically unlikely, but any
-    // accepted view must also satisfy the parser and answer every read
-    // safely, in both protocols.
-    EXPECT_TRUE(parse_snapshot(mutated).ok());
+    // accepted view must answer every read safely, in both protocols.
     for (const ParsedQuery& q : queries) {
       std::string rendered;
       if (eval_proto2(q, *mr.view, rendered)) {

@@ -1,15 +1,16 @@
 // Tests for the persistent snapshot store (src/service/snapshot_store).
 //
 // Three contracts under test:
-//   1. Round-trip byte stability: serialising any snapshot, parsing it and
-//      serialising the parse result yields identical bytes, on every
-//      generator network.
-//   2. Corruption never crashes and never mis-decodes: truncation at every
-//      section boundary, a bit flip in every section, version skew and
-//      arbitrary fuzz bytes all produce a structured rejection; the store
-//      quarantines bad files, falls back to older generations and degrades
-//      to a cold start when nothing valid remains, with the recovery
-//      counters advancing exactly as documented in docs/ROBUSTNESS.md.
+//   1. Round trip: serialisation is byte-stable, and a SnapshotView
+//      attached to the image answers every accessor exactly like the
+//      source snapshot, on every generator network.
+//   2. Corruption never crashes and is never misread: truncation at every
+//      section boundary, a bit flip in every section, version skew,
+//      an unsorted instance table and arbitrary fuzz bytes all produce a
+//      structured rejection from the view; the store quarantines bad
+//      files, falls back to older generations and degrades to a cold
+//      start when nothing valid remains, with the recovery counters
+//      advancing exactly as documented in docs/ROBUSTNESS.md.
 //   3. Warm restart byte-identity: a ServiceHost restarted over the same
 //      snapshot directory answers read queries (slack, worst_paths,
 //      check_hold, summary, gen_constraints, ...) byte-for-byte like the
@@ -20,15 +21,18 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "gen/random_network.hpp"
 #include "netlist/stdcells.hpp"
+#include "scenario/corner_analysis.hpp"
 #include "service/protocol.hpp"
 #include "service/session.hpp"
 #include "service/snapshot_codec.hpp"
 #include "service/snapshot_store.hpp"
+#include "service/snapshot_view.hpp"
 #include "sta/hummingbird.hpp"
 #include "test_util.hpp"
 #include "util/faultinject.hpp"
@@ -65,16 +69,136 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Analyse one workload and take a fully captured snapshot (hold pairs and
-/// Algorithm 2 constraints included), exactly as a session publishes them.
-std::shared_ptr<AnalysisSnapshot> snapshot_of(Hummingbird& hum,
-                                              std::uint64_t id = 1) {
+/// Analyse one workload and take a fully captured snapshot (hold pairs,
+/// the corners of `corners` when given, and Algorithm 2 constraints), in
+/// the order a session captures them.
+std::shared_ptr<AnalysisSnapshot> snapshot_of(
+    Hummingbird& hum, std::uint64_t id = 1,
+    const CornerSet* corners = nullptr) {
   const Algorithm1Result res = hum.analyze();
   auto snap = take_snapshot(hum.engine(), res, id, 32,
                             build_name_index(hum.graph()));
   capture_hold_into(*snap, hum.engine());
+  if (corners != nullptr) {
+    CornerAnalysis ca(hum.engine(), *corners);
+    ca.compute();
+    capture_corners_into(*snap, ca, 32, /*capture_hold=*/true);
+  }
   capture_constraints_into(*snap, hum);
   return snap;
+}
+
+void expect_same_path(const SourcePath& got, const SnapshotPath& want) {
+  EXPECT_EQ(got.slack, want.slack);
+  EXPECT_EQ(got.launch, want.launch);
+  EXPECT_EQ(got.capture, want.capture);
+  EXPECT_EQ(got.from, want.from);
+  EXPECT_EQ(got.to, want.to);
+  EXPECT_EQ(got.steps, want.steps);
+}
+
+/// One scope of the view (the base scope or a corner) against the source
+/// snapshot's fields for that scope.
+template <class Scope>
+void expect_same_scope(const SnapshotView& v, ReadScope rs, const Scope& want,
+                       const std::vector<TimePs>& node_slacks) {
+  EXPECT_EQ(v.worst_slack(rs), want.worst_slack);
+  EXPECT_EQ(v.num_violations(rs), want.num_violations);
+  for (std::size_t i = 0; i < node_slacks.size(); ++i) {
+    ASSERT_EQ(v.node_slack(rs, i), std::optional<TimePs>(node_slacks[i])) << i;
+  }
+  ASSERT_EQ(v.num_paths(rs), want.paths.size());
+  for (std::size_t i = 0; i < want.paths.size(); ++i) {
+    expect_same_path(v.path(rs, i), want.paths[i]);
+  }
+  ASSERT_EQ(v.num_capture_slacks(rs), want.capture_slacks.size());
+  for (std::size_t i = 0; i < want.capture_slacks.size(); ++i) {
+    EXPECT_EQ(v.capture_slack(rs, i), want.capture_slacks[i]);
+  }
+  EXPECT_EQ(v.has_hold(rs), want.has_hold);
+  ASSERT_EQ(v.num_hold_pairs(rs), want.hold_pairs.size());
+  for (std::size_t i = 0; i < want.hold_pairs.size(); ++i) {
+    const SourceHoldPair got = v.hold_pair(rs, i);
+    EXPECT_EQ(got.margin, want.hold_pairs[i].margin);
+    EXPECT_EQ(got.launch_label, want.hold_pairs[i].launch_label);
+    EXPECT_EQ(got.capture_label, want.hold_pairs[i].capture_label);
+  }
+}
+
+/// The view's node names and instance pin tables against `want`.
+void expect_same_names(const SnapshotView& v, const NameIndex& want) {
+  ASSERT_EQ(v.num_node_names(), want.node_names.size());
+  for (std::size_t i = 0; i < want.node_names.size(); ++i) {
+    const std::string& name = want.node_names[i];
+    ASSERT_EQ(v.node_name(i), name) << i;
+    // Duplicate names resolve to their lowest id, as in node_by_name.
+    EXPECT_EQ(v.find_node(name), want.node_by_name.at(name)) << name;
+  }
+  EXPECT_EQ(v.find_node("no such node"), SnapshotSource::npos);
+  for (const auto& [inst, pins] : want.inst_pins) {
+    SCOPED_TRACE(inst);
+    const SnapshotSource::InstRef ref = v.find_instance(inst);
+    ASSERT_TRUE(ref.found);
+    ASSERT_EQ(v.num_instance_pins(ref), pins.size());
+    for (std::size_t p = 0; p < pins.size(); ++p) {
+      const SourcePin got = v.instance_pin(ref, p);
+      EXPECT_EQ(got.name, pins[p].first);
+      EXPECT_EQ(got.node, pins[p].second);
+    }
+  }
+  EXPECT_FALSE(v.find_instance("no such instance").found);
+}
+
+/// Every accessor of `v` against the snapshot it was serialised from.
+void expect_view_matches(const SnapshotView& v, const AnalysisSnapshot& s) {
+  EXPECT_EQ(v.id(), s.id);
+  EXPECT_EQ(v.design_name(), s.design_name);
+  EXPECT_EQ(v.status(), s.status);
+  EXPECT_EQ(v.works_as_intended(), s.works_as_intended);
+  EXPECT_EQ(v.num_terminals(), s.num_terminals);
+
+  std::vector<TimePs> node_slacks;
+  for (std::size_t i = 0; i < s.nodes.size(); ++i) {
+    const NodeTiming got = v.node_timing(i);
+    const NodeTiming& want = s.nodes[i];
+    ASSERT_EQ(got.slack, want.slack) << i;
+    ASSERT_EQ(got.ready, want.ready) << i;
+    ASSERT_EQ(got.required, want.required) << i;
+    ASSERT_EQ(got.has_ready, want.has_ready) << i;
+    ASSERT_EQ(got.has_constraint, want.has_constraint) << i;
+    ASSERT_EQ(got.settling_count, want.settling_count) << i;
+    node_slacks.push_back(want.slack);
+  }
+  expect_same_names(v, *s.names);
+
+  EXPECT_EQ(v.has_constraints(), s.has_constraints);
+  EXPECT_EQ(v.constraints_status(), s.constraints_status);
+  EXPECT_EQ(v.backward_snatch_cycles(), s.backward_snatch_cycles);
+  EXPECT_EQ(v.forward_snatch_cycles(), s.forward_snatch_cycles);
+  ASSERT_EQ(v.num_constraint_nodes(), s.constraint_nodes.size());
+  for (std::size_t i = 0; i < s.constraint_nodes.size(); ++i) {
+    const ConstraintTimes got = v.constraint_node(i);
+    const ConstraintTimes& want = s.constraint_nodes[i];
+    ASSERT_EQ(got.has_ready, want.has_ready) << i;
+    ASSERT_EQ(got.has_required, want.has_required) << i;
+    ASSERT_EQ(got.ready, want.ready) << i;
+    ASSERT_EQ(got.required, want.required) << i;
+    ASSERT_EQ(got.slack, want.slack) << i;
+  }
+
+  expect_same_scope(v, ReadScope{}, s, node_slacks);
+  EXPECT_EQ(v.has_corners(), s.has_corners);
+  EXPECT_EQ(v.worst_corner(), s.worst_corner);
+  ASSERT_EQ(v.num_corners(), s.corners.size());
+  for (std::size_t k = 0; k < s.corners.size(); ++k) {
+    SCOPED_TRACE("corner " + std::to_string(k));
+    const SnapshotCorner& c = s.corners[k];
+    const SourceCorner got = v.corner(k);
+    EXPECT_EQ(got.name, c.name);
+    EXPECT_EQ(got.derate_pm, c.derate_pm);
+    EXPECT_EQ(got.wire_pm, c.wire_pm);
+    expect_same_scope(v, ReadScope{k}, c, c.node_slacks);
+  }
 }
 
 RandomNetworkSpec small_spec() {
@@ -95,39 +219,26 @@ std::shared_ptr<Session> make_session() {
 // -- Serialisation ----------------------------------------------------------
 
 TEST(SnapshotStoreTest, RoundTripByteStableOnEveryGeneratorNetwork) {
+  const CornerSet corners = parse_corner_spec_or_throw(
+      "corner typical 1000\n"
+      "corner slow 1250\nwire slow 1300\n"
+      "corner fast 800\nwire fast 780\n");
   for (Workload& w : all_generator_networks()) {
     SCOPED_TRACE(w.name);
     Hummingbird hum(w.design, w.clocks);
-    const auto snap = snapshot_of(hum, 42);
+    const auto snap = snapshot_of(hum, 42, &corners);
+    ASSERT_TRUE(snap->has_hold);
+    ASSERT_TRUE(snap->has_constraints);
+    ASSERT_TRUE(snap->has_corners);
     const std::string image = serialize_snapshot(*snap);
+    EXPECT_EQ(serialize_snapshot(*snap), image);
 
-    const SnapshotParse parsed = parse_snapshot(image);
-    ASSERT_TRUE(parsed.ok()) << parsed.error;
-    EXPECT_EQ(parsed.version, kSnapshotFormatVersion);
-    EXPECT_EQ(parsed.sections.size(), kNumSnapshotSections);
-    EXPECT_EQ(serialize_snapshot(*parsed.snapshot), image);
-
-    // Spot-check the decode against the source snapshot.
-    const AnalysisSnapshot& d = *parsed.snapshot;
-    EXPECT_EQ(d.id, snap->id);
-    EXPECT_EQ(d.design_name, snap->design_name);
-    EXPECT_EQ(d.worst_slack, snap->worst_slack);
-    EXPECT_EQ(d.nodes.size(), snap->nodes.size());
-    EXPECT_EQ(d.paths.size(), snap->paths.size());
-    EXPECT_EQ(d.capture_slacks, snap->capture_slacks);
-    ASSERT_TRUE(d.has_hold);
-    ASSERT_EQ(d.hold_pairs.size(), snap->hold_pairs.size());
-    for (std::size_t i = 0; i < d.hold_pairs.size(); ++i) {
-      EXPECT_EQ(d.hold_pairs[i].margin, snap->hold_pairs[i].margin);
-      EXPECT_EQ(d.hold_pairs[i].launch_label, snap->hold_pairs[i].launch_label);
-    }
-    ASSERT_TRUE(d.has_constraints);
-    EXPECT_EQ(d.constraint_nodes.size(), snap->constraint_nodes.size());
-    // Derived name tables are rebuilt, not serialised.
-    ASSERT_NE(d.names, nullptr);
-    EXPECT_EQ(d.names->node_names, snap->names->node_names);
-    EXPECT_EQ(d.names->node_by_name.size(), snap->names->node_by_name.size());
-    EXPECT_EQ(d.names->inst_pins.size(), snap->names->inst_pins.size());
+    const SnapshotView::MapResult mr = SnapshotView::attach(image);
+    ASSERT_TRUE(mr.ok()) << mr.error;
+    EXPECT_EQ(mr.version, kSnapshotFormatVersion);
+    EXPECT_EQ(mr.view->sections().size(), kNumSnapshotSections);
+    EXPECT_EQ(mr.view->image_bytes(), image.size());
+    expect_view_matches(*mr.view, *snap);
   }
 }
 
@@ -135,12 +246,12 @@ TEST(SnapshotStoreTest, RejectsTruncationAtEverySectionBoundary) {
   RandomNetwork net = make_random_network(make_standard_library(), small_spec());
   Hummingbird hum(net.design, net.clocks);
   const auto snap = snapshot_of(hum);
-  const std::string image = serialize_snapshot(*snap);
-  const SnapshotParse whole = parse_snapshot(image);
-  ASSERT_TRUE(whole.ok());
+  std::vector<SnapshotSectionInfo> sections;
+  const std::string image = serialize_snapshot(*snap, &sections);
+  ASSERT_TRUE(SnapshotView::attach(image).ok());
 
   std::vector<std::size_t> cuts = {0, 1, 11};  // inside the file header
-  for (const SnapshotSectionInfo& s : whole.sections) {
+  for (const SnapshotSectionInfo& s : sections) {
     cuts.push_back(s.header_offset);           // before the section frame
     cuts.push_back(s.payload_offset);          // header kept, payload gone
     cuts.push_back(s.payload_offset + s.payload_size / 2);  // mid-payload
@@ -149,7 +260,8 @@ TEST(SnapshotStoreTest, RejectsTruncationAtEverySectionBoundary) {
   for (const std::size_t cut : cuts) {
     SCOPED_TRACE("truncate at " + std::to_string(cut));
     ASSERT_LT(cut, image.size());
-    const SnapshotParse p = parse_snapshot(std::string_view(image).substr(0, cut));
+    const SnapshotView::MapResult p =
+        SnapshotView::attach(std::string_view(image).substr(0, cut));
     EXPECT_FALSE(p.ok());
     EXPECT_EQ(p.code, DiagCode::kSnapshotCorrupt);
     EXPECT_FALSE(p.error.empty());
@@ -160,12 +272,12 @@ TEST(SnapshotStoreTest, RejectsBitFlipInEverySection) {
   RandomNetwork net = make_random_network(make_standard_library(), small_spec());
   Hummingbird hum(net.design, net.clocks);
   const auto snap = snapshot_of(hum);
-  const std::string image = serialize_snapshot(*snap);
-  const SnapshotParse whole = parse_snapshot(image);
-  ASSERT_TRUE(whole.ok());
+  std::vector<SnapshotSectionInfo> sections;
+  const std::string image = serialize_snapshot(*snap, &sections);
+  ASSERT_TRUE(SnapshotView::attach(image).ok());
 
   std::vector<std::size_t> targets = {0};  // magic byte
-  for (const SnapshotSectionInfo& s : whole.sections) {
+  for (const SnapshotSectionInfo& s : sections) {
     targets.push_back(s.header_offset);      // kind field
     targets.push_back(s.header_offset + 12); // stored checksum
     if (s.payload_size > 0) {
@@ -176,7 +288,7 @@ TEST(SnapshotStoreTest, RejectsBitFlipInEverySection) {
     SCOPED_TRACE("flip bit at byte " + std::to_string(at));
     std::string bad = image;
     bad[at] = static_cast<char>(bad[at] ^ 0x10);
-    const SnapshotParse p = parse_snapshot(bad);
+    const SnapshotView::MapResult p = SnapshotView::attach(bad);
     EXPECT_FALSE(p.ok());
     EXPECT_EQ(p.code, DiagCode::kSnapshotCorrupt);
   }
@@ -187,7 +299,7 @@ TEST(SnapshotStoreTest, RejectsVersionSkewWithDedicatedCode) {
   Hummingbird hum(net.design, net.clocks);
   std::string image = serialize_snapshot(*snapshot_of(hum));
   image[4] = static_cast<char>(kSnapshotFormatVersion + 1);
-  const SnapshotParse p = parse_snapshot(image);
+  const SnapshotView::MapResult p = SnapshotView::attach(image);
   EXPECT_FALSE(p.ok());
   EXPECT_EQ(p.code, DiagCode::kSnapshotVersionSkew);
   EXPECT_EQ(p.version, kSnapshotFormatVersion + 1);
@@ -215,7 +327,7 @@ TEST(SnapshotFuzzTest, ParserSafeOnArbitraryBytes) {
         bytes[4 + i] = static_cast<char>((version >> (8 * i)) & 0xFF);
       }
     }
-    const SnapshotParse p = parse_snapshot(bytes);
+    const SnapshotView::MapResult p = SnapshotView::attach(bytes);
     EXPECT_FALSE(p.ok());  // random bytes never checksum-validate
     EXPECT_FALSE(p.error.empty());
   }
@@ -239,8 +351,10 @@ TEST(SnapshotFuzzTest, ParserSafeOnMutatedValidImages) {
       bad[next() % bad.size()] = static_cast<char>(next());
     }
     if (next() % 4 == 0) bad.resize(next() % (bad.size() + 1));
-    const SnapshotParse p = parse_snapshot(bad);  // must not crash
-    if (!p.ok()) EXPECT_FALSE(p.error.empty());
+    const SnapshotView::MapResult p = SnapshotView::attach(bad);  // no crash
+    if (!p.ok()) {
+      EXPECT_FALSE(p.error.empty());
+    }
   }
 }
 
@@ -259,12 +373,14 @@ TEST(SnapshotStoreTest, SaveLoadRoundTripThroughDisk) {
   EXPECT_TRUE(fs::exists(saved.path));
   EXPECT_EQ(read_file(saved.path), serialize_snapshot(*snap));
 
-  const SnapshotStore::LoadResult loaded = store.load_newest();
+  const SnapshotStore::SourceResult loaded = store.load_newest_source();
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   EXPECT_EQ(loaded.generation, 1u);
   EXPECT_EQ(loaded.rejected, 0u);
-  EXPECT_EQ(loaded.design, snap->design_name);
-  EXPECT_EQ(serialize_snapshot(*loaded.snapshot), serialize_snapshot(*snap));
+  EXPECT_EQ(loaded.view->design_name(), snap->design_name);
+  EXPECT_TRUE(loaded.view->mapped());
+  EXPECT_EQ(loaded.view->image_bytes(), serialize_snapshot(*snap).size());
+  expect_view_matches(*loaded.view, *snap);
   EXPECT_EQ(store.saves(), 1u);
   EXPECT_EQ(store.loads(), 1u);
   EXPECT_EQ(store.snapshots_rejected(), 0u);
@@ -305,7 +421,7 @@ TEST(SnapshotStoreTest, QuarantinesCorruptNewestAndFallsBackToOlder) {
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
   write_file(newest.path, bytes);
 
-  const SnapshotStore::LoadResult loaded = store.load_newest();
+  const SnapshotStore::SourceResult loaded = store.load_newest_source();
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   EXPECT_EQ(loaded.generation, 1u);  // healed by falling back
   EXPECT_EQ(loaded.rejected, 1u);
@@ -315,26 +431,46 @@ TEST(SnapshotStoreTest, QuarantinesCorruptNewestAndFallsBackToOlder) {
   EXPECT_FALSE(fs::exists(newest.path));
 
   // The quarantined file is never retried: the next load is clean.
-  const SnapshotStore::LoadResult again = store.load_newest();
+  const SnapshotStore::SourceResult again = store.load_newest_source();
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.rejected, 0u);
   EXPECT_EQ(store.self_heals(), 1u);
 }
 
+/// Save two generations of `snap`, overwrite the newer file with `image`,
+/// and check that the loader quarantines it and serves generation 1.
+void expect_quarantined_and_fell_back(const AnalysisSnapshot& snap,
+                                      const std::string& image) {
+  TempDir dir;
+  SnapshotStore store({dir.path, 4});
+  ASSERT_TRUE(store.save(snap).ok);
+  const SnapshotStore::SaveResult newest = store.save(snap);
+  ASSERT_TRUE(newest.ok);
+  write_file(newest.path, image);
+
+  const SnapshotStore::SourceResult loaded = store.load_newest_source();
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  EXPECT_EQ(loaded.generation, 1u);
+  EXPECT_EQ(loaded.rejected, 1u);
+  EXPECT_EQ(store.snapshots_rejected(), 1u);
+  EXPECT_EQ(store.self_heals(), 1u);
+  EXPECT_TRUE(fs::exists(newest.path + ".quarantined"));
+  EXPECT_FALSE(fs::exists(newest.path));
+}
+
 // A count whose byte size wraps: 2^61 capture slacks in an 8-byte payload,
-// under a recomputed (valid) section checksum.  The decoder must reject the
-// image instead of reserving 2^61 slots, and both loaders must quarantine it
+// under a recomputed (valid) section checksum.  The view must reject the
+// image instead of indexing 2^61 slots, and the loader must quarantine it
 // and serve the older generation.
 TEST(SnapshotStoreTest, QuarantinesWrappingCaptureCountAndFallsBack) {
   RandomNetwork net = make_random_network(make_standard_library(), small_spec());
   Hummingbird hum(net.design, net.clocks);
   const auto snap = snapshot_of(hum);
-  const std::string image = serialize_snapshot(*snap);
-  const SnapshotParse whole = parse_snapshot(image);
-  ASSERT_TRUE(whole.ok());
+  std::vector<SnapshotSectionInfo> sections;
+  const std::string image = serialize_snapshot(*snap, &sections);
 
   std::string crafted = image.substr(0, 12);
-  for (const SnapshotSectionInfo& s : whole.sections) {
+  for (const SnapshotSectionInfo& s : sections) {
     std::string payload = image.substr(s.payload_offset, s.payload_size);
     if (s.kind == static_cast<std::uint32_t>(SnapshotSection::kCaptureSlacks)) {
       payload.clear();
@@ -345,37 +481,60 @@ TEST(SnapshotStoreTest, QuarantinesWrappingCaptureCountAndFallsBack) {
     put_u64(crafted, snapshot_checksum(payload.data(), payload.size(), s.kind));
     crafted += payload;
   }
-  const SnapshotParse p = parse_snapshot(crafted);
+  const SnapshotView::MapResult p = SnapshotView::attach(crafted);
   EXPECT_FALSE(p.ok());
   EXPECT_EQ(p.code, DiagCode::kSnapshotCorrupt);
+  expect_quarantined_and_fell_back(*snap, crafted);
+}
 
-  for (const bool as_source : {false, true}) {
-    SCOPED_TRACE(as_source ? "load_newest_source" : "load_newest");
-    TempDir dir;
-    SnapshotStore store({dir.path, 4});
-    ASSERT_TRUE(store.save(*snap).ok);
-    const SnapshotStore::SaveResult newest = store.save(*snap);
-    ASSERT_TRUE(newest.ok);
-    write_file(newest.path, crafted);
+// Two adjacent instance records of the name-index section swapped, under a
+// recomputed section checksum: every instance name is still unique, but the
+// table is no longer sorted, so binary search over it would miss names.
+// No writer produces such a table; the view refuses it as corrupt, and the
+// loader quarantines it and serves the older generation.
+TEST(SnapshotStoreTest, QuarantinesUnsortedInstanceTableAndFallsBack) {
+  RandomNetwork net = make_random_network(make_standard_library(), small_spec());
+  Hummingbird hum(net.design, net.clocks);
+  const auto snap = snapshot_of(hum);
+  ASSERT_GE(snap->names->inst_pins.size(), 2u);
+  std::vector<SnapshotSectionInfo> sections;
+  std::string image = serialize_snapshot(*snap, &sections);
+  const SnapshotSectionInfo& names =
+      sections[static_cast<std::size_t>(SnapshotSection::kNameIndex)];
+  ASSERT_EQ(names.kind, static_cast<std::uint32_t>(SnapshotSection::kNameIndex));
 
-    std::uint64_t generation = 0;
-    std::size_t rejected = 0;
-    if (as_source) {
-      const SnapshotStore::SourceResult loaded = store.load_newest_source();
-      ASSERT_TRUE(loaded.ok()) << loaded.error;
-      generation = loaded.generation;
-      rejected = loaded.rejected;
-    } else {
-      const SnapshotStore::LoadResult loaded = store.load_newest();
-      ASSERT_TRUE(loaded.ok()) << loaded.error;
-      generation = loaded.generation;
-      rejected = loaded.rejected;
+  // Walk past the node names and the instance count to the first two
+  // instance records (name, pin count, pins).
+  Reader r = reader_of(
+      std::string_view(image).substr(names.payload_offset, names.payload_size));
+  const std::uint64_t nodes = r.u64();
+  for (std::uint64_t i = 0; i < nodes; ++i) r.str_view();
+  ASSERT_GE(r.u64(), 2u);
+  const auto skip_record = [&r] {
+    r.str_view();
+    const std::uint64_t pins = r.u64();
+    for (std::uint64_t p = 0; p < pins; ++p) {
+      r.str_view();
+      r.u32();
     }
-    EXPECT_EQ(generation, 1u);
-    EXPECT_EQ(rejected, 1u);
-    EXPECT_EQ(store.snapshots_rejected(), 1u);
-    EXPECT_TRUE(fs::exists(newest.path + ".quarantined"));
-  }
+  };
+  const std::size_t a = names.payload_offset + r.pos;
+  skip_record();
+  const std::size_t b = names.payload_offset + r.pos;
+  skip_record();
+  const std::size_t c = names.payload_offset + r.pos;
+  ASSERT_FALSE(r.fail);
+  image.replace(a, c - a, image.substr(b, c - b) + image.substr(a, b - a));
+  std::string checksum;
+  put_u64(checksum, snapshot_checksum(image.data() + names.payload_offset,
+                                      names.payload_size, names.kind));
+  image.replace(names.header_offset + 12, 8, checksum);
+
+  const SnapshotView::MapResult p = SnapshotView::attach(image);
+  EXPECT_FALSE(p.ok());
+  EXPECT_EQ(p.code, DiagCode::kSnapshotCorrupt);
+  EXPECT_NE(p.error.find("name-index"), std::string::npos) << p.error;
+  expect_quarantined_and_fell_back(*snap, image);
 }
 
 // Saves from two sessions over different networks, interleaved into one
@@ -420,12 +579,10 @@ TEST(SnapshotStoreTest, InterleavedSessionsEachSaveTheirOwnNameIndex) {
   }
   for (const auto& [path, k] : saved) {
     SCOPED_TRACE(path);
-    const SnapshotParse p = parse_snapshot(read_file(path));
-    ASSERT_TRUE(p.ok()) << p.error;
-    const NameIndex& want = *sessions[k]->snapshot()->names;
-    EXPECT_EQ(p.snapshot->design_name, sessions[k]->snapshot()->design_name);
-    EXPECT_EQ(p.snapshot->names->node_names, want.node_names);
-    EXPECT_EQ(p.snapshot->names->inst_pins, want.inst_pins);
+    const SnapshotView::MapResult m = SnapshotView::map_file(path);
+    ASSERT_TRUE(m.ok()) << m.error;
+    EXPECT_EQ(m.view->design_name(), sessions[k]->snapshot()->design_name);
+    expect_same_names(*m.view, *sessions[k]->snapshot()->names);
   }
 }
 
@@ -448,7 +605,7 @@ TEST(SnapshotStoreTest, DegradesToColdStartWhenEveryGenerationIsCorrupt) {
     write_file(p, bytes);
   }
 
-  const SnapshotStore::LoadResult loaded = store.load_newest();
+  const SnapshotStore::SourceResult loaded = store.load_newest_source();
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.rejected, 3u);
   EXPECT_EQ(loaded.code, DiagCode::kSnapshotCorrupt);
@@ -457,16 +614,16 @@ TEST(SnapshotStoreTest, DegradesToColdStartWhenEveryGenerationIsCorrupt) {
 
   // Cold start: the store is usable again immediately.
   ASSERT_TRUE(store.save(*snap).ok);
-  EXPECT_TRUE(store.load_newest().ok());
+  EXPECT_TRUE(store.load_newest_source().ok());
 }
 
 TEST(SnapshotStoreTest, MissingStoreReportsStructuredCode) {
   TempDir dir;
   SnapshotStore store({dir.path, 4});
-  const SnapshotStore::LoadResult r = store.load_newest();
+  const SnapshotStore::SourceResult r = store.load_newest_source();
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.code, DiagCode::kSnapshotMissing);
-  const SnapshotStore::LoadResult named = store.load_newest("nope");
+  const SnapshotStore::SourceResult named = store.load_newest_source("nope");
   EXPECT_FALSE(named.ok());
   EXPECT_EQ(named.code, DiagCode::kSnapshotMissing);
 }
@@ -494,7 +651,7 @@ TEST(SnapshotStoreTest, FaultInjectionMatrixDegradesGracefully) {
       ASSERT_TRUE(r.ok) << r.error;  // the corruption is silent, as on real media
     }
 
-    const SnapshotStore::LoadResult loaded = store.load_newest();
+    const SnapshotStore::SourceResult loaded = store.load_newest_source();
     ASSERT_TRUE(loaded.ok()) << loaded.error;
     EXPECT_EQ(loaded.generation, 1u);
     EXPECT_EQ(loaded.rejected, 1u);
@@ -510,7 +667,7 @@ TEST(SnapshotStoreTest, FaultInjectionMatrixDegradesGracefully) {
       cfg.probability[static_cast<int>(site)] = 1.0;
       FaultInjector::Scope scope(cfg);
       ASSERT_TRUE(store2.save(*snap).ok);
-      const SnapshotStore::LoadResult skew = store2.load_newest();
+      const SnapshotStore::SourceResult skew = store2.load_newest_source();
       EXPECT_FALSE(skew.ok());
       EXPECT_EQ(skew.code, DiagCode::kSnapshotVersionSkew);
     }
