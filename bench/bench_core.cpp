@@ -288,6 +288,7 @@ CoreReport measure(Workload& w, int reps, const std::vector<int>& thread_counts)
 
   // Differential check first: every pass bit-identical between layouts.
   rep.bit_identical = true;
+  PassResult csr;
   for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
     const Cluster& cl = clusters.cluster(ClusterId(c));
     for (std::size_t p = 0; p < engine.num_passes(ClusterId(c)); ++p) {
@@ -297,7 +298,7 @@ CoreReport measure(Workload& w, int reps, const std::vector<int>& thread_counts)
           engine.edge_graph(ClusterId(c)), engine.breaks(ClusterId(c))[p],
           engine.capture_insts(ClusterId(c)),
           engine.assigned_mask(ClusterId(c), p));
-      const PassResult csr = engine.run_pass(ClusterId(c), p);
+      engine.run_pass_into(ClusterId(c), p, csr);
       for (std::size_t i = 0; i < cl.nodes.size(); ++i) {
         const bool rh = ref.ready[i].has_value(), ch = csr.ready.has(i);
         const bool qh = ref.required[i].has_value(), dh = csr.required.has(i);
@@ -357,14 +358,14 @@ CoreReport measure(Workload& w, int reps, const std::vector<int>& thread_counts)
     rep.scaling.emplace_back(t, time_us(reps, [&] { engine.compute(&pool); }));
   }
 
-  // Pooled compute() must be allocation-free in steady state too, in both
-  // engines: the pass-task closures fit std::function's inline buffer and
-  // the task lists are reused.
+  // Pooled compute() must be allocation-free in steady state too, in the
+  // engine and in a corner analysis: the pass-task closures fit
+  // std::function's inline buffer and the task lists are reused.
   {
     ThreadPool pool(thread_counts.back());
     CornerAnalysis corners(engine, CornerSet::identity());
     engine.compute(&pool);
-    corners.compute(&pool);  // warm the task lists and K-lane caches
+    corners.compute(&pool);  // warm the task lists and K-lane buffers
     const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
     for (int r = 0; r < 10; ++r) {
       engine.compute(&pool);
@@ -597,10 +598,11 @@ int main(int argc, char** argv) {
   }
 
   // Multi-corner lane amortisation: one K=4 corner-lane sweep vs a K=1
-  // identity sweep over the same engine.  The graph walk is paid once per
-  // sweep regardless of K, so K=4 must cost well under 4x K=1 — that ratio
-  // is the whole case for the lane layout (docs/SCENARIOS.md).  The K=1
-  // identity lane is also held byte-identical to the engine's own cache,
+  // identity sweep over the same engine, each a full compute() with its
+  // terminal and node folds.  The graph walk is paid once per sweep
+  // regardless of K, so K=4 must cost well under 4x K=1 — that ratio is the
+  // whole case for the lane layout (docs/SCENARIOS.md).  The K=1 identity
+  // lane is also held byte-identical to the engine's own cache,
   // which IS deterministic and gates the exit code; the timing ratio is
   // informational (shared CI runners make wall-clock flaky).
   std::fprintf(json, "  ],\n  \"corners\": [\n");
@@ -632,7 +634,7 @@ int main(int argc, char** argv) {
     for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
       for (std::size_t p = 0; p < engine.num_passes(ClusterId(c)); ++p) {
         const PassResult& ref = engine.cached_pass(ClusterId(c), p);
-        const CornerPassResult& got = ca1.cached_pass(ClusterId(c), p);
+        const PassResult& got = ca1.cached_pass(ClusterId(c), p);
         identical = identical &&
                     got.ready.flat_size() == ref.ready.flat_size() &&
                     std::memcmp(got.ready.data(), ref.ready.data(),

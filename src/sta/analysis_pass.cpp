@@ -8,44 +8,98 @@ namespace {
 /// they test against the same constant PassSide::has uses.
 constexpr TimePs kFwdAbsentHalf = -(kInfinitePs / 2);
 
-/// Forward wavefront, eq. (1), scatter form: R_z = max_i (R_i + P_iz).
-/// Ascending local index is level order, so one linear sweep settles every
-/// node, and the sweep-order arc numbering makes cluster.out_arc reads
-/// monotone through the arc array.  Absent tails are skipped (their slots
-/// hold the exact -kInfinitePs sentinel and nothing downstream of only
-/// absent tails is touched), so untouched heads keep the exact sentinel too.
-void forward_scatter(const Cluster& cl, const TArcRec* arcs, RiseFall* ready) {
+/// Delay sources of the full-sweep kernels.  Each gives a lane count, the
+/// delay row of an arc (one delay per lane), and the `Slot` through which a
+/// kernel folds one node's lane vector.
+///
+/// GraphDelays: the graph's own TArcRec::delay, one lane fixed at compile
+/// time — the single-corner engine.  Its slot is a copy in locals: a sweep's
+/// stores cannot alias it, so the scatter's tail value and the gather's
+/// accumulator stay in registers, and with no lane stride and no table load
+/// the kernels below compile to the plain one-corner loops.
+struct GraphDelays {
+  static constexpr std::size_t lanes() { return 1; }
+  static const RiseFall* row(const TArcRec& arc, std::uint32_t) {
+    return &arc.delay;
+  }
+  struct Slot {
+    RiseFall v;
+    explicit Slot(const RiseFall* row) : v(*row) {}
+    RiseFall& operator[](std::size_t) { return v; }
+    void store(RiseFall* row) const { *row = v; }
+  };
+};
+
+/// TableDelays: a lane-major table of `stride` delays per arc — the
+/// multi-corner layout (arc a, lane c at table[a * stride + c]).  A runtime
+/// lane count folds each slot in place.
+struct TableDelays {
+  const RiseFall* table;
+  std::size_t stride;
+  std::size_t lanes() const { return stride; }
+  const RiseFall* row(const TArcRec&, std::uint32_t ai) const {
+    return table + ai * stride;
+  }
+  struct Slot {
+    RiseFall* p;
+    explicit Slot(RiseFall* row) : p(row) {}
+    RiseFall& operator[](std::size_t c) { return p[c]; }
+    void store(RiseFall*) const {}
+  };
+};
+
+/// Forward wavefront, eq. (1), scatter form: R_z = max_i (R_i + P_iz), in
+/// every lane.  Ascending local index is level order, so one linear sweep
+/// settles every node, and the sweep-order arc numbering makes
+/// cluster.out_arc reads monotone through the arc array.  Absent tails are
+/// skipped (their slots hold the exact -kInfinitePs sentinel and nothing
+/// downstream of only absent tails is touched), so untouched heads keep the
+/// exact sentinel too.  Presence is lane-uniform: lane 0 decides.
+template <class Delays>
+void forward_scatter(const Cluster& cl, const TArcRec* arcs,
+                     const Delays& delays, RiseFall* ready) {
+  const std::size_t K = delays.lanes();
   const std::size_t n = cl.nodes.size();
   for (std::uint32_t li = 0; li < n; ++li) {
-    if (ready[li].rise <= kFwdAbsentHalf || cl.blocked[li]) continue;
-    const RiseFall in = ready[li];
+    if (ready[li * K].rise <= kFwdAbsentHalf || cl.blocked[li]) continue;
+    typename Delays::Slot in(&ready[li * K]);
     const std::uint32_t end = cl.out_offsets[li + 1];
     for (std::uint32_t k = cl.out_offsets[li]; k < end; ++k) {
-      const TArcRec& arc = arcs[cl.out_arc[k]];
-      const std::uint32_t to = cl.out_local[k];
-      ready[to] = rf_max(ready[to], propagate_forward(in, arc, arc.delay));
+      const std::uint32_t ai = cl.out_arc[k];
+      const TArcRec& arc = arcs[ai];
+      const RiseFall* d = delays.row(arc, ai);
+      RiseFall* to = &ready[cl.out_local[k] * K];
+      for (std::size_t c = 0; c < K; ++c) {
+        to[c] = rf_max(to[c], propagate_forward(in[c], arc, d[c]));
+      }
     }
   }
 }
 
 /// Backward wavefront, eq. (2) in required-time form: Q_i = min_z (Q_z -
-/// P_iz).  A gather: each node min-folds over its fanout, all at strictly
-/// higher locals and therefore final, so one descending sweep settles every
-/// node.  Folding through an absent successor leaves the slot on the absent
-/// side of the has() threshold (see PassSide).
+/// P_iz), in every lane.  A gather: each node min-folds over its fanout,
+/// all at strictly higher locals and therefore final, so one descending
+/// sweep settles every node.  Folding through an absent successor leaves
+/// the slot on the absent side of the has() threshold (see PassSide).
+template <class Delays>
 void backward_gather(const Cluster& cl, const TArcRec* arcs,
-                     RiseFall* required) {
+                     const Delays& delays, RiseFall* required) {
+  const std::size_t K = delays.lanes();
   const auto n = static_cast<std::uint32_t>(cl.nodes.size());
   for (std::uint32_t li = n; li-- > 0;) {
     if (cl.blocked[li]) continue;
-    RiseFall acc = required[li];
+    typename Delays::Slot acc(&required[li * K]);
     const std::uint32_t ke = cl.out_offsets[li + 1];
     for (std::uint32_t k = cl.out_offsets[li]; k < ke; ++k) {
-      const TArcRec& arc = arcs[cl.out_arc[k]];
-      acc = rf_min(acc, propagate_backward(required[cl.out_local[k]], arc,
-                                           arc.delay));
+      const std::uint32_t ai = cl.out_arc[k];
+      const TArcRec& arc = arcs[ai];
+      const RiseFall* d = delays.row(arc, ai);
+      const RiseFall* out = &required[cl.out_local[k] * K];
+      for (std::size_t c = 0; c < K; ++c) {
+        acc[c] = rf_min(acc[c], propagate_backward(out[c], arc, d[c]));
+      }
     }
-    required[li] = acc;
+    acc.store(&required[li * K]);
   }
 }
 
@@ -69,6 +123,47 @@ bool launch_seed(const SyncModel& sync, const ClockEdgeGraph& edges,
 using passdetail::sweep_backward;
 using passdetail::sweep_forward;
 
+template <class Delays>
+void sweep_pass(const TimingGraph& graph, const SyncModel& sync,
+                const Cluster& cluster,
+                const std::vector<std::uint32_t>& local_index,
+                const ClockEdgeGraph& edges, std::size_t break_node,
+                const std::vector<SyncId>& capture_insts,
+                const std::vector<bool>& assigned, const Delays& delays,
+                PassResult& res) {
+  const std::size_t n = cluster.nodes.size();
+  const std::size_t K = delays.lanes();
+  HB_ASSERT(res.ready.lanes() == K && res.required.lanes() == K);
+  const TArcRec* arcs = graph.arcs_data();
+  res.ready.reset(n);
+  res.required.reset(n);
+  RiseFall* ready = res.ready.data();
+  RiseFall* required = res.required.data();
+
+  // Seed launch terminals: the latest actual assertion over the node's
+  // launch instances, in linear coordinates, in every lane.
+  for (TNodeId node : cluster.source_nodes) {
+    RiseFall seed;
+    if (launch_seed(sync, edges, break_node, node, seed)) {
+      std::fill_n(&ready[local_index[node.index()] * K], K, seed);
+    }
+  }
+  forward_scatter(cluster, arcs, delays, ready);
+
+  // Seed capture terminals assigned to this pass with their closure times.
+  for (std::size_t k = 0; k < capture_insts.size(); ++k) {
+    if (!assigned[k]) continue;
+    const SyncInstance& si = sync.at(capture_insts[k]);
+    const TimePs c =
+        edges.linear_close(si.ideal_close, break_node) + si.close_offset();
+    RiseFall* row = &required[local_index[si.data_in.index()] * K];
+    for (std::size_t lane = 0; lane < K; ++lane) {
+      row[lane] = rf_min(row[lane], RiseFall{c, c});
+    }
+  }
+  backward_gather(cluster, arcs, delays, required);
+}
+
 }  // namespace
 
 const char* active_kernel_name() { return "scalar"; }
@@ -78,46 +173,15 @@ void run_analysis_pass_into(const TimingGraph& graph, const SyncModel& sync,
                             const std::vector<std::uint32_t>& local_index,
                             const ClockEdgeGraph& edges, std::size_t break_node,
                             const std::vector<SyncId>& capture_insts,
-                            const std::vector<bool>& assigned, PassResult& res) {
-  const std::size_t n = cluster.nodes.size();
-  const TArcRec* arcs = graph.arcs_data();
-  res.ready.reset(n);
-  res.required.reset(n);
-  RiseFall* ready = res.ready.data();
-  RiseFall* required = res.required.data();
-
-  // Seed launch terminals: the latest actual assertion over the node's
-  // launch instances, in linear coordinates.
-  for (TNodeId node : cluster.source_nodes) {
-    RiseFall seed;
-    if (launch_seed(sync, edges, break_node, node, seed)) {
-      ready[local_index[node.index()]] = seed;
-    }
+                            const std::vector<bool>& assigned, PassResult& res,
+                            const RiseFall* arc_delay, std::size_t stride) {
+  if (arc_delay == nullptr) {
+    sweep_pass(graph, sync, cluster, local_index, edges, break_node,
+               capture_insts, assigned, GraphDelays{}, res);
+  } else {
+    sweep_pass(graph, sync, cluster, local_index, edges, break_node,
+               capture_insts, assigned, TableDelays{arc_delay, stride}, res);
   }
-  forward_scatter(cluster, arcs, ready);
-
-  // Seed capture terminals assigned to this pass with their closure times.
-  for (std::size_t k = 0; k < capture_insts.size(); ++k) {
-    if (!assigned[k]) continue;
-    const SyncInstance& si = sync.at(capture_insts[k]);
-    const TimePs c =
-        edges.linear_close(si.ideal_close, break_node) + si.close_offset();
-    RiseFall& slot = required[local_index[si.data_in.index()]];
-    slot = rf_min(slot, RiseFall{c, c});
-  }
-  backward_gather(cluster, arcs, required);
-}
-
-PassResult run_analysis_pass(const TimingGraph& graph, const SyncModel& sync,
-                             const Cluster& cluster,
-                             const std::vector<std::uint32_t>& local_index,
-                             const ClockEdgeGraph& edges, std::size_t break_node,
-                             const std::vector<SyncId>& capture_insts,
-                             const std::vector<bool>& assigned) {
-  PassResult res;
-  run_analysis_pass_into(graph, sync, cluster, local_index, edges, break_node,
-                         capture_insts, assigned, res);
-  return res;
 }
 
 std::size_t update_analysis_pass(const TimingGraph& graph, const SyncModel& sync,

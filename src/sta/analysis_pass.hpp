@@ -45,9 +45,9 @@ const char* active_kernel_name();
 ///
 /// Multi-corner analysis (src/scenario) widens the array to K lanes per
 /// node in lane-major order — slot (node, corner) lives at
-/// data()[node * lanes() + corner] — so one fold kernel iteration processes
-/// the whole corner vector of a node from one contiguous cache line run.
-/// With lanes() == 1 (the default) the layout is bit-identical to the
+/// data()[node * lanes() + corner] — so one kernel iteration processes the
+/// whole corner vector of a node from one contiguous cache line run.  With
+/// lanes() == 1 (the default) the layout is bit-identical to the
 /// single-corner array, which is what the K=1 differential guarantee in
 /// tests/corner_test.cpp pins down.
 class PassSide {
@@ -97,10 +97,15 @@ class PassSide {
 };
 
 struct PassResult {
-  /// Indexed like Cluster::nodes.  Absent = the node is not reached by any
-  /// launch (ready) / does not feed any assigned capture (required).
-  PassSide ready{-kInfinitePs};
-  PassSide required{kInfinitePs};
+  /// Indexed like Cluster::nodes, `lanes` corner lanes per node.  Absent =
+  /// the node is not reached by any launch (ready) / does not feed any
+  /// assigned capture (required); presence is structural, so a slot is
+  /// absent in every lane or in none.
+  PassSide ready;
+  PassSide required;
+
+  explicit PassResult(std::size_t lanes = 1)
+      : ready(-kInfinitePs, lanes), required(kInfinitePs, lanes) {}
 };
 
 /// Runs eq. (1) forward and eq. (2) backward over `cluster`, writing into
@@ -111,6 +116,12 @@ struct PassResult {
 /// slack from this pass; `capture_insts` lists all capture instances on the
 /// cluster's sink nodes in a fixed order chosen by the caller.
 ///
+/// Arc delays: by default each arc's own TArcRec::delay, one lane.  With
+/// `arc_delay`, a lane-major table instead — lane c of arc a at
+/// arc_delay[a * stride + c] — swept in all `stride` lanes at once, and
+/// `res` must have been constructed with `stride` lanes.  Launch and capture
+/// seeds are schedule times, the same in every lane.
+///
 /// One serial sweep per direction: a forward scatter over fanout in
 /// ascending local index, then a backward gather over fanout in descending
 /// local index.  Callers parallelise across passes, never within one.
@@ -119,16 +130,9 @@ void run_analysis_pass_into(const TimingGraph& graph, const SyncModel& sync,
                             const std::vector<std::uint32_t>& local_index,
                             const ClockEdgeGraph& edges, std::size_t break_node,
                             const std::vector<SyncId>& capture_insts,
-                            const std::vector<bool>& assigned, PassResult& res);
-
-/// Convenience wrapper returning a fresh PassResult (allocates; use the
-/// _into form on hot paths).
-PassResult run_analysis_pass(const TimingGraph& graph, const SyncModel& sync,
-                             const Cluster& cluster,
-                             const std::vector<std::uint32_t>& local_index,
-                             const ClockEdgeGraph& edges, std::size_t break_node,
-                             const std::vector<SyncId>& capture_insts,
-                             const std::vector<bool>& assigned);
+                            const std::vector<bool>& assigned, PassResult& res,
+                            const RiseFall* arc_delay = nullptr,
+                            std::size_t stride = 1);
 
 /// Reusable per-task arena for incremental pass updates (one per concurrent
 /// evaluation; never shared between threads).  Holds the dirty bitmap the
@@ -144,11 +148,11 @@ struct PassWorkspace {
 };
 
 // -- Cone-sweep primitives ---------------------------------------------------
-// Shared by update_analysis_pass and the multi-corner incremental layer
-// (src/scenario/corner_analysis): fused mark-and-visit sweeps over the
-// forward/backward reachability cone of a seed set, using the PassWorkspace
-// bitmap.  Mark words are consumed (zeroed) as the sweep passes, so the
-// workspace is clean on return; both return the number of nodes visited.
+// Shared by update_analysis_pass, pass_cone_size and SlackEngine's terminal
+// table refresh: fused mark-and-visit sweeps over the forward/backward
+// reachability cone of a seed set, using the PassWorkspace bitmap.  Mark
+// words are consumed (zeroed) as the sweep passes, so the workspace is clean
+// on return; both return the number of nodes visited.
 
 namespace passdetail {
 
@@ -254,8 +258,8 @@ std::size_t sweep_backward(const Cluster& cluster,
 
 }  // namespace passdetail
 
-/// Incrementally patches `res` (a previous result of run_analysis_pass over
-/// the same pass) after local changes:
+/// Incrementally patches `res` (a previous single-lane result of
+/// run_analysis_pass_into over the same pass) after local changes:
 ///   * `fwd_seeds`: local indices whose *ready* must be re-derived — launch
 ///     nodes with changed assertion offsets, or heads of arcs with changed
 ///     delays.  The forward cone of the seeds is re-propagated (eq. 1).
@@ -263,7 +267,7 @@ std::size_t sweep_backward(const Cluster& cluster,
 ///     capture nodes with changed closure offsets, or tails of arcs with
 ///     changed delays.  The backward cone is re-propagated (eq. 2).
 /// Both ready and required are pure min/max fixpoints over integer times, so
-/// re-deriving exactly the cone reproduces run_analysis_pass bit for bit
+/// re-deriving exactly the cone reproduces run_analysis_pass_into bit for bit
 /// (tests/incremental_test.cpp holds the two against each other).
 ///
 /// Cone collection and re-derivation are fused into one bitmap sweep per

@@ -22,8 +22,8 @@ struct HoldScratch {
 /// sort+dedup makes the output order a function of that set alone.
 void check_sources(const SlackEngine& engine, const Cluster& cl,
                    std::size_t begin, std::size_t end, TimePs hold_margin,
-                   TimePs T, const RiseFall* arc_delay, std::size_t arc_stride,
-                   std::size_t arc_lane, HoldScratch& s) {
+                   TimePs T, const RiseFall* arc_delay, std::size_t stride,
+                   std::size_t lane, HoldScratch& s) {
   const TimingGraph& graph = engine.graph();
   const SyncModel& sync = engine.sync();
   for (std::size_t si = begin; si < end; ++si) {
@@ -41,7 +41,7 @@ void check_sources(const SlackEngine& engine, const Cluster& cl,
       for (std::uint32_t k = cl.out_offsets[li]; k < ke; ++k) {
         const std::uint32_t ai = cl.out_arc[k];
         const RiseFall d = arc_delay != nullptr
-                               ? arc_delay[ai * arc_stride + arc_lane]
+                               ? arc_delay[ai * stride + lane]
                                : graph.arc(ai).delay;
         TimePs& slot = s.dmin[cl.out_local[k]];
         slot = std::min(slot, dn + d.min());
@@ -91,8 +91,8 @@ void check_sources(const SlackEngine& engine, const Cluster& cl,
 std::vector<HoldViolation> check_hold(const SlackEngine& engine,
                                       TimePs hold_margin, ThreadPool* pool,
                                       const RiseFall* arc_delay,
-                                      std::size_t arc_stride,
-                                      std::size_t arc_lane) {
+                                      std::size_t stride,
+                                      std::size_t lane) {
   const ClusterSet& clusters = engine.clusters();
   const TimePs T = engine.sync().overall_period();
   std::vector<HoldViolation> out;
@@ -115,11 +115,11 @@ std::vector<HoldViolation> check_hold(const SlackEngine& engine,
       pool->parallel_for(
           cl.source_nodes.size(), 1, [&](std::size_t b, std::size_t e, int w) {
             check_sources(engine, cl, b, e, hold_margin, T, arc_delay,
-                          arc_stride, arc_lane, pool->scratch<HoldScratch>(w));
+                          stride, lane, pool->scratch<HoldScratch>(w));
           });
     } else {
       check_sources(engine, cl, 0, cl.source_nodes.size(), hold_margin, T,
-                    arc_delay, arc_stride, arc_lane, local);
+                    arc_delay, stride, lane, local);
     }
   }
 

@@ -35,15 +35,15 @@ class ThreadPool;
 /// thread count — the final sort+dedup orders violations by value alone.
 ///
 /// `arc_delay` (optional) substitutes per-arc delays for the graph's own in
-/// the min-delay sweeps: arc `a` reads arc_delay[a * arc_stride + arc_lane].
-/// The multi-corner layer (src/scenario) passes its lane-major derated
-/// delay table here to check hold under each corner; nullptr keeps the
-/// nominal graph delays.
+/// the min-delay sweeps: arc `a` reads arc_delay[a * stride + lane], the
+/// lane-major convention of the pass kernels and the path tracer.  The
+/// multi-corner layer (src/scenario) passes its derated delay table here to
+/// check hold under each corner; nullptr keeps the nominal graph delays.
 std::vector<HoldViolation> check_hold(const SlackEngine& engine,
                                       TimePs hold_margin = 0,
                                       ThreadPool* pool = nullptr,
                                       const RiseFall* arc_delay = nullptr,
-                                      std::size_t arc_stride = 1,
-                                      std::size_t arc_lane = 0);
+                                      std::size_t stride = 1,
+                                      std::size_t lane = 0);
 
 }  // namespace hb

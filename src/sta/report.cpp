@@ -6,15 +6,18 @@
 namespace hb {
 namespace {
 
-/// Backtrace the critical chain from `end` (with ready value `arr`, rising
-/// iff `rising`) through the pass's ready annotations.
+/// Backtrace the critical chain from `end` through lane `lane` of the
+/// pass's ready annotations, matching `prev + d == arrival` with the arc
+/// delays the pass was swept with (LaneResults' convention).
 std::vector<PathStep> backtrace(const SlackEngine& engine, ClusterId c,
-                                const PassResult& res, TNodeId end) {
+                                const PassResult& res, TNodeId end,
+                                std::size_t lane, const RiseFall* arc_delay,
+                                std::size_t stride) {
   const TimingGraph& graph = engine.graph();
   std::vector<PathStep> rev;
 
   HB_ASSERT(res.ready.has(engine.local_index(end)));
-  const RiseFall end_ready = res.ready.at(engine.local_index(end));
+  const RiseFall end_ready = res.ready.at(engine.local_index(end), lane);
   bool rising = end_ready.rise >= end_ready.fall;
   TNodeId node = end;
   TimePs arrival = rising ? end_ready.rise : end_ready.fall;
@@ -31,8 +34,11 @@ std::vector<PathStep> backtrace(const SlackEngine& engine, ClusterId c,
         continue;
       }
       if (!res.ready.has(engine.local_index(arc.from))) continue;
-      const RiseFall from_ready = res.ready.at(engine.local_index(arc.from));
-      const TimePs d = rising ? arc.delay.rise : arc.delay.fall;
+      const RiseFall from_ready =
+          res.ready.at(engine.local_index(arc.from), lane);
+      const RiseFall darc =
+          arc_delay != nullptr ? arc_delay[ai * stride + lane] : arc.delay;
+      const TimePs d = rising ? darc.rise : darc.fall;
       // Which input transition explains this output transition?
       bool prev_rising = rising;
       TimePs prev_arrival = 0;
@@ -66,15 +72,20 @@ std::vector<PathStep> backtrace(const SlackEngine& engine, ClusterId c,
 
 std::vector<SlowPath> enumerate_slow_paths(const SlackEngine& engine,
                                            std::size_t max_paths,
-                                           TimePs slack_limit) {
+                                           TimePs slack_limit,
+                                           const LaneResults& from) {
   const SyncModel& sync = engine.sync();
+  const auto capture_slack = [&](SyncId id) {
+    return from.capture_slack != nullptr ? from.capture_slack[id.index()]
+                                         : engine.capture_slack(id);
+  };
 
   // Violating captures, worst first.
   std::vector<SyncId> violators;
   for (std::uint32_t i = 0; i < sync.num_instances(); ++i) {
     const SyncInstance& si = sync.at(SyncId(i));
     if (!si.data_in.valid()) continue;
-    const TimePs s = engine.capture_slack(SyncId(i));
+    const TimePs s = capture_slack(SyncId(i));
     if (s != kInfinitePs && s < slack_limit) violators.push_back(SyncId(i));
   }
   // Order by (slack, SyncId): the id tie-break makes worst-K enumeration
@@ -83,7 +94,7 @@ std::vector<SlowPath> enumerate_slow_paths(const SlackEngine& engine,
   // instances with identical windows) — the same K paths in the same order
   // on every run, independent of evaluation schedule or thread count.
   std::sort(violators.begin(), violators.end(), [&](SyncId a, SyncId b) {
-    const TimePs sa = engine.capture_slack(a), sb = engine.capture_slack(b);
+    const TimePs sa = capture_slack(a), sb = capture_slack(b);
     if (sa != sb) return sa < sb;
     return a.index() < b.index();
   });
@@ -94,14 +105,19 @@ std::vector<SlowPath> enumerate_slow_paths(const SlackEngine& engine,
     const SyncInstance& si = sync.at(cap);
     const ClusterId c = engine.clusters().cluster_of(si.data_in);
     if (!c.valid()) continue;
-    // The cached pass is the pass run_pass() would re-evaluate: present
+    // The cached pass is the pass run_pass_into() would re-evaluate: present
     // slots are exact, and a patched absent one stays absent under has().
-    const PassResult& res = engine.cached_pass(c, engine.assigned_pass(cap));
+    // A finite capture slack implies a present ready slot at the capture.
+    const std::size_t pass = engine.assigned_pass(cap);
+    const PassResult& res = from.passes != nullptr
+                                ? (*from.passes)[c.index()][pass]
+                                : engine.cached_pass(c, pass);
 
     SlowPath path;
-    path.slack = engine.capture_slack(cap);
+    path.slack = capture_slack(cap);
     path.capture = cap;
-    path.steps = backtrace(engine, c, res, si.data_in);
+    path.steps = backtrace(engine, c, res, si.data_in, from.lane,
+                           from.arc_delay, from.stride);
     // Identify the launch terminal the chain starts at: the instance at the
     // first step whose assertion matches the start arrival.
     if (!path.steps.empty()) {
@@ -143,12 +159,20 @@ void flag_slow_paths(Design& design, const TimingGraph& graph,
   }
 }
 
-std::string timing_summary(const SlackEngine& engine) {
+std::string timing_summary(const SlackEngine& engine,
+                           const LaneResults& from) {
   const SyncModel& sync = engine.sync();
   std::size_t terminals = 0, violations = 0;
   TimePs worst = kInfinitePs;
   for (std::uint32_t i = 0; i < sync.num_instances(); ++i) {
-    for (TimePs s : {engine.launch_slack(SyncId(i)), engine.capture_slack(SyncId(i))}) {
+    const SyncId id(i);
+    const TimePs launch = from.launch_slack != nullptr
+                              ? from.launch_slack[i]
+                              : engine.launch_slack(id);
+    const TimePs capture = from.capture_slack != nullptr
+                               ? from.capture_slack[i]
+                               : engine.capture_slack(id);
+    for (TimePs s : {launch, capture}) {
       if (s == kInfinitePs) continue;
       ++terminals;
       if (s <= 0) ++violations;

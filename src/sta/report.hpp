@@ -26,13 +26,30 @@ struct SlowPath {
   std::vector<PathStep> steps;  // launch first, capture last
 };
 
-/// All capture terminals with slack below `slack_limit`, worst first,
-/// at most `max_paths` of them, each with its critical path, traced through
-/// the engine's cached passes (valid after compute()/update(), which every
-/// exit of Algorithms 1 and 2 performs).
+/// One lane of multi-lane results for the reports to read in place of the
+/// engine's own (one corner of a CornerAnalysis): the lane's terminal slacks
+/// by SyncId, the K-lane passes they came from by [cluster][pass], and the
+/// lane-major arc delays those passes were swept with — lane `lane` of arc
+/// `a` at arc_delay[a * stride + lane], the convention check_hold takes.
+/// Set every field or none: a default LaneResults reads the engine's
+/// terminal slacks, its cached passes and the graph's own delays.
+struct LaneResults {
+  std::size_t lane = 0;
+  const TimePs* launch_slack = nullptr;
+  const TimePs* capture_slack = nullptr;
+  const std::vector<std::vector<PassResult>>* passes = nullptr;
+  const RiseFall* arc_delay = nullptr;
+  std::size_t stride = 1;
+};
+
+/// All capture terminals with slack below `slack_limit`, worst first by
+/// (slack, SyncId), at most `max_paths` of them, each with its critical
+/// path, traced through the assigned pass's cached ready times (valid after
+/// compute()/update(), which every exit of Algorithms 1 and 2 performs).
 std::vector<SlowPath> enumerate_slow_paths(const SlackEngine& engine,
                                            std::size_t max_paths,
-                                           TimePs slack_limit = 0);
+                                           TimePs slack_limit = 0,
+                                           const LaneResults& from = {});
 
 /// Human-readable multi-line rendering.
 std::string format_paths(const SlackEngine& engine,
@@ -44,6 +61,7 @@ void flag_slow_paths(Design& design, const TimingGraph& graph,
                      const std::vector<SlowPath>& paths);
 
 /// One-screen summary: worst slack, violation counts, pass statistics.
-std::string timing_summary(const SlackEngine& engine);
+std::string timing_summary(const SlackEngine& engine,
+                           const LaneResults& from = {});
 
 }  // namespace hb

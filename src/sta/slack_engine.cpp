@@ -236,37 +236,9 @@ void SlackEngine::invalidate_node(TNodeId node) {
   mark_terminals_dirty(c.index());
 }
 
-void SlackEngine::invalidate_instance(InstId inst) {
-  const Design& design = graph_->design();
-  const Instance& self = design.top().inst(inst);
-  for (std::uint32_t p = 0; p < self.conn.size(); ++p) {
-    if (!self.conn[p].valid()) continue;
-    invalidate_node(graph_->pin_node(inst, p));
-    if (design.target_port_dir(self, p) != PortDirection::kInput) continue;
-    // The instance's pin caps load its input nets: the drivers' output-arc
-    // delays change with them.  Their output pins seed both cones; the
-    // backward closure reaches the drivers' inputs from there.
-    for (const PinRef& pin : design.top().net(self.conn[p]).pins) {
-      const Instance& other = design.top().inst(pin.inst);
-      if (design.target_port_dir(other, pin.port) == PortDirection::kOutput) {
-        invalidate_node(graph_->pin_node(pin.inst, pin.port));
-      }
-    }
-  }
-}
-
 void SlackEngine::invalidate_all() {
   cache_valid_ = false;
   tables_valid_ = false;
-}
-
-bool SlackEngine::has_pending_invalidations() const {
-  if (!cache_valid_ || !tables_valid_) return true;
-  if (!offsets_touched_.empty() || !terminal_dirty_.empty()) return true;
-  for (const ClusterDirty& d : dirty_) {
-    if (d.any()) return true;
-  }
-  return false;
 }
 
 void SlackEngine::update(ThreadPool* pool) {
@@ -500,50 +472,19 @@ void SlackEngine::maybe_corrupt_table() {
   }
 }
 
-PassResult SlackEngine::run_pass(ClusterId c, std::size_t pass) const {
-  PassResult res;
-  run_pass_into(c, pass, res);
-  return res;
-}
-
-void SlackEngine::run_pass_into(ClusterId c, std::size_t pass,
-                                PassResult& out) const {
+void SlackEngine::run_pass_into(ClusterId c, std::size_t pass, PassResult& out,
+                                const RiseFall* arc_delay,
+                                std::size_t stride) const {
   const ClusterAnalysis& ca = analyses_.at(c.index());
   run_analysis_pass_into(*graph_, *sync_, clusters_->cluster(c), local_of_node_,
                          *ca.edges, ca.breaks.at(pass), ca.capture_insts,
-                         ca.assigned_mask.at(pass), out);
+                         ca.assigned_mask.at(pass), out, arc_delay, stride);
 }
 
 void SlackEngine::fold_node(std::uint32_t c, std::uint32_t li) {
-  const ClusterAnalysis& ca = analyses_[c];
   const TNodeId n = clusters_->cluster(ClusterId(c)).nodes[li];
-  const std::size_t np = ca.breaks.size();
-
-  // Node timing: worst slack over the passes, with the critical pass's
-  // ready/required window (eq. 1/2 results, block-oriented merge).
   NodeTiming nt;
-  for (std::size_t p = 0; p < np; ++p) {
-    const PassResult& res = ca.cache[p];
-    if (!res.ready.has(li)) continue;
-    const RiseFall rdy = res.ready.at(li);
-    ++nt.settling_count;
-    if (!nt.has_ready) {
-      nt.has_ready = true;
-      if (!nt.has_constraint) nt.ready = rdy;
-    } else if (!nt.has_constraint) {
-      nt.ready = rf_max(nt.ready, rdy);
-    }
-    if (!res.required.has(li)) continue;
-    const RiseFall req = res.required.at(li);
-    const TimePs pass_slack =
-        std::min(req.rise - rdy.rise, req.fall - rdy.fall);
-    if (pass_slack < nt.slack) {
-      nt.slack = pass_slack;
-      nt.ready = rdy;
-      nt.required = req;
-      nt.has_constraint = true;
-    }
-  }
+  fold_node_timing(analyses_[c].cache, li, &nt);
   node_[n.index()] = nt;
 }
 

@@ -25,8 +25,8 @@
 //     every pass; update() patches the cached passes.
 //
 // Incremental re-analysis: the engine caches every pass result and accepts
-// invalidations (invalidate_offsets / invalidate_node / invalidate_instance)
-// describing local changes.  update() seeds the node-level patch with the
+// invalidations (invalidate_offsets / invalidate_node) describing local
+// changes.  update() seeds the node-level patch with the
 // recorded node invalidations plus the terminals whose offsets differ from
 // the ones the cached passes were computed at — the *net* change since the
 // last node-level refresh, however many terminal-only steps came between —
@@ -62,6 +62,43 @@ struct NodeTiming {
   int settling_count = 0;
 };
 
+/// Node timing of local `li` over one cluster's passes, in each of their
+/// first `lanes` lanes — the block-oriented merge of eqs. (1)/(2): per lane,
+/// the worst slack over the passes, the critical pass's ready/required
+/// window, and the settling count.  Passes merge in ascending order, which
+/// is the tie-break order.  Lane k lands in out[k].  Presence is
+/// lane-uniform, so each pass is tested once for all lanes.
+inline void fold_node_timing(const std::vector<PassResult>& passes,
+                             std::uint32_t li, NodeTiming* out,
+                             std::size_t lanes = 1) {
+  std::fill_n(out, lanes, NodeTiming{});
+  for (const PassResult& res : passes) {
+    if (!res.ready.has(li)) continue;
+    const bool constrained = res.required.has(li);
+    for (std::size_t k = 0; k < lanes; ++k) {
+      NodeTiming& nt = out[k];
+      const RiseFall rdy = res.ready.at(li, k);
+      ++nt.settling_count;
+      if (!nt.has_ready) {
+        nt.has_ready = true;
+        if (!nt.has_constraint) nt.ready = rdy;
+      } else if (!nt.has_constraint) {
+        nt.ready = rf_max(nt.ready, rdy);
+      }
+      if (!constrained) continue;
+      const RiseFall req = res.required.at(li, k);
+      const TimePs pass_slack =
+          std::min(req.rise - rdy.rise, req.fall - rdy.fall);
+      if (pass_slack < nt.slack) {
+        nt.slack = pass_slack;
+        nt.ready = rdy;
+        nt.required = req;
+        nt.has_constraint = true;
+      }
+    }
+  }
+}
+
 /// Bookkeeping for the incremental layer (see bench_incremental).
 struct IncrementalStats {
   std::uint64_t full_computes = 0;     // compute() calls, fallbacks included
@@ -85,10 +122,10 @@ struct IncrementalStats {
   std::uint64_t row_nodes_swept = 0;   // nodes those row sweeps visited
 };
 
-/// Write-time checksum of a cached pass result, single- or multi-corner:
-/// XXH64 over each side's raw slot array (flat_size() packed rise/fall
-/// pairs), seeded with the side's size and lane count.  Any changed byte in
-/// any slot changes it, absent slots included (docs/ROBUSTNESS.md §4).
+/// Write-time checksum of a cached pass result: XXH64 over each side's raw
+/// slot array (flat_size() packed rise/fall pairs), seeded with the side's
+/// size and lane count.  Any changed byte in any slot changes it, absent
+/// slots included (docs/ROBUSTNESS.md §4).
 std::uint64_t pass_checksum(const PassSide& ready, const PassSide& required);
 
 class SlackEngine {
@@ -105,7 +142,7 @@ class SlackEngine {
 
   // -- Dirty-set API ------------------------------------------------------
   // Record *what changed* between evaluations; update() re-derives exactly
-  // the recorded cones.  All three may be mixed freely before one update().
+  // the recorded cones.  Both may be mixed freely before one update().
 
   /// The adjustable/virtual offsets of `id` changed (SyncInstance::shift,
   /// a port-spec edit, a refreshed D_cz/D_dz).  The terminals of its
@@ -119,17 +156,9 @@ class SlackEngine {
   /// backward cones from the node in every pass of its cluster, and the
   /// terminal-table rows of the sources in its backward cone.
   void invalidate_node(TNodeId node);
-  /// Delays of `inst`'s own component arcs changed (e.g. after
-  /// DelayCalculator::adjust_instance).  Covers the instance's pins and the
-  /// output pins of the drivers of its input nets, whose load-dependent
-  /// delays change with the instance's pin caps.  For an exact footprint
-  /// after a cell swap, prefer TimingGraph::update_instance_delays and
-  /// invalidate_node on the endpoints of the arcs it reports changed.
-  void invalidate_instance(InstId inst);
   /// Drop both caches entirely: the next update() is a full compute(), the
   /// next update_terminals() rebuilds the terminal delay table.
   void invalidate_all();
-  bool has_pending_invalidations() const;
 
   /// Bring all results up to date with the recorded invalidations.  With a
   /// valid cache this re-propagates only the dirty cones and re-folds only
@@ -203,10 +232,13 @@ class SlackEngine {
   /// evaluation.  Fixed by pre-processing.
   const std::vector<PassRef>& all_passes() const { return passes_; }
 
-  /// Re-run a single pass (for path tracing / debugging).
-  PassResult run_pass(ClusterId c, std::size_t pass) const;
-  /// Same, writing into caller-owned buffers (no steady-state allocation).
-  void run_pass_into(ClusterId c, std::size_t pass, PassResult& out) const;
+  /// Re-run a single pass into caller-owned buffers (no steady-state
+  /// allocation).  With `arc_delay`, the pass sweeps a lane-major table of
+  /// `stride` delays per arc instead of the graph's own, and `out` must have
+  /// `stride` lanes (see run_analysis_pass_into).
+  void run_pass_into(ClusterId c, std::size_t pass, PassResult& out,
+                     const RiseFall* arc_delay = nullptr,
+                     std::size_t stride = 1) const;
   /// Cached result of one pass (valid after compute()/update(); read by the
   /// path reports and by the determinism sweep tests, which compare caches
   /// across thread counts).  A patched absent slot may hold a value near
@@ -298,9 +330,9 @@ class SlackEngine {
   static constexpr std::size_t kFullSweepDen = 2;
 
   void prepare_cluster(ClusterId c);
-  /// Fold local `li` of cluster `c` over all of the cluster's passes, in
-  /// ascending pass order (the tie-break order) into its NodeTiming.
-  /// Overwrites, never merges, so folding a node twice is harmless.
+  /// Fold local `li` of cluster `c` over all of the cluster's passes into
+  /// its NodeTiming (fold_node_timing).  Overwrites, never merges, so
+  /// folding a node twice is harmless.
   void fold_node(std::uint32_t c, std::uint32_t li);
   void fold_cluster(std::uint32_t c);
 

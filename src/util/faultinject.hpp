@@ -23,10 +23,7 @@
 //                     of the image (silent media-corruption paths);
 //   kSnapshotStaleVersion — SnapshotStore::save stamps a future format
 //                     version into the header (version-skew rejection
-//                     paths, e.g. a rollback after an upgrade);
-//   kCornerLaneCorrupt — CornerAnalysis perturbs one lane of one cached
-//                     K-lane pass result before an incremental update
-//                     (per-corner self-check / self-heal paths).
+//                     paths, e.g. a rollback after an upgrade).
 #pragma once
 
 #include <atomic>
@@ -43,9 +40,8 @@ enum class FaultSite : int {
   kSnapshotShortWrite = 3,
   kSnapshotBitFlip = 4,
   kSnapshotStaleVersion = 5,
-  kCornerLaneCorrupt = 6,
 };
-inline constexpr int kNumFaultSites = 7;
+inline constexpr int kNumFaultSites = 6;
 
 /// Exception thrown by injected task faults; an hb::Error so recovery paths
 /// treat it exactly like a real analysis failure.
