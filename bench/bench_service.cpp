@@ -4,7 +4,9 @@
 // by 1/4/8 client threads issuing a realistic read mix (summary,
 // worst_paths, histogram, slack over a rotating node set), then a what-if
 // loop (set_delay + commit) running under 4 concurrent readers.  Each
-// thread-count run uses a fresh session so cache warm-up is comparable.
+// thread-count run uses a fresh session.  Every text read is evaluated
+// against the published snapshot; only binary connections replay replies
+// (the per-connection typed-frame cache).
 // Both figures swing widely between back-to-back runs of one binary, so
 // each is measured `runs` times and reported as the median with its
 // quartiles.
@@ -12,8 +14,7 @@
 // Two read-path measurements ride along (docs/SERVICE.md):
 //   * proto1 vs proto2 — the same hot read mix through one text-protocol
 //     connection and one binary-protocol connection against the same host,
-//     in interleaved rounds so cache state and frequency scaling hit both
-//     sides equally;
+//     in interleaved rounds so frequency scaling hits both sides equally;
 //   * warm restart — time to the first served query through the mmap'd
 //     SnapshotView (map_file + evaluate), checked against the live
 //     snapshot's reply.
@@ -64,7 +65,7 @@ std::shared_ptr<Session> make_bench_session() {
 }
 
 /// The per-client read mix, parameterised by iteration so slack queries
-/// rotate through the node set (misses on first touch, hits after).
+/// rotate through the node set.
 std::string read_query(const std::vector<std::string>& nodes, int k) {
   switch (k % 4) {
     case 0: return "summary";
@@ -78,7 +79,6 @@ std::string read_query(const std::vector<std::string>& nodes, int k) {
 struct ThroughputResult {
   int clients = 0;
   double qps = 0;
-  double cache_hit_rate = 0;
 };
 
 /// Median and quartiles of repeated runs (linear interpolation).
@@ -167,7 +167,6 @@ ThroughputResult measure_reads(int clients, int queries_per_client) {
   ThroughputResult r;
   r.clients = clients;
   r.qps = static_cast<double>(clients) * queries_per_client / elapsed;
-  r.cache_hit_rate = session->metrics().cache_hit_rate();
   return r;
 }
 
@@ -233,8 +232,10 @@ struct ProtocolCompareResult {
 
 /// The same hot read mix through one text connection and one already
 /// negotiated binary connection on the same host.  Rounds interleave so
-/// both protocols see identical cache state; requests are pre-rendered so
-/// only the serving path is on the clock.
+/// both protocols see the same machine state; requests are pre-rendered so
+/// only the serving path is on the clock.  After the warm-up every binary
+/// reply is replayed from the connection's typed-frame cache, while every
+/// text reply is evaluated.
 ProtocolCompareResult measure_protocols(int rounds, int queries_per_round) {
   ServiceHost host;
   host.adopt(make_bench_session());
@@ -265,7 +266,7 @@ ProtocolCompareResult measure_protocols(int rounds, int queries_per_round) {
     std::printf("proto 2 negotiation failed\n");
     std::exit(1);
   }
-  // Warm both connections: caches filled, arenas grown.
+  // Warm both connections: typed-frame cache filled, arenas grown.
   for (const std::string& l : lines) h1.handle_line(l);
   for (const std::string& p : payloads) h2.handle_frame(p);
 
@@ -356,8 +357,7 @@ int main(int argc, char** argv) {
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("hardware threads: %u%s, %d runs per noisy figure\n", hw,
               quick ? " (quick mode)" : "", runs);
-  std::printf("%4s %8s %12s %14s\n", "run", "clients", "queries/s",
-              "cache hit rate");
+  std::printf("%4s %8s %12s\n", "run", "clients", "queries/s");
 
   // reads[run][k]: clients 1, 4, 8.
   std::vector<std::vector<ThroughputResult>> reads(runs);
@@ -366,8 +366,7 @@ int main(int argc, char** argv) {
     for (int clients : {1, 4, 8}) {
       reads[run].push_back(measure_reads(clients, quick ? 400 : 4000));
       const ThroughputResult& r = reads[run].back();
-      std::printf("%4d %8d %12.0f %13.1f%%\n", run, r.clients, r.qps,
-                  100.0 * r.cache_hit_rate);
+      std::printf("%4d %8d %12.0f\n", run, r.clients, r.qps);
     }
     scalings.push_back(reads[run].back().qps / reads[run].front().qps);
   }
@@ -416,18 +415,16 @@ int main(int argc, char** argv) {
                "  \"quick\": %s,\n  \"runs\": %d,\n"
                "  \"read_throughput\": [\n",
                hw, hw > 0 ? hw : 1, quick ? "true" : "false", runs);
-  // Per client count: the median run's throughput and cache hit rate.
+  // Per client count: the median run's throughput.
   for (std::size_t k = 0; k < reads[0].size(); ++k) {
-    std::vector<double> qps, hits;
+    std::vector<double> qps;
     for (const std::vector<ThroughputResult>& run : reads) {
       qps.push_back(run[k].qps);
-      hits.push_back(run[k].cache_hit_rate);
     }
     std::fprintf(json,
-                 "    {\"clients\": %d, \"queries_per_second\": %s, "
-                 "\"cache_hit_rate\": %.3f}%s\n",
+                 "    {\"clients\": %d, \"queries_per_second\": %s}%s\n",
                  reads[0][k].clients, spread_json(spread_of(qps)).c_str(),
-                 spread_of(hits).median, k + 1 < reads[0].size() ? "," : "");
+                 k + 1 < reads[0].size() ? "," : "");
   }
   std::fprintf(json,
                "  ],\n  \"read_scaling_1_to_8\": %s,\n"

@@ -19,6 +19,8 @@ class ServiceMetrics {
  public:
   /// Record one finished request: its class, outcome and wall time.
   void record_request(bool is_read, bool ok, bool timed_out, double seconds);
+  /// One read reply: replayed from a connection's typed-frame cache (hit)
+  /// or evaluated against the snapshot (miss, every text read).
   void record_cache(bool hit);
   /// One corner-scoped read query (`corner ...`) reached evaluation.
   void record_corner_read();
@@ -59,7 +61,7 @@ class ServiceMetrics {
     return snapshot_self_heals_.load(std::memory_order_relaxed);
   }
 
-  /// Hits / (hits + misses); 0 when no cacheable query ran yet.
+  /// Hits / (hits + misses); 0 when no read was served yet.
   double cache_hit_rate() const;
 
   /// Approximate latency percentile in microseconds (p in [0, 100]):

@@ -40,7 +40,7 @@ class FrameSink {
     return result_;
   }
 
-  void error(DiagCode code, const std::string& message) {
+  void error(DiagCode code, std::string_view message) {
     out_.resize(base_);
     proto2_error_frame(code, message, out_);
     result_.ok = false;
@@ -534,21 +534,20 @@ bool proto2_render_payload(std::string_view payload, std::string& text) {
     text.append(payload.substr(1));
     return true;
   }
-  QueryResult reply;
-  TextSink sink(reply);
   if (status == static_cast<std::uint8_t>(Proto2Status::kError)) {
     const std::uint16_t code = r.u16();
     if (r.fail) return false;
-    sink.error(static_cast<DiagCode>(code), std::string(payload.substr(3)));
-  } else if (status != static_cast<std::uint8_t>(Proto2Status::kTyped) ||
-             !render_typed(r, sink)) {
-    return false;
+    TextSink(text).error(static_cast<DiagCode>(code), payload.substr(3));
+    return true;
   }
-  for (const std::string& line : reply.lines) {
-    text += line;
-    text += '\n';
+  const std::size_t base = text.size();
+  TextSink sink(text);
+  if (status == static_cast<std::uint8_t>(Proto2Status::kTyped) &&
+      render_typed(r, sink)) {
+    return true;
   }
-  return true;
+  text.resize(base);  // a malformed payload renders nothing
+  return false;
 }
 
 }  // namespace hb

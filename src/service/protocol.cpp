@@ -340,7 +340,7 @@ void ProtocolHandler::dispatch_into(const ParsedQuery& q, std::string& wire) {
         const std::shared_ptr<const SnapshotSource> warm =
             host_->warm_source();
         if (warm != nullptr && is_read_query(q.verb)) {
-          append_result(evaluate_snapshot_read(q, *warm, arm(0)), wire);
+          render_snapshot_read(q, *warm, arm(0), wire);
           return;
         }
         if (warm != nullptr) {
@@ -361,8 +361,12 @@ void ProtocolHandler::dispatch_into(const ParsedQuery& q, std::string& wire) {
                       wire);
         return;
       }
-      append_result(
-          *session->execute_shared(q, &arm(session->deadline_ms())), wire);
+      BudgetTimer& timer = arm(session->deadline_ms());
+      if (is_read_query(q.verb)) {
+        session->read_into(q, &timer, wire);
+      } else {
+        append_result(session->execute(q, &timer), wire);
+      }
       return;
     }
   }
@@ -398,9 +402,9 @@ const std::string& ProtocolHandler::handle_frame(std::string_view payload) {
   ServiceMetrics* metrics = session != nullptr ? &session->metrics() : nullptr;
   const auto t0 = metrics != nullptr ? std::chrono::steady_clock::now()
                                      : std::chrono::steady_clock::time_point{};
-  // The binary counterpart of the QueryCache: replies are pure functions of
-  // (request payload, served source), so a repeated payload replays the
-  // recorded frame until the served source's owner changes.
+  // Replies are pure functions of (request payload, served source), so a
+  // repeated payload replays the recorded frame until the served source's
+  // owner changes.
   const auto serve_from = [this](const auto& owner) {
     if (typed_cache_owner_.owner_before(owner) ||
         owner.owner_before(typed_cache_owner_)) {

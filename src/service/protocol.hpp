@@ -142,10 +142,9 @@ class ProtocolHandler {
 
  private:
   // Per-connection cache of successful typed reply frames, keyed by the raw
-  // request payload bytes — the binary counterpart of the session's
-  // QueryCache.  Valid for exactly one served source: the map clears
-  // whenever the owner of the served snapshot or warm source changes.
-  // Heterogeneous lookup keeps cache hits allocation-free.
+  // request payload bytes.  Valid for exactly one served source: the map
+  // clears whenever the owner of the served snapshot or warm source
+  // changes.  Heterogeneous lookup keeps cache hits allocation-free.
   struct FrameKeyHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 #include "clocks/clock_io.hpp"  // parse_time
@@ -95,10 +96,34 @@ std::string to_wire(const QueryResult& r) {
   return out;
 }
 
+QueryResult from_wire(std::string_view wire, ReplyStatus status) {
+  QueryResult r;
+  r.ok = status.ok;
+  r.code = status.code;
+  while (!wire.empty()) {
+    const std::size_t end = wire.find('\n');
+    r.lines.emplace_back(wire.substr(0, end));
+    if (end == std::string_view::npos) break;
+    wire.remove_prefix(end + 1);
+  }
+  return r;
+}
+
+void append_ps(std::string& out, TimePs t) {
+  if (t >= kInfinitePs) {
+    out += "+inf";
+  } else if (t <= -kInfinitePs) {
+    out += "-inf";
+  } else {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, t).ptr);
+  }
+}
+
 std::string fmt_ps(TimePs t) {
-  if (t >= kInfinitePs) return "+inf";
-  if (t <= -kInfinitePs) return "-inf";
-  return std::to_string(t);
+  std::string out;
+  append_ps(out, t);
+  return out;
 }
 
 std::string range_error(std::string_view token, ArgRange range) {
@@ -114,7 +139,6 @@ ParsedQuery parse_query(const std::string& line) {
 
 bool parse_query_into(const std::string& line, ParsedQuery& q) {
   q.verb = QueryVerb::kUnknown;
-  q.canonical.clear();
   q.number = 0;
   q.fraction = 0;
   q.corner_sub = QueryVerb::kUnknown;
@@ -201,9 +225,7 @@ bool parse_query_into(const std::string& line, ParsedQuery& q) {
                     " argument(s), got " + std::to_string(argc));
   }
 
-  // Per-verb numeric validation and canonicalisation.
-  static thread_local std::string canon_args;
-  canon_args.clear();
+  // Per-verb numeric validation.
   switch (q.verb) {
     case QueryVerb::kWorstPaths:
     case QueryVerb::kHistogram:
@@ -218,7 +240,6 @@ bool parse_query_into(const std::string& line, ParsedQuery& q) {
         return fail(DiagCode::kParseBadNumber, range_error(q.args[0], range));
       }
       q.number = v;
-      canon_args = std::to_string(v);
       break;
     }
     case QueryVerb::kSetDelay: {
@@ -229,7 +250,6 @@ bool parse_query_into(const std::string& line, ParsedQuery& q) {
         return fail(DiagCode::kParseBadNumber, e.what());
       }
       q.number = delta;
-      canon_args = q.args[0] + " " + std::to_string(delta);
       break;
     }
     case QueryVerb::kCheckHold: {
@@ -242,14 +262,13 @@ bool parse_query_into(const std::string& line, ParsedQuery& q) {
         }
       }
       q.number = margin;
-      canon_args = std::to_string(margin);
       break;
     }
     case QueryVerb::kCorner: {
       // `corner list` or `corner <name|index> <read query>`.  The selector
       // stays case-sensitive (it may name a corner); the scoped query is
-      // parsed recursively so its validation and canonicalisation — the
-      // cache key — match the unscoped verb exactly.
+      // parsed recursively so its validation matches the unscoped verb
+      // exactly.
       std::string sub = q.args[0];
       std::transform(sub.begin(), sub.end(), sub.begin(),
                      [](unsigned char c) { return std::tolower(c); });
@@ -259,7 +278,6 @@ bool parse_query_into(const std::string& line, ParsedQuery& q) {
                       "'corner list' takes no further arguments");
         }
         q.args[0] = "list";
-        canon_args = "list";
         break;
       }
       if (q.args.size() < 2) {
@@ -297,7 +315,6 @@ bool parse_query_into(const std::string& line, ParsedQuery& q) {
       }
       q.corner_sub = inner.verb;
       q.number = inner.number;
-      canon_args = q.args[0] + " " + inner.canonical;
       // Rewrite args to [selector, <sub args...>] so the evaluator reads the
       // scoped query's arguments at the same positions as the unscoped one.
       std::vector<std::string> rebuilt;
@@ -322,8 +339,6 @@ bool parse_query_into(const std::string& line, ParsedQuery& q) {
                     "'snapshot " + sub + "' takes no further arguments");
       }
       q.args[0] = sub;
-      canon_args = sub;
-      if (q.args.size() > 1) canon_args += " " + q.args[1];
       break;
     }
     case QueryVerb::kDeadline: {
@@ -335,22 +350,10 @@ bool parse_query_into(const std::string& line, ParsedQuery& q) {
                     "'" + q.args[0] + "' is not a deadline in milliseconds");
       }
       q.fraction = ms;
-      canon_args = q.args[0];
       break;
     }
-    default: {
-      for (std::size_t i = 0; i < q.args.size(); ++i) {
-        if (i) canon_args += ' ';
-        canon_args += q.args[i];
-      }
+    default:
       break;
-    }
-  }
-
-  q.canonical.assign(spec->name);
-  if (!canon_args.empty()) {
-    q.canonical += ' ';
-    q.canonical += canon_args;
   }
   q.ok = true;
   return true;

@@ -6,9 +6,9 @@
 // carries the continuation count, so clients can frame replies without
 // sentinels.
 //
-// Parsing canonicalises every query (verb spelling, numeric literals), and
-// the canonical form is the cache key component: "worst_paths 010" and
-// "worst_paths 10" hit the same cache entry.
+// Parsing validates every query (verb spelling, arity, numeric literals)
+// and pre-parses its numeric arguments, so "worst_paths 010" and
+// "worst_paths 10" evaluate identically.
 #pragma once
 
 #include <string>
@@ -21,7 +21,7 @@
 namespace hb {
 
 enum class QueryVerb {
-  // Read queries: evaluated against the current snapshot, cacheable.
+  // Read queries: evaluated against the current snapshot.
   // check_hold and gen_constraints read the snapshot's hold-pair and
   // Algorithm 2 captures — they never touch the live analyser or take the
   // writer lock (service/snapshot_read.hpp).
@@ -39,7 +39,7 @@ enum class QueryVerb {
   kSetDelay,
   kUpsize,
   kCommit,
-  // Session control (neither cached nor written).
+  // Session control (neither read nor written).
   kDeadline,
   kStats,
   kPing,
@@ -77,12 +77,22 @@ QueryResult make_error(DiagCode code, const std::string& message);
 /// Reply text on the wire: all lines joined, newline-terminated.
 std::string to_wire(const QueryResult& r);
 
+/// The status of a reply rendered straight into wire text: a QueryResult
+/// without its lines.
+struct ReplyStatus {
+  bool ok = true;
+  DiagCode code = DiagCode::kParseSyntax;
+
+  bool timed_out() const { return !ok && code == DiagCode::kAnalysisBudget; }
+};
+
+/// The inverse of to_wire: split newline-terminated reply text into lines.
+QueryResult from_wire(std::string_view wire, ReplyStatus status);
+
 struct ParsedQuery {
   QueryVerb verb = QueryVerb::kUnknown;
   /// Raw argument tokens (names case-sensitive, numbers unparsed).
   std::vector<std::string> args;
-  /// Canonical query text (cache key component); empty for invalid queries.
-  std::string canonical;
   /// Pre-parsed numeric arguments, by grammar position (see parse_query).
   std::int64_t number = 0;
   double fraction = 0;
@@ -108,9 +118,9 @@ inline constexpr ArgRange kWorstPathsCount{0, 100000};
 /// both request decoders.
 std::string range_error(std::string_view token, ArgRange range);
 
-/// Parse and canonicalise one query line.  Empty and '#'-comment lines
-/// yield verb kUnknown with ok=false and an empty canonical — callers skip
-/// them silently (error.lines is empty for exactly this case).
+/// Parse and validate one query line.  Empty and '#'-comment lines yield
+/// verb kUnknown with ok=false — callers skip them silently (error.lines is
+/// empty for exactly this case).
 ParsedQuery parse_query(const std::string& line);
 
 /// As parse_query, but re-parses into an existing ParsedQuery, reusing its
@@ -121,5 +131,7 @@ bool parse_query_into(const std::string& line, ParsedQuery& q);
 /// "+inf" for the unconstrained sentinel, the plain picosecond integer
 /// otherwise — the machine-readable time format of every reply.
 std::string fmt_ps(TimePs t);
+/// fmt_ps(t), appended to `out` in place.
+void append_ps(std::string& out, TimePs t);
 
 }  // namespace hb

@@ -2,8 +2,8 @@
 //
 // evaluate_read() answers one read request against a SnapshotSource and
 // streams the reply's typed fields, in wire order, into a sink chosen at
-// compile time.  Two sinks exist: TextSink (below) builds proto-1 reply
-// lines, and proto2.cpp's FrameSink writes the typed v2 frame.
+// compile time.  Two sinks exist: TextSink (below) writes proto-1 reply
+// text, and proto2.cpp's FrameSink writes the typed v2 frame.
 // proto2_render_payload decodes a typed frame and drives the same
 // TextSink, so each reply line format is written exactly once and the two
 // protocols agree by construction; tests/proto2_test.cpp keeps
@@ -15,10 +15,12 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "service/proto2.hpp"
@@ -46,14 +48,21 @@ inline std::size_t histogram_bin(TimePs s, TimePs mn, std::uint64_t width) {
       width);
 }
 
-/// Reply sink that formats proto-1 text: header line first, then the
-/// two-space-indented continuation lines.  An error replaces the reply.
+/// Reply sink that writes proto-1 text straight into a reply buffer: the
+/// header line, then two-space-indented continuation lines, each ending in
+/// '\n'.  Numbers are appended in place.  An error truncates the buffer back
+/// to where the reply began and writes the error line instead, as FrameSink
+/// drops a half-written frame.
 class TextSink {
  public:
-  explicit TextSink(QueryResult& out) : out_(out) {}
+  explicit TextSink(std::string& out) : out_(out), base_(out.size()) {}
 
-  void error(DiagCode code, const std::string& message) {
-    out_ = make_error(code, message);
+  ReplyStatus status() const { return status_; }
+
+  void error(DiagCode code, std::string_view message) {
+    out_.resize(base_);
+    *this << "err " << diag_code_name(code) << ' ' << message << '\n';
+    status_ = ReplyStatus{false, code};
   }
 
   void scope(std::string_view name) {
@@ -61,60 +70,48 @@ class TextSink {
     corner_ = name;
   }
 
-  void pong() { head("pong"); }
+  void pong() { head("pong") << '\n'; }
 
   void summary(std::uint64_t id, AnalysisStatus status, bool works,
                TimePs worst, std::uint64_t terminals,
                std::uint64_t violations, std::uint64_t paths) {
-    head("summary snapshot ") += std::to_string(id) + " fields 6";
-    item("status ") += analysis_status_name(status);
-    item("works_as_intended ") += works ? "true" : "false";
-    item("worst_slack ") += fmt_ps(worst);
-    item("terminals ") += std::to_string(terminals);
-    item("violations ") += std::to_string(violations);
-    item("paths ") += std::to_string(paths);
+    head("summary snapshot ") << id << " fields 6\n";
+    item("status ") << analysis_status_name(status) << '\n';
+    item("works_as_intended ") << (works ? "true" : "false") << '\n';
+    item("worst_slack ") << Ps{worst} << '\n';
+    item("terminals ") << terminals << '\n';
+    item("violations ") << violations << '\n';
+    item("paths ") << paths << '\n';
   }
 
   void corner_summary(std::uint64_t id, std::uint32_t derate_pm,
                       std::uint32_t wire_pm, TimePs worst,
                       std::uint64_t violations, std::uint64_t paths) {
-    head("summary snapshot ") += std::to_string(id) + " fields 5";
-    item("derate ") += std::to_string(derate_pm);
-    item("wire ") += std::to_string(wire_pm);
-    item("worst_slack ") += fmt_ps(worst);
-    item("violations ") += std::to_string(violations);
-    item("paths ") += std::to_string(paths);
+    head("summary snapshot ") << id << " fields 5\n";
+    item("derate ") << derate_pm << '\n';
+    item("wire ") << wire_pm << '\n';
+    item("worst_slack ") << Ps{worst} << '\n';
+    item("violations ") << violations << '\n';
+    item("paths ") << paths << '\n';
   }
 
   void slack(std::string_view node, TimePs slack) {
-    std::string& line = head("slack ");
-    line.append(node);
-    line += ' ';
-    line += fmt_ps(slack);
+    head("slack ") << node << ' ' << Ps{slack} << '\n';
   }
 
   void worst_paths(std::uint64_t served, std::uint64_t of) {
-    head("worst_paths ") +=
-        std::to_string(served) + " of " + std::to_string(of);
+    head("worst_paths ") << served << " of " << of << '\n';
   }
 
   void path(std::uint64_t i, const SourcePath& p) {
-    std::string& line = item("path ");
-    line += std::to_string(i) + " slack " + fmt_ps(p.slack) + " launch ";
-    line.append(p.launch);
-    line += " capture ";
-    line.append(p.capture);
-    line += " from ";
-    line.append(p.from);
-    line += " to ";
-    line.append(p.to);
-    line += " steps " + std::to_string(p.steps);
+    item("path ") << i << " slack " << Ps{p.slack} << " launch " << p.launch
+                  << " capture " << p.capture << " from " << p.from << " to "
+                  << p.to << " steps " << p.steps << '\n';
   }
 
   void histogram(std::uint64_t bins, std::uint64_t n, TimePs mn, TimePs mx) {
-    head("histogram ") += std::to_string(bins) + " count " +
-                          std::to_string(n) + " min " + fmt_ps(mn) + " max " +
-                          fmt_ps(mx);
+    head("histogram ") << bins << " count " << n << " min " << Ps{mn}
+                       << " max " << Ps{mx} << '\n';
     hist_min_ = mn;
     hist_width_ = bins == 0 ? 0 : histogram_width(mn, mx, bins);
   }
@@ -124,90 +121,91 @@ class TextSink {
     // on any.
     const std::uint64_t lo =
         static_cast<std::uint64_t>(hist_min_) + i * hist_width_;
-    item("bin ") += std::to_string(i) + " lo " +
-                    fmt_ps(static_cast<TimePs>(lo)) + " hi " +
-                    fmt_ps(static_cast<TimePs>(lo + hist_width_)) + " count " +
-                    std::to_string(count);
+    item("bin ") << i << " lo " << Ps{static_cast<TimePs>(lo)} << " hi "
+                 << Ps{static_cast<TimePs>(lo + hist_width_)} << " count "
+                 << count << '\n';
   }
 
   void constraints(std::string_view inst, std::uint64_t pins) {
-    std::string& line = head("constraints ");
-    line.append(inst);
-    line += " pins " + std::to_string(pins);
+    head("constraints ") << inst << " pins " << pins << '\n';
   }
 
   void pin(std::string_view name, const NodeTiming& t) {
-    std::string& line = item("pin ");
-    line.append(name);
-    line += " slack " + fmt_ps(t.slack) + " ready " + fmt_ps(t.ready.rise) +
-            " " + fmt_ps(t.ready.fall) + " required " +
-            fmt_ps(t.required.rise) + " " + fmt_ps(t.required.fall);
+    item("pin ") << name << " slack " << Ps{t.slack} << " ready "
+                 << Ps{t.ready.rise} << ' ' << Ps{t.ready.fall} << " required "
+                 << Ps{t.required.rise} << ' ' << Ps{t.required.fall} << '\n';
   }
 
   void check_hold(TimePs margin, std::uint64_t violations) {
-    head("check_hold ") +=
-        fmt_ps(margin) + " violations " + std::to_string(violations);
+    head("check_hold ") << Ps{margin} << " violations " << violations << '\n';
   }
 
   void hold(const SourceHoldPair& p) {
-    std::string& line = item("hold ");
-    line.append(p.launch_label);
-    line += " -> ";
-    line.append(p.capture_label);
-    line += " margin " + fmt_ps(p.margin);
+    item("hold ") << p.launch_label << " -> " << p.capture_label << " margin "
+                  << Ps{p.margin} << '\n';
   }
 
   void gen_constraints(AnalysisStatus status, std::int32_t backward,
                        std::int32_t forward, std::uint64_t endpoints) {
-    head("gen_constraints status ") +=
-        std::string(analysis_status_name(status)) + " backward " +
-        std::to_string(backward) + " forward " + std::to_string(forward) +
-        " endpoints " + std::to_string(endpoints);
+    head("gen_constraints status ") << analysis_status_name(status)
+                                    << " backward " << backward << " forward "
+                                    << forward << " endpoints " << endpoints
+                                    << '\n';
   }
 
   void endpoint(std::string_view node, TimePs ready, TimePs required,
                 TimePs slack) {
-    std::string& line = item("node ");
-    line.append(node);
-    line += " ready " + fmt_ps(ready) + " required " + fmt_ps(required) +
-            " slack " + fmt_ps(slack);
+    item("node ") << node << " ready " << Ps{ready} << " required "
+                  << Ps{required} << " slack " << Ps{slack} << '\n';
   }
 
   void corner_list(std::uint64_t n, std::string_view worst) {
-    std::string& line = head("corner list ");
-    line += std::to_string(n) + " worst ";
-    line.append(worst);
+    head("corner list ") << n << " worst " << worst << '\n';
   }
 
   void corner_entry(std::uint64_t k, const SourceCorner& c, TimePs worst,
                     std::uint64_t violations) {
-    std::string& line = item("corner ");
-    line += std::to_string(k) + " ";
-    line.append(c.name);
-    line += " derate " + std::to_string(c.derate_pm) + " wire " +
-            std::to_string(c.wire_pm) + " worst_slack " + fmt_ps(worst) +
-            " violations " + std::to_string(violations);
+    item("corner ") << k << ' ' << c.name << " derate " << c.derate_pm
+                    << " wire " << c.wire_pm << " worst_slack " << Ps{worst}
+                    << " violations " << violations << '\n';
   }
 
  private:
-  std::string& head(std::string_view verb) {
-    std::string& line = out_.lines.emplace_back("ok ");
-    if (scoped_) {
-      line += "corner ";
-      line.append(corner_);
-      line += ' ';
-    }
-    line.append(verb);
-    return line;
+  /// A time, appended as fmt_ps formats it.
+  struct Ps {
+    TimePs t;
+  };
+
+  TextSink& head(std::string_view verb) {
+    *this << "ok ";
+    if (scoped_) *this << "corner " << corner_ << ' ';
+    return *this << verb;
   }
 
-  std::string& item(std::string_view text) {
-    std::string& line = out_.lines.emplace_back("  ");
-    line.append(text);
-    return line;
+  TextSink& item(std::string_view text) { return *this << "  " << text; }
+
+  TextSink& operator<<(std::string_view s) {
+    out_.append(s);
+    return *this;
+  }
+  TextSink& operator<<(char c) {
+    out_.push_back(c);
+    return *this;
+  }
+  template <typename Int, std::enable_if_t<std::is_integral_v<Int>, int> = 0>
+  TextSink& operator<<(Int v) {
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    return *this;
+  }
+  TextSink& operator<<(Ps p) {
+    append_ps(out_, p.t);
+    return *this;
   }
 
-  QueryResult& out_;
+  std::string& out_;
+  std::size_t base_;
+  ReplyStatus status_;
   bool scoped_ = false;
   std::string_view corner_;
   TimePs hist_min_ = 0;

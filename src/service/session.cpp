@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "scenario/corner_analysis.hpp"
 #include "service/snapshot_read.hpp"
@@ -26,8 +27,7 @@ Session::Session(Design design, ClockSet clocks, HummingbirdOptions analysis,
       clocks_(std::move(clocks)),
       analysis_options_(std::move(analysis)),
       options_(options),
-      pool_(std::make_unique<ThreadPool>(options.pool_threads)),
-      cache_(options.cache_capacity, options.cache_shards) {
+      pool_(std::make_unique<ThreadPool>(options.pool_threads)) {
   deadline_ms_.store(options_.default_deadline_ms, std::memory_order_relaxed);
   HummingbirdOptions opt = analysis_options_;
   opt.alg1.pool = pool_.get();
@@ -74,7 +74,6 @@ void Session::publish(std::shared_ptr<const AnalysisSnapshot> snap) {
     std::lock_guard<std::mutex> lock(snapshot_mutex_);
     snapshot_.swap(snap);
   }
-  cache_.clear();
   metrics_.record_snapshot_published();
 }
 
@@ -109,41 +108,35 @@ QueryResult Session::execute(const std::string& line) {
 }
 
 QueryResult Session::execute(const ParsedQuery& q, BudgetTimer* timer) {
-  return *execute_shared(q, timer);
-}
-
-std::shared_ptr<const QueryResult> Session::execute_shared(const ParsedQuery& q,
-                                                           BudgetTimer* timer) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const bool is_read = is_read_query(q.verb);
-  std::shared_ptr<const QueryResult> r;
-  if (!q.ok) {
-    r = std::make_shared<const QueryResult>(q.error);
-  } else if (is_read) {
-    if (q.verb == QueryVerb::kCorner) metrics_.record_corner_read();
-    const std::shared_ptr<const AnalysisSnapshot> snap = snapshot();
-    QueryCache::KeyBuf kb;
-    const std::string_view key =
-        QueryCache::make_key(snap->id, q.canonical, kb);
-    r = cache_.lookup(key);
-    if (r != nullptr) {
-      metrics_.record_cache(true);
-    } else {
-      metrics_.record_cache(false);
-      BudgetTimer local(request_budget());
-      r = std::make_shared<const QueryResult>(
-          evaluate_snapshot_read(q, *snap, timer != nullptr ? *timer : local));
-      if (r->ok) cache_.insert(key, r);
-    }
-  } else if (is_write_query(q.verb)) {
-    r = std::make_shared<const QueryResult>(execute_write(q, timer));
-  } else {
-    r = std::make_shared<const QueryResult>(execute_control(q));
+  if (q.ok && is_read_query(q.verb)) {
+    std::string wire;
+    const ReplyStatus status = read_into(q, timer, wire);
+    return from_wire(wire, status);
   }
+  const auto t0 = std::chrono::steady_clock::now();
+  QueryResult r = !q.ok                    ? q.error
+                  : is_write_query(q.verb) ? execute_write(q, timer)
+                                           : execute_control(q);
   if (!q.error.lines.empty() || q.ok) {
-    metrics_.record_request(is_read, r->ok, r->timed_out(), seconds_since(t0));
+    metrics_.record_request(is_read_query(q.verb), r.ok, r.timed_out(),
+                            seconds_since(t0));
   }
   return r;
+}
+
+ReplyStatus Session::read_into(const ParsedQuery& q, BudgetTimer* timer,
+                               std::string& wire) {
+  const auto t0 = std::chrono::steady_clock::now();
+  if (q.verb == QueryVerb::kCorner) metrics_.record_corner_read();
+  metrics_.record_cache(false);  // every text read is evaluated
+  std::optional<BudgetTimer> local;
+  if (timer == nullptr) timer = &local.emplace(request_budget());
+  const std::shared_ptr<const AnalysisSnapshot> snap = snapshot();
+  const ReplyStatus status =
+      render_snapshot_read(q, SnapshotCopySource(*snap), *timer, wire);
+  metrics_.record_request(true, status.ok, status.timed_out(),
+                          seconds_since(t0));
+  return status;
 }
 
 std::vector<QueryResult> Session::execute_batch(
@@ -369,7 +362,6 @@ QueryResult Session::execute_control(const ParsedQuery& q) {
                       std::to_string(snapshot()->id));
       lines.push_back("  stat pending_edits " +
                       std::to_string(pending_edits()));
-      lines.push_back("  stat cache_size " + std::to_string(cache_.size()));
       QueryResult r = make_ok("ok stats " + std::to_string(lines.size()));
       for (std::string& l : lines) r.lines.push_back(std::move(l));
       return r;

@@ -9,7 +9,10 @@
 //     touch the analyser, the design or the thread pool, so they never
 //     block the writer.  check_hold and gen_constraints read the hold-pair
 //     and Algorithm 2 captures attached to every snapshot at publication
-//     (service/snapshot_read.hpp).
+//     (service/snapshot_read.hpp).  Every read is evaluated per request,
+//     its reply text rendered straight into the caller's buffer; no result
+//     outlives its request, so publication is the store save plus the
+//     pointer swap.
 //   * Write queries (set_delay, upsize, commit) funnel through writer_mutex_.
 //     Edits accumulate against the live analyser (absorbed incrementally via
 //     Hummingbird::update_instance_delays / upsize_and_update when possible,
@@ -25,10 +28,6 @@
 //     uses: commit's SlackEngine spends it on pass-level fan-out, one pool
 //     task per pass, so SessionOptions::pool_threads bounds the session's
 //     total analysis concurrency regardless of the mix.
-//
-// A query-result cache keyed on (snapshot id, canonical query) fronts the
-// read path and is cleared wholesale on publication; because the key embeds
-// the snapshot id, a stale hit is impossible by construction.
 #pragma once
 
 #include <atomic>
@@ -37,7 +36,6 @@
 #include <unordered_map>
 
 #include "scenario/corner_set.hpp"
-#include "service/cache.hpp"
 #include "service/metrics.hpp"
 #include "service/query.hpp"
 #include "service/snapshot.hpp"
@@ -50,8 +48,6 @@ class SnapshotStore;
 struct SessionOptions {
   /// Worst paths captured per snapshot (upper bound for worst_paths K).
   std::size_t max_paths = 32;
-  std::size_t cache_capacity = 1024;
-  std::size_t cache_shards = 8;
   /// Workers in the session's pool, calling thread included; 0 = hardware.
   int pool_threads = 0;
   /// Default per-request deadline in milliseconds; 0 = unlimited.  Queries
@@ -94,12 +90,13 @@ class Session {
   /// BudgetTimer); when null the session's own deadline applies.
   QueryResult execute(const ParsedQuery& q, BudgetTimer* timer = nullptr);
 
-  /// As execute(), but returning a shared reference to the (possibly
-  /// cached) immutable result instead of a copy — the protocol layer's
-  /// zero-copy read path (a cache hit costs one refcount bump, no
-  /// allocation).  Never null.
-  std::shared_ptr<const QueryResult> execute_shared(const ParsedQuery& q,
-                                                    BudgetTimer* timer = nullptr);
+  /// Evaluate a read query (q.ok and is_read_query(q.verb)) against the
+  /// published snapshot under `timer`, or the session's own deadline when
+  /// null, append the reply's wire text to `wire` and record the request —
+  /// the protocol layer's read path.  Thread-safe; allocates nothing once
+  /// `wire` has grown.
+  ReplyStatus read_into(const ParsedQuery& q, BudgetTimer* timer,
+                        std::string& wire);
 
   /// Execute a batch: maximal runs of read queries fan out over the
   /// session's pool; writes and control queries run serially in order.
@@ -125,7 +122,6 @@ class Session {
 
   ServiceMetrics& metrics() { return metrics_; }
   const ServiceMetrics& metrics() const { return metrics_; }
-  const QueryCache& cache() const { return cache_; }
 
   // -- Differential-test hooks --------------------------------------------
   // A fresh Hummingbird over design()/clocks() with delay_adjust_history()
@@ -151,8 +147,9 @@ class Session {
   /// capture_constraints the analyser is left in the Algorithm 2 state, not
   /// restored: no reader touches it, and the next commit resets the offsets.
   void attach_captures(AnalysisSnapshot& snap);
-  /// Swap `snap` in under snapshot_mutex_ and clear the cache; the previous
-  /// snapshot is destroyed after the lock is released.
+  /// Save `snap` into the store, if any, and swap it in under
+  /// snapshot_mutex_; the previous snapshot is destroyed after the lock is
+  /// released.
   void publish(std::shared_ptr<const AnalysisSnapshot> snap);
 
   Design design_;
@@ -176,7 +173,6 @@ class Session {
   bool rebuild_required_ = false;  // writer_mutex_
   std::uint64_t snapshot_counter_ = 0;  // writer_mutex_ (and ctor)
 
-  QueryCache cache_;
   ServiceMetrics metrics_;
   std::atomic<double> deadline_ms_{0};
   CancelToken* cancel_ = nullptr;

@@ -1,5 +1,5 @@
 // Snapshot read evaluation, text replies — one pure function from (query,
-// snapshot) to a reply, shared by every serving surface.  It runs the one
+// snapshot) to reply text, shared by every serving surface.  It runs the one
 // read evaluator (read_eval.hpp) that proto2_evaluate runs for typed
 // replies, with the text sink; a live Session, a warm-restarted host and a
 // read-only replica serving an mmap'd SnapshotView all evaluate through the
@@ -12,6 +12,8 @@
 // structured service-rejected error instead of stale or partial data.
 #pragma once
 
+#include <string>
+
 #include "service/query.hpp"
 #include "service/snapshot.hpp"
 #include "service/snapshot_source.hpp"
@@ -20,8 +22,13 @@
 namespace hb {
 
 /// Evaluate one read query (is_read_query(q.verb)) against any snapshot
-/// source.  Pure: same query + same source data -> same reply bytes, on any
-/// thread.
+/// source, appending the reply's wire text to `wire`.  Pure: same query +
+/// same source data -> same reply bytes, on any thread.  Writes straight
+/// into `wire`, so a reply allocates nothing once `wire` has grown.
+ReplyStatus render_snapshot_read(const ParsedQuery& q, const SnapshotSource& src,
+                                 BudgetTimer& timer, std::string& wire);
+
+/// As render_snapshot_read, returning the reply as a QueryResult.
 QueryResult evaluate_snapshot_read(const ParsedQuery& q,
                                    const SnapshotSource& src,
                                    BudgetTimer& timer);

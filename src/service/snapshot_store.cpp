@@ -371,6 +371,7 @@ void fsync_dir(const std::string& dir) {
 }  // namespace
 
 SnapshotStore::SnapshotStore(Options options) : options_(std::move(options)) {
+  options_.retain = std::max<std::size_t>(options_.retain, 1);
   std::error_code ec;
   fs::create_directories(options_.dir, ec);
   if (ec || !fs::is_directory(options_.dir)) {

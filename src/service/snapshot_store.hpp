@@ -108,6 +108,7 @@ class SnapshotStore {
   struct Options {
     std::string dir;
     /// Newest generations kept per design; older files are deleted on save.
+    /// The newest is always kept: 0 acts as 1.
     std::size_t retain = 4;
   };
 

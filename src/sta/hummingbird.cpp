@@ -110,6 +110,7 @@ bool Hummingbird::update_instance_delays(InstId inst) {
   if (self.is_cell() && design_->lib().cell(self.cell).is_sequential()) {
     return false;  // element delays feed cluster/pass pre-processing
   }
+  const std::uint64_t epoch = graph_->delay_epoch();
   const TimingGraph::DelayUpdate upd = graph_->update_instance_delays(inst, *calc_);
   std::vector<TNodeId> heads;
   heads.reserve(upd.changed_arcs.size());
@@ -125,6 +126,7 @@ bool Hummingbird::update_instance_delays(InstId inst) {
     engine_->invalidate_node(graph_->arc(ai).from);
     engine_->invalidate_node(graph_->arc(ai).to);
   }
+  engine_->delays_reported(epoch);
   return true;
 }
 

@@ -236,6 +236,10 @@ void SlackEngine::invalidate_node(TNodeId node) {
   mark_terminals_dirty(c.index());
 }
 
+void SlackEngine::delays_reported(std::uint64_t before) {
+  if (tables_epoch_ == before) tables_epoch_ = graph_->delay_epoch();
+}
+
 void SlackEngine::invalidate_all() {
   cache_valid_ = false;
   tables_valid_ = false;

@@ -156,6 +156,12 @@ class SlackEngine {
   /// backward cones from the node in every pass of its cluster, and the
   /// terminal-table rows of the sources in its backward cone.
   void invalidate_node(TNodeId node);
+  /// Every arc whose delay changed in the TimingGraph::delay_epoch() step
+  /// from `before` was reported through invalidate_node, so the terminal
+  /// table stays current by re-sweeping the reported rows: compute() keeps
+  /// it.  A table built at another epoch saw a change nobody reported and
+  /// is still rebuilt.
+  void delays_reported(std::uint64_t before);
   /// Drop both caches entirely: the next update() is a full compute(), the
   /// next update_terminals() rebuilds the terminal delay table.
   void invalidate_all();
@@ -371,8 +377,9 @@ class SlackEngine {
   std::vector<ClusterDirty> dirty_;  // by cluster
   bool cache_valid_ = false;
   bool tables_valid_ = false;
-  /// TimingGraph::delay_epoch() when the tables were last built: compute(),
-  /// which takes no invalidations, rebuilds them when delays moved since.
+  /// TimingGraph::delay_epoch() the tables reflect: set when they are built,
+  /// advanced by delays_reported().  compute(), which takes no
+  /// invalidations, rebuilds them when delays moved since.
   std::uint64_t tables_epoch_ = 0;
   /// Analysed clusters whose terminals the next refresh re-evaluates.
   std::vector<std::uint32_t> terminal_dirty_;

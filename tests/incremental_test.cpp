@@ -623,6 +623,54 @@ TEST(IncrementalFootprint, CommitDerivesNodeSlacksOnlyWhereRead) {
   EXPECT_TRUE(equal(take(fresh.engine()), take(hb.engine())));
 }
 
+// compute() keeps the terminal delay table across an edit that
+// Hummingbird::update_instance_delays reported: it re-sweeps only the rows
+// the edit's arcs reach, not the whole table.  A delay change nobody
+// reported still rebuilds it (RandomPerturbationsMatchFullCompute's `ref`
+// engine).
+TEST(IncrementalFootprint, ComputeAfterReportedEditResweepsOnlyStaleRows) {
+  RandomNetworkSpec spec;
+  spec.seed = 7;
+  spec.num_clocks = 2;
+  spec.banks = 8;
+  spec.bank_width = 10;
+  spec.gates_per_stage = 220;
+  RandomNetwork net = make_random_network(make_standard_library(), spec);
+  const Design& design = net.design;
+  ThreadPool pool(1);
+  HummingbirdOptions opt;
+  opt.alg1.pool = &pool;
+  opt.alg2.pool = &pool;
+  Hummingbird hb(design, net.clocks, opt);
+  hb.engine_mut().compute(&pool);
+  // No delay has changed yet, so the table was built exactly once.
+  const std::uint64_t table_rows = hb.engine().incremental_stats().rows_swept;
+  ASSERT_GT(table_rows, 0u);
+
+  InstId inst;
+  for (std::uint32_t i = 0; i < design.top().insts().size(); ++i) {
+    const Instance& x = design.top().inst(InstId(i));
+    if (x.is_cell() && !design.lib().cell(x.cell).is_sequential()) {
+      inst = InstId(i);
+      break;
+    }
+  }
+  ASSERT_TRUE(inst.valid());
+  hb.calculator_mut().adjust_instance(inst, ps(35));
+  ASSERT_TRUE(hb.update_instance_delays(inst));
+  hb.engine_mut().compute(&pool);
+  const std::uint64_t reswept =
+      hb.engine().incremental_stats().rows_swept - table_rows;
+  EXPECT_GT(reswept, 0u);
+  EXPECT_LT(reswept, table_rows)
+      << reswept << " of " << table_rows << " rows re-swept";
+
+  opt.delay_adjust = {InstDelayAdjust{inst, ps(35)}};
+  Hummingbird fresh(design, net.clocks, opt);
+  fresh.engine_mut().compute(&pool);
+  EXPECT_TRUE(equal(take(fresh.engine()), take(hb.engine())));
+}
+
 // Path enumeration traces the engine's cached passes instead of re-running
 // each reported path's pass.  A patched absent slot may hold -kInfinitePs
 // plus a delay rather than the exact sentinel (has() is a threshold

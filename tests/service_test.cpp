@@ -483,27 +483,11 @@ TEST(ServiceTest, CommitSequenceImagesMatchFreshSessions) {
   EXPECT_EQ(timed_out, 1);
 }
 
-TEST(ServiceTest, CacheHitsOnRepeatAndInvalidatesOnPublication) {
+TEST(ServiceTest, NumericallyEqualSpellingsReplyAlike) {
   auto session = make_session();
-  const QueryResult first = session->execute("worst_paths 4");
-  ASSERT_TRUE(first.ok);
-  EXPECT_EQ(session->metrics().cache_hits(), 0u);
-  const QueryResult second = session->execute("worst_paths 4");
-  EXPECT_EQ(to_wire(first), to_wire(second));
-  EXPECT_EQ(session->metrics().cache_hits(), 1u);
-
-  // Canonicalisation: numerically equal spellings share the entry.
-  session->execute("worst_paths 04");
-  EXPECT_EQ(session->metrics().cache_hits(), 2u);
-
-  // Publication invalidates wholesale: same query misses, new content key.
-  const std::vector<std::string> comb = cell_names(session->design(), 1, false);
-  ASSERT_TRUE(session->execute("set_delay " + comb[0] + " 90ps").ok);
-  ASSERT_TRUE(session->execute("commit").ok);
-  EXPECT_EQ(session->cache().size(), 0u);
-  session->execute("worst_paths 4");
-  EXPECT_EQ(session->metrics().cache_hits(), 2u);  // miss after publication
-  EXPECT_EQ(session->metrics().cache_misses(), 2u);
+  const QueryResult plain = session->execute("worst_paths 4");
+  ASSERT_TRUE(plain.ok);
+  EXPECT_EQ(to_wire(session->execute("worst_paths 04")), to_wire(plain));
 }
 
 TEST(ServiceTest, StructuredErrorsForBadQueries) {
@@ -619,11 +603,11 @@ TEST(ServiceTest, MetricsReflectTraffic) {
   EXPECT_EQ(m.reads(), 2u);
   EXPECT_EQ(m.requests(), 4u);
   EXPECT_EQ(m.errors(), 1u);
-  EXPECT_EQ(m.cache_hits(), 1u);
-  EXPECT_EQ(m.cache_misses(), 1u);
+  EXPECT_EQ(m.cache_hits(), 0u);  // text reads are evaluated, never replayed
+  EXPECT_EQ(m.cache_misses(), 2u);
   const QueryResult stats = session->execute("stats");
   ASSERT_TRUE(stats.ok);
-  EXPECT_EQ(stats.lines.size(), 21u);  // header + 20 stat lines
+  EXPECT_EQ(stats.lines.size(), 20u);  // header + 19 stat lines
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/random_network.hpp"
@@ -394,16 +395,20 @@ TEST(SnapshotStoreTest, SaveLoadRoundTripThroughDisk) {
 }
 
 TEST(SnapshotStoreTest, RetentionDeletesOldestGenerations) {
-  TempDir dir;
   RandomNetwork net = make_random_network(make_standard_library(), small_spec());
   Hummingbird hum(net.design, net.clocks);
   const auto snap = snapshot_of(hum);
 
-  SnapshotStore store({dir.path, 3});
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(store.save(*snap).ok);
-  EXPECT_EQ(store.generations(snap->design_name),
-            (std::vector<std::uint64_t>{3, 4, 5}));
-  EXPECT_EQ(store.designs(), std::vector<std::string>{snap->design_name});
+  // retain 0 keeps the newest generation, as retain 1 does.
+  const std::vector<std::pair<std::size_t, std::vector<std::uint64_t>>> cases =
+      {{3, {3, 4, 5}}, {0, {5}}};
+  for (const auto& [retain, kept] : cases) {
+    TempDir dir;
+    SnapshotStore store({dir.path, retain});
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(store.save(*snap).ok);
+    EXPECT_EQ(store.generations(snap->design_name), kept) << "retain " << retain;
+    EXPECT_EQ(store.designs(), std::vector<std::string>{snap->design_name});
+  }
 }
 
 TEST(SnapshotStoreTest, QuarantinesCorruptNewestAndFallsBackToOlder) {
