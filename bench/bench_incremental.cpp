@@ -9,7 +9,7 @@
 // in tests/incremental_test.cpp); only the work differs.
 //
 // A third scenario is a whole commit as the service runs it: one absorbed
-// delay edit, then reanalyze() + generate_constraints().  Algorithm 1's and
+// delay edit, then analyze() + generate_constraints().  Algorithm 1's and
 // 2's steps refresh terminal slacks from the terminal delay table; node
 // results are derived only at Algorithm 1's exit and Algorithm 2's two
 // recording points.  The entry counts that work and checks the final state
@@ -77,7 +77,7 @@ void perturb_offset(SyncModel& sync, const std::vector<SyncId>& latches, int k) 
   si.shift(delta);
 }
 
-// One absorbed edit's commit: reanalyze() + generate_constraints().  Counts
+// One absorbed edit's commit: analyze() + generate_constraints().  Counts
 // are per commit: node_updates is the most node-level update() calls any
 // one commit made, the rest are means.
 struct CommitReport {
@@ -269,7 +269,7 @@ CommitReport measure_commit(const Workload& w, int commits) {
     }
     const IncrementalStats before = hb.engine().incremental_stats();
     const auto start = std::chrono::steady_clock::now();
-    hb.reanalyze();
+    hb.analyze();
     cs = hb.generate_constraints();
     total_us += 1e6 * seconds_since(start);
     const IncrementalStats after = hb.engine().incremental_stats();

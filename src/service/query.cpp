@@ -137,6 +137,183 @@ ParsedQuery parse_query(const std::string& line) {
   return q;
 }
 
+namespace {
+
+bool fail(ParsedQuery& q, DiagCode code, const std::string& message) {
+  q.ok = false;
+  q.error = make_error(code, message);
+  return false;
+}
+
+/// ASCII case-insensitive match of `token` against lower-case `word`.
+bool iequals(std::string_view token, std::string_view word) {
+  if (token.size() != word.size()) return false;
+  for (std::size_t i = 0; i < word.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(token[i])) != word[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Validate the query spelled by toks[0..ntoks), verb first — `total`
+/// counts its tokens, stored or not — and store its verb, pre-parsed
+/// numbers and raw arguments, the latter at q.args[base..].  A scoped
+/// `corner <sel> <query>` validates its query by recursing on the same
+/// token views with base + 1, so the scoped arguments sit where the
+/// evaluator reads them and every error reads as the unscoped verb's.
+bool parse_tokens(const std::string_view* toks, std::size_t ntoks,
+                  std::size_t total, std::size_t base, ParsedQuery& q) {
+  const VerbSpec* spec = nullptr;
+  for (const VerbSpec& v : kVerbs) {
+    if (iequals(toks[0], v.name)) {
+      spec = &v;
+      break;
+    }
+  }
+  if (spec == nullptr) {
+    std::string verb(toks[0]);
+    std::transform(verb.begin(), verb.end(), verb.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    q.args.resize(base);
+    return fail(q, DiagCode::kParseUnknownKeyword,
+                "unknown query '" + verb + "' (try `help`)");
+  }
+  q.verb = spec->verb;
+  // Reuse the argument strings in place; surplus entries are dropped.
+  const std::size_t stored = base + ntoks - 1;
+  if (q.args.size() > stored) q.args.resize(stored);
+  for (std::size_t i = 1; i < ntoks; ++i) {
+    if (base + i - 1 < q.args.size()) {
+      q.args[base + i - 1].assign(toks[i]);
+    } else {
+      q.args.emplace_back(toks[i]);
+    }
+  }
+  const int argc = static_cast<int>(total - 1);
+  if (argc < spec->min_args || argc > spec->max_args) {
+    return fail(q, DiagCode::kParseSyntax,
+                "'" + std::string(spec->name) + "' expects " +
+                    std::to_string(spec->min_args) +
+                    (spec->max_args != spec->min_args
+                         ? ".." + std::to_string(spec->max_args)
+                         : "") +
+                    " argument(s), got " + std::to_string(argc));
+  }
+  std::string* const args = q.args.data() + base;
+
+  // Per-verb numeric validation.
+  switch (q.verb) {
+    case QueryVerb::kWorstPaths:
+    case QueryVerb::kHistogram:
+    case QueryVerb::kBatch: {
+      char* end = nullptr;
+      const long long v = std::strtoll(args[0].c_str(), &end, 10);
+      const ArgRange range = q.verb == QueryVerb::kWorstPaths ? kWorstPathsCount
+                             : q.verb == QueryVerb::kHistogram ? kHistogramBins
+                                                               : kBatchLines;
+      if (end == nullptr || *end != '\0' || args[0].empty() ||
+          v < range.lo || v > range.hi) {
+        return fail(q, DiagCode::kParseBadNumber, range_error(args[0], range));
+      }
+      q.number = v;
+      break;
+    }
+    case QueryVerb::kSetDelay: {
+      TimePs delta = 0;
+      try {
+        delta = parse_time(args[1]);
+      } catch (const Error& e) {
+        return fail(q, DiagCode::kParseBadNumber, e.what());
+      }
+      q.number = delta;
+      break;
+    }
+    case QueryVerb::kCheckHold: {
+      TimePs margin = 0;
+      if (argc == 1) {
+        try {
+          margin = parse_time(args[0]);
+        } catch (const Error& e) {
+          return fail(q, DiagCode::kParseBadNumber, e.what());
+        }
+      }
+      q.number = margin;
+      break;
+    }
+    case QueryVerb::kCorner: {
+      // `corner list` or `corner <name|index> <read query>`.  The selector
+      // stays case-sensitive (it may name a corner).
+      if (iequals(toks[1], "list")) {
+        if (argc > 1) {
+          return fail(q, DiagCode::kParseSyntax,
+                      "'corner list' takes no further arguments");
+        }
+        args[0] = "list";
+        break;
+      }
+      if (argc < 2) {
+        return fail(q, DiagCode::kParseSyntax,
+                    "'corner' expects `list` or `<name|index> <read query>`");
+      }
+      const bool sub_ok =
+          parse_tokens(toks + 2, ntoks - 2, total - 2, base + 1, q);
+      const QueryVerb sub = q.verb;
+      q.verb = QueryVerb::kCorner;
+      if (!sub_ok) return false;
+      switch (sub) {
+        case QueryVerb::kSlack:
+        case QueryVerb::kWorstPaths:
+        case QueryVerb::kHistogram:
+        case QueryVerb::kSummary:
+        case QueryVerb::kCheckHold:
+          break;
+        default:
+          return fail(q, DiagCode::kParseSyntax,
+                      "'corner' scopes slack, worst_paths, histogram, "
+                      "summary or check_hold");
+      }
+      q.corner_sub = sub;
+      break;
+    }
+    case QueryVerb::kSnapshot: {
+      // Subcommand spelled case-insensitively; the optional second argument
+      // (`snapshot load <design>`) stays case-sensitive — it names a design.
+      std::string sub = args[0];
+      std::transform(sub.begin(), sub.end(), sub.begin(),
+                     [](unsigned char c) { return std::tolower(c); });
+      if (sub != "save" && sub != "load" && sub != "stat") {
+        return fail(q, DiagCode::kParseUnknownKeyword,
+                    "unknown snapshot subcommand '" + args[0] +
+                        "' (save | load [<design>] | stat)");
+      }
+      if (sub != "load" && argc > 1) {
+        return fail(q, DiagCode::kParseSyntax,
+                    "'snapshot " + sub + "' takes no further arguments");
+      }
+      args[0] = sub;
+      break;
+    }
+    case QueryVerb::kDeadline: {
+      char* end = nullptr;
+      const double ms = std::strtod(args[0].c_str(), &end);
+      if (end == nullptr || *end != '\0' || args[0].empty() || ms < 0 ||
+          !(ms <= 1e9)) {
+        return fail(q, DiagCode::kParseBadNumber,
+                    "'" + args[0] + "' is not a deadline in milliseconds");
+      }
+      q.fraction = ms;
+      break;
+    }
+    default:
+      break;
+  }
+  q.ok = true;
+  return true;
+}
+
+}  // namespace
+
 bool parse_query_into(const std::string& line, ParsedQuery& q) {
   q.verb = QueryVerb::kUnknown;
   q.number = 0;
@@ -147,20 +324,10 @@ bool parse_query_into(const std::string& line, ParsedQuery& q) {
   q.error.code = DiagCode::kParseSyntax;
   q.error.lines.clear();
 
-  const auto fail = [&q](DiagCode code, const std::string& message) {
-    q.ok = false;
-    q.error = make_error(code, message);
-    return false;
-  };
-
-  // Tokenise with offsets into `line` — the same rules as split_tokens
+  // Tokenise into views of `line` — the same rules as split_tokens
   // (whitespace separators, '#' starts a comment) without per-token copies.
-  struct TokView {
-    const char* ptr;
-    std::size_t len;
-  };
   constexpr std::size_t kMaxToks = 16;
-  TokView toks[kMaxToks];
+  std::string_view toks[kMaxToks];
   std::size_t ntoks = 0;       // tokens stored (capped at kMaxToks)
   std::size_t total_toks = 0;  // tokens seen — drives the arity check
   {
@@ -176,7 +343,9 @@ bool parse_query_into(const std::string& line, ParsedQuery& q) {
              !std::isspace(static_cast<unsigned char>(line[i]))) {
         ++i;
       }
-      if (ntoks < kMaxToks) toks[ntoks++] = TokView{line.data() + start, i - start};
+      if (ntoks < kMaxToks) {
+        toks[ntoks++] = std::string_view(line).substr(start, i - start);
+      }
       ++total_toks;
     }
   }
@@ -185,178 +354,7 @@ bool parse_query_into(const std::string& line, ParsedQuery& q) {
     q.args.clear();
     return false;
   }
-
-  static thread_local std::string verb;
-  verb.assign(toks[0].ptr, toks[0].len);
-  std::transform(verb.begin(), verb.end(), verb.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-
-  const VerbSpec* spec = nullptr;
-  for (const VerbSpec& v : kVerbs) {
-    if (verb == v.name) {
-      spec = &v;
-      break;
-    }
-  }
-  if (spec == nullptr) {
-    q.args.clear();
-    return fail(DiagCode::kParseUnknownKeyword,
-                "unknown query '" + verb + "' (try `help`)");
-  }
-  q.verb = spec->verb;
-  // Reuse the argument strings in place; surplus entries are dropped.
-  const std::size_t stored_args = ntoks - 1;
-  if (q.args.size() > stored_args) q.args.resize(stored_args);
-  for (std::size_t i = 1; i < ntoks; ++i) {
-    if (i - 1 < q.args.size()) {
-      q.args[i - 1].assign(toks[i].ptr, toks[i].len);
-    } else {
-      q.args.emplace_back(toks[i].ptr, toks[i].len);
-    }
-  }
-  const int argc = static_cast<int>(total_toks - 1);
-  if (argc < spec->min_args || argc > spec->max_args) {
-    return fail(DiagCode::kParseSyntax,
-                "'" + std::string(spec->name) + "' expects " +
-                    std::to_string(spec->min_args) +
-                    (spec->max_args != spec->min_args
-                         ? ".." + std::to_string(spec->max_args)
-                         : "") +
-                    " argument(s), got " + std::to_string(argc));
-  }
-
-  // Per-verb numeric validation.
-  switch (q.verb) {
-    case QueryVerb::kWorstPaths:
-    case QueryVerb::kHistogram:
-    case QueryVerb::kBatch: {
-      char* end = nullptr;
-      const long long v = std::strtoll(q.args[0].c_str(), &end, 10);
-      const ArgRange range = q.verb == QueryVerb::kWorstPaths ? kWorstPathsCount
-                             : q.verb == QueryVerb::kHistogram ? kHistogramBins
-                                                               : kBatchLines;
-      if (end == nullptr || *end != '\0' || q.args[0].empty() ||
-          v < range.lo || v > range.hi) {
-        return fail(DiagCode::kParseBadNumber, range_error(q.args[0], range));
-      }
-      q.number = v;
-      break;
-    }
-    case QueryVerb::kSetDelay: {
-      TimePs delta = 0;
-      try {
-        delta = parse_time(q.args[1]);
-      } catch (const Error& e) {
-        return fail(DiagCode::kParseBadNumber, e.what());
-      }
-      q.number = delta;
-      break;
-    }
-    case QueryVerb::kCheckHold: {
-      TimePs margin = 0;
-      if (!q.args.empty()) {
-        try {
-          margin = parse_time(q.args[0]);
-        } catch (const Error& e) {
-          return fail(DiagCode::kParseBadNumber, e.what());
-        }
-      }
-      q.number = margin;
-      break;
-    }
-    case QueryVerb::kCorner: {
-      // `corner list` or `corner <name|index> <read query>`.  The selector
-      // stays case-sensitive (it may name a corner); the scoped query is
-      // parsed recursively so its validation matches the unscoped verb
-      // exactly.
-      std::string sub = q.args[0];
-      std::transform(sub.begin(), sub.end(), sub.begin(),
-                     [](unsigned char c) { return std::tolower(c); });
-      if (sub == "list") {
-        if (q.args.size() > 1) {
-          return fail(DiagCode::kParseSyntax,
-                      "'corner list' takes no further arguments");
-        }
-        q.args[0] = "list";
-        break;
-      }
-      if (q.args.size() < 2) {
-        return fail(DiagCode::kParseSyntax,
-                    "'corner' expects `list` or `<name|index> <read query>`");
-      }
-      std::string scoped;
-      for (std::size_t i = 1; i < q.args.size(); ++i) {
-        if (i > 1) scoped += ' ';
-        scoped += q.args[i];
-      }
-      ParsedQuery inner = parse_query(scoped);
-      if (!inner.ok) {
-        std::string msg = inner.error.lines.empty()
-                              ? std::string("invalid scoped query")
-                              : inner.error.lines[0];
-        const std::string prefix =
-            "err " + std::string(diag_code_name(inner.error.code)) + " ";
-        if (msg.compare(0, prefix.size(), prefix) == 0) {
-          msg = msg.substr(prefix.size());
-        }
-        return fail(inner.error.code, msg);
-      }
-      switch (inner.verb) {
-        case QueryVerb::kSlack:
-        case QueryVerb::kWorstPaths:
-        case QueryVerb::kHistogram:
-        case QueryVerb::kSummary:
-        case QueryVerb::kCheckHold:
-          break;
-        default:
-          return fail(DiagCode::kParseSyntax,
-                      "'corner' scopes slack, worst_paths, histogram, "
-                      "summary or check_hold");
-      }
-      q.corner_sub = inner.verb;
-      q.number = inner.number;
-      // Rewrite args to [selector, <sub args...>] so the evaluator reads the
-      // scoped query's arguments at the same positions as the unscoped one.
-      std::vector<std::string> rebuilt;
-      rebuilt.push_back(q.args[0]);
-      for (std::string& a : inner.args) rebuilt.push_back(std::move(a));
-      q.args = std::move(rebuilt);
-      break;
-    }
-    case QueryVerb::kSnapshot: {
-      // Subcommand spelled case-insensitively; the optional second argument
-      // (`snapshot load <design>`) stays case-sensitive — it names a design.
-      std::string sub = q.args[0];
-      std::transform(sub.begin(), sub.end(), sub.begin(),
-                     [](unsigned char c) { return std::tolower(c); });
-      if (sub != "save" && sub != "load" && sub != "stat") {
-        return fail(DiagCode::kParseUnknownKeyword,
-                    "unknown snapshot subcommand '" + q.args[0] +
-                        "' (save | load [<design>] | stat)");
-      }
-      if (sub != "load" && q.args.size() > 1) {
-        return fail(DiagCode::kParseSyntax,
-                    "'snapshot " + sub + "' takes no further arguments");
-      }
-      q.args[0] = sub;
-      break;
-    }
-    case QueryVerb::kDeadline: {
-      char* end = nullptr;
-      const double ms = std::strtod(q.args[0].c_str(), &end);
-      if (end == nullptr || *end != '\0' || q.args[0].empty() || ms < 0 ||
-          !(ms <= 1e9)) {
-        return fail(DiagCode::kParseBadNumber,
-                    "'" + q.args[0] + "' is not a deadline in milliseconds");
-      }
-      q.fraction = ms;
-      break;
-    }
-    default:
-      break;
-  }
-  q.ok = true;
-  return true;
+  return parse_tokens(toks, ntoks, total_toks, 0, q);
 }
 
 }  // namespace hb

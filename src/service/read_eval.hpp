@@ -375,7 +375,7 @@ void evaluate_read(const Proto2Request& req, const SnapshotSource& src,
         return sink.error(DiagCode::kServiceRejected,
                           "snapshot " + std::to_string(src.id()) +
                               " carries no hold capture" + corner +
-                              " (SessionOptions::capture_hold disabled)");
+                              " (published without captures)");
       }
       // The hold capture holds every connected pair with its worst margin,
       // in the live sweep's (launch, capture) order: filtering by
@@ -399,7 +399,7 @@ void evaluate_read(const Proto2Request& req, const SnapshotSource& src,
         return sink.error(DiagCode::kServiceRejected,
                           "snapshot " + std::to_string(src.id()) +
                               " carries no constraint capture "
-                              "(SessionOptions::capture_constraints disabled)");
+                              "(published without captures)");
       }
       // Violating endpoints, as the one-shot CLI prints them: nodes with a
       // full Algorithm 2 window and non-positive slack.

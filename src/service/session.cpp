@@ -4,7 +4,6 @@
 #include <chrono>
 #include <optional>
 
-#include "scenario/corner_analysis.hpp"
 #include "service/snapshot_read.hpp"
 #include "service/snapshot_store.hpp"
 #include "synth/resize.hpp"
@@ -17,8 +16,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::string status_word(AnalysisStatus s) { return analysis_status_name(s); }
-
 }  // namespace
 
 Session::Session(Design design, ClockSet clocks, HummingbirdOptions analysis,
@@ -26,19 +23,13 @@ Session::Session(Design design, ClockSet clocks, HummingbirdOptions analysis,
     : design_(std::move(design)),
       clocks_(std::move(clocks)),
       analysis_options_(std::move(analysis)),
-      options_(options),
-      pool_(std::make_unique<ThreadPool>(options.pool_threads)) {
-  deadline_ms_.store(options_.default_deadline_ms, std::memory_order_relaxed);
-  HummingbirdOptions opt = analysis_options_;
-  opt.alg1.pool = pool_.get();
-  opt.alg2.pool = pool_.get();
-  hb_ = std::make_unique<Hummingbird>(design_, clocks_, std::move(opt));
-  names_ = build_name_index(hb_->graph());
+      options_(std::move(options)),
+      pool_(std::make_unique<ThreadPool>(options_.pool_threads)),
+      hb_(build_analyser(analysis_options_.delay_adjust)),
+      names_(build_name_index(hb_->graph())) {
   const Algorithm1Result res = hb_->analyze();
-  auto snap = take_snapshot(hb_->engine(), res, ++snapshot_counter_,
-                            options_.max_paths, names_);
-  attach_captures(*snap);
-  snapshot_ = std::move(snap);
+  snapshot_ = capture_snapshot(*hb_, res, ++snapshot_counter_, names_,
+                               options_.corners, pool_.get());
   metrics_.record_snapshot_published();
 }
 
@@ -80,8 +71,16 @@ void Session::publish(std::shared_ptr<const AnalysisSnapshot> snap) {
 AnalysisBudget Session::request_budget() const {
   AnalysisBudget b;
   b.wall_seconds = deadline_ms_.load(std::memory_order_relaxed) / 1000.0;
-  b.cancel = cancel_;
   return b;
+}
+
+std::unique_ptr<Hummingbird> Session::build_analyser(
+    std::vector<InstDelayAdjust> delay_adjust) const {
+  HummingbirdOptions opt = analysis_options_;
+  opt.alg1.pool = pool_.get();
+  opt.alg2.pool = pool_.get();
+  opt.delay_adjust = std::move(delay_adjust);
+  return std::make_unique<Hummingbird>(design_, clocks_, std::move(opt));
 }
 
 std::vector<InstDelayAdjust> Session::delay_adjust_history() const {
@@ -115,7 +114,7 @@ QueryResult Session::execute(const ParsedQuery& q, BudgetTimer* timer) {
   }
   const auto t0 = std::chrono::steady_clock::now();
   QueryResult r = !q.ok                    ? q.error
-                  : is_write_query(q.verb) ? execute_write(q, timer)
+                  : is_write_query(q.verb) ? execute_write(q)
                                            : execute_control(q);
   if (!q.error.lines.empty() || q.ok) {
     metrics_.record_request(is_read_query(q.verb), r.ok, r.timed_out(),
@@ -184,11 +183,11 @@ std::vector<QueryResult> Session::execute_batch(
 // ---------------------------------------------------------------------------
 // Write queries — single writer.
 
-QueryResult Session::execute_write(const ParsedQuery& q, BudgetTimer* timer) {
+QueryResult Session::execute_write(const ParsedQuery& q) {
   switch (q.verb) {
     case QueryVerb::kSetDelay: return do_set_delay(q);
     case QueryVerb::kUpsize: return do_upsize(q);
-    case QueryVerb::kCommit: return do_commit(timer);
+    case QueryVerb::kCommit: return do_commit();
     default:
       return make_error(DiagCode::kParseSyntax, "not a write query");
   }
@@ -251,98 +250,49 @@ QueryResult Session::do_upsize(const ParsedQuery& q) {
                  std::to_string(pending));
 }
 
-QueryResult Session::do_commit(BudgetTimer*) {
+// One path for every commit: Algorithm 1 through Hummingbird::analyze()
+// under the request budget, on the live analyser or — when an edit was
+// deferred — on a fresh one over the current design and edit history; then
+// capture_snapshot() (hold, corners, Algorithm 2 last) and publication.
+// Algorithm 2 leaves the analyser in its snatched state; nothing reads the
+// live analyser between publications, and analyze() restarts from reset
+// offsets, so nothing is restored (docs/SERVICE.md).  A timed-out
+// Algorithm 1 leaves consistent but unsettled offsets and publishes nothing;
+// the edits stay pending.
+QueryResult Session::do_commit() {
   std::lock_guard<std::mutex> writer(writer_mutex_);
   if (pending_edits_.load(std::memory_order_relaxed) == 0) {
     return make_ok("ok commit snapshot " + std::to_string(snapshot_counter_) +
                    " noop");
   }
-  Algorithm1Result res;
+  std::shared_ptr<const AnalysisSnapshot> snap;
   {
     std::lock_guard<std::mutex> pool_lock(pool_mutex_);
-    if (rebuild_required_) {
-      // A deferred edit invalidated pre-processing: rebuild from the current
-      // design plus the accumulated delay history and analyse from scratch.
-      HummingbirdOptions opt = analysis_options_;
-      opt.alg1.pool = pool_.get();
-      opt.alg2.pool = pool_.get();
-      opt.alg1.budget = request_budget();
-      opt.delay_adjust = delay_adjust_history();
-      auto fresh = std::make_unique<Hummingbird>(design_, clocks_, std::move(opt));
-      res = fresh->analyze();
-      if (res.status == AnalysisStatus::kTimedOut) {
-        return make_error(DiagCode::kAnalysisBudget,
-                          "commit timed out; edits retained, snapshot " +
-                              std::to_string(snapshot_counter_) + " unchanged");
-      }
+    std::unique_ptr<Hummingbird> fresh;
+    if (rebuild_required_) fresh = build_analyser(delay_adjust_history());
+    const Algorithm1Result res =
+        (fresh != nullptr ? *fresh : *hb_).analyze(request_budget());
+    if (res.status == AnalysisStatus::kTimedOut) {
+      return make_error(DiagCode::kAnalysisBudget,
+                        "commit timed out; edits retained, snapshot " +
+                            std::to_string(snapshot_counter_) + " unchanged");
+    }
+    if (fresh != nullptr) {
       hb_ = std::move(fresh);
       names_ = build_name_index(hb_->graph());
       rebuild_required_ = false;
-    } else {
-      // Absorbed edits: re-run Algorithm 1 over the recorded dirty sets.
-      // Mirrors Hummingbird::reanalyze() with a per-request budget injected;
-      // bit-identical to a fresh full analysis (tests/service_test.cpp).
-      SyncModel& sync = hb_->sync_model_mut();
-      SlackEngine& engine = hb_->engine_mut();
-      sync.reset_offsets();
-      engine.invalidate_offsets(sync.drain_changed_offsets());
-      Algorithm1Options a1 = analysis_options_.alg1;
-      a1.pool = pool_.get();
-      a1.budget = request_budget();
-      res = run_algorithm1(sync, engine, a1);
-      if (res.status == AnalysisStatus::kTimedOut) {
-        // Offsets are consistent but unsettled; the next commit re-runs from
-        // reset offsets, so nothing is poisoned and the edits stay pending.
-        return make_error(DiagCode::kAnalysisBudget,
-                          "commit timed out; edits retained, snapshot " +
-                              std::to_string(snapshot_counter_) + " unchanged");
-      }
     }
+    snap = capture_snapshot(*hb_, res, ++snapshot_counter_, names_,
+                            options_.corners, pool_.get());
   }
-  const std::uint64_t id = ++snapshot_counter_;
-  auto snap = take_snapshot(hb_->engine(), res, id, options_.max_paths, names_);
-  attach_captures(*snap);
-  const TimePs worst = snap->worst_slack;
-  const std::size_t violations = snap->num_violations;
-  const AnalysisStatus status = snap->status;
+  const std::string reply =
+      "ok commit snapshot " + std::to_string(snap->id) + " worst_slack " +
+      fmt_ps(snap->worst_slack) + " violations " +
+      std::to_string(snap->num_violations) + " status " +
+      analysis_status_name(snap->status);
   publish(std::move(snap));
   pending_edits_.store(0, std::memory_order_relaxed);
-  return make_ok("ok commit snapshot " + std::to_string(id) + " worst_slack " +
-                 fmt_ps(worst) + " violations " + std::to_string(violations) +
-                 " status " + status_word(status));
-}
-
-// Hold/corner/constraint captures of a snapshot about to be published.  Runs
-// with writer_mutex_ held (construction or commit); takes pool_mutex_ for
-// the pooled sweeps — the same order do_commit uses.  The hold and corner
-// sweeps read the settled Algorithm 1 schedule, so they run first;
-// Algorithm 2 runs last and leaves the analyser in its snatched state.
-// Nothing reads the live analyser between publications, and every commit
-// restarts Algorithm 1 from reset_offsets(), which does not depend on the
-// offsets it finds — so no restore is needed (docs/SERVICE.md).
-void Session::attach_captures(AnalysisSnapshot& snap) {
-  if (!options_.capture_hold && !options_.capture_constraints &&
-      options_.corners.empty()) {
-    return;
-  }
-  std::lock_guard<std::mutex> pool_lock(pool_mutex_);
-  if (options_.capture_hold) {
-    capture_hold_into(snap, hb_->engine(), pool_.get());
-  }
-  if (!options_.corners.empty()) {
-    // One K-lane sweep over the settled schedule; the snapshot's corner
-    // sections serve every `corner` query without touching the analyser
-    // again.
-    CornerAnalysis ca(hb_->engine(), options_.corners);
-    ca.compute(pool_.get());
-    capture_corners_into(snap, ca, options_.max_paths, options_.capture_hold,
-                         pool_.get());
-  }
-  if (options_.capture_constraints) {
-    // Runs under the analysis options' own Algorithm 2 budget: a commit's
-    // request deadline covers Algorithm 1 only.
-    capture_constraints_into(snap, *hb_);
-  }
+  return make_ok(reply);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,11 +16,14 @@
 //   * Write queries (set_delay, upsize, commit) funnel through writer_mutex_.
 //     Edits accumulate against the live analyser (absorbed incrementally via
 //     Hummingbird::update_instance_delays / upsize_and_update when possible,
-//     deferred to a rebuild otherwise); `commit` re-runs Algorithm 1 — using
-//     the SlackEngine dirty-set machinery, bit-identical to a fresh full
-//     analysis — and publishes the successor snapshot.  Readers observe the
-//     old analysis until the instant of publication, never a half-updated
-//     one.
+//     deferred to a rebuild otherwise).  `commit` has one path: pick the
+//     analyser (the live one, or a fresh one over the edit history when an
+//     edit was deferred), run Algorithm 1 through Hummingbird::analyze()
+//     under the request budget — the SlackEngine dirty-set machinery makes
+//     the live re-run bit-identical to a fresh full analysis — capture the
+//     successor snapshot with capture_snapshot() and publish it.  Readers
+//     observe the old analysis until the instant of publication, never a
+//     half-updated one.
 //   * The session owns its ThreadPool; pool_mutex_ serialises the two pool
 //     users, batch read fan-out and commit's pass evaluation.  Lock order:
 //     batch fan-out holds only pool_mutex_; commit takes writer_mutex_ then
@@ -46,22 +49,8 @@ namespace hb {
 class SnapshotStore;
 
 struct SessionOptions {
-  /// Worst paths captured per snapshot (upper bound for worst_paths K).
-  std::size_t max_paths = 32;
   /// Workers in the session's pool, calling thread included; 0 = hardware.
   int pool_threads = 0;
-  /// Default per-request deadline in milliseconds; 0 = unlimited.  Queries
-  /// adjust it with the `deadline` verb.
-  double default_deadline_ms = 0;
-  /// Attach the full hold sweep (every connected pair's worst margin) to
-  /// each published snapshot, making `check_hold` a lock-free snapshot
-  /// read.  Disabled, check_hold answers a structured rejection.
-  bool capture_hold = true;
-  /// Attach Algorithm 2 constraint times to each published snapshot (the
-  /// `gen_constraints` query).  Algorithm 2 runs after the other captures
-  /// and leaves the live analyser in its snatched state; the next commit's
-  /// Algorithm 1 starts from reset offsets, so nothing is restored.
-  bool capture_constraints = true;
   /// Corners evaluated at each publication (docs/SCENARIOS.md).  Non-empty,
   /// every snapshot carries per-corner sections — one K-lane corner sweep
   /// over the settled schedule — and the `corner` verbs serve from them.
@@ -85,9 +74,9 @@ class Session {
   /// return an ok result with no lines (emit nothing).
   QueryResult execute(const std::string& line);
 
-  /// Execute a parsed session query.  `timer` carries the caller's
-  /// per-request deadline/cancellation (e.g. a connection's re-armed
-  /// BudgetTimer); when null the session's own deadline applies.
+  /// Execute a parsed session query.  `timer` carries a read's per-request
+  /// deadline/cancellation (e.g. a connection's re-armed BudgetTimer); when
+  /// null the session's own deadline applies, as it always does to commits.
   QueryResult execute(const ParsedQuery& q, BudgetTimer* timer = nullptr);
 
   /// Evaluate a read query (q.ok and is_read_query(q.verb)) against the
@@ -107,11 +96,6 @@ class Session {
 
   /// The currently published snapshot (never null).
   std::shared_ptr<const AnalysisSnapshot> snapshot() const;
-
-  /// External cancellation hook folded into every internally built budget
-  /// (a protocol connection installs its token once and resets it per
-  /// request).  Not owned; may be null.
-  void set_cancel_token(CancelToken* token) { cancel_ = token; }
 
   /// Persist every published snapshot (the initial one included, saved
   /// retroactively) into `store`.  Not owned; must outlive the session.
@@ -137,16 +121,16 @@ class Session {
 
  private:
   AnalysisBudget request_budget() const;
-  QueryResult execute_write(const ParsedQuery& q, BudgetTimer* timer);
+  /// An analyser over the session's design and clocks with `delay_adjust`
+  /// in place of the analysis options' own, its Algorithm 1 and 2 on the
+  /// session's pool.
+  std::unique_ptr<Hummingbird> build_analyser(
+      std::vector<InstDelayAdjust> delay_adjust) const;
+  QueryResult execute_write(const ParsedQuery& q);
   QueryResult execute_control(const ParsedQuery& q);
   QueryResult do_set_delay(const ParsedQuery& q);
   QueryResult do_upsize(const ParsedQuery& q);
-  QueryResult do_commit(BudgetTimer* timer);
-  /// Attach the hold/corner/constraint captures enabled in options_ to a
-  /// snapshot not yet published, Algorithm 2 last.  Takes pool_mutex_.  With
-  /// capture_constraints the analyser is left in the Algorithm 2 state, not
-  /// restored: no reader touches it, and the next commit resets the offsets.
-  void attach_captures(AnalysisSnapshot& snap);
+  QueryResult do_commit();
   /// Save `snap` into the store, if any, and swap it in under
   /// snapshot_mutex_; the previous snapshot is destroyed after the lock is
   /// released.
@@ -175,7 +159,6 @@ class Session {
 
   ServiceMetrics metrics_;
   std::atomic<double> deadline_ms_{0};
-  CancelToken* cancel_ = nullptr;
   SnapshotStore* store_ = nullptr;  // not owned; saves on publication
 };
 

@@ -90,6 +90,39 @@ std::vector<SnapshotHoldPair> snapshot_hold_pairs(
   return out;
 }
 
+/// Every corner of a computed CornerAnalysis, each with its full hold-pair
+/// sweep under its derated delays (the infinite-threshold trick of
+/// capture_hold_into); sets has_corners and worst_corner.
+void capture_corners_into(AnalysisSnapshot& snap, const CornerAnalysis& ca,
+                          ThreadPool* pool) {
+  const SlackEngine& engine = ca.engine();
+  const SyncModel& sync = engine.sync();
+  snap.corners.reserve(ca.num_corners());
+  for (std::size_t k = 0; k < ca.num_corners(); ++k) {
+    SnapshotCorner sc;
+    const Corner& corner = ca.corner_set().corner(k);
+    sc.name = corner.name;
+    sc.derate_pm = corner.derate_pm;
+    sc.wire_pm = corner.wire_pm;
+    sc.worst_slack = ca.worst_terminal_slack(k);
+
+    const std::vector<NodeTiming>& nts = ca.node_timings(k);
+    sc.node_slacks.reserve(nts.size());
+    for (const NodeTiming& nt : nts) sc.node_slacks.push_back(nt.slack);
+
+    sc.num_violations = collect_capture_slacks(
+        sc.capture_slacks, sync,
+        [&ca, k](SyncId sid) { return ca.capture_slack(k, sid); });
+    sc.paths = snapshot_paths(ca.slow_paths(k, kSnapshotPaths), engine);
+    sc.hold_pairs =
+        snapshot_hold_pairs(ca.check_hold_times(k, kInfinitePs, pool), sync);
+    sc.has_hold = true;
+    snap.corners.push_back(std::move(sc));
+  }
+  snap.worst_corner = ca.merged_worst_slack().corner;
+  snap.has_corners = true;
+}
+
 }  // namespace
 
 std::shared_ptr<AnalysisSnapshot> take_snapshot(
@@ -126,51 +159,27 @@ void capture_hold_into(AnalysisSnapshot& snap, const SlackEngine& engine,
   snap.has_hold = true;
 }
 
-void capture_corners_into(AnalysisSnapshot& snap, const CornerAnalysis& ca,
-                          std::size_t max_paths, bool capture_hold,
-                          ThreadPool* pool) {
-  const SlackEngine& engine = ca.engine();
-  const SyncModel& sync = engine.sync();
-  snap.corners.clear();
-  snap.corners.reserve(ca.num_corners());
-  for (std::size_t k = 0; k < ca.num_corners(); ++k) {
-    SnapshotCorner sc;
-    const Corner& corner = ca.corner_set().corner(k);
-    sc.name = corner.name;
-    sc.derate_pm = corner.derate_pm;
-    sc.wire_pm = corner.wire_pm;
-    sc.worst_slack = ca.worst_terminal_slack(k);
-
-    const std::vector<NodeTiming>& nts = ca.node_timings(k);
-    sc.node_slacks.reserve(nts.size());
-    for (const NodeTiming& nt : nts) sc.node_slacks.push_back(nt.slack);
-
-    sc.num_violations = collect_capture_slacks(
-        sc.capture_slacks, sync,
-        [&ca, k](SyncId sid) { return ca.capture_slack(k, sid); });
-    sc.paths = snapshot_paths(ca.slow_paths(k, max_paths), engine);
-
-    if (capture_hold) {
-      // Same infinite-threshold trick as capture_hold_into, under this
-      // corner's derated delays.
-      sc.hold_pairs =
-          snapshot_hold_pairs(ca.check_hold_times(k, kInfinitePs, pool), sync);
-      sc.has_hold = true;
-    }
-
-    snap.corners.push_back(std::move(sc));
+std::shared_ptr<AnalysisSnapshot> capture_snapshot(
+    Hummingbird& hb, const Algorithm1Result& result, std::uint64_t id,
+    std::shared_ptr<const NameIndex> names, const CornerSet& corners,
+    ThreadPool* pool) {
+  auto snap = take_snapshot(hb.engine(), result, id, kSnapshotPaths,
+                            std::move(names));
+  // The hold and corner sweeps read the settled Algorithm 1 schedule.
+  capture_hold_into(*snap, hb.engine(), pool);
+  if (!corners.empty()) {
+    CornerAnalysis ca(hb.engine(), corners);
+    ca.compute(pool);
+    capture_corners_into(*snap, ca, pool);
   }
-  snap.worst_corner = ca.merged_worst_slack().corner;
-  snap.has_corners = true;
-}
-
-void capture_constraints_into(AnalysisSnapshot& snap, Hummingbird& hb) {
-  ConstraintSet cs = hb.generate_constraints();  // leaves Algorithm 2's offsets
-  snap.has_constraints = true;
-  snap.constraints_status = cs.status;
-  snap.backward_snatch_cycles = cs.backward_snatch_cycles;
-  snap.forward_snatch_cycles = cs.forward_snatch_cycles;
-  snap.constraint_nodes = std::move(cs.nodes);
+  // Algorithm 2 last: it moves the offsets away from that schedule.
+  ConstraintSet cs = hb.generate_constraints();
+  snap->has_constraints = true;
+  snap->constraints_status = cs.status;
+  snap->backward_snatch_cycles = cs.backward_snatch_cycles;
+  snap->forward_snatch_cycles = cs.forward_snatch_cycles;
+  snap->constraint_nodes = std::move(cs.nodes);
+  return snap;
 }
 
 }  // namespace hb

@@ -16,9 +16,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "scenario/corner_set.hpp"
 #include "sta/hummingbird.hpp"
 
 namespace hb {
+
+/// Worst paths a captured snapshot keeps (the upper bound of `worst_paths K`).
+inline constexpr std::size_t kSnapshotPaths = 32;
 
 /// Name lookup tables captured at graph-build time.  Shared by every
 /// snapshot taken from the same graph build; replaced when the analyser is
@@ -98,8 +102,6 @@ struct SnapshotCorner {
   std::vector<SnapshotHoldPair> hold_pairs;
 };
 
-class CornerAnalysis;
-
 struct AnalysisSnapshot {
   std::uint64_t id = 0;
   /// Top-module name of the analysed design — the persistence key of the
@@ -114,18 +116,18 @@ struct AnalysisSnapshot {
 
   /// Finite capture-terminal slacks, in SyncId order (histogram input).
   std::vector<TimePs> capture_slacks;
-  /// Worst paths, worst first, up to the session's max_paths.
+  /// Worst paths, worst first, up to kSnapshotPaths.
   std::vector<SnapshotPath> paths;
   /// Per-node timing, by TNodeId index (slack / constraints queries).
   std::vector<NodeTiming> nodes;
 
   /// Hold-sweep inputs: every connected pair with its worst margin, sorted
-  /// by (launch, capture).  Present when the session captured them
-  /// (SessionOptions::capture_hold); `check_hold` is then a snapshot read.
+  /// by (launch, capture).  Present in every captured snapshot
+  /// (capture_snapshot); `check_hold` is then a snapshot read.
   bool has_hold = false;
   std::vector<SnapshotHoldPair> hold_pairs;
 
-  /// Multi-corner sections, by corner index.  Present when the session ran
+  /// Multi-corner sections, by corner index.  Present when the capture ran
   /// a CornerSet (SessionOptions::corners); `worst_corner` is the corner of
   /// the globally worst slack (ties -> lowest corner index).
   bool has_corners = false;
@@ -133,7 +135,7 @@ struct AnalysisSnapshot {
   std::vector<SnapshotCorner> corners;
 
   /// Algorithm 2 constraint times by TNodeId index (gen_constraints query).
-  /// Present when SessionOptions::capture_constraints captured them.
+  /// Present in every captured snapshot (capture_snapshot).
   bool has_constraints = false;
   AnalysisStatus constraints_status = AnalysisStatus::kComplete;
   std::int32_t backward_snatch_cycles = 0;
@@ -143,10 +145,10 @@ struct AnalysisSnapshot {
   std::shared_ptr<const NameIndex> names;
 };
 
-/// Copy the engine's current results into a fresh snapshot.  Called by the
-/// session writer only, with the engine fully up to date.  The result is
-/// returned mutable so the caller can attach hold/constraint captures
-/// before publication freezes it behind a const pointer.
+/// Copy the engine's current results into a fresh snapshot, without the
+/// hold, corner and Algorithm 2 captures.  The engine must be fully up to
+/// date.  The result is returned mutable so captures can be attached before
+/// publication freezes it behind a const pointer.
 std::shared_ptr<AnalysisSnapshot> take_snapshot(
     const SlackEngine& engine, const Algorithm1Result& result,
     std::uint64_t id, std::size_t max_paths,
@@ -157,19 +159,17 @@ std::shared_ptr<AnalysisSnapshot> take_snapshot(
 void capture_hold_into(AnalysisSnapshot& snap, const SlackEngine& engine,
                        ThreadPool* pool = nullptr);
 
-/// Capture every corner's results from an up-to-date CornerAnalysis into
-/// `snap` (sets has_corners and worst_corner).  When `capture_hold` is set,
-/// each corner also records its full hold-pair sweep under its derated
-/// delays, mirroring capture_hold_into.
-void capture_corners_into(AnalysisSnapshot& snap, const CornerAnalysis& ca,
-                          std::size_t max_paths, bool capture_hold,
-                          ThreadPool* pool = nullptr);
-
-/// Run Algorithm 2 (Hummingbird::generate_constraints, under the
-/// analyser's own Algorithm 2 options) and record the constraint set into
-/// `snap` (sets has_constraints).  Call last: it leaves the analyser in
-/// Algorithm 2's state, so hold and corner captures must come first.  The
-/// next Algorithm 1 run starts from reset offsets and does not depend on it.
-void capture_constraints_into(AnalysisSnapshot& snap, Hummingbird& hb);
+/// The publication capture of an analyser that has just run Algorithm 1
+/// (`result`), in its one order: take_snapshot (kSnapshotPaths worst
+/// paths), the hold sweep, then — when `corners` is non-empty — one K-lane
+/// corner sweep with each corner's hold pairs, all over the settled
+/// schedule, and Algorithm 2 last (under the analyser's own Algorithm 2
+/// options).  Algorithm 2 leaves `hb` in its snatched state; the next
+/// analyze() starts from reset offsets and does not depend on it.  Sweeps
+/// fan out over `pool` when given.
+std::shared_ptr<AnalysisSnapshot> capture_snapshot(
+    Hummingbird& hb, const Algorithm1Result& result, std::uint64_t id,
+    std::shared_ptr<const NameIndex> names, const CornerSet& corners,
+    ThreadPool* pool = nullptr);
 
 }  // namespace hb

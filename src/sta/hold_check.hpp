@@ -30,8 +30,9 @@ class ThreadPool;
 
 /// Check all launch/capture pairs with the current offsets.  `hold_margin`
 /// is the minimum time data must arrive after the previous input closure.
-/// With a pool, each cluster's per-source min-delay sweeps fan out across
-/// the workers (sources are independent); the result is identical at every
+/// Every (cluster, launch source) pair is one independent min-delay sweep.
+/// With a pool, one ThreadPool::run_batch task per worker pulls sweeps off
+/// a shared counter into its own scratch; the result is identical at every
 /// thread count — the final sort+dedup orders violations by value alone.
 ///
 /// `arc_delay` (optional) substitutes per-arc delays for the graph's own in

@@ -80,27 +80,18 @@ Hummingbird::Hummingbird(const Design& design, const ClockSet& clocks,
 
 Hummingbird::~Hummingbird() = default;
 
-Algorithm1Result Hummingbird::analyze() {
+Algorithm1Result Hummingbird::analyze(std::optional<AnalysisBudget> budget) {
+  Algorithm1Options alg1 = options_.alg1;
+  if (budget) alg1.budget = *budget;
+  // The reset's offset changes are drained into the engine by Algorithm 1's
+  // first evaluation, together with any left by earlier runs and edits.
   sync_->reset_offsets();
   const auto start = std::chrono::steady_clock::now();
-  Algorithm1Result res = run_algorithm1(*sync_, *engine_, options_.alg1);
+  Algorithm1Result res = run_algorithm1(*sync_, *engine_, alg1);
   stats_.analysis_seconds = seconds_since(start);
   analyzed_ = true;
   if (quarantined_count_ > 0 && res.status == AnalysisStatus::kComplete) {
     res.status = AnalysisStatus::kPartial;  // timed-out keeps precedence
-  }
-  return res;
-}
-
-Algorithm1Result Hummingbird::reanalyze() {
-  sync_->reset_offsets();
-  engine_->invalidate_offsets(sync_->drain_changed_offsets());
-  const auto start = std::chrono::steady_clock::now();
-  Algorithm1Result res = run_algorithm1(*sync_, *engine_, options_.alg1);
-  stats_.analysis_seconds = seconds_since(start);
-  analyzed_ = true;
-  if (quarantined_count_ > 0 && res.status == AnalysisStatus::kComplete) {
-    res.status = AnalysisStatus::kPartial;
   }
   return res;
 }

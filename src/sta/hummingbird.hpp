@@ -20,6 +20,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "netlist/design.hpp"
 #include "sta/algorithm1.hpp"
@@ -90,14 +91,17 @@ class Hummingbird {
   Hummingbird(const Hummingbird&) = delete;
   Hummingbird& operator=(const Hummingbird&) = delete;
 
-  /// Run Algorithm 1 from freshly initialised offsets.
-  Algorithm1Result analyze();
+  /// Run Algorithm 1 from freshly initialised offsets, under `budget` when
+  /// given, else HummingbirdOptions::alg1's.  The engine keeps its
+  /// incremental caches between calls: after absorbed edits
+  /// (update_instance_delays) the offset reset and the recorded
+  /// invalidations drive terminal-only steps and one node-level update() at
+  /// the exit, bit-identical to a fresh analyser's first analyze().
+  /// Degraded mode tags a complete result kPartial.
+  Algorithm1Result analyze(std::optional<AnalysisBudget> budget = std::nullopt);
 
-  /// Re-run Algorithm 1 keeping the engine's incremental caches: offsets are
-  /// re-initialised and the resulting invalidations drive terminal-only
-  /// steps and one node-level update() at the exit instead of a
-  /// from-scratch compute().  Results match analyze() bit for bit.
-  Algorithm1Result reanalyze();
+  /// Forwards to analyze(); perfbench's CommitMirror still calls it.
+  Algorithm1Result reanalyze() { return analyze(); }
 
   /// Absorb an in-place delay change of top-level instance `inst` (e.g. a
   /// cell resize to a same-port-layout variant) without rebuilding:

@@ -13,10 +13,9 @@ ThreadPool::ThreadPool(int num_threads) {
     num_threads = static_cast<int>(std::thread::hardware_concurrency());
   }
   num_threads = std::max(1, num_threads);
-  scratch_.resize(static_cast<std::size_t>(num_threads));
   workers_.reserve(static_cast<std::size_t>(num_threads - 1));
   for (int i = 0; i < num_threads - 1; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i + 1); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -36,9 +35,7 @@ bool ThreadPool::run_batch(const std::vector<std::function<void()>>& tasks,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     batch_ = &tasks;
-    chunk_fn_ = nullptr;
     cancel_ = cancel;
-    num_items_ = tasks.size();
     next_.store(0, std::memory_order_relaxed);
     completed_ = 0;
     skipped_ = 0;
@@ -46,7 +43,7 @@ bool ThreadPool::run_batch(const std::vector<std::function<void()>>& tasks,
     ++generation_;
   }
   wake_.notify_all();
-  work_through(0);
+  work_through();
   std::exception_ptr error;
   bool complete = true;
   {
@@ -54,7 +51,7 @@ bool ThreadPool::run_batch(const std::vector<std::function<void()>>& tasks,
     // Wait until every task ran AND every worker left the batch, so the
     // shared counter can be reset for the next job without a straggler
     // picking indices against a stale task list.
-    done_.wait(lock, [&] { return completed_ == num_items_ && active_ == 0; });
+    done_.wait(lock, [&] { return completed_ == tasks.size() && active_ == 0; });
     batch_ = nullptr;
     cancel_ = nullptr;
     error = first_error_;
@@ -64,57 +61,16 @@ bool ThreadPool::run_batch(const std::vector<std::function<void()>>& tasks,
   return complete;
 }
 
-void ThreadPool::run_chunks(std::size_t n, std::size_t grain, void* ctx,
-                            ChunkFn fn) {
-  const std::size_t chunks = (n + grain - 1) / grain;
-  std::lock_guard<std::mutex> submit(submit_mutex_);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    batch_ = nullptr;
-    chunk_fn_ = fn;
-    chunk_ctx_ = ctx;
-    chunk_n_ = n;
-    chunk_grain_ = grain;
-    cancel_ = nullptr;
-    num_items_ = chunks;
-    next_.store(0, std::memory_order_relaxed);
-    completed_ = 0;
-    skipped_ = 0;
-    first_error_ = nullptr;
-    ++generation_;
-  }
-  wake_.notify_all();
-  work_through(0);
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [&] { return completed_ == num_items_ && active_ == 0; });
-    chunk_fn_ = nullptr;
-    chunk_ctx_ = nullptr;
-    error = first_error_;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-void ThreadPool::work_through(int worker) {
+void ThreadPool::work_through() {
   const std::vector<std::function<void()>>* batch;
-  ChunkFn chunk_fn;
-  void* chunk_ctx;
-  std::size_t chunk_n;
-  std::size_t chunk_grain;
-  std::size_t items;
   const CancelToken* cancel;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     batch = batch_;
-    chunk_fn = chunk_fn_;
-    chunk_ctx = chunk_ctx_;
-    chunk_n = chunk_n_;
-    chunk_grain = chunk_grain_;
-    items = num_items_;
     cancel = cancel_;
   }
-  if (batch == nullptr && chunk_fn == nullptr) return;
+  if (batch == nullptr) return;
+  const std::size_t items = batch->size();
   std::size_t done_here = 0;
   std::size_t skipped_here = 0;
   std::exception_ptr error;
@@ -128,13 +84,7 @@ void ThreadPool::work_through(int worker) {
     } else {
       try {
         maybe_inject_fault(FaultSite::kPoolTask, "thread pool task");
-        if (batch != nullptr) {
-          (*batch)[i]();
-        } else {
-          const std::size_t begin = i * chunk_grain;
-          const std::size_t end = std::min(chunk_n, begin + chunk_grain);
-          chunk_fn(chunk_ctx, begin, end, worker);
-        }
+        (*batch)[i]();
       } catch (...) {
         if (!error) error = std::current_exception();
       }
@@ -148,7 +98,7 @@ void ThreadPool::work_through(int worker) {
   if (completed_ == items) done_.notify_all();
 }
 
-void ThreadPool::worker_loop(int worker) {
+void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
     {
@@ -158,7 +108,7 @@ void ThreadPool::worker_loop(int worker) {
       seen = generation_;
       ++active_;
     }
-    work_through(worker);
+    work_through();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --active_;

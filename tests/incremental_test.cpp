@@ -512,7 +512,7 @@ TEST(IncrementalFootprint, AbsorbedEditPatchesConesOnRandomLarge) {
   ASSERT_TRUE(hb.update_instance_delays(inst));
 
   const IncrementalStats before = hb.engine().incremental_stats();
-  const Algorithm1Result got = hb.reanalyze();
+  const Algorithm1Result got = hb.analyze();
   const IncrementalStats after = hb.engine().incremental_stats();
   const std::uint64_t full = after.passes_full_swept - before.passes_full_swept;
   const std::uint64_t touched =
@@ -589,7 +589,7 @@ TEST(IncrementalFootprint, CommitDerivesNodeSlacksOnlyWhereRead) {
   ASSERT_TRUE(hb.update_instance_delays(inst));
 
   const IncrementalStats before = hb.engine().incremental_stats();
-  const Algorithm1Result got = hb.reanalyze();
+  const Algorithm1Result got = hb.analyze();
   const ConstraintSet got_cs = hb.generate_constraints();
   const IncrementalStats after = hb.engine().incremental_stats();
   EXPECT_LE(after.updates - before.updates, 3u);
@@ -708,7 +708,7 @@ TEST(IncrementalDifferential, SlowPathsFromPatchedCachesMatchFreshCompute) {
       }
       for (int phase = 0; phase < 2; ++phase) {
         if (phase == 0) {
-          hb->reanalyze();
+          hb->analyze();
         } else {
           hb->generate_constraints();
         }

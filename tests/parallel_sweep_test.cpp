@@ -56,8 +56,16 @@ TEST(ParallelSweepTest, ByteIdenticalAcrossThreadCounts) {
       EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
           << "cached PassResult arrays diverged from serial";
       EXPECT_EQ(analyser.report(8), want_report);
-      EXPECT_EQ(analyser.check_hold_times(0, pool.get()).size(),
-                baseline.check_hold_times(0).size());
+      const std::vector<HoldViolation> holds =
+          analyser.check_hold_times(kInfinitePs, pool.get());
+      const std::vector<HoldViolation> want_holds =
+          baseline.check_hold_times(kInfinitePs);
+      ASSERT_EQ(holds.size(), want_holds.size());
+      for (std::size_t i = 0; i < holds.size(); ++i) {
+        EXPECT_EQ(holds[i].launch, want_holds[i].launch) << "hold pair " << i;
+        EXPECT_EQ(holds[i].capture, want_holds[i].capture) << "hold pair " << i;
+        EXPECT_EQ(holds[i].margin, want_holds[i].margin) << "hold pair " << i;
+      }
     }
   }
 }

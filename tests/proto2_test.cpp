@@ -43,7 +43,6 @@
 
 #include "gen/random_network.hpp"
 #include "netlist/stdcells.hpp"
-#include "scenario/corner_analysis.hpp"
 #include "scenario/corner_set.hpp"
 #include "service/proto2.hpp"
 #include "service/protocol.hpp"
@@ -123,22 +122,14 @@ CornerSet test_corners() {
 }
 
 /// Analyse one workload into a fully captured snapshot — hold pairs,
-/// (optionally) a 3-corner capture and Algorithm 2 constraints — in the
-/// order a session captures them.
+/// (optionally) a 3-corner capture and Algorithm 2 constraints — the way a
+/// session publishes one.
 std::shared_ptr<AnalysisSnapshot> captured_snapshot(Workload& w,
                                                     bool with_corners) {
   Hummingbird hum(w.design, w.clocks);
   const Algorithm1Result res = hum.analyze();
-  auto snap = take_snapshot(hum.engine(), res, 1, 32,
-                            build_name_index(hum.graph()));
-  capture_hold_into(*snap, hum.engine());
-  if (with_corners) {
-    CornerAnalysis ca(hum.engine(), test_corners());
-    ca.compute(nullptr);
-    capture_corners_into(*snap, ca, 32, true);
-  }
-  capture_constraints_into(*snap, hum);
-  return snap;
+  return capture_snapshot(hum, res, 1, build_name_index(hum.graph()),
+                          with_corners ? test_corners() : CornerSet{});
 }
 
 /// Every snapshot-served verb, ok and error paths both, against this
@@ -771,7 +762,9 @@ TEST(Proto2Test, HandleFrameRejectsMalformedPayloads) {
 
 TEST(Proto2Test, ZeroAllocSteadyStateOnTextAndTypedReads) {
   ServiceHost host;
-  host.adopt(make_session());
+  SessionOptions opt;
+  opt.corners = test_corners();
+  host.adopt(make_session(opt));
   const std::shared_ptr<Session> session = host.session();
   // Short names stay within SSO so the copy-source lookups stay heap-free.
   const std::string node = session->snapshot()->names->node_names.front();
@@ -786,8 +779,13 @@ TEST(Proto2Test, ZeroAllocSteadyStateOnTextAndTypedReads) {
   }
   ASSERT_FALSE(inst.empty());
   ProtocolHandler h(host);
-  const std::vector<std::string> lines = {"summary", "worst_paths 3",
-                                          "histogram 4", "slack " + node};
+  const std::vector<std::string> lines = {"summary",
+                                          "worst_paths 3",
+                                          "histogram 4",
+                                          "slack " + node,
+                                          "corner slow summary",
+                                          "corner 1 worst_paths 2",
+                                          "corner typical slack " + node};
   // Text path: every read is evaluated against the published snapshot
   // straight into the connection's reply buffer.  Rounds are separated by
   // absorbed edits and commits, so the first reads of each snapshot count

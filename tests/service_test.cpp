@@ -20,7 +20,9 @@
 #include <sstream>
 #include <thread>
 
+#include "gen/des.hpp"
 #include "gen/random_network.hpp"
+#include "netlist/builder.hpp"
 #include "netlist/stdcells.hpp"
 #include "scenario/corner_set.hpp"
 #include "service/protocol.hpp"
@@ -104,8 +106,7 @@ std::vector<std::string> cell_names(const Design& d, std::size_t n,
     }
   }
   // Worst paths: same slacks, endpoints and lengths in the same order.
-  // 32 is the SessionOptions::max_paths default used by make_session().
-  const std::vector<SlowPath> paths = fresh.slow_paths(32);
+  const std::vector<SlowPath> paths = fresh.slow_paths(kSnapshotPaths);
   if (snap->paths.size() != paths.size()) {
     return ::testing::AssertionFailure()
            << "path count: snapshot " << snap->paths.size() << " vs fresh "
@@ -481,6 +482,108 @@ TEST(ServiceTest, CommitSequenceImagesMatchFreshSessions) {
   EXPECT_GT(absorbed, 200);
   EXPECT_GT(deferred, 0);
   EXPECT_EQ(timed_out, 1);
+}
+
+// A degraded-mode session analyses the salvageable part of an invalid
+// design: d -> INV u1 -> DFF ff beside a floating-input INV u2 -> DFF ff2,
+// which degraded mode quarantines.  Every snapshot it publishes, an absorbed
+// commit's included, is tagged partial, like a fresh degraded analyser of
+// the same edit history.
+TEST(ServiceTest, DegradedSessionCommitsStayPartial) {
+  auto lib = make_standard_library();
+  TopBuilder b("split_bad", lib);
+  const NetId clk = b.port_in("clk", true);
+  const NetId d = b.port_in("d");
+  b.port_out_net("q", b.latch("DFFT", b.gate("INVX1", {d}, "u1"), clk, "ff"));
+  const NetId floating = b.net("floating");  // no driver
+  b.port_out_net("q2",
+                 b.latch("DFFT", b.gate("INVX1", {floating}, "u2"), clk, "ff2"));
+  HummingbirdOptions analysis;
+  analysis.degraded = true;
+  Session session(b.finish(), make_single_clock(ns(4), ns(2)), analysis);
+  ASSERT_EQ(session.snapshot()->status, AnalysisStatus::kPartial);
+
+  const QueryResult edit = session.execute("set_delay u1 10ps");
+  ASSERT_NE(to_wire(edit).find(" absorbed "), std::string::npos) << to_wire(edit);
+  const QueryResult commit = session.execute("commit");
+  ASSERT_TRUE(commit.ok) << to_wire(commit);
+  EXPECT_NE(commit.lines[0].find(" status partial"), std::string::npos)
+      << commit.lines[0];
+  const std::string summary = to_wire(session.execute("summary"));
+  EXPECT_NE(summary.find("\n  status partial\n"), std::string::npos) << summary;
+
+  HummingbirdOptions fresh_opt = analysis;
+  fresh_opt.delay_adjust = session.delay_adjust_history();
+  Hummingbird fresh(session.design(), session.clocks(), fresh_opt);
+  const Algorithm1Result res = fresh.analyze();
+  EXPECT_EQ(res.status, AnalysisStatus::kPartial);
+  EXPECT_EQ(session.snapshot()->status, res.status);
+  EXPECT_EQ(session.snapshot()->worst_slack, res.worst_slack);
+  EXPECT_EQ(session.snapshot()->constraints_status, AnalysisStatus::kPartial);
+}
+
+// A scoped query is validated like the unscoped verb it names: every
+// malformed `corner` line keeps its reply word for word.
+TEST(ServiceTest, MalformedCornerLinesReplyAsTheUnscopedVerb) {
+  SessionOptions opt;
+  opt.corners = parse_corner_spec_or_throw(
+      "corner typical 1000\ncorner slow 1250\ncorner fast 800\n");
+  auto session = make_session(opt);
+  const std::pair<const char*, const char*> cases[] = {
+      {"corner", "err parse-syntax 'corner' expects 1..4 argument(s), got 0"},
+      {"corner list x",
+       "err parse-syntax 'corner list' takes no further arguments"},
+      {"corner LIST x",
+       "err parse-syntax 'corner list' takes no further arguments"},
+      {"corner slow",
+       "err parse-syntax 'corner' expects `list` or `<name|index> <read "
+       "query>`"},
+      {"corner slow # note",
+       "err parse-syntax 'corner' expects `list` or `<name|index> <read "
+       "query>`"},
+      {"corner slow bogus",
+       "err parse-unknown-keyword unknown query 'bogus' (try `help`)"},
+      {"corner slow worst_paths",
+       "err parse-syntax 'worst_paths' expects 1 argument(s), got 0"},
+      {"corner slow worst_paths 3 4",
+       "err parse-syntax 'worst_paths' expects 1 argument(s), got 2"},
+      {"corner slow worst_paths -1",
+       "err parse-bad-number '-1' is not an integer in [0, 100000]"},
+      {"corner slow histogram 0",
+       "err parse-bad-number '0' is not an integer in [1, 1000]"},
+      {"corner slow check_hold bogus",
+       "err parse-bad-number bad time value 'bogus'"},
+      {"corner slow summary x",
+       "err parse-syntax 'summary' expects 0 argument(s), got 1"},
+      {"corner slow stats",
+       "err parse-syntax 'corner' scopes slack, worst_paths, histogram, "
+       "summary or check_hold"},
+      {"corner slow corner list",
+       "err parse-syntax 'corner' scopes slack, worst_paths, histogram, "
+       "summary or check_hold"},
+      {"corner a corner list x",
+       "err parse-syntax 'corner list' takes no further arguments"},
+      {"corner slow set_delay x bogus",
+       "err parse-bad-number bad time value 'bogus'"},
+      {"corner slow snapshot bogus",
+       "err parse-unknown-keyword unknown snapshot subcommand 'bogus' (save | "
+       "load [<design>] | stat)"},
+      {"corner slow batch 0",
+       "err parse-bad-number '0' is not an integer in [1, 100000]"},
+      {"corner nope summary",
+       "err parse-unknown-name unknown corner 'nope' (try `corner list`)"},
+  };
+  for (const auto& [line, reply] : cases) {
+    EXPECT_EQ(to_wire(session->execute(line)), std::string(reply) + "\n")
+        << line;
+  }
+  // Spelling variants of a valid scoped query reply alike.
+  EXPECT_EQ(to_wire(session->execute("corner slow SUMMARY")),
+            to_wire(session->execute("corner slow summary")));
+  EXPECT_EQ(to_wire(session->execute("corner 1   histogram 004")),
+            to_wire(session->execute("corner slow histogram 4")));
+  EXPECT_EQ(to_wire(session->execute("CORNER List")),
+            to_wire(session->execute("corner list")));
 }
 
 TEST(ServiceTest, NumericallyEqualSpellingsReplyAlike) {

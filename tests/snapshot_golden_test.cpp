@@ -60,14 +60,9 @@ std::string current_checksum_table() {
   for (Workload& w : all_generator_networks()) {
     Hummingbird hum(w.design, w.clocks);
     const Algorithm1Result res = hum.analyze();
-    auto snap = take_snapshot(hum.engine(), res, /*id=*/1, /*max_paths=*/32,
-                              build_name_index(hum.graph()));
-    // The session's capture order: hold, corners, then Algorithm 2.
-    capture_hold_into(*snap, hum.engine());
-    CornerAnalysis ca(hum.engine(), golden_corners());
-    ca.compute();
-    capture_corners_into(*snap, ca, /*max_paths=*/32, /*capture_hold=*/true);
-    capture_constraints_into(*snap, hum);
+    const auto snap = capture_snapshot(hum, res, /*id=*/1,
+                                       build_name_index(hum.graph()),
+                                       golden_corners());
     std::vector<SnapshotSectionInfo> sections;
     serialize_snapshot(*snap, &sections);
     for (const SnapshotSectionInfo& s : sections) {

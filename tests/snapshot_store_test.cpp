@@ -28,7 +28,7 @@
 
 #include "gen/random_network.hpp"
 #include "netlist/stdcells.hpp"
-#include "scenario/corner_analysis.hpp"
+#include "scenario/corner_set.hpp"
 #include "service/protocol.hpp"
 #include "service/session.hpp"
 #include "service/snapshot_codec.hpp"
@@ -71,22 +71,14 @@ void write_file(const std::string& path, const std::string& bytes) {
 }
 
 /// Analyse one workload and take a fully captured snapshot (hold pairs,
-/// the corners of `corners` when given, and Algorithm 2 constraints), in
-/// the order a session captures them.
+/// the corners of `corners` when given, and Algorithm 2 constraints), the
+/// way a session publishes one.
 std::shared_ptr<AnalysisSnapshot> snapshot_of(
     Hummingbird& hum, std::uint64_t id = 1,
     const CornerSet* corners = nullptr) {
   const Algorithm1Result res = hum.analyze();
-  auto snap = take_snapshot(hum.engine(), res, id, 32,
-                            build_name_index(hum.graph()));
-  capture_hold_into(*snap, hum.engine());
-  if (corners != nullptr) {
-    CornerAnalysis ca(hum.engine(), *corners);
-    ca.compute();
-    capture_corners_into(*snap, ca, 32, /*capture_hold=*/true);
-  }
-  capture_constraints_into(*snap, hum);
-  return snap;
+  return capture_snapshot(hum, res, id, build_name_index(hum.graph()),
+                          corners != nullptr ? *corners : CornerSet{});
 }
 
 void expect_same_path(const SourcePath& got, const SnapshotPath& want) {
