@@ -24,9 +24,14 @@ Session::Session(Design design, ClockSet clocks, HummingbirdOptions analysis,
       clocks_(std::move(clocks)),
       analysis_options_(std::move(analysis)),
       options_(std::move(options)),
-      pool_(std::make_unique<ThreadPool>(options_.pool_threads)),
-      hb_(build_analyser(analysis_options_.delay_adjust)),
-      names_(build_name_index(hb_->graph())) {
+      pool_(std::make_unique<ThreadPool>(options_.pool_threads)) {
+  // The options' adjustments open the edit history, so a deferred commit's
+  // rebuild keeps them.
+  for (const InstDelayAdjust& a : analysis_options_.delay_adjust) {
+    delay_adjust_[a.inst.value()] += a.delta;
+  }
+  hb_ = build_analyser();
+  names_ = build_name_index(hb_->graph());
   const Algorithm1Result res = hb_->analyze();
   snapshot_ = capture_snapshot(*hb_, res, ++snapshot_counter_, names_,
                                options_.corners, pool_.get());
@@ -74,12 +79,11 @@ AnalysisBudget Session::request_budget() const {
   return b;
 }
 
-std::unique_ptr<Hummingbird> Session::build_analyser(
-    std::vector<InstDelayAdjust> delay_adjust) const {
+std::unique_ptr<Hummingbird> Session::build_analyser() const {
   HummingbirdOptions opt = analysis_options_;
   opt.alg1.pool = pool_.get();
   opt.alg2.pool = pool_.get();
-  opt.delay_adjust = std::move(delay_adjust);
+  opt.delay_adjust = delay_adjust_history();
   return std::make_unique<Hummingbird>(design_, clocks_, std::move(opt));
 }
 
@@ -269,7 +273,7 @@ QueryResult Session::do_commit() {
   {
     std::lock_guard<std::mutex> pool_lock(pool_mutex_);
     std::unique_ptr<Hummingbird> fresh;
-    if (rebuild_required_) fresh = build_analyser(delay_adjust_history());
+    if (rebuild_required_) fresh = build_analyser();
     const Algorithm1Result res =
         (fresh != nullptr ? *fresh : *hb_).analyze(request_budget());
     if (res.status == AnalysisStatus::kTimedOut) {

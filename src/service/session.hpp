@@ -114,18 +114,19 @@ class Session {
   // flight.
   const Design& design() const { return design_; }
   const ClockSet& clocks() const { return clocks_; }
-  /// Accumulated set_delay edits, sorted by instance index (the map itself
-  /// is order-free: adjustments are additive).
+  /// The analysis options' delay_adjust plus the accumulated set_delay
+  /// edits, merged per instance and sorted by instance index (the map
+  /// itself is order-free: adjustments are additive).  Every analyser the
+  /// session builds starts from it.
   std::vector<InstDelayAdjust> delay_adjust_history() const;
   std::size_t pending_edits() const { return pending_edits_.load(std::memory_order_relaxed); }
 
  private:
   AnalysisBudget request_budget() const;
-  /// An analyser over the session's design and clocks with `delay_adjust`
-  /// in place of the analysis options' own, its Algorithm 1 and 2 on the
-  /// session's pool.
-  std::unique_ptr<Hummingbird> build_analyser(
-      std::vector<InstDelayAdjust> delay_adjust) const;
+  /// An analyser over the session's design and clocks with
+  /// delay_adjust_history() in place of the analysis options' own, its
+  /// Algorithm 1 and 2 on the session's pool.
+  std::unique_ptr<Hummingbird> build_analyser() const;
   QueryResult execute_write(const ParsedQuery& q);
   QueryResult execute_control(const ParsedQuery& q);
   QueryResult do_set_delay(const ParsedQuery& q);

@@ -38,14 +38,14 @@ SlackEngine::SlackEngine(const TimingGraph& graph, const ClusterSet& clusters,
       passes_.push_back(PassRef{c, p});
     }
   }
-  dirty_.resize(clusters.num_clusters());
   launch_slack_.assign(sync.num_instances(), kInfinitePs);
   capture_slack_.assign(sync.num_instances(), kInfinitePs);
-  node_.assign(graph.num_nodes(), NodeTiming{});
-
-  pass_assert_offset_.assign(sync.num_instances(), 0);
-  pass_close_offset_.assign(sync.num_instances(), 0);
-  offset_touched_flag_.assign(sync.num_instances(), 0);
+  // Only the active state is sized here; the parked one gets its buffers at
+  // the first fork.
+  state_.clusters.resize(clusters.num_clusters());
+  state_.node.assign(graph.num_nodes(), NodeTiming{});
+  state_.assert_offset.assign(sync.num_instances(), 0);
+  state_.close_offset.assign(sync.num_instances(), 0);
   std::size_t largest = 0;
   for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
     if (analyses_[c].breaks.empty()) continue;
@@ -149,16 +149,20 @@ void SlackEngine::compute(ThreadPool* pool) {
   if (pool == nullptr) pool = env_analysis_pool();
   ++istats_.full_computes;
 
-  // Evaluate every pass into the cache; passes are independent, so with a
-  // pool each one is a task that owns its result slot.  Cached PassResult
-  // buffers are reused in place, and each closure captures two pointers
-  // (libstdc++'s std::function keeps 16 bytes inline), so recomputes over a
-  // warm cache allocate nothing.
-  for (ClusterAnalysis& ca : analyses_) ca.cache.resize(ca.breaks.size());
+  // Evaluate every pass into the active state; passes are independent, so
+  // with a pool each one is a task that owns its result slot.  Cached
+  // PassResult buffers are reused in place, and each closure captures two
+  // pointers (libstdc++'s std::function keeps 16 bytes inline), so
+  // recomputes over a warm cache allocate nothing.  The parked state may
+  // have missed a change nobody reported, so it goes.
+  drop_parked();
+  for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
+    state_.clusters[c].passes.resize(analyses_[c].breaks.size());
+  }
   istats_.passes_evaluated += passes_.size();
   auto eval = [this](const PassRef& r) {
     run_pass_into(ClusterId(r.cluster), r.pass,
-                  analyses_[r.cluster].cache[r.pass]);
+                  state_.clusters[r.cluster].passes[r.pass]);
   };
   if (pool != nullptr && pool->size() > 1) {
     task_fns_.clear();
@@ -170,12 +174,11 @@ void SlackEngine::compute(ThreadPool* pool) {
     for (const PassRef& r : passes_) eval(r);
   }
 
-  for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
-    ClusterAnalysis& ca = analyses_[c];
-    ca.checksums.resize(ca.breaks.size());
-    for (std::size_t p = 0; p < ca.breaks.size(); ++p) {
-      const PassResult& res = ca.cache[p];
-      ca.checksums[p] = pass_checksum(res.ready, res.required);
+  for (ClusterState& cs : state_.clusters) {
+    cs.checksums.resize(cs.passes.size());
+    for (std::size_t p = 0; p < cs.passes.size(); ++p) {
+      const PassResult& res = cs.passes[p];
+      cs.checksums[p] = pass_checksum(res.ready, res.required);
     }
   }
 
@@ -183,8 +186,8 @@ void SlackEngine::compute(ThreadPool* pool) {
   // the rest keep their constructed defaults.  Likewise every terminal of an
   // analysed cluster is re-evaluated from the table.
   for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) fold_cluster(c);
-  cache_valid_ = true;
-  for (ClusterDirty& d : dirty_) d.clear();
+  state_.valid = true;
+  for (ClusterState& cs : state_.clusters) cs.dirty.clear();
   record_pass_offsets();
   if (tables_epoch_ != graph_->delay_epoch()) tables_valid_ = false;
   for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
@@ -197,18 +200,12 @@ void SlackEngine::compute(ThreadPool* pool) {
 void SlackEngine::record_pass_offsets() {
   for (std::uint32_t i = 0; i < sync_->num_instances(); ++i) {
     const SyncInstance& si = sync_->at(SyncId(i));
-    pass_assert_offset_[i] = si.assert_offset();
-    pass_close_offset_[i] = si.close_offset();
+    state_.assert_offset[i] = si.assert_offset();
+    state_.close_offset[i] = si.close_offset();
   }
-  for (SyncId id : offsets_touched_) offset_touched_flag_[id.index()] = 0;
-  offsets_touched_.clear();
 }
 
 void SlackEngine::invalidate_offsets(SyncId id) {
-  if (!offset_touched_flag_[id.index()]) {
-    offset_touched_flag_[id.index()] = 1;
-    offsets_touched_.push_back(id);
-  }
   const SyncInstance& si = sync_->at(id);
   for (TNodeId n : {si.data_out, si.data_in}) {
     if (!n.valid()) continue;
@@ -226,10 +223,19 @@ void SlackEngine::invalidate_offsets(const std::vector<SyncId>& ids) {
 void SlackEngine::invalidate_node(TNodeId node) {
   const ClusterId c = clusters_->cluster_of(node);
   if (!c.valid()) return;
-  ClusterDirty& d = dirty_[c.index()];
   const std::uint32_t li = local_of_node_[node.index()];
+  ClusterDirty& d = state_.clusters[c.index()].dirty;
   d.fwd.push_back(li);
   d.bwd.push_back(li);
+  if (parked_.valid) {
+    // A parked state nobody returns to (an analyze()-only loop) would pile
+    // up seeds without bound; past one cluster's worth it is cheaper to
+    // fork afresh.
+    ClusterDirty& pd = parked_.clusters[c.index()].dirty;
+    pd.fwd.push_back(li);
+    pd.bwd.push_back(li);
+    if (pd.fwd.size() > clusters_->cluster(c).nodes.size()) drop_parked();
+  }
   ClusterAnalysis& ca = analyses_[c.index()];
   if (ca.breaks.empty()) return;
   ca.table.seeds.push_back(li);
@@ -241,8 +247,66 @@ void SlackEngine::delays_reported(std::uint64_t before) {
 }
 
 void SlackEngine::invalidate_all() {
-  cache_valid_ = false;
+  state_.valid = false;
+  drop_parked();
   tables_valid_ = false;
+}
+
+void SlackEngine::drop_parked() {
+  if (!parked_.valid) return;
+  parked_.valid = false;
+  for (ClusterState& cs : parked_.clusters) cs.dirty.clear();
+}
+
+void SlackEngine::choose_state() {
+  // How far each state is from the current offsets, in terminals.
+  std::size_t active = 0;
+  std::size_t parked = 0;
+  for (std::uint32_t i = 0; i < sync_->num_instances(); ++i) {
+    const SyncInstance& si = sync_->at(SyncId(i));
+    const TimePs a = si.assert_offset();
+    const TimePs z = si.close_offset();
+    active += (a != state_.assert_offset[i]) + (z != state_.close_offset[i]);
+    if (parked_.valid) {
+      parked +=
+          (a != parked_.assert_offset[i]) + (z != parked_.close_offset[i]);
+    }
+  }
+  if (parked_.valid && parked < active) {
+    std::swap(state_, parked_);
+    ++istats_.state_swaps;
+    active = parked;
+  } else if (active > 0 && !parked_.valid) {
+    parked_ = state_;  // keep the state being left
+    ++istats_.state_forks;
+  }
+  if (active == 0) return;
+
+  // Seed the net offset change since this state's last refresh: offsets
+  // that terminal-only steps moved and moved back cost nothing.
+  for (std::uint32_t i = 0; i < sync_->num_instances(); ++i) {
+    const SyncInstance& si = sync_->at(SyncId(i));
+    const TimePs a = si.assert_offset();
+    if (a != state_.assert_offset[i]) {
+      state_.assert_offset[i] = a;
+      const ClusterId c = si.data_out.valid() ? clusters_->cluster_of(si.data_out)
+                                              : ClusterId::invalid();
+      if (c.valid()) {
+        state_.clusters[c.index()].dirty.fwd.push_back(
+            local_of_node_[si.data_out.index()]);
+      }
+    }
+    const TimePs z = si.close_offset();
+    if (z != state_.close_offset[i]) {
+      state_.close_offset[i] = z;
+      const ClusterId c = si.data_in.valid() ? clusters_->cluster_of(si.data_in)
+                                             : ClusterId::invalid();
+      if (c.valid()) {
+        state_.clusters[c.index()].dirty.bwd_of_pass.emplace_back(
+            assigned_pass_of_capture_[i], local_of_node_[si.data_in.index()]);
+      }
+    }
+  }
 }
 
 void SlackEngine::update(ThreadPool* pool) {
@@ -254,40 +318,12 @@ void SlackEngine::update(ThreadPool* pool) {
     // compute.
     if (!verify_cache()) ++istats_.self_heals;
   }
-  if (!cache_valid_) {
+  if (!state_.valid) {
     compute(pool);
     return;
   }
   ++istats_.updates;
-
-  // The net offset change since the cached passes were computed: a touched
-  // terminal seeds a cone only when its effective offset differs, so offsets
-  // that terminal-only steps moved and moved back cost nothing.
-  for (SyncId id : offsets_touched_) {
-    offset_touched_flag_[id.index()] = 0;
-    const SyncInstance& si = sync_->at(id);
-    const TimePs a = si.assert_offset();
-    if (a != pass_assert_offset_[id.index()]) {
-      pass_assert_offset_[id.index()] = a;
-      const ClusterId c = si.data_out.valid() ? clusters_->cluster_of(si.data_out)
-                                              : ClusterId::invalid();
-      if (c.valid()) {
-        dirty_[c.index()].fwd.push_back(local_of_node_[si.data_out.index()]);
-      }
-    }
-    const TimePs z = si.close_offset();
-    if (z != pass_close_offset_[id.index()]) {
-      pass_close_offset_[id.index()] = z;
-      const ClusterId c = si.data_in.valid() ? clusters_->cluster_of(si.data_in)
-                                             : ClusterId::invalid();
-      if (c.valid()) {
-        dirty_[c.index()].bwd_of_pass.emplace_back(
-            assigned_pass_of_capture_[id.index()],
-            local_of_node_[si.data_in.index()]);
-      }
-    }
-  }
-  offsets_touched_.clear();
+  choose_state();
 
   // One task per dirty (cluster, pass); each owns its cached result and its
   // workspace, so the pool schedule cannot affect the outcome.  Task slots
@@ -303,7 +339,7 @@ void SlackEngine::update(ThreadPool* pool) {
   };
   dirty_clusters_.clear();
   for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
-    ClusterDirty& d = dirty_[c];
+    ClusterDirty& d = state_.clusters[c].dirty;
     if (!d.any()) continue;
     dirty_clusters_.push_back(c);
     const Cluster& cl = clusters_->cluster(ClusterId(c));
@@ -350,15 +386,17 @@ void SlackEngine::update(ThreadPool* pool) {
 
   auto run_task = [this](UpdateTask& task) {
     const Cluster& cl = clusters_->cluster(ClusterId(task.cluster));
-    ClusterAnalysis& ca = analyses_[task.cluster];
+    const ClusterAnalysis& ca = analyses_[task.cluster];
+    ClusterState& cs = state_.clusters[task.cluster];
+    PassResult& res = cs.passes[task.pass];
     if (task.full) {
-      run_pass_into(ClusterId(task.cluster), task.pass, ca.cache[task.pass]);
+      run_pass_into(ClusterId(task.cluster), task.pass, res);
       task.retraced = 2 * cl.nodes.size();  // both sides, every node
     } else {
       task.retraced = update_analysis_pass(
           *graph_, *sync_, cl, local_of_node_, *ca.edges, ca.breaks[task.pass],
           ca.capture_insts, ca.assigned_mask[task.pass],
-          dirty_[task.cluster].fwd, task.bwd, ca.cache[task.pass], task.ws);
+          cs.dirty.fwd, task.bwd, res, task.ws);
     }
   };
   if (pool != nullptr && pool->size() > 1 && num_update_tasks_ > 1) {
@@ -376,9 +414,9 @@ void SlackEngine::update(ThreadPool* pool) {
   for (std::size_t i = 0; i < num_update_tasks_; ++i) {
     const UpdateTask& task = update_tasks_[i];
     istats_.nodes_retraced += task.retraced;
-    ClusterAnalysis& ca = analyses_[task.cluster];
-    const PassResult& res = ca.cache[task.pass];
-    ca.checksums[task.pass] = pass_checksum(res.ready, res.required);
+    ClusterState& cs = state_.clusters[task.cluster];
+    const PassResult& res = cs.passes[task.pass];
+    cs.checksums[task.pass] = pass_checksum(res.ready, res.required);
   }
 
   // Re-fold what can have changed.  A node's per-pass ready and required
@@ -387,7 +425,7 @@ void SlackEngine::update(ThreadPool* pool) {
   // bitmap dedupes the two cones).  A fully swept cluster re-folds whole.
   std::vector<std::uint64_t>& once = probe_ws_.marks;
   for (std::uint32_t c : dirty_clusters_) {
-    ClusterDirty& d = dirty_[c];
+    ClusterDirty& d = state_.clusters[c].dirty;
     const std::size_t cluster_nodes =
         clusters_->cluster(ClusterId(c)).nodes.size();
     istats_.dirty_cluster_nodes += cluster_nodes;
@@ -418,23 +456,32 @@ void SlackEngine::update_terminals() {
   maybe_corrupt_table();
 }
 
-bool SlackEngine::verify_cache() {
-  if (!cache_valid_ && !tables_valid_) return true;
-  ++istats_.self_checks;
-  bool ok = true;
-  for (std::uint32_t c = 0; ok && c < clusters_->num_clusters(); ++c) {
-    const ClusterAnalysis& ca = analyses_[c];
-    for (std::size_t p = 0; cache_valid_ && p < ca.breaks.size(); ++p) {
-      const PassResult& res = ca.cache[p];
-      if (pass_checksum(res.ready, res.required) != ca.checksums[p]) ok = false;
+bool SlackEngine::state_intact(const NodeState& st) {
+  if (!st.valid) return true;
+  for (const ClusterState& cs : st.clusters) {
+    for (std::size_t p = 0; p < cs.passes.size(); ++p) {
+      const PassResult& res = cs.passes[p];
+      if (pass_checksum(res.ready, res.required) != cs.checksums[p]) {
+        return false;
+      }
     }
-    const TerminalTable& t = ca.table;
-    for (std::uint32_t r = 0; tables_valid_ && r < t.row_checksum.size(); ++r) {
+  }
+  return true;
+}
+
+bool SlackEngine::verify_cache() {
+  if (!state_.valid && !parked_.valid && !tables_valid_) return true;
+  ++istats_.self_checks;
+  bool ok = state_intact(state_) && state_intact(parked_);
+  for (std::uint32_t c = 0; ok && tables_valid_ && c < analyses_.size(); ++c) {
+    const TerminalTable& t = analyses_[c].table;
+    for (std::uint32_t r = 0; r < t.row_checksum.size(); ++r) {
       if (hash_row(t, r) != t.row_checksum[r]) ok = false;
     }
   }
   if (!ok) {
-    cache_valid_ = false;
+    state_.valid = false;
+    drop_parked();
     tables_valid_ = false;
   }
   return ok;
@@ -449,7 +496,7 @@ void SlackEngine::maybe_corrupt_cache() {
   if (passes_.empty()) return;
   const PassRef& r =
       passes_[injector.draw(FaultSite::kCacheCorrupt) % passes_.size()];
-  PassResult& res = analyses_[r.cluster].cache[r.pass];
+  PassResult& res = state_.clusters[r.cluster].passes[r.pass];
   for (std::size_t i = 0; i < res.ready.size(); ++i) {
     if (res.ready.has(i)) {
       RiseFall e = res.ready.at(i);
@@ -488,8 +535,8 @@ void SlackEngine::run_pass_into(ClusterId c, std::size_t pass, PassResult& out,
 void SlackEngine::fold_node(std::uint32_t c, std::uint32_t li) {
   const TNodeId n = clusters_->cluster(ClusterId(c)).nodes[li];
   NodeTiming nt;
-  fold_node_timing(analyses_[c].cache, li, &nt);
-  node_[n.index()] = nt;
+  fold_node_timing(state_.clusters[c].passes, li, &nt);
+  state_.node[n.index()] = nt;
 }
 
 void SlackEngine::fold_cluster(std::uint32_t c) {

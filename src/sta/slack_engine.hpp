@@ -37,6 +37,14 @@
 // running the serial sweep kernels; the schedule never affects results
 // because every pass owns its result slot and accumulation stays in
 // cluster/pass order.
+//
+// The node-level results live in a NodeState, and the engine keeps two: the
+// active one, which every reader sees, and a parked one at other offsets.
+// update() patches whichever is nearer the current offsets, so a caller
+// that alternates between two offset sets — Algorithm 1's exit and
+// Algorithm 2's recording point after forward snatching, commit after
+// commit — re-derives only its edits' cones, not the moves between the two
+// sets.  Both states take every node invalidation; switching is a swap.
 #pragma once
 
 #include <functional>
@@ -120,6 +128,10 @@ struct IncrementalStats {
   std::uint64_t self_heals = 0;        // divergences healed by full recompute
   std::uint64_t rows_swept = 0;        // terminal-table rows built or re-swept
   std::uint64_t row_nodes_swept = 0;   // nodes those row sweeps visited
+  std::uint64_t state_forks = 0;       // active node states copied into the
+                                       // empty parked slot before a patch
+  std::uint64_t state_swaps = 0;       // updates that patched the parked
+                                       // state, it being nearer
 };
 
 /// Write-time checksum of a cached pass result: XXH64 over each side's raw
@@ -146,15 +158,18 @@ class SlackEngine {
 
   /// The adjustable/virtual offsets of `id` changed (SyncInstance::shift,
   /// a port-spec edit, a refreshed D_cz/D_dz).  The terminals of its
-  /// clusters are re-evaluated at the next refresh; update() compares its
-  /// effective offsets with the ones the cached passes were computed at, and
-  /// only a difference dirties the ready cone (launch side, every pass of
-  /// its cluster) or the required cone (capture side, its assigned pass).
+  /// clusters are re-evaluated at the next refresh.  The node level needs no
+  /// report: update() compares every terminal's effective offsets with the
+  /// ones the patched state's passes were computed at, and only a difference
+  /// dirties the ready cone (launch side, every pass of its cluster) or the
+  /// required cone (capture side, its assigned pass).
   void invalidate_offsets(SyncId id);
   void invalidate_offsets(const std::vector<SyncId>& ids);
   /// Delays of arcs incident to `node` changed: dirties the forward and
-  /// backward cones from the node in every pass of its cluster, and the
-  /// terminal-table rows of the sources in its backward cone.
+  /// backward cones from the node in every pass of its cluster, in both
+  /// node states, and the terminal-table rows of the sources in its
+  /// backward cone.  A parked state whose pending seeds in one cluster
+  /// outgrow the cluster's node count is dropped instead.
   void invalidate_node(TNodeId node);
   /// Every arc whose delay changed in the TimingGraph::delay_epoch() step
   /// from `before` was reported through invalidate_node, so the terminal
@@ -162,14 +177,18 @@ class SlackEngine {
   /// it.  A table built at another epoch saw a change nobody reported and
   /// is still rebuilt.
   void delays_reported(std::uint64_t before);
-  /// Drop both caches entirely: the next update() is a full compute(), the
-  /// next update_terminals() rebuilds the terminal delay table.
+  /// Drop both caches entirely (both node states and the terminal delay
+  /// table): the next update() is a full compute(), the next
+  /// update_terminals() rebuilds the table.
   void invalidate_all();
 
-  /// Bring all results up to date with the recorded invalidations.  With a
-  /// valid cache this re-propagates only the dirty cones and re-folds only
-  /// the nodes in them (whole clusters the cost model fully swept);
-  /// otherwise it falls back to compute().  The result state is
+  /// Bring all results up to date with the recorded invalidations.  Of the
+  /// two node states, patches the one with fewer terminals whose offsets
+  /// differ from the current ones (the active one on a tie), forking the
+  /// active state into the empty parked slot first when it is about to
+  /// move.  The patch re-propagates only the dirty cones and re-folds only
+  /// the nodes in them (whole clusters the cost model fully swept); with no
+  /// valid state it falls back to compute().  The result state is
   /// bit-identical to a fresh compute() either way.
   void update(ThreadPool* pool = nullptr);
 
@@ -198,9 +217,10 @@ class SlackEngine {
   void set_self_check(bool on) { self_check_ = on; }
   bool self_check() const { return self_check_; }
 
-  /// Verify all cached pass results and terminal tables against their
-  /// write-time checksums.  Returns true when consistent (or when there is
-  /// no cache to verify); on divergence drops both caches and returns false.
+  /// Verify all cached pass results of both node states and the terminal
+  /// tables against their write-time checksums.  Returns true when
+  /// consistent (or when there is no cache to verify); on divergence drops
+  /// both caches, both node states included, and returns false.
   bool verify_cache();
 
   /// Terminal slacks (min over passes); +inf when unconstrained.  Valid
@@ -212,9 +232,11 @@ class SlackEngine {
 
   /// Node results, as of the last compute()/update() (update_terminals()
   /// leaves them alone).
-  const NodeTiming& node_timing(TNodeId id) const { return node_.at(id.index()); }
+  const NodeTiming& node_timing(TNodeId id) const {
+    return state_.node.at(id.index());
+  }
   /// All node timings, indexed by TNodeId (bulk accessor for snapshots).
-  const std::vector<NodeTiming>& node_timings() const { return node_; }
+  const std::vector<NodeTiming>& node_timings() const { return state_.node; }
 
   /// Pre-processing facts.
   std::size_t num_passes_total() const { return passes_.size(); }
@@ -250,7 +272,7 @@ class SlackEngine {
   /// across thread counts).  A patched absent slot may hold a value near
   /// -kInfinitePs rather than the exact sentinel: test with has().
   const PassResult& cached_pass(ClusterId c, std::size_t pass) const {
-    return analyses_.at(c.index()).cache.at(pass);
+    return state_.clusters.at(c.index()).passes.at(pass);
   }
 
   /// Pre-processing facts exposed for differential harnesses and benches.
@@ -299,8 +321,6 @@ class SlackEngine {
     std::vector<std::size_t> breaks;
     std::vector<SyncId> capture_insts;            // all captures in cluster
     std::vector<std::vector<bool>> assigned_mask; // [pass][capture]
-    std::vector<PassResult> cache;                // [pass], valid iff cache_valid_
-    std::vector<std::uint64_t> checksums;         // [pass], taken at write time
     TerminalTable table;                          // built iff tables_valid_
   };
 
@@ -323,6 +343,26 @@ class SlackEngine {
       full = false;
       cone.clear();
     }
+  };
+
+  /// One cluster's share of a node state.
+  struct ClusterState {
+    std::vector<PassResult> passes;        // [pass]
+    std::vector<std::uint64_t> checksums;  // [pass], taken at write time
+    ClusterDirty dirty;                    // invalidations to apply
+  };
+
+  /// Everything a node-level refresh writes, at one set of offsets.
+  /// Copying one is a fork; after the first, the copy reuses the target's
+  /// buffers.
+  struct NodeState {
+    std::vector<ClusterState> clusters;
+    std::vector<NodeTiming> node;  // by TNodeId
+    /// Effective offsets (assert_offset(), close_offset()) by SyncId, as the
+    /// passes reflect them.
+    std::vector<TimePs> assert_offset;
+    std::vector<TimePs> close_offset;
+    bool valid = false;
   };
 
   /// Cost model for update(): when the union dirty cone of a cluster exceeds
@@ -357,8 +397,14 @@ class SlackEngine {
   /// Launch and capture slacks of cluster `c` from its table and the current
   /// offsets.
   void evaluate_terminals(std::uint32_t c);
-  /// Record the effective offsets the cached passes now reflect.
+  /// Record the effective offsets the active state's passes now reflect.
   void record_pass_offsets();
+  /// Make the nearer node state active (forking or swapping), then seed its
+  /// pending cones with the terminals whose offsets it does not reflect.
+  void choose_state();
+  void drop_parked();
+  /// Every cached pass of `st` still matches its write-time checksum.
+  static bool state_intact(const NodeState& st);
   /// Fault-injection hook: deterministically perturb one cached entry
   /// *after* its checksum was taken (no-op unless the injector is armed).
   void maybe_corrupt_cache();
@@ -374,8 +420,9 @@ class SlackEngine {
   std::vector<PassRef> passes_;
   std::vector<std::uint32_t> assigned_pass_of_capture_;  // by SyncId
 
-  std::vector<ClusterDirty> dirty_;  // by cluster
-  bool cache_valid_ = false;
+  /// The active node state, which every reader sees, and the parked one.
+  NodeState state_;
+  NodeState parked_;
   bool tables_valid_ = false;
   /// TimingGraph::delay_epoch() the tables reflect: set when they are built,
   /// advanced by delays_reported().  compute(), which takes no
@@ -383,13 +430,6 @@ class SlackEngine {
   std::uint64_t tables_epoch_ = 0;
   /// Analysed clusters whose terminals the next refresh re-evaluates.
   std::vector<std::uint32_t> terminal_dirty_;
-  /// Effective offsets (assert_offset(), close_offset()) by SyncId, as the
-  /// cached passes reflect them; update() seeds only the terminals touched
-  /// since that differ from them.
-  std::vector<TimePs> pass_assert_offset_;
-  std::vector<TimePs> pass_close_offset_;
-  std::vector<SyncId> offsets_touched_;
-  std::vector<char> offset_touched_flag_;  // by SyncId
   bool self_check_ = false;
   IncrementalStats istats_;
 
@@ -427,7 +467,6 @@ class SlackEngine {
 
   std::vector<TimePs> launch_slack_;
   std::vector<TimePs> capture_slack_;
-  std::vector<NodeTiming> node_;
 };
 
 }  // namespace hb

@@ -8,6 +8,7 @@
 #include "clocks/clock_io.hpp"
 #include "gen/des.hpp"
 #include "gen/pipeline.hpp"
+#include "gen/random_network.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/library_io.hpp"
 #include "netlist/netlist_io.hpp"
@@ -440,6 +441,76 @@ TEST(SelfHealTest, ParanoidAnalysisHealsUnderContinuousCorruption) {
     ASSERT_EQ(a.slack, b.slack) << graph.node_name(TNodeId(n));
     ASSERT_EQ(a.ready.rise, b.ready.rise);
     ASSERT_EQ(a.required.fall, b.required.fall);
+  }
+
+  // Second phase: commits that keep two node states.  On this network
+  // Algorithm 2's forward snatching moves latches, so the engine forks
+  // Algorithm 1's node state and swaps between the two on every commit.
+  // Corruption after every refresh would leave no state alive to fork or
+  // swap, so here it fires on about one refresh in ten: with this seed one
+  // heal drops the parked state, a later update forks it afresh, and
+  // another swaps to it.
+  RandomNetworkSpec spec;
+  spec.seed = 7;
+  spec.num_clocks = 2;
+  spec.banks = 4;
+  spec.bank_width = 5;
+  spec.gates_per_stage = 40;
+  const RandomNetwork net = make_random_network(lib, spec);
+  InstId inst;
+  for (std::uint32_t i = 0; i < net.design.top().insts().size(); ++i) {
+    const Instance& x = net.design.top().inst(InstId(i));
+    if (x.is_cell() && !net.design.lib().cell(x.cell).is_sequential()) {
+      inst = InstId(i);
+      break;
+    }
+  }
+  ASSERT_TRUE(inst.valid());
+  // An absorbed edit, then the commit's Algorithm 1 and 2.
+  const auto commit = [inst](Hummingbird& h) {
+    h.calculator_mut().adjust_instance(inst, ps(7));
+    EXPECT_TRUE(h.update_instance_delays(inst));
+    h.analyze();
+    return h.generate_constraints();
+  };
+  Hummingbird unfaulted(net.design, net.clocks);
+  unfaulted.analyze();
+  unfaulted.generate_constraints();
+  ConstraintSet want;
+  for (int k = 0; k < 2; ++k) want = commit(unfaulted);
+
+  Hummingbird healing(net.design, net.clocks, opt);
+  healing.analyze();
+  healing.generate_constraints();
+  const IncrementalStats before = healing.engine().incremental_stats();
+  ConstraintSet got;
+  {
+    FaultInjector::Config cfg;
+    cfg.seed = 2;
+    cfg.probability[static_cast<int>(FaultSite::kCacheCorrupt)] = 0.1;
+    FaultInjector::Scope scope(cfg);
+    for (int k = 0; k < 2; ++k) got = commit(healing);
+  }
+  const IncrementalStats after = healing.engine().incremental_stats();
+  EXPECT_GT(before.state_forks, 0u);
+  EXPECT_GT(after.self_heals, before.self_heals);
+  EXPECT_GT(after.state_forks, before.state_forks);
+  EXPECT_GT(after.state_swaps, before.state_swaps);
+  EXPECT_EQ(got.forward_snatch_cycles, want.forward_snatch_cycles);
+  for (std::uint32_t n = 0; n < unfaulted.graph().num_nodes(); ++n) {
+    const NodeTiming& a = unfaulted.engine().node_timing(TNodeId(n));
+    const NodeTiming& b = healing.engine().node_timing(TNodeId(n));
+    ASSERT_TRUE(a.slack == b.slack && a.ready == b.ready &&
+                a.required == b.required && a.has_ready == b.has_ready &&
+                a.has_constraint == b.has_constraint &&
+                a.settling_count == b.settling_count)
+        << "node timing of node " << n;
+    const ConstraintTimes& x = want.nodes[n];
+    const ConstraintTimes& y = got.nodes[n];
+    ASSERT_TRUE(x.has_ready == y.has_ready && x.ready == y.ready &&
+                x.has_required == y.has_required && x.required == y.required &&
+                x.slack == y.slack)
+        << "constraint times of node " << n;
   }
 }
 

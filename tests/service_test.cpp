@@ -522,6 +522,35 @@ TEST(ServiceTest, DegradedSessionCommitsStayPartial) {
   EXPECT_EQ(session.snapshot()->constraints_status, AnalysisStatus::kPartial);
 }
 
+// Delay adjustments in a session's analysis options open its edit history,
+// so a deferred commit's rebuild keeps them: +300 ps on every combinational
+// instance takes the worst slack from -1837 to -5527 ps, and an element
+// edit's commit must not fall back to the unadjusted design.
+TEST(ServiceTest, DeferredCommitKeepsConstructionDelayAdjustments) {
+  RandomNetwork net = make_random_network(make_standard_library(), test_spec());
+  HummingbirdOptions analysis;
+  for (const std::string& name : cell_names(net.design, SIZE_MAX, false)) {
+    analysis.delay_adjust.push_back(
+        {net.design.top().find_inst(name), ps(300)});
+  }
+  const std::string latch = cell_names(net.design, 1, true).front();
+  Session session(std::move(net.design), std::move(net.clocks), analysis);
+  EXPECT_TRUE(matches_fresh_analysis(session));
+
+  const QueryResult edit = session.execute("set_delay " + latch + " 1ps");
+  ASSERT_NE(to_wire(edit).find(" deferred "), std::string::npos)
+      << to_wire(edit);
+  const QueryResult commit = session.execute("commit");
+  ASSERT_TRUE(commit.ok) << to_wire(commit);
+  EXPECT_TRUE(matches_fresh_analysis(session));
+  // The same, spelled without the history: the options' adjustments with
+  // the edit on top.
+  analysis.delay_adjust.push_back(
+      {session.design().top().find_inst(latch), ps(1)});
+  Hummingbird fresh(session.design(), session.clocks(), analysis);
+  EXPECT_EQ(session.snapshot()->worst_slack, fresh.analyze().worst_slack);
+}
+
 // A scoped query is validated like the unscoped verb it names: every
 // malformed `corner` line keeps its reply word for word.
 TEST(ServiceTest, MalformedCornerLinesReplyAsTheUnscopedVerb) {
