@@ -12,7 +12,8 @@
 // around steady-state compute() and update() loops, serial and pooled: warm
 // caches, workspaces and task lists are reused in place, so every loop must
 // allocate nothing.  And times compute() with every pass a pool task at 1,
-// 2, 4 and 8 threads — the thread-scaling curve.
+// 2, 4 and 8 threads — the thread-scaling curve — and the nominal hold
+// check, which reads the terminal delay table's rows.
 //
 // Writes BENCH_core.json; `--quick` restricts to the small networks with few
 // reps (the CI perf-smoke job runs this mode and schema-checks the JSON).
@@ -37,6 +38,7 @@
 #include "scenario/corner_analysis.hpp"
 #include "sta/analysis_pass.hpp"
 #include "sta/cluster.hpp"
+#include "sta/hold_check.hpp"
 #include "sta/slack_engine.hpp"
 #include "util/thread_pool.hpp"
 #include "util/time.hpp"
@@ -243,6 +245,8 @@ struct CoreReport {
                                      // update(), per round
   double parallel_allocs = 0;        // steady-state pooled compute(), per pass
   std::vector<std::pair<int, double>> scaling;  // (threads, compute() us)
+  double hold_us = 0;                // nominal check_hold, every pair
+  std::size_t hold_pairs = 0;        // connected (launch, capture) pairs
   bool bit_identical = false;
 };
 
@@ -382,6 +386,11 @@ CoreReport measure(Workload& w, int reps, const std::vector<int>& thread_counts)
   engine.compute();
   rep.full_analysis_us = time_us(reps, [&] { engine.compute(); });
 
+  // The hold capture's check: every connected pair at an infinite margin.
+  // It reads the table's rows and uses no pool.
+  rep.hold_pairs = check_hold(engine, kInfinitePs).size();
+  rep.hold_us = time_us(reps, [&] { (void)check_hold(engine, kInfinitePs); });
+
   // Steady-state allocation counts.  compute() over a warm cache, and
   // update_terminals() and update() over warm workspaces, must all be
   // allocation-free.
@@ -504,7 +513,7 @@ int main(int argc, char** argv) {
 
   bool all_identical = true;
   bool zero_alloc = true;
-  double large_speedup = 0;
+  std::optional<double> large_speedup;  // quick mode skips random_large
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     Workload& w = workloads[i];
     // The 100k-cell class sweeps in milliseconds, not microseconds; fewer
@@ -528,7 +537,8 @@ int main(int argc, char** argv) {
       std::printf("  %dt %.1fus (%.2fx)", t, us,
                   us > 0 ? one_thread_us / us : 0.0);
     }
-    std::printf("  | par allocs/p %.2f\n", rep.parallel_allocs);
+    std::printf("  | par allocs/p %.2f | hold %.1fus (%zu pairs)\n",
+                rep.parallel_allocs, rep.hold_us, rep.hold_pairs);
     if (!rep.bit_identical) {
       std::fprintf(stderr, "%s: CSR and reference engines DIVERGED\n",
                    w.name.c_str());
@@ -544,14 +554,15 @@ int main(int argc, char** argv) {
                  "     \"node_evals_per_sec\": %.0f, "
                  "\"steady_state_allocs_per_pass\": %.2f, "
                  "\"steady_state_allocs_per_update\": %.2f,\n"
-                 "     \"parallel_allocs_per_pass\": %.2f,\n"
+                 "     \"parallel_allocs_per_pass\": %.2f, "
+                 "\"hold_us\": %.2f, \"hold_pairs\": %zu,\n"
                  "     \"scaling\": [",
                  w.name.c_str(), rep.cells, rep.nodes, rep.arcs, rep.passes,
                  rep.levels,
                  rep.bit_identical ? "true" : "false", rep.full_analysis_us,
                  rep.pass_eval_us, rep.reference_pass_eval_us, speedup,
                  rep.node_evals_per_sec, rep.allocs_per_pass, rep.update_allocs,
-                 rep.parallel_allocs);
+                 rep.parallel_allocs, rep.hold_us, rep.hold_pairs);
     for (std::size_t k = 0; k < rep.scaling.size(); ++k) {
       const auto& [t, us] = rep.scaling[k];
       std::fprintf(json,
@@ -664,23 +675,29 @@ int main(int argc, char** argv) {
                  i + 1 < workloads.size() ? "," : "");
   }
 
+  char speedup[32] = "null";
+  char speedup_text[32] = "not measured";
+  if (large_speedup) {
+    std::snprintf(speedup, sizeof speedup, "%.2f", *large_speedup);
+    std::snprintf(speedup_text, sizeof speedup_text, "%.2fx", *large_speedup);
+  }
   std::fprintf(json,
                "  ],\n  \"all_bit_identical\": %s,\n"
                "  \"zero_alloc_steady_state\": %s,\n"
                "  \"blif_roundtrip_ok\": %s,\n"
                "  \"corner_k1_identity_ok\": %s,\n"
                "  \"corner_amortisation_ok\": %s,\n"
-               "  \"random_large_speedup_vs_reference\": %.2f\n}\n",
+               "  \"random_large_speedup_vs_reference\": %s\n}\n",
                all_identical ? "true" : "false", zero_alloc ? "true" : "false",
                blif_roundtrip ? "true" : "false",
                corner_identity ? "true" : "false",
-               corner_amortised ? "true" : "false", large_speedup);
+               corner_amortised ? "true" : "false", speedup);
   std::fclose(json);
   std::printf("\nwrote BENCH_core.json (random_large speedup vs pre-CSR "
-              "reference: %.2fx; bit-identical: %s; zero-alloc: %s; "
+              "reference: %s; bit-identical: %s; zero-alloc: %s; "
               "blif round trip: %s; corner K=1 identity: %s; "
               "K=4 amortised: %s)\n",
-              large_speedup, all_identical ? "yes" : "NO",
+              speedup_text, all_identical ? "yes" : "NO",
               zero_alloc ? "yes" : "NO", blif_roundtrip ? "yes" : "NO",
               corner_identity ? "yes" : "NO", corner_amortised ? "yes" : "NO");
   return all_identical && blif_roundtrip && corner_identity ? 0 : 1;

@@ -159,7 +159,7 @@ int run(const std::string& netlist_path, const std::string& spec_path,
   options.sync.output_requireds = spec.output_requireds;
 
   // --threads: one pool drives pass-level fan-out (one task per analysis
-  // pass) and the hold check; results are identical at every thread count.
+  // pass) and the corner sweep; results are identical at every thread count.
   std::unique_ptr<ThreadPool> pool;
   if (flags.threads != 1) {
     pool = std::make_unique<ThreadPool>(flags.threads);
@@ -232,7 +232,7 @@ int run(const std::string& netlist_path, const std::string& spec_path,
   }
 
   if (flags.want_hold) {
-    const auto holds = analyser.check_hold_times(flags.hold_margin, pool.get());
+    const auto holds = analyser.check_hold_times(flags.hold_margin);
     std::printf("hold check (margin %s): %zu violation(s)\n",
                 format_time(flags.hold_margin).c_str(), holds.size());
     for (const HoldViolation& v : holds) {

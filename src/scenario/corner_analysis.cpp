@@ -179,9 +179,8 @@ std::string CornerAnalysis::report(std::size_t k, std::size_t max_paths) const {
 }
 
 std::vector<HoldViolation> CornerAnalysis::check_hold_times(
-    std::size_t k, TimePs hold_margin, ThreadPool* pool) const {
-  return check_hold(*engine_, hold_margin, pool, delays_.data(),
-                    delays_.lanes(), k);
+    std::size_t k, TimePs hold_margin) const {
+  return check_hold(*engine_, hold_margin, delays_.data(), delays_.lanes(), k);
 }
 
 }  // namespace hb

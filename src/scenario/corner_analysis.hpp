@@ -95,10 +95,10 @@ class CornerAnalysis {
   /// results, so a K=1 identity set reproduces Hummingbird::report().
   std::string report(std::size_t k, std::size_t max_paths = 10) const;
 
-  /// Hold checks under corner k's derated delays.
+  /// Hold checks under corner k's derated delays: the engine's terminal
+  /// table rows, each re-walked with corner k's lane.
   std::vector<HoldViolation> check_hold_times(std::size_t k,
-                                              TimePs hold_margin = 0,
-                                              ThreadPool* pool = nullptr) const;
+                                              TimePs hold_margin = 0) const;
 
   /// K-lane result of one pass (exposed for the differential tests).
   const PassResult& cached_pass(ClusterId c, std::size_t pass) const {

@@ -93,8 +93,7 @@ std::vector<SnapshotHoldPair> snapshot_hold_pairs(
 /// Every corner of a computed CornerAnalysis, each with its full hold-pair
 /// sweep under its derated delays (the infinite-threshold trick of
 /// capture_hold_into); sets has_corners and worst_corner.
-void capture_corners_into(AnalysisSnapshot& snap, const CornerAnalysis& ca,
-                          ThreadPool* pool) {
+void capture_corners_into(AnalysisSnapshot& snap, const CornerAnalysis& ca) {
   const SlackEngine& engine = ca.engine();
   const SyncModel& sync = engine.sync();
   snap.corners.reserve(ca.num_corners());
@@ -115,7 +114,7 @@ void capture_corners_into(AnalysisSnapshot& snap, const CornerAnalysis& ca,
         [&ca, k](SyncId sid) { return ca.capture_slack(k, sid); });
     sc.paths = snapshot_paths(ca.slow_paths(k, kSnapshotPaths), engine);
     sc.hold_pairs =
-        snapshot_hold_pairs(ca.check_hold_times(k, kInfinitePs, pool), sync);
+        snapshot_hold_pairs(ca.check_hold_times(k, kInfinitePs), sync);
     sc.has_hold = true;
     snap.corners.push_back(std::move(sc));
   }
@@ -150,12 +149,11 @@ std::shared_ptr<AnalysisSnapshot> take_snapshot(
 }
 
 void capture_hold_into(AnalysisSnapshot& snap, const SlackEngine& engine,
-                       ThreadPool* pool) {
-  // An infinite threshold keeps every connected pair: the sweep's final
-  // sort+dedup already reduces each pair to its worst (minimum) margin, so
+                       ThreadPool*) {
+  // An infinite threshold keeps every connected pair, each once, so
   // filtering this list by `margin < m` yields exactly check_hold(m).
-  snap.hold_pairs = snapshot_hold_pairs(
-      check_hold(engine, kInfinitePs, pool), engine.sync());
+  snap.hold_pairs =
+      snapshot_hold_pairs(check_hold(engine, kInfinitePs), engine.sync());
   snap.has_hold = true;
 }
 
@@ -165,12 +163,13 @@ std::shared_ptr<AnalysisSnapshot> capture_snapshot(
     ThreadPool* pool) {
   auto snap = take_snapshot(hb.engine(), result, id, kSnapshotPaths,
                             std::move(names));
-  // The hold and corner sweeps read the settled Algorithm 1 schedule.
-  capture_hold_into(*snap, hb.engine(), pool);
+  // The hold check and the corner sweep read the settled Algorithm 1
+  // schedule.
+  capture_hold_into(*snap, hb.engine());
   if (!corners.empty()) {
     CornerAnalysis ca(hb.engine(), corners);
     ca.compute(pool);
-    capture_corners_into(*snap, ca, pool);
+    capture_corners_into(*snap, ca);
   }
   // Algorithm 2 last: it moves the offsets away from that schedule.
   ConstraintSet cs = hb.generate_constraints();

@@ -154,19 +154,21 @@ std::shared_ptr<AnalysisSnapshot> take_snapshot(
     std::uint64_t id, std::size_t max_paths,
     std::shared_ptr<const NameIndex> names);
 
-/// Run the hold sweep at an infinite threshold and record every connected
-/// pair's worst margin into `snap` (sets has_hold).
+/// Run the hold check at an infinite threshold and record every connected
+/// pair's margin into `snap` (sets has_hold).  The check reads the engine's
+/// terminal delay table and uses no pool; the parameter stays for callers
+/// that pass one.
 void capture_hold_into(AnalysisSnapshot& snap, const SlackEngine& engine,
-                       ThreadPool* pool = nullptr);
+                       ThreadPool* = nullptr);
 
 /// The publication capture of an analyser that has just run Algorithm 1
 /// (`result`), in its one order: take_snapshot (kSnapshotPaths worst
-/// paths), the hold sweep, then — when `corners` is non-empty — one K-lane
+/// paths), the hold check, then — when `corners` is non-empty — one K-lane
 /// corner sweep with each corner's hold pairs, all over the settled
 /// schedule, and Algorithm 2 last (under the analyser's own Algorithm 2
 /// options).  Algorithm 2 leaves `hb` in its snatched state; the next
-/// analyze() starts from reset offsets and does not depend on it.  Sweeps
-/// fan out over `pool` when given.
+/// analyze() starts from reset offsets and does not depend on it.  The
+/// corner sweep fans out over `pool` when given.
 std::shared_ptr<AnalysisSnapshot> capture_snapshot(
     Hummingbird& hb, const Algorithm1Result& result, std::uint64_t id,
     std::shared_ptr<const NameIndex> names, const CornerSet& corners,

@@ -148,11 +148,11 @@ struct PassWorkspace {
 };
 
 // -- Cone-sweep primitives ---------------------------------------------------
-// Shared by update_analysis_pass, pass_cone_size and SlackEngine's terminal
-// table refresh: fused mark-and-visit sweeps over the forward/backward
-// reachability cone of a seed set, using the PassWorkspace bitmap.  Mark
-// words are consumed (zeroed) as the sweep passes, so the workspace is clean
-// on return; both return the number of nodes visited.
+// Shared by update_analysis_pass, pass_cone_size, SlackEngine's terminal
+// table and the hold check: fused mark-and-visit sweeps over the forward/
+// backward reachability cone of a seed set, using the PassWorkspace bitmap.
+// Mark words are consumed (zeroed) as the sweep passes, so the workspace is
+// clean on return; each returns the number of nodes visited.
 
 namespace passdetail {
 
@@ -254,6 +254,82 @@ std::size_t sweep_backward(const Cluster& cluster,
     --w;
   }
   return count;
+}
+
+/// Scratch of sweep_cone, grown to the largest cluster walked.  Every slot
+/// and mark is absent again after a walk, so one scratch serves walk after
+/// walk, and its mark bitmap serves the other cone sweeps in between.
+struct ConeScratch {
+  std::vector<RiseFall> val;           // by local; -kInfinitePs when absent
+  std::vector<TimePs> min;             // by local; +kInfinitePs when absent
+  PassWorkspace ws;                    // a mark bit per local
+  std::vector<std::uint64_t> summary;  // a bit per word of ws.marks
+
+  void ensure(std::size_t num_locals) {
+    if (val.size() >= num_locals) return;
+    val.resize(num_locals, RiseFall{-kInfinitePs, -kInfinitePs});
+    min.resize(num_locals, kInfinitePs);
+    ws.ensure(num_locals);
+    summary.resize((num_locals + 4095) / 4096, 0);
+  }
+};
+
+/// One source's reachable cone, walked from a (0, 0) seed at local `src`
+/// under forward_scatter's rules: ascending local index settles each node
+/// before it scatters (every arc climbs), and nothing leaves a blocked node.
+/// Calls visit(li, max, min) for every reached local in ascending order:
+/// `max` is its ready time from the seed, `min` the least delay over its
+/// paths, each arc adding min(rise, fall) of its delay.  `delay(arc, ai)`
+/// is arc ai's delay — the graph's own or a corner lane's.  Pending nodes
+/// are marked in a two-level bitmap (a bit per local, a summary bit per word
+/// of marks), so a walk costs its cone, not the cluster's width.  Returns
+/// the number of nodes visited.
+template <class Delay, class Visit>
+std::size_t sweep_cone(const Cluster& cl, const TArcRec* arcs,
+                       std::uint32_t src, Delay delay, ConeScratch& s,
+                       Visit visit) {
+  RiseFall* val = s.val.data();
+  TimePs* mn = s.min.data();
+  std::uint64_t* marks = s.ws.marks.data();
+  std::uint64_t* summary = s.summary.data();
+  val[src] = RiseFall{0, 0};
+  mn[src] = 0;
+  marks[src >> 6] |= bit_of(src);
+  summary[src >> 12] |= bit_of(src >> 6);
+  std::size_t hi = src >> 12;
+  std::size_t visited = 0;
+  for (std::size_t sw = src >> 12; sw <= hi; ++sw) {
+    while (const std::uint64_t words = summary[sw]) {
+      const std::size_t w =
+          sw * 64 + static_cast<unsigned>(std::countr_zero(words));
+      while (const std::uint64_t pend = marks[w]) {
+        marks[w] = pend & (pend - 1);
+        const auto li = static_cast<std::uint32_t>(
+            w * 64 + static_cast<unsigned>(std::countr_zero(pend)));
+        const RiseFall v = val[li];
+        const TimePs m = mn[li];
+        val[li] = RiseFall{-kInfinitePs, -kInfinitePs};
+        mn[li] = kInfinitePs;
+        ++visited;
+        visit(li, v, m);
+        if (cl.blocked[li]) continue;
+        const std::uint32_t end = cl.out_offsets[li + 1];
+        for (std::uint32_t e = cl.out_offsets[li]; e < end; ++e) {
+          const std::uint32_t ai = cl.out_arc[e];
+          const TArcRec& arc = arcs[ai];
+          const RiseFall d = delay(arc, ai);
+          const std::uint32_t to = cl.out_local[e];
+          val[to] = rf_max(val[to], propagate_forward(v, arc, d));
+          mn[to] = std::min(mn[to], m + d.min());
+          marks[to >> 6] |= bit_of(to);
+          summary[to >> 12] |= bit_of(to >> 6);
+          hi = std::max(hi, static_cast<std::size_t>(to >> 12));
+        }
+      }
+      summary[sw] &= ~bit_of(static_cast<std::uint32_t>(w));
+    }
+  }
+  return visited;
 }
 
 }  // namespace passdetail

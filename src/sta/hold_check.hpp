@@ -26,23 +26,23 @@ struct HoldViolation {
   TimePs margin;    // actual_arrival - previous_closure; violation if < hold_margin
 };
 
-class ThreadPool;
-
 /// Check all launch/capture pairs with the current offsets.  `hold_margin`
 /// is the minimum time data must arrive after the previous input closure.
-/// Every (cluster, launch source) pair is one independent min-delay sweep.
-/// With a pool, one ThreadPool::run_batch task per worker pulls sweeps off
-/// a shared counter into its own scratch; the result is identical at every
-/// thread count — the final sort+dedup orders violations by value alone.
+/// The pairs and their minimum path delays come from the engine's terminal
+/// delay table (SlackEngine::terminal_table): one row per launch node, each
+/// sink it reaches with the least delay over its cone.  So, like
+/// launch_slack(), the check reads delays as of the engine's last refresh;
+/// a nominal check walks no node.  The result is sorted by (launch,
+/// capture), one entry per pair.
 ///
-/// `arc_delay` (optional) substitutes per-arc delays for the graph's own in
-/// the min-delay sweeps: arc `a` reads arc_delay[a * stride + lane], the
-/// lane-major convention of the pass kernels and the path tracer.  The
+/// `arc_delay` (optional) substitutes per-arc delays for the graph's own:
+/// arc `a` reads arc_delay[a * stride + lane], the lane-major convention of
+/// the pass kernels and the path tracer.  Each row is then re-walked over
+/// its cone with that lane's delays (passdetail::sweep_cone).  The
 /// multi-corner layer (src/scenario) passes its derated delay table here to
-/// check hold under each corner; nullptr keeps the nominal graph delays.
+/// check hold under each corner; nullptr keeps the table's nominal delays.
 std::vector<HoldViolation> check_hold(const SlackEngine& engine,
                                       TimePs hold_margin = 0,
-                                      ThreadPool* pool = nullptr,
                                       const RiseFall* arc_delay = nullptr,
                                       std::size_t stride = 1,
                                       std::size_t lane = 0);

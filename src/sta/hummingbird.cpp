@@ -130,9 +130,9 @@ ConstraintSet Hummingbird::generate_constraints() {
   return out;
 }
 
-std::vector<HoldViolation> Hummingbird::check_hold_times(TimePs hold_margin,
-                                                         ThreadPool* pool) const {
-  return check_hold(*engine_, hold_margin, pool);
+std::vector<HoldViolation> Hummingbird::check_hold_times(
+    TimePs hold_margin) const {
+  return check_hold(*engine_, hold_margin);
 }
 
 std::vector<SlowPath> Hummingbird::slow_paths(std::size_t max_paths) const {

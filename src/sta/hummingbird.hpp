@@ -117,10 +117,9 @@ class Hummingbird {
   ConstraintSet generate_constraints();
 
   /// Supplementary-path (hold) checking — extension, see hold_check.hpp.
-  /// With a pool, per-source sweeps fan out across its workers (identical
-  /// results at every thread count).
-  std::vector<HoldViolation> check_hold_times(TimePs hold_margin = 0,
-                                              ThreadPool* pool = nullptr) const;
+  /// Reads the engine's terminal delay table as of its last refresh (the
+  /// construction, or the last analyze()), like the terminal slacks.
+  std::vector<HoldViolation> check_hold_times(TimePs hold_margin = 0) const;
 
   /// Worst-first slow paths with full step traces.
   std::vector<SlowPath> slow_paths(std::size_t max_paths = 10) const;

@@ -24,20 +24,29 @@ SlackEngine::SlackEngine(const TimingGraph& graph, const ClusterSet& clusters,
                          const SyncModel& sync)
     : graph_(&graph), clusters_(&clusters), sync_(&sync) {
   local_of_node_.assign(graph.num_nodes(), 0);
+  std::size_t largest = 0;
   for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
     const Cluster& cl = clusters.cluster(ClusterId(c));
     for (std::uint32_t i = 0; i < cl.nodes.size(); ++i) {
       local_of_node_[cl.nodes[i].index()] = i;
     }
+    if (!cl.source_nodes.empty() && !cl.sink_nodes.empty()) {
+      largest = std::max(largest, cl.nodes.size());
+    }
   }
+  row_scratch_.ensure(largest);
   analyses_.resize(clusters.num_clusters());
   assigned_pass_of_capture_.assign(sync.num_instances(), 0);
   for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
-    prepare_cluster(ClusterId(c));
+    prepare_cluster(c);
     for (std::uint32_t p = 0; p < analyses_[c].breaks.size(); ++p) {
       passes_.push_back(PassRef{c, p});
     }
+    // The rows are swept; the first refresh evaluates the terminals.
+    if (!analyses_[c].breaks.empty()) mark_terminals_dirty(c);
   }
+  tables_valid_ = true;
+  tables_epoch_ = graph.delay_epoch();
   launch_slack_.assign(sync.num_instances(), kInfinitePs);
   capture_slack_.assign(sync.num_instances(), kInfinitePs);
   // Only the active state is sized here; the parked one gets its buffers at
@@ -46,20 +55,12 @@ SlackEngine::SlackEngine(const TimingGraph& graph, const ClusterSet& clusters,
   state_.node.assign(graph.num_nodes(), NodeTiming{});
   state_.assert_offset.assign(sync.num_instances(), 0);
   state_.close_offset.assign(sync.num_instances(), 0);
-  std::size_t largest = 0;
-  for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
-    if (analyses_[c].breaks.empty()) continue;
-    prepare_table(c);
-    largest = std::max(largest, clusters.cluster(ClusterId(c)).nodes.size());
-  }
-  row_val_.assign(largest, RiseFall{-kInfinitePs, -kInfinitePs});
-  table_ws_.ensure(largest);
-  row_summary_.assign((largest + 4095) / 4096, 0);
 }
 
-void SlackEngine::prepare_cluster(ClusterId c) {
-  const Cluster& cl = clusters_->cluster(c);
-  ClusterAnalysis& ca = analyses_[c.index()];
+void SlackEngine::prepare_cluster(std::uint32_t c) {
+  const Cluster& cl = clusters_->cluster(ClusterId(c));
+  ClusterAnalysis& ca = analyses_[c];
+  TerminalTable& t = ca.table;
 
   // Capture instances in a fixed order: by sink node, then captures_at().
   for (TNodeId n : cl.sink_nodes) {
@@ -83,40 +84,40 @@ void SlackEngine::prepare_cluster(ClusterId c) {
   ca.edges = std::make_unique<ClockEdgeGraph>(std::move(times),
                                               sync_->overall_period());
 
-  // Reachability from each source node to the cluster's sink nodes, then one
-  // requirement per connected (launch instance, capture instance) pair.
-  std::vector<std::uint32_t> sink_pos(graph_->num_nodes(), UINT32_MAX);
-  for (std::uint32_t k = 0; k < cl.sink_nodes.size(); ++k) {
-    sink_pos[cl.sink_nodes[k].index()] = k;
+  // The table's row and sink index, then every row, each over its source's
+  // reachable cone.
+  t.row_of_local.assign(cl.nodes.size(), TerminalTable::kNone);
+  t.sink_of_local.assign(cl.nodes.size(), TerminalTable::kNone);
+  t.row_launch_begin.assign(1, 0);
+  for (std::uint32_t r = 0; r < cl.source_nodes.size(); ++r) {
+    const TNodeId n = cl.source_nodes[r];
+    t.row_of_local[local_of_node_[n.index()]] = r;
+    t.row_launch_begin.push_back(
+        t.row_launch_begin.back() +
+        static_cast<std::uint32_t>(sync_->launches_at(n).size()));
   }
-  std::vector<char> visited(cl.nodes.size(), 0);
-  std::vector<TNodeId> stack;
-  for (TNodeId src : cl.source_nodes) {
-    std::fill(visited.begin(), visited.end(), 0);
-    stack.clear();
-    stack.push_back(src);
-    visited[local_of_node_[src.index()]] = 1;
-    std::vector<TNodeId> reached_sinks;
-    while (!stack.empty()) {
-      const TNodeId n = stack.back();
-      stack.pop_back();
-      if (sink_pos[n.index()] != UINT32_MAX) reached_sinks.push_back(n);
-      const NodeRole role = graph_->node(n).role;
-      if (role == NodeRole::kSyncDataIn || role == NodeRole::kSyncControl) continue;
-      for (std::uint32_t ai : graph_->fanout(n)) {
-        const TNodeId to = graph_->arc(ai).to;
-        char& v = visited[local_of_node_[to.index()]];
-        if (!v) {
-          v = 1;
-          stack.push_back(to);
-        }
-      }
-    }
-    for (SyncId li : sync_->launches_at(src)) {
-      for (TNodeId sink : reached_sinks) {
-        for (SyncId cj : sync_->captures_at(sink)) {
-          ca.edges->add_requirement(sync_->at(li).ideal_assert,
-                                    sync_->at(cj).ideal_close);
+  t.sink_cap_begin.assign(1, 0);
+  for (std::uint32_t k = 0; k < cl.sink_nodes.size(); ++k) {
+    const TNodeId n = cl.sink_nodes[k];
+    t.sink_of_local[local_of_node_[n.index()]] = k;
+    t.sink_cap_begin.push_back(
+        t.sink_cap_begin.back() +
+        static_cast<std::uint32_t>(sync_->captures_at(n).size()));
+  }
+  t.row_begin.assign(1, 0);
+  for (std::uint32_t r = 0; r < cl.source_nodes.size(); ++r) sweep_row(c, r);
+
+  // One requirement per connected (launch instance, capture instance) pair:
+  // a row's sinks are exactly the sink nodes its source reaches.
+  for (std::uint32_t r = 0; r < cl.source_nodes.size(); ++r) {
+    for (SyncId li : sync_->launches_at(cl.source_nodes[r])) {
+      const TimePs assertion = sync_->at(li).ideal_assert;
+      for (std::uint32_t q = t.row_begin[r]; q < t.row_begin[r + 1]; ++q) {
+        const std::uint32_t k = t.pair_sink[q];
+        for (std::uint32_t j = t.sink_cap_begin[k]; j < t.sink_cap_begin[k + 1];
+             ++j) {
+          ca.edges->add_requirement(assertion,
+                                    sync_->at(ca.capture_insts[j]).ideal_close);
         }
       }
     }
@@ -142,6 +143,24 @@ void SlackEngine::prepare_cluster(ClusterId c) {
     ca.assigned_mask[best][k] = true;
     assigned_pass_of_capture_[ca.capture_insts[k].index()] =
         static_cast<std::uint32_t>(best);
+  }
+
+  // Linearised ideal times are fixed by pre-processing: a step adds only the
+  // current assert_offset() / close_offset().
+  const std::size_t np = ca.breaks.size();
+  for (TNodeId n : cl.source_nodes) {
+    for (SyncId id : sync_->launches_at(n)) {
+      for (std::size_t p = 0; p < np; ++p) {
+        t.launch_assert.push_back(
+            ca.edges->linear_assert(sync_->at(id).ideal_assert, ca.breaks[p]));
+      }
+    }
+  }
+  for (SyncId id : ca.capture_insts) {
+    const std::uint32_t p = assigned_pass_of_capture_[id.index()];
+    t.cap_pass.push_back(p);
+    t.cap_close.push_back(
+        ca.edges->linear_close(sync_->at(id).ideal_close, ca.breaks[p]));
   }
 }
 
@@ -512,13 +531,16 @@ void SlackEngine::maybe_corrupt_table() {
   FaultInjector& injector = FaultInjector::instance();
   if (!injector.armed() || !tables_valid_) return;
   if (!injector.should_fire(FaultSite::kCacheCorrupt)) return;
-  // The table's counterpart of maybe_corrupt_cache: one pair's delay, after
-  // its row's checksum was taken.
+  // The table's counterpart of maybe_corrupt_cache: one pair's max or min
+  // delay, after its row's checksum was taken.
   const std::uint64_t draw = injector.draw(FaultSite::kCacheCorrupt);
   for (std::size_t i = 0; i < analyses_.size(); ++i) {
     TerminalTable& t = analyses_[(draw + i) % analyses_.size()].table;
-    if (t.pair_delay.empty()) continue;
-    t.pair_delay[draw % t.pair_delay.size()] += 1000;  // 1ns of silent error
+    const std::size_t n = t.pair_delay.size();
+    if (n == 0) continue;
+    const std::size_t slot = draw % (2 * n);
+    std::vector<TimePs>& column = slot < n ? t.pair_delay : t.pair_min;
+    column[slot % n] += 1000;  // 1ns of silent error
     return;
   }
 }
@@ -546,102 +568,34 @@ void SlackEngine::fold_cluster(std::uint32_t c) {
 
 // -- Terminal delay table ----------------------------------------------------
 
-void SlackEngine::prepare_table(std::uint32_t c) {
-  const Cluster& cl = clusters_->cluster(ClusterId(c));
-  ClusterAnalysis& ca = analyses_[c];
-  TerminalTable& t = ca.table;
-  const std::size_t np = ca.breaks.size();
-  t.row_of_local.assign(cl.nodes.size(), TerminalTable::kNone);
-  t.sink_of_local.assign(cl.nodes.size(), TerminalTable::kNone);
-  // Linearised ideal times are fixed by pre-processing: a step adds only the
-  // current assert_offset() / close_offset().
-  t.row_launch_begin.assign(1, 0);
-  for (std::uint32_t r = 0; r < cl.source_nodes.size(); ++r) {
-    const TNodeId n = cl.source_nodes[r];
-    t.row_of_local[local_of_node_[n.index()]] = r;
-    for (SyncId id : sync_->launches_at(n)) {
-      for (std::size_t p = 0; p < np; ++p) {
-        t.launch_assert.push_back(
-            ca.edges->linear_assert(sync_->at(id).ideal_assert, ca.breaks[p]));
-      }
-    }
-    t.row_launch_begin.push_back(
-        t.row_launch_begin.back() +
-        static_cast<std::uint32_t>(sync_->launches_at(n).size()));
-  }
-  t.sink_cap_begin.assign(1, 0);
-  for (std::uint32_t k = 0; k < cl.sink_nodes.size(); ++k) {
-    const TNodeId n = cl.sink_nodes[k];
-    t.sink_of_local[local_of_node_[n.index()]] = k;
-    t.sink_cap_begin.push_back(
-        t.sink_cap_begin.back() +
-        static_cast<std::uint32_t>(sync_->captures_at(n).size()));
-  }
-  for (SyncId id : ca.capture_insts) {
-    const std::uint32_t p = assigned_pass_of_capture_[id.index()];
-    t.cap_pass.push_back(p);
-    t.cap_close.push_back(
-        ca.edges->linear_close(sync_->at(id).ideal_close, ca.breaks[p]));
-  }
-}
-
-void SlackEngine::sweep_row(std::uint32_t c, std::uint32_t r, bool append) {
+void SlackEngine::sweep_row(std::uint32_t c, std::uint32_t r) {
   const Cluster& cl = clusters_->cluster(ClusterId(c));
   TerminalTable& t = analyses_[c].table;
-  const TArcRec* arcs = graph_->arcs_data();
-  RiseFall* val = row_val_.data();
-  std::uint64_t* marks = table_ws_.marks.data();
-  std::uint64_t* summary = row_summary_.data();
-  // forward_scatter's rules from a (0, 0) seed, over the source's cone only:
-  // ascending local index settles each node before it scatters (every arc
-  // climbs, so a node's marks land above it), and nothing leaves a blocked
-  // node.  Pending nodes are marked in a two-level bitmap — a bit per local,
-  // and a summary bit per word of marks — so a row's cost follows its cone,
-  // not the cluster's width.  Each slot and mark is read once and cleared,
-  // so the scratch is clean for the next row.
-  const std::uint32_t src = local_of_node_[cl.source_nodes[r].index()];
-  val[src] = RiseFall{0, 0};
-  marks[src >> 6] |= passdetail::bit_of(src);
-  summary[src >> 12] |= passdetail::bit_of(src >> 6);
-  std::size_t hi = src >> 12;
-  std::size_t visited = 0;
+  const bool append = t.row_begin.size() == r + 1;
   std::uint32_t q = t.row_begin[r];
-  for (std::size_t sw = src >> 12; sw <= hi; ++sw) {
-    while (const std::uint64_t words = summary[sw]) {
-      const std::size_t w =
-          sw * 64 + static_cast<unsigned>(std::countr_zero(words));
-      while (const std::uint64_t pend = marks[w]) {
-        marks[w] = pend & (pend - 1);
-        const auto li = static_cast<std::uint32_t>(
-            w * 64 + static_cast<unsigned>(std::countr_zero(pend)));
-        const RiseFall v = val[li];
-        val[li] = RiseFall{-kInfinitePs, -kInfinitePs};
-        ++visited;
+  const std::size_t visited = passdetail::sweep_cone(
+      cl, graph_->arcs_data(), local_of_node_[cl.source_nodes[r].index()],
+      [](const TArcRec& arc, std::uint32_t) { return arc.delay; },
+      row_scratch_, [&](std::uint32_t li, RiseFall v, TimePs m) {
         const std::uint32_t k = t.sink_of_local[li];
-        if (k != TerminalTable::kNone) {
-          if (append) {
-            t.pair_sink.push_back(k);
-            t.pair_delay.push_back(v.max());
-          } else {
-            HB_ASSERT(t.pair_sink[q] == k);
-            t.pair_delay[q++] = v.max();
-          }
+        if (k == TerminalTable::kNone) return;
+        if (append) {
+          t.pair_sink.push_back(k);
+          t.pair_delay.push_back(v.max());
+          t.pair_min.push_back(m);
+        } else {
+          HB_ASSERT(t.pair_sink[q] == k);
+          t.pair_delay[q] = v.max();
+          t.pair_min[q++] = m;
         }
-        if (cl.blocked[li]) continue;
-        const std::uint32_t end = cl.out_offsets[li + 1];
-        for (std::uint32_t e = cl.out_offsets[li]; e < end; ++e) {
-          const TArcRec& arc = arcs[cl.out_arc[e]];
-          const std::uint32_t to = cl.out_local[e];
-          val[to] = rf_max(val[to], propagate_forward(v, arc, arc.delay));
-          marks[to >> 6] |= passdetail::bit_of(to);
-          summary[to >> 12] |= passdetail::bit_of(to >> 6);
-          hi = std::max(hi, static_cast<std::size_t>(to >> 12));
-        }
-      }
-      summary[sw] &= ~passdetail::bit_of(static_cast<std::uint32_t>(w));
-    }
+      });
+  if (append) {
+    t.row_begin.push_back(static_cast<std::uint32_t>(t.pair_sink.size()));
+    t.row_checksum.push_back(hash_row(t, r));
+  } else {
+    HB_ASSERT(q == t.row_begin[r + 1]);
+    t.row_checksum[r] = hash_row(t, r);
   }
-  if (!append) HB_ASSERT(q == t.row_begin[r + 1]);
   ++istats_.rows_swept;
   istats_.row_nodes_swept += visited;
 }
@@ -649,8 +603,10 @@ void SlackEngine::sweep_row(std::uint32_t c, std::uint32_t r, bool append) {
 std::uint64_t SlackEngine::hash_row(const TerminalTable& t, std::uint32_t r) {
   const std::size_t b = t.row_begin[r];
   const std::size_t n = t.row_begin[r + 1] - b;
-  return xxhash64(t.pair_delay.data() + b, n * sizeof(TimePs),
-                  xxhash64(t.pair_sink.data() + b, n * sizeof(std::uint32_t), r));
+  std::uint64_t h =
+      xxhash64(t.pair_sink.data() + b, n * sizeof(std::uint32_t), r);
+  h = xxhash64(t.pair_delay.data() + b, n * sizeof(TimePs), h);
+  return xxhash64(t.pair_min.data() + b, n * sizeof(TimePs), h);
 }
 
 void SlackEngine::mark_terminals_dirty(std::uint32_t c) {
@@ -662,20 +618,13 @@ void SlackEngine::mark_terminals_dirty(std::uint32_t c) {
 
 void SlackEngine::refresh_terminals() {
   if (!tables_valid_) {
-    // Built on first use (and after a drop): every row of every analysed
-    // cluster, each over its own reachable cone.
+    // After a drop or an unreported delay change: every row of every
+    // analysed cluster, re-swept in place (reachability is fixed).
     for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
       if (analyses_[c].breaks.empty()) continue;
       TerminalTable& t = analyses_[c].table;
-      const auto rows = static_cast<std::uint32_t>(t.row_launch_begin.size() - 1);
-      t.row_begin.assign(1, 0);
-      t.pair_sink.clear();
-      t.pair_delay.clear();
-      t.row_checksum.clear();
-      for (std::uint32_t r = 0; r < rows; ++r) {
-        sweep_row(c, r, /*append=*/true);
-        t.row_begin.push_back(static_cast<std::uint32_t>(t.pair_sink.size()));
-        t.row_checksum.push_back(hash_row(t, r));
+      for (std::uint32_t r = 0; r + 1 < t.row_begin.size(); ++r) {
+        sweep_row(c, r);
       }
       t.seeds.clear();
       mark_terminals_dirty(c);
@@ -691,16 +640,13 @@ void SlackEngine::refresh_terminals() {
       // blocked rule (a blocked node scatters nothing).
       stale_rows_.clear();
       passdetail::sweep_backward(clusters_->cluster(ClusterId(c)), t.seeds,
-                                 table_ws_, [this, &t](std::uint32_t li) {
+                                 row_scratch_.ws, [this, &t](std::uint32_t li) {
                                    const std::uint32_t r = t.row_of_local[li];
                                    if (r != TerminalTable::kNone) {
                                      stale_rows_.push_back(r);
                                    }
                                  });
-      for (std::uint32_t r : stale_rows_) {
-        sweep_row(c, r, /*append=*/false);
-        t.row_checksum[r] = hash_row(t, r);
-      }
+      for (std::uint32_t r : stale_rows_) sweep_row(c, r);
       t.seeds.clear();
     }
     evaluate_terminals(c);

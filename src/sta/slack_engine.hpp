@@ -3,8 +3,10 @@
 // Pre-processing, done once per design+clock configuration:
 //   * per cluster, build the clock-edge graph over the ideal assertion and
 //     closure times of its launch/capture instances;
+//   * lay out and sweep the cluster's terminal delay table (below): one row
+//     per launch node, holding every capture node its cone reaches;
 //   * add one ordering requirement per (launch instance, capture instance)
-//     pair connected by a combinational path;
+//     pair connected by a combinational path, read from those rows;
 //   * solve for the minimum set of break nodes (analysis passes);
 //   * assign every capture instance to the pass in which its ideal closure
 //     time appears closest to the end of the broken-open period.
@@ -13,11 +15,12 @@
 //   * per-instance terminal slacks (inputs of Algorithms 1 and 2), derived
 //     from a per-cluster *terminal delay table*: for every launch node, the
 //     longest combinational delay max(rise, fall) to every capture node it
-//     reaches.  Eqs. 1/2 are max-plus linear in the launch seeds, so a
-//     capture's slack is its closure minus max over sources of (seed + D),
-//     and a launch's the min over its reachable captures of (closure - D)
-//     minus its assertion — exactly what the passes give (docs/ALGORITHMS.md
-//     §4).  update_terminals() refreshes only these: the table's rows follow
+//     reaches (and beside it the least delay, which the hold check reads).
+//     Eqs. 1/2 are max-plus linear in the launch seeds, so a capture's
+//     slack is its closure minus max over sources of (seed + D), and a
+//     launch's the min over its reachable captures of (closure - D) minus
+//     its assertion — exactly what the passes give (docs/ALGORITHMS.md §4).
+//     update_terminals() refreshes only these: the table's rows follow
 //     delays, the evaluation adds the current offsets;
 //   * per-node slack / ready / required times (from the node's critical
 //     pass) and settling-time counts — the paper's headline "minimum number
@@ -174,12 +177,12 @@ class SlackEngine {
   /// Every arc whose delay changed in the TimingGraph::delay_epoch() step
   /// from `before` was reported through invalidate_node, so the terminal
   /// table stays current by re-sweeping the reported rows: compute() keeps
-  /// it.  A table built at another epoch saw a change nobody reported and
-  /// is still rebuilt.
+  /// it.  A table swept at another epoch saw a change nobody reported and
+  /// is re-swept whole.
   void delays_reported(std::uint64_t before);
   /// Drop both caches entirely (both node states and the terminal delay
   /// table): the next update() is a full compute(), the next
-  /// update_terminals() rebuilds the table.
+  /// update_terminals() re-sweeps every row.
   void invalidate_all();
 
   /// Bring all results up to date with the recorded invalidations.  Of the
@@ -289,14 +292,16 @@ class SlackEngine {
   /// Position of a node inside its cluster's node list.
   std::uint32_t local_index(TNodeId n) const { return local_of_node_.at(n.index()); }
 
- private:
   /// Terminal delay table of one analysed cluster (docs/ALGORITHMS.md §4).
   /// Rows follow the cluster's source nodes, sinks its sink nodes; a row
-  /// holds one (sink, D) pair per sink its source reaches, in ascending
-  /// local order, where D is max(rise, fall) of the sink's ready time
-  /// propagated from a (0, 0) seed at the source.  Which sinks a source
-  /// reaches depends only on the graph, so rows keep their length for the
-  /// engine's lifetime and a re-sweep rewrites D in place.
+  /// holds one pair per sink its source reaches, in ascending local order:
+  /// the sink, D = max(rise, fall) of the sink's ready time propagated from
+  /// a (0, 0) seed at the source, and the least delay over the same paths
+  /// (passdetail::sweep_cone).  The rows are laid out and swept at
+  /// construction, and the cluster's ordering requirements are read from
+  /// them.  Which sinks a source reaches depends only on the graph, so rows
+  /// keep their length for the engine's lifetime and a re-sweep rewrites
+  /// both delays in place.
   struct TerminalTable {
     static constexpr std::uint32_t kNone = UINT32_MAX;
     std::vector<std::uint32_t> row_of_local;      // [local] row, or kNone
@@ -308,20 +313,27 @@ class SlackEngine {
     std::vector<TimePs> launch_assert;            // [launch * passes + pass]
     std::vector<std::uint32_t> row_begin;         // [row + 1] pair slices
     std::vector<std::uint32_t> pair_sink;
-    std::vector<TimePs> pair_delay;
+    std::vector<TimePs> pair_delay;               // max delay, D
+    std::vector<TimePs> pair_min;                 // min delay
     std::vector<std::uint64_t> row_checksum;      // [row], taken at write time
     /// Locals invalidated since the last refresh: the rows of the sources
     /// in their backward cone are re-swept.
     std::vector<std::uint32_t> seeds;
     bool dirty = false;  // queued in terminal_dirty_
   };
+  /// Terminal delay table of cluster `c` as of the last refresh (empty for
+  /// a cluster no pass analyses); the hold check reads its rows.
+  const TerminalTable& terminal_table(ClusterId c) const {
+    return analyses_.at(c.index()).table;
+  }
 
+ private:
   struct ClusterAnalysis {
     std::unique_ptr<ClockEdgeGraph> edges;
     std::vector<std::size_t> breaks;
     std::vector<SyncId> capture_insts;            // all captures in cluster
     std::vector<std::vector<bool>> assigned_mask; // [pass][capture]
-    TerminalTable table;                          // built iff tables_valid_
+    TerminalTable table;  // current iff tables_valid_
   };
 
   /// Pending invalidations of one cluster, in local node indices.
@@ -375,7 +387,10 @@ class SlackEngine {
   static constexpr std::size_t kFullSweepNum = 1;
   static constexpr std::size_t kFullSweepDen = 2;
 
-  void prepare_cluster(ClusterId c);
+  /// Pre-process cluster `c`: its edge graph, its terminal table's rows,
+  /// the requirements read from them, the break nodes and the capture
+  /// assignment.
+  void prepare_cluster(std::uint32_t c);
   /// Fold local `li` of cluster `c` over all of the cluster's passes into
   /// its NodeTiming (fold_node_timing).  Overwrites, never merges, so
   /// folding a node twice is harmless.
@@ -383,16 +398,17 @@ class SlackEngine {
   void fold_cluster(std::uint32_t c);
 
   // -- Terminal delay table -------------------------------------------------
-  /// Lay out cluster `c`'s table index (everything but the pairs) once.
-  void prepare_table(std::uint32_t c);
-  /// Sweep row `r` of cluster `c` over its source's forward cone: append its
-  /// pairs (`append`) or rewrite their delays in place.
-  void sweep_row(std::uint32_t c, std::uint32_t r, bool append);
-  /// Write-time checksum of one row: XXH64 over its pairs' sinks and delays.
+  /// Sweep row `r` of cluster `c` over its source's cone and retake its
+  /// checksum.  The row's pairs are appended when the table's layout ends at
+  /// row `r` (construction, row by row), else rewritten in place.
+  void sweep_row(std::uint32_t c, std::uint32_t r);
+  /// Write-time checksum of one row: XXH64 over its pairs' sinks and both
+  /// delays.
   static std::uint64_t hash_row(const TerminalTable& t, std::uint32_t r);
   void mark_terminals_dirty(std::uint32_t c);
-  /// Build missing tables, re-sweep the rows invalidated nodes reach, and
-  /// re-evaluate the terminals of every queued cluster.
+  /// Re-sweep every row of a dropped or stale table, then the rows
+  /// invalidated nodes reach, and re-evaluate the terminals of every queued
+  /// cluster.
   void refresh_terminals();
   /// Launch and capture slacks of cluster `c` from its table and the current
   /// offsets.
@@ -408,7 +424,8 @@ class SlackEngine {
   /// Fault-injection hook: deterministically perturb one cached entry
   /// *after* its checksum was taken (no-op unless the injector is armed).
   void maybe_corrupt_cache();
-  /// The same for one terminal-table delay, after update_terminals().
+  /// The same for one terminal-table delay (either column), after
+  /// update_terminals().
   void maybe_corrupt_table();
 
   const TimingGraph* graph_;
@@ -424,9 +441,9 @@ class SlackEngine {
   NodeState state_;
   NodeState parked_;
   bool tables_valid_ = false;
-  /// TimingGraph::delay_epoch() the tables reflect: set when they are built,
-  /// advanced by delays_reported().  compute(), which takes no
-  /// invalidations, rebuilds them when delays moved since.
+  /// TimingGraph::delay_epoch() the tables reflect: set when they are swept
+  /// whole, advanced by delays_reported().  compute(), which takes no
+  /// invalidations, re-sweeps them when delays moved since.
   std::uint64_t tables_epoch_ = 0;
   /// Analysed clusters whose terminals the next refresh re-evaluates.
   std::vector<std::uint32_t> terminal_dirty_;
@@ -455,12 +472,11 @@ class SlackEngine {
   std::vector<std::uint32_t> probe_bwd_;  // union backward seeds (cost probe)
   PassWorkspace probe_ws_;
 
-  // Terminal-table scratch, grown to the largest cluster and reused.
-  PassWorkspace table_ws_;
-  std::vector<std::uint32_t> stale_rows_;   // rows a refresh re-sweeps
-  std::vector<RiseFall> row_val_;           // by local; absent outside a sweep
-  std::vector<std::uint64_t> row_summary_;  // a bit per word of table_ws_
-  std::vector<TimePs> row_seed_time_;       // [row * passes + pass]
+  // Terminal-table scratch, grown to the largest analysed cluster and
+  // reused.
+  passdetail::ConeScratch row_scratch_;    // row sweeps, stale-row search
+  std::vector<std::uint32_t> stale_rows_;  // rows a refresh re-sweeps
+  std::vector<TimePs> row_seed_time_;      // [row * passes + pass]
   std::vector<TimePs> cap_close_now_;       // [capture]
   std::vector<TimePs> cap_ready_;           // [capture]
   std::vector<TimePs> row_required_;        // [pass]

@@ -89,7 +89,7 @@ TEST(CornerTest, IdentityKOneMatchesLegacyByteForByte) {
       EXPECT_EQ(ca.worst_terminal_slack(0),
                 baseline.engine().worst_terminal_slack());
 
-      const auto hold = ca.check_hold_times(0, 0, pool.get());
+      const auto hold = ca.check_hold_times(0, 0);
       ASSERT_EQ(hold.size(), want_hold.size());
       for (std::size_t i = 0; i < hold.size(); ++i) {
         EXPECT_EQ(hold[i].launch, want_hold[i].launch);

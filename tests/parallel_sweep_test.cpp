@@ -57,7 +57,7 @@ TEST(ParallelSweepTest, ByteIdenticalAcrossThreadCounts) {
           << "cached PassResult arrays diverged from serial";
       EXPECT_EQ(analyser.report(8), want_report);
       const std::vector<HoldViolation> holds =
-          analyser.check_hold_times(kInfinitePs, pool.get());
+          analyser.check_hold_times(kInfinitePs);
       const std::vector<HoldViolation> want_holds =
           baseline.check_hold_times(kInfinitePs);
       ASSERT_EQ(holds.size(), want_holds.size());

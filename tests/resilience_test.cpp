@@ -402,6 +402,60 @@ TEST(SelfHealTest, VerifyCacheDetectsTableCorruption) {
   EXPECT_EQ(healed, clean);
 }
 
+// The hold check reads the table's min delays, so each row's checksum
+// covers them too.  The injector perturbs either delay column; seeds are
+// tried until one lands on a min delay that a hold pair reads (the margins
+// move, every terminal slack stays put).  Every perturbation is caught, and
+// the next terminal refresh re-sweeps the table back to the clean state.
+TEST(SelfHealTest, VerifyCacheDetectsMinDelayCorruption) {
+  RandomNetworkSpec spec;
+  spec.seed = 7;
+  spec.num_clocks = 2;
+  spec.banks = 4;
+  spec.bank_width = 5;
+  spec.gates_per_stage = 40;
+  const RandomNetwork net = make_random_network(make_standard_library(), spec);
+
+  Hummingbird analyser(net.design, net.clocks);
+  SlackEngine& engine = analyser.engine_mut();
+  engine.compute();
+  const auto slacks = [&] {
+    std::vector<TimePs> out;
+    for (std::uint32_t i = 0; i < analyser.sync_model().num_instances(); ++i) {
+      out.push_back(engine.launch_slack(SyncId(i)));
+      out.push_back(engine.capture_slack(SyncId(i)));
+    }
+    return out;
+  };
+  const auto margins = [&] {
+    std::vector<TimePs> out;
+    for (const HoldViolation& v : analyser.check_hold_times(kInfinitePs)) {
+      out.push_back(v.margin);
+    }
+    return out;
+  };
+  const std::vector<TimePs> clean_slacks = slacks();
+  const std::vector<TimePs> clean_margins = margins();
+  bool hit_min = false;
+  for (std::uint64_t seed = 1; seed <= 64 && !hit_min; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    {
+      FaultInjector::Config cfg;
+      cfg.seed = seed;
+      cfg.probability[static_cast<int>(FaultSite::kCacheCorrupt)] = 1.0;
+      FaultInjector::Scope scope(cfg);
+      engine.update_terminals();  // one table delay perturbed
+    }
+    hit_min = slacks() == clean_slacks && margins() != clean_margins;
+    EXPECT_FALSE(engine.verify_cache());
+    engine.update_terminals();
+    EXPECT_TRUE(engine.verify_cache());
+    EXPECT_EQ(slacks(), clean_slacks);
+    EXPECT_EQ(margins(), clean_margins);
+  }
+  EXPECT_TRUE(hit_min) << "no seed perturbed a min delay a hold pair reads";
+}
+
 TEST(SelfHealTest, ParanoidAnalysisHealsUnderContinuousCorruption) {
   auto lib = make_standard_library();
   // The latch chain's analysis makes several incremental updates, so the
