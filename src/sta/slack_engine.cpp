@@ -1,7 +1,6 @@
 #include "sta/slack_engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <functional>
 
 #include "util/faultinject.hpp"
