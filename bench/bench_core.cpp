@@ -174,7 +174,7 @@ RefPassResult run_reference_pass(
     const std::vector<std::vector<std::uint32_t>>& fanout,
     const std::vector<std::uint32_t>& local_index, const ClockEdgeGraph& edges,
     std::size_t break_node, const std::vector<SyncId>& capture_insts,
-    const std::vector<bool>& assigned) {
+    const SlackEngine& engine, std::size_t pass) {
   RefPassResult res;
   res.ready.resize(cluster.nodes.size());
   res.required.resize(cluster.nodes.size());
@@ -204,7 +204,7 @@ RefPassResult run_reference_pass(
   }
 
   for (std::size_t k = 0; k < capture_insts.size(); ++k) {
-    if (!assigned[k]) continue;
+    if (engine.assigned_pass(capture_insts[k]) != pass) continue;
     const SyncInstance& si = sync.at(capture_insts[k]);
     const TimePs c = edges.linear_close(si.ideal_close, break_node) +
                      si.close_offset();
@@ -300,8 +300,7 @@ CoreReport measure(Workload& w, int reps, const std::vector<int>& thread_counts)
       const RefPassResult ref = run_reference_pass(
           graph, sync, cl, ref_arcs, ref_fanout, local_index,
           engine.edge_graph(ClusterId(c)), engine.breaks(ClusterId(c))[p],
-          engine.capture_insts(ClusterId(c)),
-          engine.assigned_mask(ClusterId(c), p));
+          engine.capture_insts(ClusterId(c)), engine, p);
       engine.run_pass_into(ClusterId(c), p, csr);
       for (std::size_t i = 0; i < cl.nodes.size(); ++i) {
         const bool rh = ref.ready[i].has_value(), ch = csr.ready.has(i);
@@ -333,8 +332,7 @@ CoreReport measure(Workload& w, int reps, const std::vector<int>& thread_counts)
                   graph, sync, clusters.cluster(ClusterId(c)), ref_arcs,
                   ref_fanout, local_index, engine.edge_graph(ClusterId(c)),
                   engine.breaks(ClusterId(c))[p],
-                  engine.capture_insts(ClusterId(c)),
-                  engine.assigned_mask(ClusterId(c), p));
+                  engine.capture_insts(ClusterId(c)), engine, p);
               (void)ref;
             }
           }

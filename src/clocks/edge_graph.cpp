@@ -18,14 +18,6 @@ ClockEdgeGraph::ClockEdgeGraph(std::vector<TimePs> edge_times, TimePs overall_pe
   }
 }
 
-ClockEdgeGraph ClockEdgeGraph::from_clocks(const ClockSet& clocks) {
-  std::vector<TimePs> times;
-  for (const ClockEdge& e : clocks.edges_in_overall_period()) {
-    times.push_back(e.time);
-  }
-  return ClockEdgeGraph(std::move(times), clocks.overall_period());
-}
-
 std::size_t ClockEdgeGraph::node_at(TimePs t) const {
   auto it = std::lower_bound(times_.begin(), times_.end(), t);
   if (it == times_.end() || *it != t) {

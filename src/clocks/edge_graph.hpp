@@ -33,7 +33,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "clocks/waveform.hpp"
 #include "util/time.hpp"
 
 namespace hb {
@@ -43,9 +42,6 @@ class ClockEdgeGraph {
   /// Build from explicit edge times (deduplicated, sorted internally).
   /// All times must lie in [0, overall_period).
   ClockEdgeGraph(std::vector<TimePs> edge_times, TimePs overall_period);
-
-  /// Build from all edges of a clock set.
-  static ClockEdgeGraph from_clocks(const ClockSet& clocks);
 
   TimePs overall_period() const { return period_; }
   std::size_t num_nodes() const { return times_.size(); }

@@ -28,8 +28,6 @@ class DifferenceSystem {
   /// Record a constant constraint already known to be violated.
   void add_contradiction(std::string reason);
 
-  std::size_t num_constraints() const { return edges_.size() + (contradiction_ ? 1 : 0); }
-
   struct Result {
     bool feasible = false;
     /// A satisfying assignment when feasible (one of many).

@@ -74,10 +74,6 @@ RiseFall DelayCalculator::arc_delay(ModuleId mod, InstId inst,
   return d;
 }
 
-TimePs DelayCalculator::setup_time(CellId cell) const {
-  return design_->lib().cell(cell).sync().setup;
-}
-
 const DelayCalculator::ModuleTiming& DelayCalculator::module_timing(ModuleId id) const {
   auto it = module_cache_.find(id.value());
   if (it != module_cache_.end()) return it->second;

@@ -53,10 +53,6 @@ class DelayCalculator {
   /// load on the arc's output net.
   RiseFall arc_delay(ModuleId mod, InstId inst, const TimingArc& arc) const;
 
-  /// Set-up time of a synchronising cell (pass-through from the library;
-  /// kept here so all timing numbers flow through one component).
-  TimePs setup_time(CellId cell) const;
-
  private:
   struct ModuleTiming {
     std::vector<TimingArc> arcs;

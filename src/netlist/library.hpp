@@ -143,7 +143,6 @@ class Library {
 
   CellId add_cell(Cell cell);
   const Cell& cell(CellId id) const { return cells_.at(id.index()); }
-  Cell& cell_mut(CellId id) { return cells_.at(id.index()); }
   std::size_t num_cells() const { return cells_.size(); }
 
   /// Lookup by name; invalid id if absent.

@@ -33,10 +33,8 @@ class FlatChecker {
   }
 
  private:
-  /// Record a finding under both representations (legacy string + structured).
   void finding(DiagCode code, std::string msg, std::vector<InstId> insts = {},
                std::vector<NetId> nets = {}) {
-    report_.errors.push_back(msg);
     ValidationFinding f;
     f.diag.code = code;
     f.diag.severity = Severity::kError;
@@ -261,8 +259,8 @@ class FlatChecker {
 
 std::string ValidationReport::to_string() const {
   std::string out;
-  for (const std::string& e : errors) {
-    out += e;
+  for (const ValidationFinding& f : findings) {
+    out += f.diag.message;
     out += '\n';
   }
   return out;
@@ -277,14 +275,11 @@ ValidationReport validate(const Design& design) {
     if (!inst.is_cell()) {
       hierarchical = true;
       if (module_has_sequential(design, inst.module)) {
-        const std::string msg = "submodule '" +
-                                design.module(inst.module).name() +
-                                "' contains synchronising elements";
-        report.errors.push_back(msg);
         ValidationFinding f;
         f.diag.code = DiagCode::kDesignHierarchy;
         f.diag.severity = Severity::kFatal;  // not salvageable by quarantine
-        f.diag.message = msg;
+        f.diag.message = "submodule '" + design.module(inst.module).name() +
+                         "' contains synchronising elements";
         report.findings.push_back(std::move(f));
       }
     }
@@ -298,11 +293,6 @@ ValidationReport validate(const Design& design) {
     FlatChecker(design, report).run();
   }
   return report;
-}
-
-void validate_or_throw(const Design& design) {
-  ValidationReport report = validate(design);
-  if (!report.ok()) raise("design '" + design.name() + "' invalid:\n" + report.to_string());
 }
 
 std::vector<bool> compute_quarantine(const Design& flat_design,

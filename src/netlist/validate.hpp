@@ -30,15 +30,13 @@ struct ValidationFinding {
 };
 
 struct ValidationReport {
-  /// Legacy flat messages, one per finding (kept for existing callers).
-  std::vector<std::string> errors;
-  /// Structured findings, parallel to `errors`.
+  /// Every finding, in the order the checks found them.
   std::vector<ValidationFinding> findings;
   /// Work counter: net pins the control-cone check scanned (each distinct
   /// control net's cone is walked once).
   std::size_t control_cone_pins_visited = 0;
-  bool ok() const { return errors.empty(); }
-  /// All errors joined with newlines (empty when ok()).
+  bool ok() const { return findings.empty(); }
+  /// Every finding's message, each followed by a newline (empty when ok()).
   std::string to_string() const;
 };
 
@@ -46,9 +44,6 @@ struct ValidationReport {
 /// connectivity and cycle checks).  Never throws on *design* problems; all
 /// findings are returned in the report.
 ValidationReport validate(const Design& design);
-
-/// Convenience: validate and throw hb::Error on the first problem.
-void validate_or_throw(const Design& design);
 
 /// Degraded-mode support: from a *flat* design and its validation report,
 /// mark every instance that cannot be analysed.  Seeds are the implicated

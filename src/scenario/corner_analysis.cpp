@@ -48,6 +48,7 @@ CornerAnalysis::CornerAnalysis(const SlackEngine& engine, CornerSet corners)
   const ClusterSet& clusters = engine.clusters();
   const std::size_t K = corners_.size();
   passes_.resize(clusters.num_clusters());
+  seeds_.resize(clusters.num_clusters());
   for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
     passes_[c].assign(engine.num_passes(ClusterId(c)), PassResult(K));
   }
@@ -61,11 +62,18 @@ CornerAnalysis::CornerAnalysis(const SlackEngine& engine, CornerSet corners)
 void CornerAnalysis::compute(ThreadPool* pool) {
   if (pool == nullptr) pool = env_analysis_pool();
 
-  // One pool task per pass, dispatched like SlackEngine::compute: the
-  // closures capture two pointers, so a repeated compute allocates nothing.
-  auto eval = [this](const SlackEngine::PassRef& r) {
-    engine_->run_pass_into(ClusterId(r.cluster), r.pass,
-                           passes_[r.cluster][r.pass], delays_.data(),
+  // The engine's own seeds helper, at the current offsets; then one pool
+  // task per pass: the closures capture two pointers, so a repeated compute
+  // allocates nothing.
+  const ClusterSet& clusters = engine_->clusters();
+  for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
+    engine_->seeds_into(ClusterId(c), seeds_[c]);
+  }
+  auto eval = [this, &clusters](const SlackEngine::PassRef& r) {
+    const ClusterId c(r.cluster);
+    run_analysis_pass_into(engine_->graph(), clusters.cluster(c),
+                           engine_->terminal_table(c), seeds_[r.cluster],
+                           r.pass, passes_[r.cluster][r.pass], delays_.data(),
                            delays_.lanes());
   };
   const std::vector<SlackEngine::PassRef>& passes = engine_->all_passes();
@@ -82,7 +90,6 @@ void CornerAnalysis::compute(ThreadPool* pool) {
   // Every node belongs to exactly one cluster, and a fold overwrites it.
   std::fill(launch_slack_.begin(), launch_slack_.end(), kInfinitePs);
   std::fill(capture_slack_.begin(), capture_slack_.end(), kInfinitePs);
-  const ClusterSet& clusters = engine_->clusters();
   for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
     fold_terminals(ClusterId(c));
     const std::vector<TNodeId>& nodes = clusters.cluster(ClusterId(c)).nodes;
@@ -96,42 +103,42 @@ void CornerAnalysis::compute(ThreadPool* pool) {
 }
 
 void CornerAnalysis::fold_terminals(ClusterId c) {
-  if (passes_[c.index()].empty()) return;  // unanalysed: no edge graph
+  const std::vector<PassResult>& passes = passes_[c.index()];
+  if (passes.empty()) return;  // unanalysed: no terminals
+  const TerminalTable& t = engine_->terminal_table(c);
+  const TerminalSeeds& seeds = seeds_[c.index()];
   const SyncModel& sync = engine_->sync();
-  const ClockEdgeGraph& edges = engine_->edge_graph(c);
   const std::vector<SyncId>& captures = engine_->capture_insts(c);
   const std::size_t K = corners_.size();
-  for (std::size_t p = 0; p < passes_[c.index()].size(); ++p) {
-    const PassResult& res = passes_[c.index()][p];
-    const std::size_t break_node = engine_->breaks(c)[p];
-    const std::vector<bool>& assigned = engine_->assigned_mask(c, p);
+  const std::size_t np = passes.size();
 
-    // Capture slacks: closure - ready, in the assigned pass only.
-    for (std::uint32_t j = 0; j < captures.size(); ++j) {
-      if (!assigned[j]) continue;
-      const SyncId id = captures[j];
-      const SyncInstance& si = sync.at(id);
-      const std::uint32_t li = engine_->local_index(si.data_in);
-      if (!res.ready.has(li)) continue;
-      const TimePs close =
-          edges.linear_close(si.ideal_close, break_node) + si.close_offset();
-      for (std::size_t k = 0; k < K; ++k) {
-        TimePs& slot = capture_slack_[k * num_sync_ + id.index()];
-        slot = std::min(slot, close - res.ready.at(li, k).max());
+  // Capture slacks: closure - ready, in the assigned pass only.
+  for (std::uint32_t k = 0; k < t.sink_local.size(); ++k) {
+    const std::uint32_t li = t.sink_local[k];
+    for (std::uint32_t j = t.sink_cap_begin[k]; j < t.sink_cap_begin[k + 1]; ++j) {
+      const PassSide& ready = passes[t.cap_pass[j]].ready;
+      if (!ready.has(li)) continue;
+      for (std::size_t lane = 0; lane < K; ++lane) {
+        capture_slack_[lane * num_sync_ + captures[j].index()] =
+            seeds.close[j] - ready.at(li, lane).max();
       }
     }
+  }
 
-    // Launch slacks: min over passes of required - assertion.
-    for (TNodeId n : engine_->clusters().cluster(c).source_nodes) {
-      const std::uint32_t li = engine_->local_index(n);
-      if (!res.required.has(li)) continue;
-      for (SyncId id : sync.launches_at(n)) {
-        const SyncInstance& si = sync.at(id);
-        const TimePs a = edges.linear_assert(si.ideal_assert, break_node) +
-                         si.assert_offset();
-        for (std::size_t k = 0; k < K; ++k) {
-          TimePs& slot = launch_slack_[k * num_sync_ + id.index()];
-          slot = std::min(slot, res.required.at(li, k).min() - a);
+  // Launch slacks: min over passes of required - assertion.
+  const std::vector<TNodeId>& sources = engine_->clusters().cluster(c).source_nodes;
+  for (std::uint32_t r = 0; r < t.row_local.size(); ++r) {
+    const std::uint32_t li = t.row_local[r];
+    const std::vector<SyncId>& launches = sync.launches_at(sources[r]);
+    for (std::size_t p = 0; p < np; ++p) {
+      const PassSide& required = passes[p].required;
+      if (!required.has(li)) continue;
+      for (std::size_t i = 0; i < launches.size(); ++i) {
+        const TimePs a = t.launch_assert[(t.row_launch_begin[r] + i) * np + p] +
+                         sync.at(launches[i]).assert_offset();
+        for (std::size_t lane = 0; lane < K; ++lane) {
+          TimePs& slot = launch_slack_[lane * num_sync_ + launches[i].index()];
+          slot = std::min(slot, required.at(li, lane).min() - a);
         }
       }
     }

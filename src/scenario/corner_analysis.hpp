@@ -64,8 +64,9 @@ class CornerAnalysis {
   const CornerSet& corner_set() const { return corners_; }
   const SlackEngine& engine() const { return *engine_; }
 
-  /// Evaluate every pass under all corners in K-lane sweeps at the engine's
-  /// current offsets, then fold terminal and node results per corner.
+  /// Evaluate every pass under all corners in K-lane sweeps, seeded through
+  /// SlackEngine::seeds_into at the current offsets, then fold terminal and
+  /// node results per corner.
   /// Pooling mirrors SlackEngine::compute: each pass is one pool task;
   /// results are byte-identical at every thread count.
   void compute(ThreadPool* pool = nullptr);
@@ -108,8 +109,9 @@ class CornerAnalysis {
  private:
   /// Corner k's results, as the shared reports read them.
   LaneResults lane(std::size_t k) const;
-  /// Terminal slacks of every corner from cluster `c`'s passes: a capture
-  /// reads its assigned pass, a launch takes the minimum over passes.
+  /// Terminal slacks of every corner from cluster `c`'s passes and seeds: a
+  /// capture reads its assigned pass, a launch takes the minimum over passes
+  /// of required minus its own linearised assertion.
   void fold_terminals(ClusterId c);
 
   const SlackEngine* engine_;
@@ -117,6 +119,7 @@ class CornerAnalysis {
   CornerDelays delays_;
 
   std::vector<std::vector<PassResult>> passes_;  // [cluster][pass], K lanes
+  std::vector<TerminalSeeds> seeds_;             // [cluster]
   /// Pool tasks of compute(), reused so a repeated compute() allocates
   /// nothing.
   std::vector<std::function<void()>> task_fns_;

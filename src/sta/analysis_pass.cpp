@@ -103,34 +103,24 @@ void backward_gather(const Cluster& cl, const TArcRec* arcs,
   }
 }
 
-/// Latest actual assertion over the launch instances at `node`, in linear
-/// coordinates; false when the node launches nothing.
-bool launch_seed(const SyncModel& sync, const ClockEdgeGraph& edges,
-                 std::size_t break_node, TNodeId node, RiseFall& out) {
-  const std::vector<SyncId>& launches = sync.launches_at(node);
-  if (launches.empty()) return false;
-  TimePs latest = -kInfinitePs;
-  for (SyncId id : launches) {
-    const SyncInstance& si = sync.at(id);
-    const TimePs a =
-        edges.linear_assert(si.ideal_assert, break_node) + si.assert_offset();
-    latest = std::max(latest, a);
+/// Closure seed of sink `k` in pass `pass`: the earliest closure over the
+/// sink's captures assigned to the pass; absent when none is.
+RiseFall close_seed(const TerminalTable& t, const TerminalSeeds& seeds,
+                    std::uint32_t pass, std::uint32_t k) {
+  TimePs close = kInfinitePs;
+  for (std::uint32_t j = t.sink_cap_begin[k]; j < t.sink_cap_begin[k + 1]; ++j) {
+    if (t.cap_pass[j] == pass) close = std::min(close, seeds.close[j]);
   }
-  out = RiseFall{latest, latest};
-  return true;
+  return RiseFall{close, close};
 }
 
 using passdetail::sweep_backward;
 using passdetail::sweep_forward;
 
 template <class Delays>
-void sweep_pass(const TimingGraph& graph, const SyncModel& sync,
-                const Cluster& cluster,
-                const std::vector<std::uint32_t>& local_index,
-                const ClockEdgeGraph& edges, std::size_t break_node,
-                const std::vector<SyncId>& capture_insts,
-                const std::vector<bool>& assigned, const Delays& delays,
-                PassResult& res) {
+void sweep_pass(const TimingGraph& graph, const Cluster& cluster,
+                const TerminalTable& t, const TerminalSeeds& seeds,
+                std::uint32_t pass, const Delays& delays, PassResult& res) {
   const std::size_t n = cluster.nodes.size();
   const std::size_t K = delays.lanes();
   HB_ASSERT(res.ready.lanes() == K && res.required.lanes() == K);
@@ -140,26 +130,13 @@ void sweep_pass(const TimingGraph& graph, const SyncModel& sync,
   RiseFall* ready = res.ready.data();
   RiseFall* required = res.required.data();
 
-  // Seed launch terminals: the latest actual assertion over the node's
-  // launch instances, in linear coordinates, in every lane.
-  for (TNodeId node : cluster.source_nodes) {
-    RiseFall seed;
-    if (launch_seed(sync, edges, break_node, node, seed)) {
-      std::fill_n(&ready[local_index[node.index()] * K], K, seed);
-    }
+  for (std::size_t r = 0; r < t.row_local.size(); ++r) {
+    const TimePs a = seeds.launch[r * t.passes + pass];
+    std::fill_n(&ready[t.row_local[r] * K], K, RiseFall{a, a});
   }
   forward_scatter(cluster, arcs, delays, ready);
-
-  // Seed capture terminals assigned to this pass with their closure times.
-  for (std::size_t k = 0; k < capture_insts.size(); ++k) {
-    if (!assigned[k]) continue;
-    const SyncInstance& si = sync.at(capture_insts[k]);
-    const TimePs c =
-        edges.linear_close(si.ideal_close, break_node) + si.close_offset();
-    RiseFall* row = &required[local_index[si.data_in.index()] * K];
-    for (std::size_t lane = 0; lane < K; ++lane) {
-      row[lane] = rf_min(row[lane], RiseFall{c, c});
-    }
+  for (std::uint32_t k = 0; k < t.sink_local.size(); ++k) {
+    std::fill_n(&required[t.sink_local[k] * K], K, close_seed(t, seeds, pass, k));
   }
   backward_gather(cluster, arcs, delays, required);
 }
@@ -168,28 +145,22 @@ void sweep_pass(const TimingGraph& graph, const SyncModel& sync,
 
 const char* active_kernel_name() { return "scalar"; }
 
-void run_analysis_pass_into(const TimingGraph& graph, const SyncModel& sync,
-                            const Cluster& cluster,
-                            const std::vector<std::uint32_t>& local_index,
-                            const ClockEdgeGraph& edges, std::size_t break_node,
-                            const std::vector<SyncId>& capture_insts,
-                            const std::vector<bool>& assigned, PassResult& res,
-                            const RiseFall* arc_delay, std::size_t stride) {
+void run_analysis_pass_into(const TimingGraph& graph, const Cluster& cluster,
+                            const TerminalTable& table,
+                            const TerminalSeeds& seeds, std::uint32_t pass,
+                            PassResult& res, const RiseFall* arc_delay,
+                            std::size_t stride) {
   if (arc_delay == nullptr) {
-    sweep_pass(graph, sync, cluster, local_index, edges, break_node,
-               capture_insts, assigned, GraphDelays{}, res);
+    sweep_pass(graph, cluster, table, seeds, pass, GraphDelays{}, res);
   } else {
-    sweep_pass(graph, sync, cluster, local_index, edges, break_node,
-               capture_insts, assigned, TableDelays{arc_delay, stride}, res);
+    sweep_pass(graph, cluster, table, seeds, pass,
+               TableDelays{arc_delay, stride}, res);
   }
 }
 
-std::size_t update_analysis_pass(const TimingGraph& graph, const SyncModel& sync,
-                                 const Cluster& cluster,
-                                 const std::vector<std::uint32_t>& /*local_index*/,
-                                 const ClockEdgeGraph& edges, std::size_t break_node,
-                                 const std::vector<SyncId>& capture_insts,
-                                 const std::vector<bool>& assigned,
+std::size_t update_analysis_pass(const TimingGraph& graph, const Cluster& cluster,
+                                 const TerminalTable& table,
+                                 const TerminalSeeds& seeds, std::uint32_t pass,
                                  const std::vector<std::uint32_t>& fwd_seeds,
                                  const std::vector<std::uint32_t>& bwd_seeds,
                                  PassResult& res, PassWorkspace& ws) {
@@ -207,7 +178,10 @@ std::size_t update_analysis_pass(const TimingGraph& graph, const SyncModel& sync
   // tails never propagate their ready onward.
   retraced += sweep_forward(cluster, fwd_seeds, ws, [&](std::uint32_t li) {
     RiseFall v = res.ready.absent();
-    launch_seed(sync, edges, break_node, cluster.nodes[li], v);
+    if (const std::uint32_t r = table.row_of_local[li]; r != TerminalTable::kNone) {
+      const TimePs a = seeds.launch[r * table.passes + pass];
+      v = RiseFall{a, a};
+    }
     const std::uint32_t end = cluster.in_offsets[li + 1];
     for (std::uint32_t k = cluster.in_offsets[li]; k < end; ++k) {
       const std::uint32_t fl = cluster.in_local[k];
@@ -223,18 +197,10 @@ std::size_t update_analysis_pass(const TimingGraph& graph, const SyncModel& sync
   // regardless of the seed node's role, but blocked predecessors never
   // propagate further back.
   retraced += sweep_backward(cluster, bwd_seeds, ws, [&](std::uint32_t li) {
-    RiseFall v = res.required.absent();
-    const TNodeId node = cluster.nodes[li];
-    if (!sync.captures_at(node).empty()) {
-      for (std::size_t k = 0; k < capture_insts.size(); ++k) {
-        if (!assigned[k]) continue;
-        const SyncInstance& si = sync.at(capture_insts[k]);
-        if (si.data_in != node) continue;
-        const TimePs c =
-            edges.linear_close(si.ideal_close, break_node) + si.close_offset();
-        v = rf_min(v, RiseFall{c, c});
-      }
-    }
+    const std::uint32_t sink = table.sink_of_local[li];
+    RiseFall v = sink == TerminalTable::kNone
+                     ? res.required.absent()
+                     : close_seed(table, seeds, pass, sink);
     if (!cluster.blocked[li]) {
       const std::uint32_t end = cluster.out_offsets[li + 1];
       for (std::uint32_t k = cluster.out_offsets[li]; k < end; ++k) {

@@ -10,6 +10,11 @@
 // pass — the one where its ideal closure time falls closest to the end of
 // the broken-open period.
 //
+// The kernels compute eqs. (1)/(2) and nothing else.  Where the terminals
+// sit comes from the cluster's TerminalTable, and what they are seeded with
+// from a TerminalSeeds: pre-processing (SlackEngine) linearises every ideal
+// time once, and SlackEngine::seeds_into adds the current offsets.
+//
 // Results are stored as packed arrays of rise/fall value pairs with absence
 // encoded as a fold-identity sentinel, instead of std::optional<RiseFall>
 // records (which pad each entry to 24 bytes and force a presence branch on
@@ -24,7 +29,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "clocks/edge_graph.hpp"
 #include "sta/cluster.hpp"
 
 namespace hb {
@@ -108,13 +112,54 @@ struct PassResult {
       : ready(-kInfinitePs, lanes), required(kInfinitePs, lanes) {}
 };
 
-/// Runs eq. (1) forward and eq. (2) backward over `cluster`, writing into
-/// `res` (buffers are reused; steady-state re-evaluation allocates nothing).
-///
-/// `local_index[node]` maps global node ids to positions in Cluster::nodes.
-/// `assigned[k]` is true when capture instance `capture_insts[k]` reads its
-/// slack from this pass; `capture_insts` lists all capture instances on the
-/// cluster's sink nodes in a fixed order chosen by the caller.
+/// Terminal delay table of one analysed cluster (docs/ALGORITHMS.md §4),
+/// which is also the index of its terminals.  Rows follow the cluster's
+/// source nodes, sinks its sink nodes, captures SlackEngine::capture_insts
+/// (by sink, then SyncModel::captures_at()).  A row holds one pair per sink
+/// its source reaches, in ascending local order: the sink, D = max(rise,
+/// fall) of the sink's ready time propagated from a (0, 0) seed at the
+/// source, and the least delay over the same paths (passdetail::sweep_cone).
+/// SlackEngine lays out and sweeps the rows at construction and reads the
+/// cluster's ordering requirements from them.  Which sinks a source reaches
+/// depends only on the graph, so rows keep their length for the engine's
+/// lifetime and a re-sweep rewrites both delays in place.
+struct TerminalTable {
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+  std::uint32_t passes = 0;                     // the cluster's pass count
+  std::vector<std::uint32_t> row_local;         // [row] local of its source
+  std::vector<std::uint32_t> sink_local;        // [sink] local
+  std::vector<std::uint32_t> row_of_local;      // [local] row, or kNone
+  std::vector<std::uint32_t> sink_of_local;     // [local] sink, or kNone
+  std::vector<std::uint32_t> sink_cap_begin;    // [sink + 1] captures
+  std::vector<std::uint32_t> cap_pass;          // [capture] assigned pass
+  // The seeds' offset-free bases, linearised once by pre-processing.
+  std::vector<TimePs> cap_close;                // [capture] close, its pass
+  std::vector<std::uint32_t> row_launch_begin;  // [row + 1] launches_at()
+  std::vector<TimePs> launch_assert;            // [launch * passes + pass]
+  std::vector<std::uint32_t> row_begin;         // [row + 1] pair slices
+  std::vector<std::uint32_t> pair_sink;
+  std::vector<TimePs> pair_delay;               // max delay, D
+  std::vector<TimePs> pair_min;                 // min delay
+  std::vector<std::uint64_t> row_checksum;      // [row], taken at write time
+  /// Locals invalidated since the last refresh: the rows of the sources in
+  /// their backward cone are re-swept.
+  std::vector<std::uint32_t> stale;
+  bool dirty = false;  // queued for the next terminal refresh
+};
+
+/// One cluster's pass seeds at one set of offsets, in each pass's linear
+/// coordinates: a launch row seeds the latest assertion over its launches,
+/// a capture its closure in its assigned pass (SlackEngine::seeds_into).
+struct TerminalSeeds {
+  std::vector<TimePs> launch;  // [row * passes + pass]
+  std::vector<TimePs> close;   // [capture]
+};
+
+/// Runs eq. (1) forward and eq. (2) backward over `cluster` in pass `pass`,
+/// writing into `res` (buffers are reused; steady-state re-evaluation
+/// allocates nothing).  Every launch row of `table` seeds its source with
+/// `seeds.launch`; every capture assigned to `pass` seeds its sink with
+/// `seeds.close`, the earliest closure winning.
 ///
 /// Arc delays: by default each arc's own TArcRec::delay, one lane.  With
 /// `arc_delay`, a lane-major table instead — lane c of arc a at
@@ -125,13 +170,10 @@ struct PassResult {
 /// One serial sweep per direction: a forward scatter over fanout in
 /// ascending local index, then a backward gather over fanout in descending
 /// local index.  Callers parallelise across passes, never within one.
-void run_analysis_pass_into(const TimingGraph& graph, const SyncModel& sync,
-                            const Cluster& cluster,
-                            const std::vector<std::uint32_t>& local_index,
-                            const ClockEdgeGraph& edges, std::size_t break_node,
-                            const std::vector<SyncId>& capture_insts,
-                            const std::vector<bool>& assigned, PassResult& res,
-                            const RiseFall* arc_delay = nullptr,
+void run_analysis_pass_into(const TimingGraph& graph, const Cluster& cluster,
+                            const TerminalTable& table,
+                            const TerminalSeeds& seeds, std::uint32_t pass,
+                            PassResult& res, const RiseFall* arc_delay = nullptr,
                             std::size_t stride = 1);
 
 /// Reusable per-task arena for incremental pass updates (one per concurrent
@@ -335,7 +377,8 @@ std::size_t sweep_cone(const Cluster& cl, const TArcRec* arcs,
 }  // namespace passdetail
 
 /// Incrementally patches `res` (a previous single-lane result of
-/// run_analysis_pass_into over the same pass) after local changes:
+/// run_analysis_pass_into over the same pass) after local changes, reading
+/// a visited terminal's seed through the table's row/sink index:
 ///   * `fwd_seeds`: local indices whose *ready* must be re-derived — launch
 ///     nodes with changed assertion offsets, or heads of arcs with changed
 ///     delays.  The forward cone of the seeds is re-propagated (eq. 1).
@@ -352,12 +395,9 @@ std::size_t sweep_cone(const Cluster& cl, const TArcRec* arcs,
 /// node's predecessors are always re-derived before it).
 ///
 /// Returns the number of nodes re-traced (forward plus backward cones).
-std::size_t update_analysis_pass(const TimingGraph& graph, const SyncModel& sync,
-                                 const Cluster& cluster,
-                                 const std::vector<std::uint32_t>& local_index,
-                                 const ClockEdgeGraph& edges, std::size_t break_node,
-                                 const std::vector<SyncId>& capture_insts,
-                                 const std::vector<bool>& assigned,
+std::size_t update_analysis_pass(const TimingGraph& graph, const Cluster& cluster,
+                                 const TerminalTable& table,
+                                 const TerminalSeeds& seeds, std::uint32_t pass,
                                  const std::vector<std::uint32_t>& fwd_seeds,
                                  const std::vector<std::uint32_t>& bwd_seeds,
                                  PassResult& res, PassWorkspace& ws);

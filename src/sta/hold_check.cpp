@@ -23,7 +23,7 @@ std::vector<HoldViolation> check_hold(const SlackEngine& engine,
   std::vector<HoldViolation> out;
   for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
     const Cluster& cl = clusters.cluster(ClusterId(c));
-    const SlackEngine::TerminalTable& t = engine.terminal_table(ClusterId(c));
+    const TerminalTable& t = engine.terminal_table(ClusterId(c));
     if (arc_delay != nullptr) scratch.ensure(cl.nodes.size());
     for (std::uint32_t r = 0; r + 1 < t.row_begin.size(); ++r) {
       const TNodeId src = cl.source_nodes[r];
@@ -32,9 +32,9 @@ std::vector<HoldViolation> check_hold(const SlackEngine& engine,
       if (arc_delay != nullptr) {
         lane_min.clear();
         passdetail::sweep_cone(
-            cl, engine.graph().arcs_data(), engine.local_index(src),
-            lane_delay, scratch, [&](std::uint32_t li, RiseFall, TimePs m) {
-              if (t.sink_of_local[li] != SlackEngine::TerminalTable::kNone) {
+            cl, engine.graph().arcs_data(), t.row_local[r], lane_delay,
+            scratch, [&](std::uint32_t li, RiseFall, TimePs m) {
+              if (t.sink_of_local[li] != TerminalTable::kNone) {
                 lane_min.push_back(m);
               }
             });

@@ -90,7 +90,8 @@ void SlackEngine::prepare_cluster(std::uint32_t c) {
   t.row_launch_begin.assign(1, 0);
   for (std::uint32_t r = 0; r < cl.source_nodes.size(); ++r) {
     const TNodeId n = cl.source_nodes[r];
-    t.row_of_local[local_of_node_[n.index()]] = r;
+    t.row_local.push_back(local_of_node_[n.index()]);
+    t.row_of_local[t.row_local.back()] = r;
     t.row_launch_begin.push_back(
         t.row_launch_begin.back() +
         static_cast<std::uint32_t>(sync_->launches_at(n).size()));
@@ -98,7 +99,8 @@ void SlackEngine::prepare_cluster(std::uint32_t c) {
   t.sink_cap_begin.assign(1, 0);
   for (std::uint32_t k = 0; k < cl.sink_nodes.size(); ++k) {
     const TNodeId n = cl.sink_nodes[k];
-    t.sink_of_local[local_of_node_[n.index()]] = k;
+    t.sink_local.push_back(local_of_node_[n.index()]);
+    t.sink_of_local[t.sink_local.back()] = k;
     t.sink_cap_begin.push_back(
         t.sink_cap_begin.back() +
         static_cast<std::uint32_t>(sync_->captures_at(n).size()));
@@ -126,8 +128,6 @@ void SlackEngine::prepare_cluster(std::uint32_t c) {
 
   // Assign each capture instance to the pass where its ideal closure time
   // appears closest to the end of the broken-open period.
-  ca.assigned_mask.assign(ca.breaks.size(),
-                          std::vector<bool>(ca.capture_insts.size(), false));
   for (std::uint32_t k = 0; k < ca.capture_insts.size(); ++k) {
     const SyncInstance& si = sync_->at(ca.capture_insts[k]);
     std::size_t best = 0;
@@ -139,14 +139,14 @@ void SlackEngine::prepare_cluster(std::uint32_t c) {
         best = p;
       }
     }
-    ca.assigned_mask[best][k] = true;
     assigned_pass_of_capture_[ca.capture_insts[k].index()] =
         static_cast<std::uint32_t>(best);
   }
 
-  // Linearised ideal times are fixed by pre-processing: a step adds only the
-  // current assert_offset() / close_offset().
+  // Linearised ideal times are fixed by pre-processing: seeds_into() adds
+  // only the current assert_offset() / close_offset().
   const std::size_t np = ca.breaks.size();
+  t.passes = static_cast<std::uint32_t>(np);
   for (TNodeId n : cl.source_nodes) {
     for (SyncId id : sync_->launches_at(n)) {
       for (std::size_t p = 0; p < np; ++p) {
@@ -161,52 +161,54 @@ void SlackEngine::prepare_cluster(std::uint32_t c) {
     t.cap_close.push_back(
         ca.edges->linear_close(sync_->at(id).ideal_close, ca.breaks[p]));
   }
+  seeds_into(ClusterId(c), ca.seeds);
+}
+
+void SlackEngine::seeds_into(ClusterId c, TerminalSeeds& out) const {
+  const ClusterAnalysis& ca = analyses_.at(c.index());
+  const TerminalTable& t = ca.table;
+  const std::size_t np = t.passes;
+  const std::vector<TNodeId>& sources = clusters_->cluster(c).source_nodes;
+  out.launch.resize(t.row_local.size() * np);
+  out.close.resize(t.cap_close.size());
+  for (std::size_t r = 0; r < t.row_local.size(); ++r) {
+    const std::vector<SyncId>& launches = sync_->launches_at(sources[r]);
+    for (std::size_t p = 0; p < np; ++p) {
+      TimePs latest = -kInfinitePs;
+      for (std::size_t i = 0; i < launches.size(); ++i) {
+        const TimePs a = t.launch_assert[(t.row_launch_begin[r] + i) * np + p] +
+                         sync_->at(launches[i]).assert_offset();
+        latest = std::max(latest, a);
+      }
+      out.launch[r * np + p] = latest;
+    }
+  }
+  for (std::size_t j = 0; j < t.cap_close.size(); ++j) {
+    out.close[j] = t.cap_close[j] + sync_->at(ca.capture_insts[j]).close_offset();
+  }
 }
 
 void SlackEngine::compute(ThreadPool* pool) {
-  if (pool == nullptr) pool = env_analysis_pool();
   ++istats_.full_computes;
-
-  // Evaluate every pass into the active state; passes are independent, so
-  // with a pool each one is a task that owns its result slot.  Cached
-  // PassResult buffers are reused in place, and each closure captures two
-  // pointers (libstdc++'s std::function keeps 16 bytes inline), so
-  // recomputes over a warm cache allocate nothing.  The parked state may
+  // Every pass is a full task into the active state.  The parked state may
   // have missed a change nobody reported, so it goes.
   drop_parked();
+  num_tasks_ = 0;
+  dirty_clusters_.clear();
   for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
-    state_.clusters[c].passes.resize(analyses_[c].breaks.size());
+    ClusterState& cs = state_.clusters[c];
+    cs.passes.resize(analyses_[c].breaks.size());
+    cs.checksums.resize(cs.passes.size());
+    cs.dirty.clear();
+    cs.dirty.full = true;  // every node re-folds, analysed or not
+    dirty_clusters_.push_back(c);
+    for (std::uint32_t p = 0; p < cs.passes.size(); ++p) new_task(c, p);
   }
   istats_.passes_evaluated += passes_.size();
-  auto eval = [this](const PassRef& r) {
-    run_pass_into(ClusterId(r.cluster), r.pass,
-                  state_.clusters[r.cluster].passes[r.pass]);
-  };
-  if (pool != nullptr && pool->size() > 1) {
-    task_fns_.clear();
-    for (const PassRef& r : passes_) {
-      task_fns_.push_back([&eval, &r] { eval(r); });
-    }
-    pool->run_batch(task_fns_);
-  } else {
-    for (const PassRef& r : passes_) eval(r);
-  }
-
-  for (ClusterState& cs : state_.clusters) {
-    cs.checksums.resize(cs.passes.size());
-    for (std::size_t p = 0; p < cs.passes.size(); ++p) {
-      const PassResult& res = cs.passes[p];
-      cs.checksums[p] = pass_checksum(res.ready, res.required);
-    }
-  }
-
-  // Every node belongs to exactly one cluster, and a fold overwrites it;
-  // the rest keep their constructed defaults.  Likewise every terminal of an
-  // analysed cluster is re-evaluated from the table.
-  for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) fold_cluster(c);
+  run_tasks(pool);
   state_.valid = true;
-  for (ClusterState& cs : state_.clusters) cs.dirty.clear();
   record_pass_offsets();
+  // Every terminal of an analysed cluster is re-evaluated from the table.
   if (tables_epoch_ != graph_->delay_epoch()) tables_valid_ = false;
   for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
     if (!analyses_[c].breaks.empty()) mark_terminals_dirty(c);
@@ -256,7 +258,7 @@ void SlackEngine::invalidate_node(TNodeId node) {
   }
   ClusterAnalysis& ca = analyses_[c.index()];
   if (ca.breaks.empty()) return;
-  ca.table.seeds.push_back(li);
+  ca.table.stale.push_back(li);
   mark_terminals_dirty(c.index());
 }
 
@@ -328,7 +330,6 @@ void SlackEngine::choose_state() {
 }
 
 void SlackEngine::update(ThreadPool* pool) {
-  if (pool == nullptr) pool = env_analysis_pool();
   if (self_check_) {
     // Paranoid mode: re-verify every cached pass and table row against its
     // write-time checksum before trusting it.  A divergence drops both
@@ -343,18 +344,8 @@ void SlackEngine::update(ThreadPool* pool) {
   ++istats_.updates;
   choose_state();
 
-  // One task per dirty (cluster, pass); each owns its cached result and its
-  // workspace, so the pool schedule cannot affect the outcome.  Task slots
-  // and seed buffers are persistent members, reused across updates.
-  num_update_tasks_ = 0;
-  auto new_task = [this]() -> UpdateTask& {
-    if (num_update_tasks_ == update_tasks_.size()) update_tasks_.emplace_back();
-    UpdateTask& t = update_tasks_[num_update_tasks_++];
-    t.bwd.clear();
-    t.full = false;
-    t.retraced = 0;
-    return t;
-  };
+  // One task per dirty (cluster, pass).
+  num_tasks_ = 0;
   dirty_clusters_.clear();
   for (std::uint32_t c = 0; c < clusters_->num_clusters(); ++c) {
     ClusterDirty& d = state_.clusters[c].dirty;
@@ -379,58 +370,78 @@ void SlackEngine::update(ThreadPool* pool) {
     d.cone.clear();
     d.full = pass_cone_size(cl, d.fwd, probe_bwd_, probe_ws_, limit,
                             &d.cone) > limit;
+    istats_.dirty_cluster_nodes += cl.nodes.size();
+    if (d.full) istats_.nodes_refolded += cl.nodes.size();
 
-    for (std::size_t p = 0; p < ca.breaks.size(); ++p) {
-      UpdateTask& task = new_task();
-      task.cluster = c;
-      task.pass = static_cast<std::uint32_t>(p);
+    for (std::uint32_t p = 0; p < ca.breaks.size(); ++p) {
+      PassTask& task = new_task(c, p);
       task.bwd = d.bwd;
       for (const auto& [pass, li] : d.bwd_of_pass) {
         if (pass == p) task.bwd.push_back(li);
       }
       if (d.fwd.empty() && task.bwd.empty()) {
-        --num_update_tasks_;  // pass untouched by this change set
+        --num_tasks_;  // pass untouched by this change set
         continue;
       }
       task.full = d.full;
       if (d.full) {
         ++istats_.passes_full_swept;
+        task.retraced = 2 * cl.nodes.size();  // both sides, every node
       } else {
         ++istats_.passes_updated;
       }
     }
   }
-  istats_.passes_reused += num_passes_total() - num_update_tasks_;
+  istats_.passes_reused += num_passes_total() - num_tasks_;
+  run_tasks(pool);
+  refresh_terminals();
+  maybe_corrupt_cache();
+}
 
-  auto run_task = [this](UpdateTask& task) {
-    const Cluster& cl = clusters_->cluster(ClusterId(task.cluster));
+SlackEngine::PassTask& SlackEngine::new_task(std::uint32_t c, std::uint32_t p) {
+  if (num_tasks_ == tasks_.size()) tasks_.emplace_back();
+  PassTask& t = tasks_[num_tasks_++];
+  t.cluster = c;
+  t.pass = p;
+  t.full = true;
+  t.bwd.clear();
+  t.retraced = 0;
+  return t;
+}
+
+void SlackEngine::run_tasks(ThreadPool* pool) {
+  if (pool == nullptr) pool = env_analysis_pool();
+  for (std::uint32_t c : dirty_clusters_) seeds_into(ClusterId(c), analyses_[c].seeds);
+
+  // Each task owns its cached result and its workspace, so the pool
+  // schedule cannot affect the outcome.  Cached PassResult buffers are
+  // reused in place, and each closure captures two pointers (libstdc++'s
+  // std::function keeps 16 bytes inline), so a warm refresh allocates
+  // nothing.
+  auto run_task = [this](PassTask& task) {
     const ClusterAnalysis& ca = analyses_[task.cluster];
     ClusterState& cs = state_.clusters[task.cluster];
     PassResult& res = cs.passes[task.pass];
     if (task.full) {
       run_pass_into(ClusterId(task.cluster), task.pass, res);
-      task.retraced = 2 * cl.nodes.size();  // both sides, every node
     } else {
       task.retraced = update_analysis_pass(
-          *graph_, *sync_, cl, local_of_node_, *ca.edges, ca.breaks[task.pass],
-          ca.capture_insts, ca.assigned_mask[task.pass],
-          cs.dirty.fwd, task.bwd, res, task.ws);
+          *graph_, clusters_->cluster(ClusterId(task.cluster)), ca.table,
+          ca.seeds, task.pass, cs.dirty.fwd, task.bwd, res, task.ws);
     }
   };
-  if (pool != nullptr && pool->size() > 1 && num_update_tasks_ > 1) {
+  if (pool != nullptr && pool->size() > 1 && num_tasks_ > 1) {
     task_fns_.clear();
-    for (std::size_t i = 0; i < num_update_tasks_; ++i) {
-      UpdateTask* task = &update_tasks_[i];
+    for (std::size_t i = 0; i < num_tasks_; ++i) {
+      PassTask* task = &tasks_[i];
       task_fns_.push_back([&run_task, task] { run_task(*task); });
     }
     pool->run_batch(task_fns_);
   } else {
-    for (std::size_t i = 0; i < num_update_tasks_; ++i) {
-      run_task(update_tasks_[i]);
-    }
+    for (std::size_t i = 0; i < num_tasks_; ++i) run_task(tasks_[i]);
   }
-  for (std::size_t i = 0; i < num_update_tasks_; ++i) {
-    const UpdateTask& task = update_tasks_[i];
+  for (std::size_t i = 0; i < num_tasks_; ++i) {
+    const PassTask& task = tasks_[i];
     istats_.nodes_retraced += task.retraced;
     ClusterState& cs = state_.clusters[task.cluster];
     const PassResult& res = cs.passes[task.pass];
@@ -440,16 +451,13 @@ void SlackEngine::update(ThreadPool* pool) {
   // Re-fold what can have changed.  A node's per-pass ready and required
   // values change only inside the cones of the seeds, so a patched cluster
   // re-folds its probe cone, each node once (the probe workspace's clean
-  // bitmap dedupes the two cones).  A fully swept cluster re-folds whole.
+  // bitmap dedupes the two cones).  A fully swept cluster re-folds whole;
+  // every node belongs to exactly one cluster, and a fold overwrites it.
   std::vector<std::uint64_t>& once = probe_ws_.marks;
   for (std::uint32_t c : dirty_clusters_) {
     ClusterDirty& d = state_.clusters[c].dirty;
-    const std::size_t cluster_nodes =
-        clusters_->cluster(ClusterId(c)).nodes.size();
-    istats_.dirty_cluster_nodes += cluster_nodes;
     if (d.full) {
       fold_cluster(c);
-      istats_.nodes_refolded += cluster_nodes;
     } else {
       for (std::uint32_t li : d.cone) {
         std::uint64_t& word = once[li >> 6];
@@ -463,8 +471,6 @@ void SlackEngine::update(ThreadPool* pool) {
     }
     d.clear();
   }
-  refresh_terminals();
-  maybe_corrupt_cache();
 }
 
 void SlackEngine::update_terminals() {
@@ -548,9 +554,10 @@ void SlackEngine::run_pass_into(ClusterId c, std::size_t pass, PassResult& out,
                                 const RiseFall* arc_delay,
                                 std::size_t stride) const {
   const ClusterAnalysis& ca = analyses_.at(c.index());
-  run_analysis_pass_into(*graph_, *sync_, clusters_->cluster(c), local_of_node_,
-                         *ca.edges, ca.breaks.at(pass), ca.capture_insts,
-                         ca.assigned_mask.at(pass), out, arc_delay, stride);
+  HB_ASSERT(pass < ca.breaks.size());
+  run_analysis_pass_into(*graph_, clusters_->cluster(c), ca.table, ca.seeds,
+                         static_cast<std::uint32_t>(pass), out, arc_delay,
+                         stride);
 }
 
 void SlackEngine::fold_node(std::uint32_t c, std::uint32_t li) {
@@ -625,7 +632,7 @@ void SlackEngine::refresh_terminals() {
       for (std::uint32_t r = 0; r + 1 < t.row_begin.size(); ++r) {
         sweep_row(c, r);
       }
-      t.seeds.clear();
+      t.stale.clear();
       mark_terminals_dirty(c);
     }
     tables_valid_ = true;
@@ -633,12 +640,12 @@ void SlackEngine::refresh_terminals() {
   }
   for (std::uint32_t c : terminal_dirty_) {
     TerminalTable& t = analyses_[c].table;
-    if (!t.seeds.empty()) {
+    if (!t.stale.empty()) {
       // A delay change moves D only for the sources that reach it: the
       // backward cone of the invalidated nodes, under sweep_backward's
       // blocked rule (a blocked node scatters nothing).
       stale_rows_.clear();
-      passdetail::sweep_backward(clusters_->cluster(ClusterId(c)), t.seeds,
+      passdetail::sweep_backward(clusters_->cluster(ClusterId(c)), t.stale,
                                  row_scratch_.ws, [this, &t](std::uint32_t li) {
                                    const std::uint32_t r = t.row_of_local[li];
                                    if (r != TerminalTable::kNone) {
@@ -646,7 +653,7 @@ void SlackEngine::refresh_terminals() {
                                    }
                                  });
       for (std::uint32_t r : stale_rows_) sweep_row(c, r);
-      t.seeds.clear();
+      t.stale.clear();
     }
     evaluate_terminals(c);
     t.dirty = false;
@@ -655,36 +662,16 @@ void SlackEngine::refresh_terminals() {
 }
 
 void SlackEngine::evaluate_terminals(std::uint32_t c) {
-  const ClusterAnalysis& ca = analyses_[c];
+  ClusterAnalysis& ca = analyses_[c];
   const TerminalTable& t = ca.table;
   const std::size_t np = ca.breaks.size();
-  const std::size_t rows = t.row_launch_begin.size() - 1;
+  const std::size_t rows = t.row_local.size();
   const std::size_t caps = ca.capture_insts.size();
   const std::vector<TNodeId>& sources =
       clusters_->cluster(ClusterId(c)).source_nodes;
-
-  // seed(s, p): the latest linearised assertion over the launches at s, as
-  // the pass seeds it.
-  row_seed_time_.resize(rows * np);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::vector<SyncId>& launches = sync_->launches_at(sources[r]);
-    for (std::size_t p = 0; p < np; ++p) {
-      TimePs latest = -kInfinitePs;
-      for (std::size_t i = 0; i < launches.size(); ++i) {
-        const TimePs a = t.launch_assert[(t.row_launch_begin[r] + i) * np + p] +
-                         sync_->at(launches[i]).assert_offset();
-        latest = std::max(latest, a);
-      }
-      row_seed_time_[r * np + p] = latest;
-    }
-  }
-  cap_close_now_.resize(caps);
-  cap_ready_.resize(caps);
-  for (std::size_t j = 0; j < caps; ++j) {
-    cap_close_now_[j] =
-        t.cap_close[j] + sync_->at(ca.capture_insts[j]).close_offset();
-    cap_ready_[j] = -kInfinitePs;
-  }
+  seeds_into(ClusterId(c), ca.seeds);
+  const std::vector<TimePs>& close = ca.seeds.close;
+  cap_ready_.assign(caps, -kInfinitePs);
 
   // One pass over the pairs serves both sides.  A capture's ready time in
   // its pass is max over sources of (seed + D): eq. 1 is max-plus linear in
@@ -693,14 +680,14 @@ void SlackEngine::evaluate_terminals(std::uint32_t c) {
   row_required_.resize(np);
   for (std::size_t r = 0; r < rows; ++r) {
     std::fill(row_required_.begin(), row_required_.end(), kInfinitePs);
-    const TimePs* seed = row_seed_time_.data() + r * np;
+    const TimePs* seed = ca.seeds.launch.data() + r * np;
     for (std::uint32_t q = t.row_begin[r]; q < t.row_begin[r + 1]; ++q) {
       const std::uint32_t k = t.pair_sink[q];
       const TimePs d = t.pair_delay[q];
       for (std::uint32_t j = t.sink_cap_begin[k]; j < t.sink_cap_begin[k + 1]; ++j) {
         const std::uint32_t p = t.cap_pass[j];
         cap_ready_[j] = std::max(cap_ready_[j], seed[p] + d);
-        row_required_[p] = std::min(row_required_[p], cap_close_now_[j] - d);
+        row_required_[p] = std::min(row_required_[p], close[j] - d);
       }
     }
     // Launch slack: min over passes of required - assertion; +inf when the
@@ -722,8 +709,7 @@ void SlackEngine::evaluate_terminals(std::uint32_t c) {
   // source reaches the capture.
   for (std::size_t j = 0; j < caps; ++j) {
     capture_slack_[ca.capture_insts[j].index()] =
-        cap_ready_[j] == -kInfinitePs ? kInfinitePs
-                                      : cap_close_now_[j] - cap_ready_[j];
+        cap_ready_[j] == -kInfinitePs ? kInfinitePs : close[j] - cap_ready_[j];
   }
 }
 

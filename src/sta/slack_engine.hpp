@@ -9,7 +9,11 @@
 //     pair connected by a combinational path, read from those rows;
 //   * solve for the minimum set of break nodes (analysis passes);
 //   * assign every capture instance to the pass in which its ideal closure
-//     time appears closest to the end of the broken-open period.
+//     time appears closest to the end of the broken-open period;
+//   * linearise every launch's ideal assertion in every pass and every
+//     capture's ideal closure in its pass, once.  seeds_into() adds the
+//     current offsets to these bases; the result seeds the pass kernels,
+//     the terminal evaluation and the corner sweeps alike.
 //
 // The engine keeps two results, each with its own refresh:
 //   * per-instance terminal slacks (inputs of Algorithms 1 and 2), derived
@@ -35,11 +39,12 @@
 // last node-level refresh, however many terminal-only steps came between —
 // then re-propagates only the affected reachability cone of each affected
 // pass and re-folds only the nodes of those cones, reproducing compute() bit
-// for bit — see docs/ALGORITHMS.md §7 and tests/incremental_test.cpp.  With
-// a ThreadPool, every pass (compute) or dirty pass (update) is one pool task
-// running the serial sweep kernels; the schedule never affects results
-// because every pass owns its result slot and accumulation stays in
-// cluster/pass order.
+// for bit — see docs/ALGORITHMS.md §7 and tests/incremental_test.cpp.
+// compute() and update() share one task loop: compute() plans every pass as
+// a full-sweep task, update() plans a cone patch or a full sweep per dirty
+// pass.  With a ThreadPool each task is one pool task running the serial
+// sweep kernels; the schedule never affects results because every pass owns
+// its result slot and accumulation stays in cluster/pass order.
 //
 // The node-level results live in a NodeState, and the engine keeps two: the
 // active one, which every reader sees, and a parked one at other offsets.
@@ -53,6 +58,7 @@
 #include <functional>
 #include <memory>
 
+#include "clocks/edge_graph.hpp"
 #include "sta/analysis_pass.hpp"
 
 namespace hb {
@@ -218,7 +224,6 @@ class SlackEngine {
   // IncrementalStats::self_heals; analysis results are unaffected.
 
   void set_self_check(bool on) { self_check_ = on; }
-  bool self_check() const { return self_check_; }
 
   /// Verify all cached pass results of both node states and the terminal
   /// tables against their write-time checksums.  Returns true when
@@ -264,12 +269,17 @@ class SlackEngine {
   const std::vector<PassRef>& all_passes() const { return passes_; }
 
   /// Re-run a single pass into caller-owned buffers (no steady-state
-  /// allocation).  With `arc_delay`, the pass sweeps a lane-major table of
-  /// `stride` delays per arc instead of the graph's own, and `out` must have
-  /// `stride` lanes (see run_analysis_pass_into).
+  /// allocation), from the seeds the cluster's last refresh (or the
+  /// construction) took.  With `arc_delay`, the pass sweeps a lane-major
+  /// table of `stride` delays per arc instead of the graph's own, and `out`
+  /// must have `stride` lanes (see run_analysis_pass_into).
   void run_pass_into(ClusterId c, std::size_t pass, PassResult& out,
                      const RiseFall* arc_delay = nullptr,
                      std::size_t stride = 1) const;
+  /// Cluster `c`'s pass seeds at the current offsets: its table's
+  /// linearised bases plus each terminal's assert_offset() / close_offset().
+  /// Sizes `out` on first use; unanalysed clusters have none.
+  void seeds_into(ClusterId c, TerminalSeeds& out) const;
   /// Cached result of one pass (valid after compute()/update(); read by the
   /// path reports and by the determinism sweep tests, which compare caches
   /// across thread counts).  A patched absent slot may hold a value near
@@ -278,12 +288,9 @@ class SlackEngine {
     return state_.clusters.at(c.index()).passes.at(pass);
   }
 
-  /// Pre-processing facts exposed for differential harnesses and benches.
+  /// Capture instances of cluster `c` in the table's capture order.
   const std::vector<SyncId>& capture_insts(ClusterId c) const {
     return analyses_.at(c.index()).capture_insts;
-  }
-  const std::vector<bool>& assigned_mask(ClusterId c, std::size_t pass) const {
-    return analyses_.at(c.index()).assigned_mask.at(pass);
   }
 
   const TimingGraph& graph() const { return *graph_; }
@@ -292,37 +299,9 @@ class SlackEngine {
   /// Position of a node inside its cluster's node list.
   std::uint32_t local_index(TNodeId n) const { return local_of_node_.at(n.index()); }
 
-  /// Terminal delay table of one analysed cluster (docs/ALGORITHMS.md §4).
-  /// Rows follow the cluster's source nodes, sinks its sink nodes; a row
-  /// holds one pair per sink its source reaches, in ascending local order:
-  /// the sink, D = max(rise, fall) of the sink's ready time propagated from
-  /// a (0, 0) seed at the source, and the least delay over the same paths
-  /// (passdetail::sweep_cone).  The rows are laid out and swept at
-  /// construction, and the cluster's ordering requirements are read from
-  /// them.  Which sinks a source reaches depends only on the graph, so rows
-  /// keep their length for the engine's lifetime and a re-sweep rewrites
-  /// both delays in place.
-  struct TerminalTable {
-    static constexpr std::uint32_t kNone = UINT32_MAX;
-    std::vector<std::uint32_t> row_of_local;      // [local] row, or kNone
-    std::vector<std::uint32_t> sink_of_local;     // [local] sink, or kNone
-    std::vector<std::uint32_t> sink_cap_begin;    // [sink + 1] capture_insts
-    std::vector<std::uint32_t> cap_pass;          // [capture] assigned pass
-    std::vector<TimePs> cap_close;                // [capture] linear close
-    std::vector<std::uint32_t> row_launch_begin;  // [row + 1] launches_at()
-    std::vector<TimePs> launch_assert;            // [launch * passes + pass]
-    std::vector<std::uint32_t> row_begin;         // [row + 1] pair slices
-    std::vector<std::uint32_t> pair_sink;
-    std::vector<TimePs> pair_delay;               // max delay, D
-    std::vector<TimePs> pair_min;                 // min delay
-    std::vector<std::uint64_t> row_checksum;      // [row], taken at write time
-    /// Locals invalidated since the last refresh: the rows of the sources
-    /// in their backward cone are re-swept.
-    std::vector<std::uint32_t> seeds;
-    bool dirty = false;  // queued in terminal_dirty_
-  };
   /// Terminal delay table of cluster `c` as of the last refresh (empty for
-  /// a cluster no pass analyses); the hold check reads its rows.
+  /// a cluster no pass analyses): the hold check reads its rows, the pass
+  /// kernels its terminal index.
   const TerminalTable& terminal_table(ClusterId c) const {
     return analyses_.at(c.index()).table;
   }
@@ -331,9 +310,9 @@ class SlackEngine {
   struct ClusterAnalysis {
     std::unique_ptr<ClockEdgeGraph> edges;
     std::vector<std::size_t> breaks;
-    std::vector<SyncId> capture_insts;            // all captures in cluster
-    std::vector<std::vector<bool>> assigned_mask; // [pass][capture]
-    TerminalTable table;  // current iff tables_valid_
+    std::vector<SyncId> capture_insts;  // all captures in cluster
+    TerminalTable table;  // rows current iff tables_valid_
+    TerminalSeeds seeds;  // as of the last refresh that read them
   };
 
   /// Pending invalidations of one cluster, in local node indices.
@@ -410,8 +389,8 @@ class SlackEngine {
   /// invalidated nodes reach, and re-evaluate the terminals of every queued
   /// cluster.
   void refresh_terminals();
-  /// Launch and capture slacks of cluster `c` from its table and the current
-  /// offsets.
+  /// Launch and capture slacks of cluster `c` from its table and its seeds,
+  /// which it first brings to the current offsets.
   void evaluate_terminals(std::uint32_t c);
   /// Record the effective offsets the active state's passes now reflect.
   void record_pass_offsets();
@@ -450,20 +429,25 @@ class SlackEngine {
   bool self_check_ = false;
   IncrementalStats istats_;
 
-  // -- Persistent update()/compute() machinery ----------------------------
+  // -- The task loop of compute() and update() ------------------------------
   // Task slots, closures and seed buffers are reused across calls (grown,
   // never shrunk), so steady-state computes and updates perform no heap
   // allocation.
-  struct UpdateTask {
+  struct PassTask {
     std::uint32_t cluster = 0;
     std::uint32_t pass = 0;
-    bool full = false;               // cost model: full sweep vs cone patch
+    bool full = true;                // a full sweep, else a cone patch
     std::vector<std::uint32_t> bwd;  // cone: bwd plus this pass's bwd_of_pass
     PassWorkspace ws;
-    std::size_t retraced = 0;
+    std::size_t retraced = 0;        // nodes_retraced's share
   };
-  std::vector<UpdateTask> update_tasks_;
-  std::size_t num_update_tasks_ = 0;
+  /// Append a full-sweep task for (c, p) to the planned tasks.
+  PassTask& new_task(std::uint32_t c, std::uint32_t p);
+  /// Run the planned tasks on the seeds of dirty_clusters_ at the current
+  /// offsets, retake their checksums and re-fold what they can have changed.
+  void run_tasks(ThreadPool* pool);
+  std::vector<PassTask> tasks_;
+  std::size_t num_tasks_ = 0;
   /// Pool tasks of compute()/update(); each closure captures two pointers,
   /// which libstdc++'s std::function stores inline, so refilling allocates
   /// nothing.
@@ -476,8 +460,6 @@ class SlackEngine {
   // reused.
   passdetail::ConeScratch row_scratch_;    // row sweeps, stale-row search
   std::vector<std::uint32_t> stale_rows_;  // rows a refresh re-sweeps
-  std::vector<TimePs> row_seed_time_;      // [row * passes + pass]
-  std::vector<TimePs> cap_close_now_;       // [capture]
   std::vector<TimePs> cap_ready_;           // [capture]
   std::vector<TimePs> row_required_;        // [pass]
 

@@ -270,15 +270,9 @@ void SyncModel::index_instances() {
   for (std::uint32_t i = 0; i < instances_.size(); ++i) {
     const SyncInstance& si = instances_[i];
     if (si.data_out.valid()) {
-      if (launches_by_node_[si.data_out.index()].empty()) {
-        launch_nodes_.push_back(si.data_out);
-      }
       launches_by_node_[si.data_out.index()].push_back(SyncId(i));
     }
     if (si.data_in.valid()) {
-      if (captures_by_node_[si.data_in.index()].empty()) {
-        capture_nodes_.push_back(si.data_in);
-      }
       captures_by_node_[si.data_in.index()].push_back(SyncId(i));
     }
   }

@@ -134,9 +134,6 @@ class SyncModel {
   /// Capture instances whose data_in is this node.
   const std::vector<SyncId>& captures_at(TNodeId node) const;
 
-  const std::vector<TNodeId>& launch_nodes() const { return launch_nodes_; }
-  const std::vector<TNodeId>& capture_nodes() const { return capture_nodes_; }
-
   /// Control-path facts for a sequential instance.
   struct ControlInfo {
     ClockId clock;
@@ -183,8 +180,6 @@ class SyncModel {
   std::unordered_map<std::uint32_t, ControlInfo> control_;  // by InstId
   std::vector<std::vector<SyncId>> launches_by_node_;
   std::vector<std::vector<SyncId>> captures_by_node_;
-  std::vector<TNodeId> launch_nodes_;
-  std::vector<TNodeId> capture_nodes_;
   std::vector<bool> has_data_cone_;
   std::vector<SyncId> changed_;       // offsets touched since the last drain
   std::vector<char> changed_flag_;    // by SyncId, dedups changed_

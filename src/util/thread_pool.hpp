@@ -3,10 +3,8 @@
 // The pool runs one kind of job: run_batch() hands every worker (plus the
 // calling thread) tasks from a shared atomic counter and returns when all
 // tasks have finished.  Tasks must be independent — the slack engine
-// guarantees this by giving every (cluster, pass) task its own result slot,
-// and the hold checker by giving every task its own scratch, from which it
-// pulls (cluster, source) sweeps off a counter of its own — so the schedule
-// never affects results, only wall-clock time.
+// guarantees this by giving every (cluster, pass) task its own result slot —
+// so the schedule never affects results, only wall-clock time.
 //
 // Fault containment: a task exception never terminates the process or a
 // worker thread.  The job always runs to completion (a failed task does not

@@ -97,6 +97,17 @@ TEST(CornerTest, IdentityKOneMatchesLegacyByteForByte) {
         EXPECT_EQ(hold[i].margin, want_hold[i].margin);
       }
     }
+
+    // After Algorithm 2 the offsets sit at its snatched state; a corner run
+    // there seeds from them, like a fresh compute() of the engine.
+    baseline.generate_constraints();
+    baseline.engine_mut().compute();
+    CornerAnalysis snatched(baseline.engine(), CornerSet::identity());
+    snatched.compute();
+    EXPECT_EQ(corner_pass_bytes(snatched), pass_bytes(baseline.engine()));
+    EXPECT_EQ(snatched.report(0, 8), baseline.report(8));
+    EXPECT_EQ(snatched.worst_terminal_slack(0),
+              baseline.engine().worst_terminal_slack());
   }
 }
 

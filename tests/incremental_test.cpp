@@ -119,6 +119,9 @@ TEST(IncrementalDifferential, RandomPerturbationsMatchFullCompute) {
   auto lib = make_standard_library();
   ThreadPool pool(4);
   std::uint64_t total_updates = 0;
+  // Networks with a sink whose capture instances read different passes: the
+  // kernels seed such a sink per pass from its own capture range.
+  int split_sink_networks = 0;
 
   for (int net_i = 0; net_i < 50; ++net_i) {
     SCOPED_TRACE("network " + std::to_string(net_i));
@@ -136,6 +139,17 @@ TEST(IncrementalDifferential, RandomPerturbationsMatchFullCompute) {
     par.compute(&pool);
     ASSERT_TRUE(equal(take(ref), take(inc)));
     ASSERT_TRUE(equal(take(ref), take(par)));
+    bool split = false;
+    for (std::uint32_t c = 0; c < clusters.num_clusters(); ++c) {
+      if (ref.num_passes(ClusterId(c)) < 2) continue;
+      for (TNodeId n : clusters.cluster(ClusterId(c)).sink_nodes) {
+        for (SyncId id : sync.captures_at(n)) {
+          split = split || ref.assigned_pass(id) !=
+                               ref.assigned_pass(sync.captures_at(n).front());
+        }
+      }
+    }
+    split_sink_networks += split;
 
     // Top-level combinational cell instances (delay-perturbation targets).
     std::vector<InstId> comb;
@@ -200,6 +214,7 @@ TEST(IncrementalDifferential, RandomPerturbationsMatchFullCompute) {
     EXPECT_EQ(inc.incremental_stats().full_computes, 1u);
   }
   EXPECT_GT(total_updates, 0u);
+  EXPECT_GT(split_sink_networks, 0);
 }
 
 // The terminal-slack oracle: the fold SlackEngine ran over its passes before

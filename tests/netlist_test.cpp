@@ -245,10 +245,10 @@ TEST_F(NetlistTest, ValidateReportsEveryElementOnASharedBadControlNet) {
   b.port_out_net("q", q2);
   const auto report = validate(b.finish());
   ASSERT_EQ(report.findings.size(), 2u);
-  EXPECT_EQ(report.errors[0],
+  EXPECT_EQ(report.findings[0].diag.message,
             "control input of 'lat1' is not a monotonic function of one clock "
             "signal");
-  EXPECT_EQ(report.errors[1],
+  EXPECT_EQ(report.findings[1].diag.message,
             "control input of 'lat2' is not a monotonic function of one clock "
             "signal");
   for (const ValidationFinding& f : report.findings) {
