@@ -113,8 +113,13 @@ QueryResult ServiceHost::snapshot_command(const ParsedQuery& q) {
         " generation " + std::to_string(res.generation) + " snapshot " +
         std::to_string(res.view->id()) + " rejected " +
         std::to_string(res.rejected));
-    std::lock_guard<std::mutex> lock(mutex_);
-    warm_view_ = std::move(res.view);
+    // Swap under the lock; `res.view`, now the previous view, is destroyed
+    // after it is released, so readers fetching the pointer never wait on
+    // its unmap.
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      warm_view_.swap(res.view);
+    }
     return r;
   }
   // stat: store-level truth (counters since this process opened the store).

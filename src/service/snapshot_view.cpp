@@ -9,9 +9,10 @@
 #include <cerrno>
 #include <cstring>
 #include <mutex>
-#include <numeric>
+#include <random>
 
 #include "service/snapshot_codec.hpp"
+#include "util/xxhash.hpp"
 
 namespace hb {
 namespace {
@@ -23,6 +24,19 @@ const char* section_name_of(std::uint32_t kind) {
 }
 
 bool valid_status(std::uint8_t v) { return v <= 2; }
+
+/// Marks an empty slot of the node-name table.
+constexpr std::uint32_t kNoName = 0xFFFFFFFFu;
+
+/// Hash of a node name under a per-process random seed, so no image can be
+/// crafted to send every name down one probe chain.
+std::uint64_t name_hash(std::string_view name) {
+  static const std::uint64_t seed = [] {
+    std::random_device rd;
+    return (std::uint64_t{rd()} << 32) ^ rd();
+  }();
+  return xxhash64(name.data(), name.size(), seed);
+}
 
 }  // namespace
 
@@ -294,6 +308,7 @@ bool SnapshotView::index_caps(std::string_view payload, std::size_t base) {
 bool SnapshotView::index_names(std::string_view payload, std::size_t base) {
   Reader r = reader_of(payload);
   const std::uint64_t nodes = r.u64();
+  if (nodes >= kNoName) return false;  // ids must fit the name table's slots
   name_offs_.clear();
   if (!r.fail && nodes <= r.remaining()) {
     name_offs_.reserve(static_cast<std::size_t>(nodes));
@@ -337,22 +352,22 @@ bool SnapshotView::index_names(std::string_view payload, std::size_t base) {
   return !(r.fail || inst_offs_.size() != insts || r.remaining() != 0);
 }
 
-void SnapshotView::build_name_order() const {
-  // Node-id permutation sorted by (name, id): lower_bound resolves a name to
-  // its lowest node id, matching NameIndex's emplace-first-wins rule.  Built
-  // on the first find_node, not at map time — the sort is the single most
-  // expensive indexing step and summary/worst_paths/histogram never touch
-  // it, so deferring it keeps warm-restart first-query latency at the cost
-  // of the checksum pass plus linear offset scans.
-  name_order_.resize(name_offs_.size());
-  std::iota(name_order_.begin(), name_order_.end(), 0u);
-  std::sort(name_order_.begin(), name_order_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              const std::string_view na = str_at(name_offs_[a]);
-              const std::string_view nb = str_at(name_offs_[b]);
-              if (na != nb) return na < nb;
-              return a < b;
-            });
+void SnapshotView::build_name_table() const {
+  std::size_t cap = 1;
+  while (cap < 2 * name_offs_.size()) cap *= 2;  // at most half full
+  name_slots_.assign(cap, kNoName);
+  const std::size_t mask = cap - 1;
+  for (std::size_t id = 0; id < name_offs_.size(); ++id) {
+    const std::string_view name = str_at(name_offs_[id]);
+    for (std::size_t s = name_hash(name) & mask;; s = (s + 1) & mask) {
+      if (name_slots_[s] == kNoName) {
+        name_slots_[s] = static_cast<std::uint32_t>(id);
+        break;
+      }
+      // A duplicate name keeps its lowest id, as in NameIndex.
+      if (str_at(name_offs_[name_slots_[s]]) == name) break;
+    }
+  }
 }
 
 bool SnapshotView::index_holds(std::string_view payload, std::size_t base) {
@@ -474,14 +489,13 @@ std::string_view SnapshotView::node_name(std::size_t i) const {
 }
 
 std::size_t SnapshotView::find_node(std::string_view name) const {
-  std::call_once(name_order_once_, [this] { build_name_order(); });
-  const auto it = std::lower_bound(
-      name_order_.begin(), name_order_.end(), name,
-      [this](std::uint32_t id, std::string_view n) {
-        return str_at(name_offs_[id]) < n;
-      });
-  if (it == name_order_.end() || str_at(name_offs_[*it]) != name) return npos;
-  return static_cast<std::size_t>(*it);
+  std::call_once(name_slots_once_, [this] { build_name_table(); });
+  const std::size_t mask = name_slots_.size() - 1;
+  for (std::size_t s = name_hash(name) & mask;; s = (s + 1) & mask) {
+    const std::uint32_t id = name_slots_[s];
+    if (id == kNoName) return npos;
+    if (str_at(name_offs_[id]) == name) return id;
+  }
 }
 
 SnapshotSource::InstRef SnapshotView::find_instance(

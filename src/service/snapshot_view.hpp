@@ -2,11 +2,11 @@
 //
 // map_file() maps the image read-only, verifies the header and every
 // per-section xxhash64 checksum once, and builds offset tables instead of
-// materialising strings: node names resolve through a (name, node_id)-sorted
-// id permutation binary-searched against views into the image, instance pin
-// tables through record offsets binary-searched by instance name.  After
-// indexing, every accessor is a couple of bounds-checked loads straight from
-// the page cache.
+// materialising strings: node names resolve through an open-addressed hash
+// table of node ids, built on the first find_node and probed against views
+// into the image, instance pin tables through record offsets
+// binary-searched by instance name.  After indexing, every accessor is a
+// couple of bounds-checked loads straight from the page cache.
 //
 // The view is the only reader of the image format.  Indexing never trusts
 // a length field, so arbitrary bytes — truncated files, bit flips, fuzzer
@@ -144,7 +144,7 @@ class SnapshotView final : public SnapshotSource {
   bool index_constraints(std::string_view payload, std::size_t base);
   bool index_corners(std::string_view payload, std::size_t base);
 
-  void build_name_order() const;
+  void build_name_table() const;
   std::string_view str_at(std::size_t off) const;
   SourcePath path_at(std::size_t off) const;
   SourceHoldPair hold_at(std::size_t off) const;
@@ -177,15 +177,17 @@ class SnapshotView final : public SnapshotSource {
   // path and hold-pair sections (absolute offset per record)
   ScopeIdx base_;
 
-  // name table: offset of each node name's length prefix, plus the node-id
-  // permutation sorted by (name, id) — lower_bound lands on the lowest id
-  // for duplicate names, matching NameIndex's emplace-first-wins rule.
-  // The permutation is built lazily on the first find_node (thread-safe via
-  // the once flag): sorting it is the most expensive indexing step and the
-  // meta/paths/histogram verbs never need it.
+  // name table: offset of each node name's length prefix, plus a
+  // power-of-two table of node ids (all ones when empty), at most half full,
+  // probed linearly from the name's xxhash64 under a per-process random
+  // seed.  Ids go in in ascending order and a name already present is
+  // skipped, so a duplicate name resolves to its lowest id, matching
+  // NameIndex's emplace-first-wins rule.  The table is built lazily on the
+  // first find_node (thread-safe via the once flag): the meta/paths/
+  // histogram verbs never need it.
   std::vector<std::size_t> name_offs_;
-  mutable std::vector<std::uint32_t> name_order_;
-  mutable std::once_flag name_order_once_;
+  mutable std::vector<std::uint32_t> name_slots_;
+  mutable std::once_flag name_slots_once_;
 
   // instance pin tables: record offset per instance (strictly name-sorted in
   // the image, so binary search works on the offsets directly) and a flat

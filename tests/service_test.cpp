@@ -4,8 +4,10 @@
 // sequence of what-if edits and commits is bit-identical to a fresh full
 // analysis of the same design with the same accumulated edit history —
 // serially and with 8 concurrent reader threads hammering the read path
-// (the TSan job runs this file; see .github/workflows/ci.yml).  All
-// comparisons are exact: times are integer picoseconds.
+// (the TSan job runs this file; see .github/workflows/ci.yml).  A replica
+// remapped by `snapshot load` under concurrent binary readers serves the
+// saving session's replies.  All comparisons are exact: times are integer
+// picoseconds.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -25,6 +27,7 @@
 #include "netlist/builder.hpp"
 #include "netlist/stdcells.hpp"
 #include "scenario/corner_set.hpp"
+#include "service/proto2.hpp"
 #include "service/protocol.hpp"
 #include "service/session.hpp"
 #include "service/snapshot_store.hpp"
@@ -366,6 +369,100 @@ TEST(ServiceTest, ConcurrentBatchesMatchSequentialExecution) {
     EXPECT_EQ(to_wire(batched[i]), to_wire(serial)) << "line " << i;
   }
   EXPECT_TRUE(matches_fresh_analysis(*session));
+}
+
+// A replica serving three binary-protocol connections while a fourth remaps
+// it with `snapshot load`.  Each remap maps a fresh view, so the readers'
+// first `slack` lookups on it race on its name table's once flag, and the
+// replaced view is released while readers may still hold it.  Readers pace
+// themselves by the remap count, so their reads spread over the remaps
+// instead of finishing before the first.  Every rendered reply equals the
+// saving session's.
+TEST(ServiceTest, ReplicaRemapsUnderConcurrentReaders) {
+  namespace fs = std::filesystem;
+  SessionOptions opt;
+  opt.pool_threads = 1;
+  auto session = make_session(opt);
+  const std::vector<std::string>& names = session->snapshot()->names->node_names;
+  std::vector<std::string> payloads;
+  std::vector<std::string> want;
+  for (std::size_t k = 0; k <= 64; ++k) {
+    const std::string q =
+        k < 64 ? "slack " + names[k * names.size() / 64] : "slack no_such_node";
+    std::string frame;
+    ASSERT_TRUE(proto2_encode_request(parse_query(q), frame));
+    payloads.push_back(frame.substr(4));
+    want.push_back(to_wire(session->execute(q)));
+  }
+
+  std::string tmpl = (fs::temp_directory_path() / "hbremap.XXXXXX").string();
+  std::vector<char> buf(tmpl.begin(), tmpl.end());
+  buf.push_back('\0');
+  ASSERT_NE(::mkdtemp(buf.data()), nullptr);
+  const std::string dir = buf.data();
+  ServiceConfig cfg;
+  cfg.snapshot_dir = dir;
+  {
+    ServiceHost writer(cfg);
+    writer.adopt(session);  // persists snapshot 1
+  }
+  cfg.replica = true;
+  ServiceHost replica(cfg);
+  ASSERT_TRUE(replica.warm_mapped());
+
+  constexpr int kReaders = 3;
+  constexpr int kRemaps = 40;
+  constexpr int kReadsPerRemap = 25;
+  std::atomic<int> remaps{0};
+  std::atomic<int> failures{0};
+  auto reader = [&](int r) {
+    ProtocolHandler h(replica);
+    if (h.handle_line("proto 2") != "ok proto 2\n") {
+      ++failures;
+      return;
+    }
+    std::string rendered;
+    for (int i = 0; i < kRemaps * kReadsPerRemap; ++i) {
+      while (remaps.load() < i / kReadsPerRemap) std::this_thread::yield();
+      const std::size_t k =
+          static_cast<std::size_t>(i * 7 + r * 23) % payloads.size();
+      const std::string& reply = h.handle_frame(payloads[k]);
+      rendered.clear();
+      if (!proto2_render_payload(std::string_view(reply).substr(4),
+                                 rendered) ||
+          rendered != want[k]) {
+        ++failures;
+      }
+    }
+  };
+  auto remapper = [&] {
+    ProtocolHandler h(replica);
+    if (h.handle_line("proto 2") != "ok proto 2\n") ++failures;
+    std::string frame;
+    proto2_encode_text("snapshot load", frame);
+    std::string rendered;
+    for (int i = 0; i < kRemaps; ++i) {
+      const std::string& reply =
+          h.handle_frame(std::string_view(frame).substr(4));
+      rendered.clear();
+      if (!proto2_render_payload(std::string_view(reply).substr(4),
+                                 rendered) ||
+          rendered.rfind("ok snapshot load", 0) != 0) {
+        ++failures;
+      }
+      remaps.fetch_add(1);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  threads.emplace_back(remapper);
+  for (int r = 0; r < kReaders; ++r) threads.emplace_back(reader, r);
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(remaps.load(), kRemaps);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 TEST(ServiceTest, ReadDeadlineTimeoutIsStructuredAndNonPoisoning) {

@@ -3,7 +3,9 @@
 // Three contracts under test:
 //   1. Round trip: serialisation is byte-stable, and a SnapshotView
 //      attached to the image answers every accessor exactly like the
-//      source snapshot, on every generator network.
+//      source snapshot, on every generator network, and on hand-written
+//      name tables (duplicates resolve to their lowest id; absent
+//      prefixes and extensions of present names are not found).
 //   2. Corruption never crashes and is never misread: truncation at every
 //      section boundary, a bit flip in every section, version skew,
 //      an unsorted instance table and arbitrary fuzz bytes all produce a
@@ -580,6 +582,86 @@ TEST(SnapshotStoreTest, InterleavedSessionsEachSaveTheirOwnNameIndex) {
     ASSERT_TRUE(m.ok()) << m.error;
     EXPECT_EQ(m.view->design_name(), sessions[k]->snapshot()->design_name);
     expect_same_names(*m.view, *sessions[k]->snapshot()->names);
+  }
+}
+
+/// A snapshot that carries nothing but these node names.  node_by_name
+/// keeps each name's first id, as build_name_index does.
+std::shared_ptr<AnalysisSnapshot> names_only_snapshot(
+    const std::vector<std::string>& node_names) {
+  auto idx = std::make_shared<NameIndex>();
+  idx->node_names = node_names;
+  for (std::uint32_t i = 0; i < node_names.size(); ++i) {
+    idx->node_by_name.emplace(node_names[i], i);
+  }
+  auto snap = std::make_shared<AnalysisSnapshot>();
+  snap->design_name = "names";
+  snap->names = std::move(idx);
+  return snap;
+}
+
+// No generator network repeats a node name, so these name tables are
+// written by hand: duplicates (which resolve to their lowest id, as in
+// NameIndex), names sharing their first 8 or more bytes, and absent names
+// that are a prefix or an extension of a present one.  Every table is read
+// through an attached image and through a store-mapped one.
+TEST(SnapshotStoreTest, ViewResolvesNameEdgeCases) {
+  struct Case {
+    const char* what;
+    std::vector<std::string> names;
+    std::vector<std::pair<std::string, std::size_t>> want;
+    std::vector<std::string> absent;
+  };
+  std::vector<std::string> many;
+  for (int i = 0; i < 300; ++i) {
+    many.push_back("bank" + std::to_string(i % 7) + "/stage/gate_" +
+                   std::to_string(i));
+  }
+  many.push_back("bank3/stage/gate_17");  // id 300, a duplicate of id 17
+  const std::vector<Case> cases = {
+      {"duplicates and shared prefixes",
+       {"u1/Z", "abcdefgh", "abcdefgh1", "bank0/stage0/gate_a",
+        "bank0/stage0/gate_b", "u1/Z", "abcdefgh12", "bank0/stage0/gate_b",
+        "abcdefgh1", "u1/Z"},
+       {{"u1/Z", 0}, {"abcdefgh", 1}, {"abcdefgh1", 2},
+        {"bank0/stage0/gate_a", 3}, {"bank0/stage0/gate_b", 4},
+        {"abcdefgh12", 6}},
+       {"", "u1", "u1/", "u1/Z/", "u1/ZZ", "abcdefg", "abcdefgh123",
+        "abcdefgh2", "bank0/stage0/gate_", "bank0/stage0/gate_c",
+        "bank0/stage0/gate_ab"}},
+      {"hundreds of names, one repeated",
+       many,
+       {{"bank0/stage/gate_0", 0}, {"bank3/stage/gate_17", 17},
+        {"bank5/stage/gate_299", 299}},
+       {"", "bank3/stage/gate_", "bank3/stage/gate_170",
+        "bank3/stage/gate_17/", "bank0/stage/gate_300"}},
+      {"the empty name, twice", {"a", "", "", "b"}, {{"", 1}, {"a", 0}},
+       {"ab", " "}},
+      {"no node names", {}, {}, {"", "u1/Z", "no such node"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const auto snap = names_only_snapshot(c.names);
+    const std::string image = serialize_snapshot(*snap);
+    TempDir dir;
+    SnapshotStore store({dir.path, 4});
+    ASSERT_TRUE(store.save(*snap).ok);
+    const SnapshotView::MapResult attached = SnapshotView::attach(image);
+    ASSERT_TRUE(attached.ok()) << attached.error;
+    const SnapshotStore::SourceResult loaded = store.load_newest_source();
+    ASSERT_TRUE(loaded.ok()) << loaded.error;
+    ASSERT_TRUE(loaded.view->mapped());
+    const SnapshotView* views[] = {attached.view.get(), loaded.view.get()};
+    for (const SnapshotView* v : views) {
+      for (const auto& [name, id] : c.want) {
+        EXPECT_EQ(v->find_node(name), id) << '"' << name << '"';
+      }
+      for (const std::string& name : c.absent) {
+        EXPECT_EQ(v->find_node(name), SnapshotSource::npos)
+            << '"' << name << '"';
+      }
+      expect_same_names(*v, *snap->names);
+    }
   }
 }
 
